@@ -261,7 +261,8 @@ class Report:
     detail: str | None = field(default=None)
 
     def json_dict(self) -> dict:
-        return {
+        """JSON fields of the report; ``detail`` appears only when there is one."""
+        out = {
             "name": self.name,
             "params": {k: self.params[k] for k in sorted(self.params)},
             "scale": self.scale,
@@ -271,6 +272,9 @@ class Report:
             "duration_ms": self.duration_ms,
             "path": self.path,
         }
+        if self.detail is not None:
+            out["detail"] = self.detail
+        return out
 
 
 def _ms(t0: float) -> int:

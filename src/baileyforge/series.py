@@ -2,9 +2,13 @@
 
 A series lives in variables q and z. q-exponents are integers in scaled
 units: under a context with scale d, the stored exponent e means q^(e/d).
-z-exponents are plain integers. Coefficients are fractions.Fraction.
-Series are compared up to the context order: all terms with scaled
-q-exponent <= order are retained, everything above is dropped.
+z-exponents are plain integers. Coefficients are exact rationals: a
+coefficient is a Python int when it is integral on entry and a
+fractions.Fraction otherwise, never a float. Integral series therefore run
+on native integer arithmetic; int and Fraction compare and hash alike, so
+the mix is invisible to equality and to printed output. Series are
+compared up to the context order: all terms with scaled q-exponent <= order
+are retained, everything above is dropped.
 
 Resource guard: a retained term with z-exponent e must satisfy
 d*binom(|e|,2) <= order. Every series built from the supported identity
@@ -25,7 +29,7 @@ from .errors import (
 )
 
 Rational = Fraction
-_ZERO = Fraction(0)
+_ZERO = 0
 
 __all__ = [
     "Rational",
@@ -110,11 +114,11 @@ class QSeries:
         if data is None:
             data = {}
         if not _trusted:
-            clean: dict[int, dict[int, Fraction]] = {}
+            clean: dict[int, dict[int, int | Fraction]] = {}
             for qe, zd in data.items():
                 if qe > ctx.order:
                     continue
-                keep = {ze: Fraction(c) for ze, c in zd.items() if c}
+                keep = {ze: _exact(c) for ze, c in zd.items() if c}
                 if keep:
                     clean[qe] = keep
             data = clean
@@ -134,7 +138,8 @@ class QSeries:
             for ze in sorted(zd):
                 yield qe, ze, zd[ze]
 
-    def coefficient(self, qexp: int, zexp: int = 0) -> Fraction:
+    def coefficient(self, qexp: int, zexp: int = 0) -> int | Fraction:
+        """Coefficient of z^zexp q^(qexp/scale): an int when integral, else a Fraction."""
         return self._c.get(qexp, {}).get(zexp, _ZERO)
 
     def min_exponent(self):
@@ -196,7 +201,7 @@ class QSeries:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
+            c = _exact(other)
             if not c:
                 return zero(self.ctx)
             return QSeries(
@@ -226,7 +231,13 @@ class QSeries:
         return out
 
     def invert(self) -> "QSeries":
-        """Multiplicative inverse; needs a single-monomial lowest slice."""
+        """Multiplicative inverse; needs a single-monomial lowest slice.
+
+        With self = mc * z^mz * q^m * (1 + u), where u has only positive
+        q-exponents, 1/(1 + u) = sum_n b_n q^n with b_0 = 1 and
+        b_n = -sum_{k=1..n} u_k b_{n-k}, each b_n a Laurent polynomial in z.
+        Rows up to n = order + m are needed.
+        """
         if not self._c:
             raise NonUnitLeadingError("cannot invert the zero series")
         m = min(self._c)
@@ -235,35 +246,44 @@ class QSeries:
             raise NonUnitLeadingError(
                 f"lowest q-slice (exponent {m}) is not a single monomial in z"
             )
-        (mz,) = lead
-        mc = lead[mz]
-        work = self.ctx.order + max(0, m)
-        # u = self * lead^{-1} - 1 has strictly positive minimal q-exponent.
-        shifted = {}
-        for qe, zd in self._c.items():
-            row = shifted.setdefault(qe - m, {})
-            for ze, c in zd.items():
-                if ze - mz == 0 and qe - m == 0:
-                    continue
-                row[ze - mz] = c / mc
-        shifted = {qe: zd for qe, zd in shifted.items() if zd}
-        out = {0: {0: Fraction(1)}}
-        term = {0: {0: Fraction(1)}}
-        for _ in range(work + 1):
-            term = _mul_raw(term, shifted, work)
-            if not term:
-                break
-            term = {qe: {ze: -c for ze, c in zd.items()} for qe, zd in term.items()}
-            _acc_into(out, term)
-        res = {}
-        for qe, zd in out.items():
-            row = {}
-            for ze, c in zd.items():
-                if c:
-                    row[ze - mz] = c / mc
-            if row and qe - m <= self.ctx.order:
-                res[qe - m] = row
-        return QSeries(self.ctx, res, _trusted=False)
+        ((mz, mc),) = lead.items()
+        inv = _exact(1 / Fraction(mc))
+        top = self.ctx.order + m
+        # Rows u_k of u, each a list of (z-exponent, coefficient).
+        u = sorted(
+            (qe - m, [(ze - mz, c * inv) for ze, c in zd.items()])
+            for qe, zd in self._c.items()
+            if 0 < qe - m <= top
+        )
+        b = [[(0, 1)]] if top >= 0 else []
+        for n in range(1, top + 1):
+            row: dict[int, int | Fraction] = {}
+            for k, uk in u:
+                if k > n:
+                    break
+                for zb, cb in b[n - k]:
+                    for zu, cu in uk:
+                        z = zu + zb
+                        row[z] = row.get(z, 0) - cu * cb
+            b.append([(z, c) for z, c in row.items() if c])
+        res = {
+            n - m: {z - mz: c * inv for z, c in bn}
+            for n, bn in enumerate(b)
+            if bn
+        }
+        return QSeries(self.ctx, res, _trusted=True)
+
+
+def _exact(c) -> int | Fraction:
+    """An exact coefficient: an int when c is integral, else a Fraction.
+
+    Coefficients never become floats: int / int and int ** -k give floats,
+    so callers divide through Fraction and pass the quotient here.
+    """
+    if type(c) is int:
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
 
 
 def _acc_into(target: dict, src: dict) -> None:
@@ -286,7 +306,7 @@ def _mul_raw(a: dict, b: dict, order: int) -> dict:
     if len(a) > len(b):
         a, b = b, a
     bitems = sorted(b.items())
-    out: dict[int, dict[int, Fraction]] = {}
+    out: dict[int, dict[int, int | Fraction]] = {}
     for qa, zda in a.items():
         lim = order - qa
         for qb, zdb in bitems:
@@ -317,7 +337,7 @@ def one(ctx: EvalContext) -> QSeries:
 
 def monomial(ctx: EvalContext, coeff, zexp: int = 0, qexp: int = 0) -> QSeries:
     """Build coeff * z^zexp * q^(qexp/scale), folding z under a monomial context."""
-    c = Fraction(coeff)
+    c = _exact(coeff)
     if not c:
         return zero(ctx)
     zi = ctx.z_interp
@@ -331,13 +351,27 @@ def monomial(ctx: EvalContext, coeff, zexp: int = 0, qexp: int = 0) -> QSeries:
     return QSeries(ctx, {qexp: {zexp: c}})
 
 
+# Longest chain of uncached prefixes one poch_finite call builds recursively:
+# far below the interpreter's recursion limit, and above every product
+# length the catalog reaches at its shipped orders (117), so those products
+# take a single cache lookup.
+_POCH_STRIDE = 128
+
+
 def poch_finite(ctx: EvalContext, base, step: int, length: int) -> QSeries:
     """Finite product prod_{t<length} (1 - base*q^(t*step)), base = (coeff, zexp, qexp)."""
     if length < 0:
         raise ValueError("poch_finite length must be >= 0")
     if step < 1:
         raise ValueError("poch_finite step must be >= 1")
-    return _poch_finite_cached(ctx, _basekey(base), step, length)
+    key = _basekey(base)
+    # Each prefix is built from the cached one before it, recursively.
+    # Warming every _POCH_STRIDE-th prefix in increasing length first keeps
+    # that recursion shallow at any length; a product of at most
+    # _POCH_STRIDE factors is a single cache lookup.
+    for n in range(_POCH_STRIDE, length, _POCH_STRIDE):
+        _poch_finite_cached(ctx, key, step, n)
+    return _poch_finite_cached(ctx, key, step, length)
 
 
 def _basekey(base):

@@ -7,6 +7,7 @@ import os
 import pytest
 
 from baileyforge import registry as R
+from baileyforge.cli import main
 from baileyforge.dsl import parse_file, pretty_print
 from baileyforge.errors import SpecError
 
@@ -143,6 +144,15 @@ def test_divergent_specimens_report_errors():
         (r,) = R.verify_file(os.path.join(R.IDENTITY_DIR, "invalid", fname))
         assert r.status == "error"
         assert code in r.detail
+
+
+def test_json_report_keeps_error_detail(capsys):
+    path = os.path.join(R.IDENTITY_DIR, "invalid", "divergent_chain.idn")
+    assert main(["verify", path, "--format", "json"]) == 2
+    (row,) = json.loads(capsys.readouterr().out)
+    assert row["status"] == "error"
+    assert "chain-no-growth" in row["detail"]
+    assert list(row)[-1] == "detail"
 
 
 def test_verify_file_on_missing_path():

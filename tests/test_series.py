@@ -11,6 +11,7 @@ from baileyforge import (
     EvalContext,
     Monomial,
     NonUnitLeadingError,
+    QSeries,
     ZDegreeError,
     dilate,
     equal_up_to,
@@ -23,6 +24,7 @@ from baileyforge import (
     render,
     zero,
 )
+from baileyforge.series import _acc_into, _mul_raw
 
 import oracles
 
@@ -148,7 +150,168 @@ class TestInvert:
             zero(CTX20).invert()
 
 
+def geometric_inverse(s):
+    """The series core's earlier inverse, kept as a reference: 1/(1+u) as
+    sum_k (-u)^k, one full truncated product per power of u."""
+    c = {}
+    for qe, ze, v in s.terms():
+        c.setdefault(qe, {})[ze] = v
+    m = min(c)
+    ((mz, mc),) = c[m].items()
+    work = s.ctx.order + max(0, m)
+    shifted = {}
+    for qe, zd in c.items():
+        row = shifted.setdefault(qe - m, {})
+        for ze, v in zd.items():
+            if (qe - m, ze - mz) != (0, 0):
+                row[ze - mz] = F(v) / mc
+    shifted = {qe: zd for qe, zd in shifted.items() if zd}
+    out = {0: {0: F(1)}}
+    term = {0: {0: F(1)}}
+    for _ in range(work + 1):
+        term = _mul_raw(term, shifted, work)
+        if not term:
+            break
+        term = {qe: {ze: -v for ze, v in zd.items()} for qe, zd in term.items()}
+        _acc_into(out, term)
+    res = {}
+    for qe, zd in out.items():
+        row = {ze - mz: v / mc for ze, v in zd.items() if v}
+        if row and qe - m <= s.ctx.order:
+            res[qe - m] = row
+    return QSeries(s.ctx, res)
+
+
+def assert_inverse(s, inv):
+    """s * inv is 1 wherever truncation leaves the product known: a lead at
+    q^m with m < 0 leaves the top -m exponents of the product unknown."""
+    top = s.ctx.order + min(0, s.min_exponent())
+    prod = s * inv
+    for qe, ze, c in prod.terms():
+        if qe <= top:
+            assert (qe, ze, c) == (0, 0, 1)
+    assert prod.coefficient(0) == 1
+
+
+def coefficient_types(s):
+    return {type(c) for _, _, c in s.terms()}
+
+
+class TestRecurrenceInverse:
+    @pytest.mark.parametrize("coeff,zexp,qexp", [
+        (3, 2, -1),
+        (-1, 0, 0),
+        (F(2, 3), 0, 0),
+        (F(-5, 2), 0, -3),
+        (1, 0, -4),
+        (7, -1, 2),
+    ])
+    def test_inverse_of_lead_times_unit(self, coeff, zexp, qexp):
+        body = one(CTX20) + monomial(CTX20, 2, 0, 1) - monomial(CTX20, F(1, 2), 0, 3)
+        s = monomial(CTX20, coeff, zexp, qexp) * body
+        inv = s.invert()
+        assert inv.min_exponent() == -qexp
+        assert inv.coefficient(-qexp, -zexp) == 1 / F(coeff)
+        assert_inverse(s, inv)
+        assert inv == geometric_inverse(s)
+
+    def test_z_carrying_unit_part(self):
+        # u holds z^(+-1) at q-exponents that grow with the z-degree
+        s = one(CTX20) - monomial(CTX20, 1, 1, 4) + monomial(CTX20, 3, -1, 5)
+        inv = s.invert()
+        assert_inverse(s, inv)
+        assert inv == geometric_inverse(s)
+        assert inv.coefficient(8, 2) == 1
+
+    def test_empty_inverse_when_lead_is_beyond_the_order(self):
+        # order + m < 0: every term of the inverse lies above the order
+        s = monomial(CTX20, 2, 0, -21) + monomial(CTX20, 1, 0, -20)
+        assert s.invert().is_zero()
+        assert geometric_inverse(s).is_zero()
+        # order + m == 0 keeps exactly the inverted lead
+        s = monomial(CTX20, 4, 0, -20) + monomial(CTX20, 1, 0, -19)
+        assert todict(s.invert()) == {(20, 0): F(1, 4)}
+
+    def test_long_product_matches_partitions(self):
+        ctx = EvalContext(order=60)
+        inv = poch_finite(ctx, (1, 0, 1), 1, 24).invert()
+        # 1/(q;q)_24 counts partitions into parts <= 24, equal to p(n) for n <= 24
+        assert [inv.coefficient(n) for n in range(25)] == oracles.partition_counts(24)
+        assert inv == geometric_inverse(poch_finite(ctx, (1, 0, 1), 1, 24))
+
+
+class TestCoefficientTypes:
+    def test_integral_series_hold_only_ints(self):
+        ctx = EvalContext(order=60)
+        pochs = poch_finite(ctx, (1, 0, 1), 1, 24)
+        assert coefficient_types(pochs) == {int}
+        assert coefficient_types(pochs.invert()) == {int}
+        assert coefficient_types(qbinomial(ctx, 12, 5)) == {int}
+        assert coefficient_types(poch_infinite(ctx, (1, 0, 1), 1).invert()) == {int}
+
+    def test_entry_points_normalise(self):
+        assert coefficient_types(monomial(CTX20, F(6, 3), 0, 1)) == {int}
+        assert coefficient_types(monomial(CTX20, F(1, 3), 0, 1)) == {F}
+        assert coefficient_types(one(CTX20) * F(4, 2)) == {int}
+        assert coefficient_types(QSeries(CTX20, {0: {0: F(5, 1)}, 1: {0: 3}})) == {int}
+        assert coefficient_types(QSeries(CTX20, {0: {0: F(5, 2)}})) == {F}
+
+    def test_rational_leads_never_give_floats(self):
+        for lead in (3, -1, F(2, 3), 7):
+            s = monomial(CTX20, lead, 0, -1) * poch_finite(CTX20, (1, 0, 1), 1, 5)
+            inv = s.invert()
+            for series in (inv, s * inv, inv * inv, inv * 5, inv * F(1, 7)):
+                assert coefficient_types(series) <= {int, F}
+        s = one(CTX20) * 3 + monomial(CTX20, 1, 0, 1)
+        assert coefficient_types(s.invert()) == {F}
+
+
+# Leads with a nonzero coefficient, any z-exponent in the formal case.
+_leads = st.tuples(
+    st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool),
+    st.integers(min_value=-1, max_value=1),
+    st.integers(min_value=-3, max_value=3),
+)
+_tails = st.lists(
+    st.tuples(
+        st.integers(min_value=1, max_value=12),
+        st.integers(min_value=-4, max_value=4),
+    ),
+    max_size=5,
+)
+
+
+class TestInverseMatchesGeometric:
+    @settings(max_examples=40, deadline=None)
+    @given(_leads, _tails)
+    def test_formal(self, lead, tail):
+        c, ze, qe = lead
+        s = monomial(CTX20, c, ze, qe)
+        for k, v in tail:
+            s = s + monomial(CTX20, v, ze, qe + k)
+        inv = s.invert()
+        assert inv == geometric_inverse(s)
+        assert coefficient_types(inv) <= {int, F}
+
+    @settings(max_examples=40, deadline=None)
+    @given(_leads, _tails, st.sampled_from([1, -1]), st.integers(min_value=0, max_value=3))
+    def test_folded(self, lead, tail, sign, zq):
+        ctx = EvalContext(order=20, z_interp=Monomial(sign, zq))
+        c, ze, qe = lead
+        s = monomial(ctx, c, ze, qe)
+        for k, v in tail:
+            s = s + monomial(ctx, v, 0, s.min_exponent() + k)
+        inv = s.invert()
+        assert inv == geometric_inverse(s)
+        assert_inverse(s, inv)
+
+
 class TestPochhammer:
+    def test_long_finite_product_is_not_recursive(self):
+        # one factor per t: a recursive prefix build would exceed the stack
+        s = poch_finite(EvalContext(order=10), (1, 0, 1), 1, 1500)
+        assert [s.coefficient(n) for n in range(11)] == EULER[:11]
+
     def test_finite_z(self):
         assert todict(poch_finite(CTX20, (1, 1, 0), 1, 2)) == POCH_Z_2
 
