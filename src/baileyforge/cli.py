@@ -275,7 +275,21 @@ def _cmd_list(args) -> int:
 # -- entry point -------------------------------------------------------------
 
 
+def _int_at_least(lo: int):
+    """argparse type: an integer no smaller than lo, else a usage error."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # keeps argparse's "invalid int value" wording
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
+    order = _int_at_least(0)
     ap = argparse.ArgumentParser(
         prog="bailey-forge",
         description="Exact coefficient verification of q-series identities.")
@@ -283,7 +297,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="verify catalog entries or .idn files")
     v.add_argument("targets", nargs="+", help="catalog names or .idn paths")
-    v.add_argument("--order", type=int, help="override the scaled truncation order")
+    v.add_argument("--order", type=order, help="override the scaled truncation order")
     v.add_argument("--params", help="parameter bindings, e.g. m=7,a=1")
     v.add_argument("--format", choices=("text", "json"), default="text")
     v.add_argument("--oracle", action="store_true",
@@ -292,7 +306,7 @@ def _build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("sweep", help="verify one entry across a parameter grid")
     s.add_argument("target", help="catalog entry name")
     s.add_argument("--grid", required=True, help='grid, e.g. "m=1..13,a=0..m"')
-    s.add_argument("--order", type=int)
+    s.add_argument("--order", type=order)
     s.add_argument("--jobs", type=int, default=1, help="concurrent worker processes")
     s.add_argument("--format", choices=("text", "json"), default="text")
     s.add_argument("--oracle", action="store_true")
@@ -300,9 +314,9 @@ def _build_parser() -> argparse.ArgumentParser:
     e = sub.add_parser("expand", help="print a coefficient table")
     e.add_argument("target", help="expression text, catalog name, or .idn path")
     e.add_argument("--side", choices=("lhs", "rhs"), default="lhs")
-    e.add_argument("--order", type=int)
+    e.add_argument("--order", type=order)
     e.add_argument("--params")
-    e.add_argument("--scale", type=int, default=1,
+    e.add_argument("--scale", type=_int_at_least(1), default=1,
                    help="scale for bare expression targets")
     e.add_argument("--raw-sum", action="store_true", dest="raw_sum",
                    help="expand only the outermost sum, without prefactors")

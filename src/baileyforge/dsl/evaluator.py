@@ -4,12 +4,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ..engine import retruncate, term_budget
+from ..engine import _Budget, retruncate
 from ..errors import PoleError, RegionError, SpecError, TerminationError
 from ..series import (
     EvalContext,
     Monomial,
     QSeries,
+    _exact,
     monomial,
     poch_finite,
     poch_infinite,
@@ -52,20 +53,6 @@ from .nodes import (
 _EMPTY_RUN = 8
 
 
-class _Budget:
-    """Caps total summation-term evaluations for one evaluate() call."""
-
-    __slots__ = ("left",)
-
-    def __init__(self, limit: int | None):
-        self.left = term_budget() if limit is None else limit
-
-    def spend(self, n: int = 1):
-        self.left -= n
-        if self.left < 0:
-            raise TerminationError("term budget exhausted (BAILEY_FORGE_MAX_TERMS)")
-
-
 class _St:
     """Evaluation frame: context, integer bindings, shared budget and cache."""
 
@@ -87,10 +74,6 @@ class _St:
             return self
         ctx = EvalContext(self.ctx.scale, self.ctx.order + lift, self.ctx.z_interp)
         return _St(ctx, self.env, self.budget, self.cache)
-
-
-def _min_exp(s: QSeries) -> int:
-    return min(qe for qe, _, _ in s.terms())
 
 
 # -- products ----------------------------------------------------------------
@@ -185,7 +168,7 @@ def _product(node, st: _St) -> QSeries:
             saw_zero = True
             evaluated.append((s, p, None))
             continue
-        contrib = p * _min_exp(s)
+        contrib = p * s.min_exponent()
         lift += max(0, -contrib)
         evaluated.append((s, p, _factor_key(f, st)))
     if lift == 0:
@@ -211,39 +194,40 @@ def _base_triple(b, st: _St):
     """Read a product base structurally as one monomial (coeff, zexp, qexp).
 
     Structural, not via _eval: a base monomial above the working order would
-    otherwise truncate to nothing and look like a malformed base.
+    otherwise truncate to nothing and look like a malformed base. The
+    coefficient is an int when integral, so cache keys hash as ints.
     """
     if isinstance(b, Rational):
-        return b.value, 0, 0
+        return _exact(b.value), 0, 0
     if isinstance(b, NumPoly):
-        return Fraction(int_eval(b.poly, st.env)), 0, 0
+        return int_eval(b.poly, st.env), 0, 0
     if isinstance(b, Neg):
         c, ze, qe = _base_triple(b.arg, st)
         return -c, ze, qe
     if isinstance(b, QPow):
         p = st.ctx.scale if b.exp is None else int_eval(b.exp, st.env)
-        return Fraction(1), 0, p
+        return 1, 0, p
     if isinstance(b, ZPow):
         p = 1 if b.exp is None else int_eval(b.exp, st.env)
-        return Fraction(1), p, 0
+        return 1, p, 0
     if isinstance(b, Mul):
         c1, z1, q1 = _base_triple(b.left, st)
         c2, z2, q2 = _base_triple(b.right, st)
-        return c1 * c2, z1 + z2, q1 + q2
+        return _exact(c1 * c2), z1 + z2, q1 + q2
     if isinstance(b, Div):
         c1, z1, q1 = _base_triple(b.left, st)
         c2, z2, q2 = _base_triple(b.right, st)
         if not c2:
             raise PoleError("division by a zero base")
-        return c1 / c2, z1 - z2, q1 - q2
+        return _exact(Fraction(c1) / c2), z1 - z2, q1 - q2
     if isinstance(b, Pow):
         p = int_eval(b.exp, st.env)
         c, ze, qe = _base_triple(b.base, st)
         if not c:
             if p < 0:
                 raise PoleError("zero base raised to a negative power")
-            return (Fraction(1), 0, 0) if p == 0 else (Fraction(0), 0, 0)
-        return c**p, ze * p, qe * p
+            return (1, 0, 0) if p == 0 else (0, 0, 0)
+        return _exact(Fraction(c) ** p), ze * p, qe * p
     raise SpecError("product base must be a single monomial")
 
 
@@ -337,7 +321,7 @@ def _den_join(body_s: QSeries, dexp: int, st: _St, rebuild) -> QSeries:
     """Multiply a term by 1/(1+q^dexp) with the exact nonpositive rewrites."""
     if body_s.is_zero():
         return body_s
-    m = _min_exp(body_s)
+    m = body_s.min_exponent()
     if m >= 0:
         return _apply_den(body_s, dexp, st.ctx)
     # A negative minimum in the term eats into the window against the

@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
 
-from .errors import NegativeFloorError, TerminationError
+from .errors import BudgetError, NegativeFloorError, TerminationError
 from .series import (
     EvalContext,
     QSeries,
@@ -69,15 +69,17 @@ def term_budget() -> int:
 
 
 class _Budget:
+    """Caps total summation-term evaluations for one evaluation call."""
+
     __slots__ = ("left",)
 
-    def __init__(self):
-        self.left = term_budget()
+    def __init__(self, limit: int | None = None):
+        self.left = term_budget() if limit is None else limit
 
     def spend(self, n: int = 1):
         self.left -= n
         if self.left < 0:
-            raise TerminationError("term budget exhausted (BAILEY_FORGE_MAX_TERMS)")
+            raise BudgetError("term budget exhausted (BAILEY_FORGE_MAX_TERMS)")
 
 
 @dataclass

@@ -25,6 +25,10 @@ class TerminationError(SeriesError):
     """A summation loop could not be certified to stop within its cap."""
 
 
+class BudgetError(TerminationError):
+    """The term budget ran out before an evaluation finished."""
+
+
 class NegativeFloorError(SeriesError):
     """A final result unexpectedly contains negative q-exponents."""
 

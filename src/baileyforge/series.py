@@ -376,7 +376,7 @@ def poch_finite(ctx: EvalContext, base, step: int, length: int) -> QSeries:
 
 def _basekey(base):
     c, ze, qe = base
-    return (Fraction(c), int(ze), int(qe))
+    return (_exact(c), int(ze), int(qe))
 
 
 @lru_cache(maxsize=None)

@@ -1,10 +1,14 @@
 """Identity language tests: parsing, validation, evaluation, oracle agreement."""
 
+import glob
+import os
 from fractions import Fraction as F
 
 import pytest
 
+import baileyforge.oracle
 import oracles
+from baileyforge import registry as R
 from baileyforge.dsl import (
     BilateralSum,
     IdentitySpec,
@@ -210,6 +214,71 @@ class TestValidator:
             assert 0 <= f.span.start < f.span.end <= len(src)
 
 
+class TestValidatorProbe:
+    """The probe runs the fast evaluator at order 6, never the oracle."""
+
+    # Specimens whose findings come from the probe, not the static checks.
+    PROBED = [
+        "identity x { scale 1 order 6 lhs sum(n >= 0, q^(2*n) * poch(q^(-2*n); q, 1)) rhs 1 }",
+        "identity x { scale 1 order 6 lhs 1 / (1 + z) rhs 1 }",
+        "identity x { scale 1 order 6 lhs 1 / poch(q^(0); q, 1) rhs 1 }",
+        "identity x { scale 1 order 6 lhs poch(1 + q; q, 2) rhs 1 }",
+    ]
+
+    @staticmethod
+    def specimens():
+        out = [parse(src) for src in TestValidatorProbe.PROBED]
+        for sub in ("invalid", "broken"):
+            for path in sorted(glob.glob(os.path.join(R.IDENTITY_DIR, sub, "*.idn"))):
+                with open(path) as fh:
+                    out.extend(parse_file(fh.read()))
+        return out
+
+    def test_z_degree_beyond_the_probe_cap_is_not_a_finding(self, tmp_path):
+        # z^5 exceeds the guard cap 4 at order 6 but not the cap 5 at order 15.
+        src = "identity zdeg3 { scale 1 order 15 lhs z^5 * q^2 rhs z^5 * q^2 }"
+        assert validate(parse(src)) == []
+        path = tmp_path / "zdeg3.idn"
+        path.write_text(src)
+        (report,) = R.verify_file(str(path))
+        assert report.status == "pass", report.detail
+
+    def test_exhausted_term_budget_is_not_a_finding(self, monkeypatch):
+        # The budget is a limit of the run: the real evaluation enforces it.
+        monkeypatch.setenv("BAILEY_FORGE_MAX_TERMS", "3")
+        spec = parse(ROUND_TRIP_SOURCES[0])
+        assert validate(spec) == []
+        with pytest.raises(TerminationError, match="budget"):
+            evaluate(spec, {"m": 1, "a": 0}, "lhs")
+
+    def test_bound_outside_a_dependent_range_is_not_probed(self):
+        # At m = 1 the range of a is empty, so the low bounds bind nothing.
+        src = "identity x { param m in 1..3 param a in 2..m scale 1 order 10 lhs q^(a) rhs q^(a) }"
+        assert validate(parse(src)) == []
+
+    def test_findings_do_not_need_the_oracle(self, monkeypatch):
+        specs = self.specimens()
+        before = [validate(spec) for spec in specs]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the validator reached the oracle")
+
+        monkeypatch.setattr(baileyforge.oracle, "brute_force_expand", refuse)
+        assert [validate(spec) for spec in specs] == before
+        codes = [sorted({f.code for f in finds}) for finds in before]
+        assert codes == [
+            ["sum-not-settling"], ["non-unit-denominator"], ["pole"], ["bad-shape"],
+            ["bilateral-no-growth"],  # invalid/divergent_bilateral
+            ["chain-no-growth"],      # invalid/divergent_chain
+            [],                       # broken/sq_mod3_off_by_term: fails only at q^17
+        ]
+
+    def test_every_catalog_spec_validates_clean(self):
+        for entry in R.REGISTRY.values():
+            if entry.route == "dsl":
+                assert validate(R.load_spec(entry)) == [], entry.name
+
+
 class TestEvaluator:
     def test_partition_generating_function(self):
         spec = parse("identity p { scale 1 order 8 lhs 1 / theta(q; q) rhs 1 }")
@@ -295,6 +364,19 @@ class TestEvaluator:
 
 
 class TestOracleAgreement:
+    def test_fractional_product_bases_stay_exact(self):
+        # Base coefficients 1/3, 1/3 and 1/6 come from Div and a negative Pow;
+        # a float anywhere on the way would give inexact coefficients.
+        spec = parse("""
+        identity fb { scale 1 order 8
+          lhs poch(q / 3, 3^(-1) * z * q^(2); q, 3) * theta(q^(2) / 6; q)
+          rhs 1
+        }
+        """)
+        got = as_dict(evaluate(spec, {}, "lhs"))
+        assert got == brute_force_expand(spec, "lhs")
+        assert {type(c) for c in got.values()} == {int, F}
+
     def test_triple_product_scale_two(self):
         spec = parse("""
         identity jtp2 { scale 2 order 40

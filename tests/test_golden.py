@@ -1,9 +1,10 @@
-"""Golden digests of both sides of a few invert-heavy catalog cases.
+"""Golden digests of both sides of a few invert- and product-heavy catalog cases.
 
 Each digest is the SHA-256 of a side's coefficient table written as sorted
-``q_exp z_exp num/den`` lines. The digests were recorded with the earlier
-geometric-series inverse and ``Fraction``-only coefficients, so a change
-to the series core that alters any coefficient of these sides fails here.
+``q_exp z_exp num/den`` lines. The first four digests were recorded with the
+earlier geometric-series inverse and ``Fraction``-only coefficients, the
+product-heavy ones with ``Fraction``-keyed product bases, so a change to the
+series core or to product lowering that alters any coefficient fails here.
 """
 
 import hashlib
@@ -46,6 +47,20 @@ GOLDEN = [
     ("rr_mod3m_plus", {"m": 3, "a": 1}, 36,
      "e5d789173c5e8a161a802de5ddc06affa9ca7922bf70ff040bf66cc89ec2f447",
      "e5d789173c5e8a161a802de5ddc06affa9ca7922bf70ff040bf66cc89ec2f447"),
+    # Product-heavy entries at their shipped orders: chain leaves built from
+    # finite products, and Appell and Hecke sums with product sides.
+    ("ag_classic_k4_i1", {}, 50,
+     "ee179768f2f18f352697c63cdac099efb26d77db91a4f0501d47dcd231403aa2",
+     "ee179768f2f18f352697c63cdac099efb26d77db91a4f0501d47dcd231403aa2"),
+    ("lat_appell", {}, 40,
+     "be361a9bb3f41290d9a0e213f716c4aece075fa5d5ee212e7ab99a2b797f25b8",
+     "be361a9bb3f41290d9a0e213f716c4aece075fa5d5ee212e7ab99a2b797f25b8"),
+    ("hecke_half_formal", {}, 50,
+     "f92a17d04f3e94de5b880625412e353b847f18e16fe0e3f0d64bff29cfd42f9e",
+     "f92a17d04f3e94de5b880625412e353b847f18e16fe0e3f0d64bff29cfd42f9e"),
+    ("hecke_full_lat1_z1", {}, 50,
+     "dac91b92a8cbcb6f241938a123e11cd1096ed265fbbd8d9494c6883fcd25172c",
+     "dac91b92a8cbcb6f241938a123e11cd1096ed265fbbd8d9494c6883fcd25172c"),
 ]
 
 

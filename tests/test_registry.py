@@ -155,6 +155,21 @@ def test_json_report_keeps_error_detail(capsys):
     assert list(row)[-1] == "detail"
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (["verify", "jtp_check", "--order", "-1"], "--order"),
+    (["sweep", "rr_mod3m_plus", "--grid", "m=1..2,a=0..m", "--order", "-1"], "--order"),
+    (["expand", "q", "--order", "-1"], "--order"),
+    (["expand", "q", "--scale", "0"], "--scale"),
+], ids=["verify-order", "sweep-order", "expand-order", "expand-scale"])
+def test_bad_numbers_are_usage_errors(argv, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: must be >=" in err
+    assert "Traceback" not in err
+
+
 def test_verify_file_on_missing_path():
     (r,) = R.verify_file("/no/such/place.idn")
     assert r.status == "error"
