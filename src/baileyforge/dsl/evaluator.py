@@ -10,7 +10,6 @@ from ..series import (
     EvalContext,
     Monomial,
     QSeries,
-    _exact,
     monomial,
     poch_finite,
     poch_infinite,
@@ -26,7 +25,7 @@ from ..special import (
     hecke_sum,
 )
 from . import growth
-from .growth import T, ZERO, ipoly
+from .growth import RAY_T, T, ZERO, base_triple, ipoly
 from .nodes import (
     Add,
     Appell,
@@ -102,21 +101,13 @@ def _flatten(node, power: int, st: _St, box: list, factors: list):
         factors.append((node, power))
 
 
-def _factor_key(f, st: "_St"):
-    """Resolved cache key for a reusable product factor, else None."""
+def _factor(f, st: _St):
+    """A product factor's series and, for a reusable product, its resolved key."""
     if isinstance(f, Poch):
-        length_expr = f.length
-    elif isinstance(f, Theta):
-        length_expr = None
-    else:
-        return None
-    try:
-        step = int_eval(f.step, st.env)
-        length = None if length_expr is None else int_eval(length_expr, st.env)
-        triples = tuple(_base_triple(b, st) for b in f.bases)
-    except (SpecError, PoleError):
-        return None
-    return (triples, step, length)
+        return _poch_series(st, f.bases, f.step, f.length)
+    if isinstance(f, Theta):
+        return _poch_series(st, f.bases, f.step, None)
+    return _eval(f, st), None
 
 
 def _combine(series_factors, head: QSeries, st: "_St") -> QSeries:
@@ -161,16 +152,16 @@ def _product(node, st: _St) -> QSeries:
     evaluated = []
     saw_zero = False
     for f, p in factors:
-        s = _eval(f, st)
+        s, fkey = _factor(f, st)
         if s.is_zero():
-            if p < 0:
-                raise PoleError("division by a vanishing factor")
-            saw_zero = True
-            evaluated.append((s, p, None))
-            continue
+            if p >= 0:
+                saw_zero = True
+                evaluated.append((s, p, None))
+                continue
+            s = _divisor_above(f, st)
         contrib = p * s.min_exponent()
         lift += max(0, -contrib)
-        evaluated.append((s, p, _factor_key(f, st)))
+        evaluated.append((s, p, fkey))
     if lift == 0:
         if saw_zero:
             return zero(st.ctx)
@@ -179,7 +170,10 @@ def _product(node, st: _St) -> QSeries:
     # Negative minimal exponents would eat into the window during the
     # multiplications, so redo every factor above the order and pull back.
     wst = st.lifted(lift)
-    evaluated = [(_eval(f, wst), p, _factor_key(f, wst)) for f, p in factors]
+    evaluated = []
+    for f, p in factors:
+        s, fkey = _factor(f, wst)
+        evaluated.append((s, p, fkey))
     for s, p, _ in evaluated:
         if p < 0 and s.is_zero():
             raise PoleError("division by a vanishing factor")
@@ -187,51 +181,28 @@ def _product(node, st: _St) -> QSeries:
     return retruncate(_combine(evaluated, head, wst), st.ctx)
 
 
+def _divisor_above(f, st: _St) -> QSeries:
+    """A divisor that truncates to zero, evaluated at a working order it survives.
+
+    Its valuation may lie above the order. Working orders rise by doubling
+    lifts up to hard_cap; a divisor still zero there is a pole.
+    """
+    top = hard_cap(st.ctx) - st.ctx.order
+    lift = 1
+    while True:
+        s = _eval(f, st.lifted(lift))
+        if not s.is_zero():
+            return s
+        if lift == top:
+            raise PoleError("division by a vanishing factor")
+        lift = min(2 * lift, top)
+
+
 # -- pochhammer lowering -----------------------------------------------------
 
 
-def _base_triple(b, st: _St):
-    """Read a product base structurally as one monomial (coeff, zexp, qexp).
-
-    Structural, not via _eval: a base monomial above the working order would
-    otherwise truncate to nothing and look like a malformed base. The
-    coefficient is an int when integral, so cache keys hash as ints.
-    """
-    if isinstance(b, Rational):
-        return _exact(b.value), 0, 0
-    if isinstance(b, NumPoly):
-        return int_eval(b.poly, st.env), 0, 0
-    if isinstance(b, Neg):
-        c, ze, qe = _base_triple(b.arg, st)
-        return -c, ze, qe
-    if isinstance(b, QPow):
-        p = st.ctx.scale if b.exp is None else int_eval(b.exp, st.env)
-        return 1, 0, p
-    if isinstance(b, ZPow):
-        p = 1 if b.exp is None else int_eval(b.exp, st.env)
-        return 1, p, 0
-    if isinstance(b, Mul):
-        c1, z1, q1 = _base_triple(b.left, st)
-        c2, z2, q2 = _base_triple(b.right, st)
-        return _exact(c1 * c2), z1 + z2, q1 + q2
-    if isinstance(b, Div):
-        c1, z1, q1 = _base_triple(b.left, st)
-        c2, z2, q2 = _base_triple(b.right, st)
-        if not c2:
-            raise PoleError("division by a zero base")
-        return _exact(Fraction(c1) / c2), z1 - z2, q1 - q2
-    if isinstance(b, Pow):
-        p = int_eval(b.exp, st.env)
-        c, ze, qe = _base_triple(b.base, st)
-        if not c:
-            if p < 0:
-                raise PoleError("zero base raised to a negative power")
-            return (1, 0, 0) if p == 0 else (0, 0, 0)
-        return _exact(Fraction(c) ** p), ze * p, qe * p
-    raise SpecError("product base must be a single monomial")
-
-
-def _poch_series(st: _St, bases, step_expr, length_expr) -> QSeries:
+def _poch_series(st: _St, bases, step_expr, length_expr):
+    """A resolved Pochhammer product and its key (base triples, step, length)."""
     step = int_eval(step_expr, st.env)
     if step < 1:
         raise SpecError("product step must be >= 1")
@@ -240,13 +211,14 @@ def _poch_series(st: _St, bases, step_expr, length_expr) -> QSeries:
         length = int_eval(length_expr, st.env)
         if length < 0:
             raise SpecError("product length must be >= 0")
-    triples = [_base_triple(b, st) for b in bases]
+    triples = tuple(base_triple(b, st.env, st.ctx.scale) for b in bases)
     # Nested sums hit the same resolved product many times; scale and z fold
     # are fixed per evaluation, so the resolved data plus order identify it.
-    memo_key = ("poch", st.ctx.order, tuple(triples), step, length)
+    key = (triples, step, length)
+    memo_key = ("poch", st.ctx.order, key)
     hit = st.cache.get(memo_key)
     if hit is not None:
-        return hit
+        return hit, key
     lift = 0
     for c, ze, qe in triples:
         if ze == 0 or st.ctx.z_interp is not None:
@@ -267,15 +239,45 @@ def _poch_series(st: _St, bases, step_expr, length_expr) -> QSeries:
     if lift:
         out = retruncate(out, st.ctx)
     st.cache[memo_key] = out
-    return out
+    return out, key
 
 
 # -- summation loops ---------------------------------------------------------
 
 
-def _one_sided(st: _St, emit, start: int, direction: int) -> QSeries:
+def _last(st: _St, body, start: int, subs, inner=(), bound=None):
+    """Certified last ray index of a sum, or None.
+
+    The sum's term at ray index t is bounded below as body is under the
+    substitutions subs, with ``inner`` names relaxed over [0, bound]
+    (``growth.ray_floor``).
+    """
+    zi = st.ctx.z_interp
+    zfold = None if zi is None else (zi.sign, zi.qexp)
+    floor = growth.ray_floor(body, subs, st.env, st.ctx.scale, zfold, inner, bound)
+    if floor is None:
+        return None
+    return growth.last_index(floor, start, st.ctx.order, hard_cap(st.ctx))
+
+
+def _one_sided(st: _St, emit, start: int, direction: int, last=None) -> QSeries:
+    """Sum emit(n) for n = start, start + direction, ... along one ray.
+
+    A certified last index (``_last``) stops the sum at |n| = last, since
+    every later term truncates to zero; past hard_cap it raises at once. A
+    sum without one keeps the empty-run rule: it stops after _EMPTY_RUN zero
+    terms in a row once |n| >= 2 * _EMPTY_RUN, and raises when |n| passes
+    hard_cap first. Each term spends one unit of the budget.
+    """
     cap = hard_cap(st.ctx)
     out = zero(st.ctx)
+    if last is not None:
+        if last > cap:
+            raise TerminationError("sum exceeded its index cap without settling")
+        for t in range(abs(start), last + 1):
+            st.budget.spend()
+            out = out + emit(direction * t)
+        return out
     empties = 0
     n = start
     while True:
@@ -294,6 +296,12 @@ def _one_sided(st: _St, emit, start: int, direction: int) -> QSeries:
     return out
 
 
+def _two_sided(st: _St, emit, body, index: str) -> QSeries:
+    """A sum over index in Z whose terms are bounded below as body's are."""
+    return (_one_sided(st, emit, 0, 1, _last(st, body, 0, ({index: RAY_T},)))
+            + _one_sided(st, emit, -1, -1, _last(st, body, 1, ({index: growth.mneg(RAY_T)},))))
+
+
 def _chain_sum(node: ChainSum, st: _St) -> QSeries:
     idxs = node.indices
 
@@ -306,7 +314,11 @@ def _chain_sum(node: ChainSum, st: _St) -> QSeries:
             acc = acc + level(i + 1, v, frame.bind(idxs[i], v))
         return acc
 
-    return _one_sided(st, lambda v: level(1, v, st.bind(idxs[0], v)), 0, 1)
+    # Inner indices run over the box 0 <= n_i <= n_1.
+    sub = {i: growth.mvar(i) for i in idxs[1:]}
+    sub[idxs[0]] = RAY_T
+    last = _last(st, node.body, 0, (sub,), idxs[1:], RAY_T)
+    return _one_sided(st, lambda v: level(1, v, st.bind(idxs[0], v)), 0, 1, last)
 
 
 def _apply_den(s: QSeries, dexp: int, ctx: EvalContext) -> QSeries:
@@ -417,7 +429,8 @@ def _appell(node: Appell, st: _St) -> QSeries:
         return _den_join(_eval(node.num, inner), d, inner,
                          lambda w: _eval(node.num, w.bind(node.index, n)))
 
-    return _one_sided(st, emit, 0, 1) + _one_sided(st, emit, -1, -1)
+    # 1/(1 + q^d) has lowest exponent max(0, -d), so the numerator bounds the term.
+    return _two_sided(st, emit, node.num, node.index)
 
 
 def _match_hecke(node: Hecke, st: _St):
@@ -525,7 +538,13 @@ def _hecke(node: Hecke, st: _St) -> QSeries:
             row = row + body
         return row
 
-    return _one_sided(st, emit_row, 0, 1)
+    # Row n sums j over [-n, n] (full) or [-n/2, n/2] (half): bound the body
+    # at j = +j' and j = -j' with j' relaxed over that half-width. A factor
+    # 1/(1 + q^d) only raises the lowest exponent.
+    width = RAY_T if node.region != "half" else growth.mmul(RAY_T, growth.mconst(Fraction(1, 2)))
+    jv = growth.mvar(node.inner)
+    subs = ({node.outer: RAY_T, node.inner: jv}, {node.outer: RAY_T, node.inner: growth.mneg(jv)})
+    return _one_sided(st, emit_row, 0, 1, _last(st, node.body, 0, subs, (node.inner,), width))
 
 
 # -- dispatch ----------------------------------------------------------------
@@ -548,10 +567,8 @@ def _eval(node, st: _St) -> QSeries:
         return _eval(node.left, st) - _eval(node.right, st)
     if isinstance(node, (Mul, Div, Pow, Neg)):
         return _product(node, st)
-    if isinstance(node, Poch):
-        return _poch_series(st, node.bases, node.step, node.length)
-    if isinstance(node, Theta):
-        return _poch_series(st, node.bases, node.step, None)
+    if isinstance(node, (Poch, Theta)):
+        return _factor(node, st)[0]
     if isinstance(node, QBinom):
         return qbinomial(st.ctx, int_eval(node.top, st.env), int_eval(node.bottom, st.env))
     if isinstance(node, ChainSum):
@@ -559,7 +576,7 @@ def _eval(node, st: _St) -> QSeries:
     if isinstance(node, BilateralSum):
         def emit(n):
             return _eval(node.body, st.bind(node.index, n))
-        return _one_sided(st, emit, 0, 1) + _one_sided(st, emit, -1, -1)
+        return _two_sided(st, emit, node.body, node.index)
     if isinstance(node, RangeSum):
         lo = int_eval(node.lo, st.env)
         hi = int_eval(node.hi, st.env)

@@ -5,7 +5,9 @@ import os
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import baileyforge.dsl.evaluator
 import baileyforge.oracle
 import oracles
 from baileyforge import registry as R
@@ -14,6 +16,7 @@ from baileyforge.dsl import (
     IdentitySpec,
     Theta,
     evaluate,
+    evaluate_expr,
     parse,
     parse_expr,
     parse_file,
@@ -21,8 +24,11 @@ from baileyforge.dsl import (
     pretty_print_expr,
     validate,
 )
-from baileyforge.errors import DslSyntaxError, SpecError, TerminationError
+from baileyforge.dsl.growth import last_index
+from baileyforge.errors import BudgetError, DslSyntaxError, SpecError, TerminationError
 from baileyforge.oracle import brute_force_expand, expand_expr
+from baileyforge.series import EvalContext
+from baileyforge.special import hard_cap
 
 
 def as_dict(s):
@@ -462,3 +468,105 @@ class TestOracleIndependently:
         spec = parse("identity p { scale 1 order 4 lhs q rhs q }")
         with pytest.raises(SpecError):
             brute_force_expand(spec, "middle", {})
+
+
+class TestSummationLimits:
+    """Sums stop at a certified last index where a term bound proves one."""
+
+    # Every nonzero term sits near n = 20, after more than 8 empty terms.
+    LATE = "identity late { scale 1 order 6 lhs sum(n >= 0, q^((n - 20)^2)) rhs 1 + 2*q + 2*q^(4) }"
+    LATE_BILATERAL = (
+        "identity late_z { scale 1 order 6 lhs sum(n in Z, q^((n - 20)^2)) rhs 1 + 2*q + 2*q^(4) }")
+    # The divisor truncates to zero at the probe's order 6; its valuation is 10.
+    HI = "identity hi { scale 1 order 20 lhs q^(10) / (q^(10) + q^(11)) rhs 1 / (1 + q) }"
+
+    @staticmethod
+    def verify_source(tmp_path, src, use_oracle=False):
+        path = tmp_path / "spec.idn"
+        path.write_text(src)
+        (report,) = R.verify_file(str(path), use_oracle=use_oracle)
+        return report
+
+    @pytest.mark.parametrize("src", [LATE, LATE_BILATERAL, HI], ids=["late", "late_z", "hi"])
+    def test_true_identities_pass(self, tmp_path, src):
+        report = self.verify_source(tmp_path, src)
+        assert report.status == "pass", report.detail
+
+    @pytest.mark.parametrize("p,start,want", [
+        ((400, -40, 1), 0, 22),    # (t - 20)^2 <= 6 up to t = 22
+        ((400, 40, 1), 1, 0),      # (t + 20)^2 > 6 from t = 1: no term
+        ((-1000, 1), 0, 29),       # t - 1000 <= 6 past the cap 28
+        ((5,), 0, None),           # no growth
+        ((0, 3, -1), 0, None),     # falls
+        ((1610, -80, 1), 0, None),  # (t - 40)^2 + 10 > 6 past the cap, not yet past its vertex
+    ])
+    def test_last_index(self, p, start, want):
+        assert last_index(tuple(F(c) for c in p), start, 6, 28) == want
+
+    def test_last_index_past_the_cap_is_not_settling(self):
+        spec = parse("identity far { scale 1 order 6 lhs sum(n >= 0, q^(n - 1000)) rhs 0 }")
+        assert [f.code for f in validate(spec)] == ["sum-not-settling"]
+
+    def test_certified_sum_spends_one_unit_per_term(self):
+        # q^(n*n) <= 6 up to n = 2: three terms, where the empty-run rule takes
+        # 17. A term spends one unit in the outer loop and one at its leaf.
+        spec = parse("identity sq { scale 1 order 6 lhs sum(n >= 0, q^(n*n)) rhs 1 }")
+        assert as_dict(evaluate(spec, {}, "lhs", max_terms=6)) == {(0, 0): 1, (1, 0): 1, (4, 0): 1}
+        with pytest.raises(BudgetError):
+            evaluate(spec, {}, "lhs", max_terms=5)
+
+    def test_vanishing_divisor_stays_a_pole(self):
+        spec = parse("identity x { scale 1 order 6 lhs sum(n >= 0, q^(n*n) / poch(q^(-2); q, n)) rhs 1 }")
+        assert [f.code for f in validate(spec)] == ["pole"]
+
+    @pytest.mark.parametrize("src,order", [
+        # A generic half-region row: j runs over [-n/2, n/2], not [-n, n],
+        # and row n is lowest at j = n/2.
+        ("hecke(n, j, half, q^(binom(n + 1, 2) - j^2 - 3*j) / poch(q; q, n))", 20),
+        # A generic full-region row, lowest at j = -n.
+        ("hecke(n, j, full, q^(2*n*n - j^2 + 3*j) / poch(q; q, n))", 20),
+        # A sum's lowest exponent is the lower of its parts', here n.
+        ("sum(n >= 0, (q^(n*n) + q^(n)) / poch(q; q, n))", 20),
+        # A generic Appell row; along n = -t the exponent is t^2 - 3t.
+        ("appell(n, q^(n*n + 3*n) * poch(-q; q, 2), n)", 30),
+    ])
+    def test_bounded_sums_match_the_oracle(self, src, order):
+        expr = parse_expr(src)
+        assert as_dict(evaluate_expr(expr, order=order)) == expand_expr(expr, scale=1, order=order)
+
+    def test_power_moving_with_the_index_needs_an_exact_base(self):
+        # by hand: the base is q^3, so the terms are q^(3*n*n - 3*n) = 1, 1, q^6, q^18;
+        # its lower bound 2 is not exact and must not be raised to -n.
+        expr = parse_expr("sum(n >= 0, q^(3*n*n) * (q^(2) + q^(3) - q^(2))^(-n))")
+        assert as_dict(evaluate_expr(expr, order=20)) == {(0, 0): 2, (6, 0): 1, (18, 0): 1}
+
+    @settings(max_examples=40, deadline=None)
+    @given(a=st.integers(1, 3), v=st.integers(0, 40), m=st.integers(-4, 12),
+           e=st.integers(-3, 3), f=st.integers(1, 3), g=st.integers(1, 2))
+    def test_sum_equals_its_terms_up_to_the_cap(self, a, v, m, e, f, g):
+        body = f"q^({a}*(n - {v})^2 + {m}) * poch(q^({e}); q, n) / poch(q^({f}); q, {g}*n)"
+        order = 12
+        got = evaluate_expr(parse_expr(f"sum(n >= 0, {body})"), order=order)
+        term = parse_expr(body)
+        want = evaluate_expr(parse_expr("0"), order=order)
+        for n in range(hard_cap(EvalContext(1, order)) + 1):
+            want = want + evaluate_expr(term, order=order, env={"n": n})
+        assert as_dict(got) == as_dict(want)
+
+    def test_catalog_sides_match_the_empty_run_rule(self, monkeypatch):
+        cases = [(R.load_spec(e), dict(e.default_params))
+                 for e in R.REGISTRY.values() if e.route == "dsl"]
+
+        def sides():
+            return [(as_dict(evaluate(spec, params, "lhs", order=20)),
+                     as_dict(evaluate(spec, params, "rhs", order=20)))
+                    for spec, params in cases]
+
+        certified = sides()
+        monkeypatch.setattr(baileyforge.dsl.evaluator, "_last", lambda *args, **kwargs: None)
+        assert sides() == certified
+
+    @pytest.mark.xfail(strict=True, reason="the oracle keeps the empty-run rule (ROADMAP item 2)")
+    def test_oracle_sees_the_late_terms(self, tmp_path):
+        report = self.verify_source(tmp_path, self.LATE, use_oracle=True)
+        assert report.status == "pass", report.detail
