@@ -25,7 +25,7 @@ from ..special import (
     hecke_sum,
 )
 from . import growth
-from .growth import RAY_T, T, ZERO, base_triple, ipoly
+from .growth import RAY_T, base_triple
 from .nodes import (
     Add,
     Appell,
@@ -159,8 +159,10 @@ def _product(node, st: _St) -> QSeries:
                 evaluated.append((s, p, None))
                 continue
             s = _divisor_above(f, st)
+        # The inverse of a factor of valuation v > 0 is exact only up to 2v
+        # below the working order, so a divisor lifts by twice its share.
         contrib = p * s.min_exponent()
-        lift += max(0, -contrib)
+        lift += max(0, -contrib * (2 if p < 0 else 1))
         evaluated.append((s, p, fkey))
     if lift == 0:
         if saw_zero:
@@ -263,21 +265,19 @@ def _last(st: _St, body, start: int, subs, inner=(), bound=None):
 def _one_sided(st: _St, emit, start: int, direction: int, last=None) -> QSeries:
     """Sum emit(n) for n = start, start + direction, ... along one ray.
 
-    A certified last index (``_last``) stops the sum at |n| = last, since
-    every later term truncates to zero; past hard_cap it raises at once. A
-    sum without one keeps the empty-run rule: it stops after _EMPTY_RUN zero
-    terms in a row once |n| >= 2 * _EMPTY_RUN, and raises when |n| passes
-    hard_cap first. Each term spends one unit of the budget.
+    A certified last index (``_last``, never past hard_cap) stops the sum
+    at |n| = last, since every later term truncates to zero. A sum without
+    one keeps the empty-run rule: it stops after _EMPTY_RUN zero terms in a
+    row once |n| >= 2 * _EMPTY_RUN, and raises when |n| passes hard_cap
+    first. Each term spends one unit of the budget.
     """
-    cap = hard_cap(st.ctx)
     out = zero(st.ctx)
     if last is not None:
-        if last > cap:
-            raise TerminationError("sum exceeded its index cap without settling")
         for t in range(abs(start), last + 1):
             st.budget.spend()
             out = out + emit(direction * t)
         return out
+    cap = hard_cap(st.ctx)
     empties = 0
     n = start
     while True:
@@ -360,21 +360,26 @@ def _pieces(node, box: list, out: list) -> bool:
     return False
 
 
+def _ray(e, sub: dict, env: dict):
+    """Ray coefficients of an integer expression under sub, or None."""
+    return growth.ray_coeffs(growth.mpoly(e, sub, env))
+
+
 def _match_appell(node: Appell, st: _St):
     box = [Fraction(1)]
     pieces: list = []
     if not _pieces(node.num, box, pieces):
         return None
-    sub = {node.index: T}
+    sub = {node.index: RAY_T}
     alt = 0
     zpow = 0
-    qp = ZERO
+    qp: dict = {}
     for p in pieces:
         if isinstance(p, Pow):
             if not (isinstance(p.base, Neg) and isinstance(p.base.arg, Rational)
                     and p.base.arg.value == 1):
                 return None
-            ep = ipoly(p.exp, sub, st.env)
+            ep = _ray(p.exp, sub, st.env)
             if ep is None or len(ep) > 2 or (len(ep) > 1 and ep[1].denominator != 1):
                 return None
             c1 = int(ep[1]) if len(ep) > 1 else 0
@@ -386,19 +391,21 @@ def _match_appell(node: Appell, st: _St):
             if int(c0) % 2:
                 box[0] = -box[0]
         elif isinstance(p, ZPow):
-            ep = T if p.exp is None else ipoly(p.exp, sub, st.env)
+            # The matched form has only z^(zpow * n); a bare z is z^1.
+            ep = None if p.exp is None else _ray(p.exp, sub, st.env)
             if ep is None or len(ep) > 2 or ep[0] != 0:
                 return None
             zpow += int(ep[1]) if len(ep) > 1 else 0
         elif isinstance(p, QPow):
-            ep = growth.const(st.ctx.scale) if p.exp is None else ipoly(p.exp, sub, st.env)
-            if ep is None or len(ep) > 3:
+            ep = growth.mconst(st.ctx.scale) if p.exp is None else growth.mpoly(p.exp, sub, st.env)
+            if ep is None:
                 return None
-            qp = growth.padd(qp, ep)
+            qp = growth.madd(qp, ep)
         else:
             return None
-    dp = ipoly(node.den, sub, st.env)
-    if dp is None or len(dp) > 2:
+    qp = growth.ray_coeffs(qp)
+    dp = _ray(node.den, sub, st.env)
+    if qp is None or len(qp) > 3 or dp is None or len(dp) > 2:
         return None
     quad = qp[2] if len(qp) > 2 else Fraction(0)
     lin = qp[1] if len(qp) > 1 else Fraction(0)
@@ -439,48 +446,51 @@ def _match_hecke(node: Hecke, st: _St):
     if not _pieces(node.body, box, pieces):
         return None
     n_, j_ = node.outer, node.inner
-    nsub = {n_: T, j_: ZERO}
-    jsub = {n_: ZERO, j_: T}
+    nsub = {n_: RAY_T, j_: growth.mconst(0)}
+    jsub = {n_: growth.mconst(0), j_: RAY_T}
     alt = 0
     zpow = 0
-    pn = ZERO
-    pj = ZERO
+    pn: dict = {}
+    pj: dict = {}
     for p in pieces:
         if isinstance(p, Pow):
             if not (isinstance(p.base, Neg) and isinstance(p.base.arg, Rational)
                     and p.base.arg.value == 1):
                 return None
-            en = ipoly(p.exp, nsub, st.env)
-            ej = ipoly(p.exp, jsub, st.env)
-            if en is None or ej is None or len(ej) > 2 or growth._trim(en) not in (ZERO, ej[:1]):
+            en = _ray(p.exp, nsub, st.env)
+            ej = _ray(p.exp, jsub, st.env)
+            if en is None or ej is None or len(ej) > 2 or en not in ([0], ej[:1]):
                 return None
             if len(ej) > 1 and ej[1] == 1 and ej[0] == 0:
                 alt ^= 1
-            elif growth._trim(ej) == ZERO:
-                pass
-            else:
+            elif ej != [0]:
                 return None
         elif isinstance(p, ZPow):
-            ep = T if p.exp is None else ipoly(p.exp, jsub, st.env)
-            en = ZERO if p.exp is None else ipoly(p.exp, nsub, st.env)
-            if ep is None or en is None or growth._trim(en) != ZERO:
+            # The matched form has only z^(zpow * j); a bare z is z^1.
+            if p.exp is None:
                 return None
-            if len(ep) > 2 or ep[0] != 0:
+            ep = _ray(p.exp, jsub, st.env)
+            en = _ray(p.exp, nsub, st.env)
+            if ep is None or en != [0] or len(ep) > 2 or ep[0] != 0:
                 return None
             zpow += int(ep[1]) if len(ep) > 1 else 0
         elif isinstance(p, QPow):
             if p.exp is None:
-                pn = growth.padd(pn, growth.const(st.ctx.scale))
+                pn = growth.madd(pn, growth.mconst(st.ctx.scale))
                 continue
-            a = ipoly(p.exp, nsub, st.env)
-            b = ipoly(p.exp, jsub, st.env)
-            if a is None or b is None or len(a) > 3 or len(b) > 3:
+            a = growth.mpoly(p.exp, nsub, st.env)
+            b = growth.mpoly(p.exp, jsub, st.env)
+            if a is None or b is None:
                 return None
-            pn = growth.padd(pn, a)
+            pn = growth.madd(pn, a)
             # b's constant term is already counted inside a.
-            pj = growth.padd(pj, growth.padd(b, growth.pneg(b[:1])))
+            pj = growth.madd(pj, {m: c for m, c in b.items() if m})
         else:
             return None
+    pn = growth.ray_coeffs(pn)
+    pj = growth.ray_coeffs(pj)
+    if pn is None or pj is None or len(pn) > 3 or len(pj) > 3:
+        return None
     # Reject mixed n*j terms by direct evaluation at witness points.
     for nn, jj in ((1, 1), (2, 1), (1, 2), (2, 2), (3, 2)):
         envp = dict(st.env)
@@ -490,7 +500,7 @@ def _match_hecke(node: Hecke, st: _St):
         for p in pieces:
             if isinstance(p, QPow):
                 total += st.ctx.scale if p.exp is None else int_eval(p.exp, envp)
-        expect = growth.peval(pn, nn) + growth.peval(pj, jj)
+        expect = growth.ray_value(pn, nn) + growth.ray_value(pj, jj)
         if total != expect:
             return None
     a0 = pn[0]
@@ -500,9 +510,9 @@ def _match_hecke(node: Hecke, st: _St):
     b2 = pj[2] if len(pj) > 2 else Fraction(0)
     den = None
     if node.den is not None:
-        dj = ipoly(node.den, jsub, st.env)
-        dn = ipoly(node.den, nsub, st.env)
-        if dj is None or dn is None or len(dj) > 2 or growth._trim(dn) != dj[:1]:
+        dj = _ray(node.den, jsub, st.env)
+        dn = _ray(node.den, nsub, st.env)
+        if dj is None or dn is None or len(dj) > 2 or dn != dj[:1]:
             return None
         dc = dj[1] if len(dj) > 1 else Fraction(0)
         if dc.denominator != 1 or dj[0].denominator != 1:

@@ -1,15 +1,20 @@
 """Exponent-growth analysis for summation bodies.
 
-Two analyses share one lowering of integer expressions to polynomials
-(``mpoly``; ``ipoly`` is its one-variable view):
+Integer expressions lower to polynomials in several variables (``mpoly``),
+and ``term_bounds`` bounds the lowest q-exponent of a summation term from
+below and, for a term that never vanishes, from above. Along one ray a
+polynomial is read as its coefficient list (``ray_coeffs``). Three users
+share this:
 
-* the validator reads the exact q-exponent of a product body along a ray
-  (``qexp_along``) and asks whether it grows;
-* the evaluator bounds the lowest q-exponent of a sum's term from below by a
-  polynomial in the ray index (``term_bounds``, ``ray_floor``) and turns the
-  bound into a certified last index (``last_index``): every term past it
-  truncates to zero at the working order, so the sum stops there. A sum
-  whose terms admit no such bound keeps the evaluator's empty-run rule.
+* the evaluator turns the lower bound into a certified last index
+  (``ray_floor``, ``last_index``): every term past it truncates to zero at
+  the working order, so the sum stops there. A sum whose terms admit no
+  such bound keeps the evaluator's empty-run rule;
+* the validator reports a sum whose upper bound does not grow along a ray,
+  since its terms then never clear the window (``grows_both_ways``,
+  ``grows_forward``);
+* the evaluator's Appell and Hecke matchers read the exponents of a
+  product body as ray coefficients.
 
 All arithmetic is exact (``Fraction``/``int``). Every polynomial variable is
 nonnegative: the ray index t of a sum (the backward ray of a two-sided sum
@@ -25,11 +30,7 @@ from ..errors import PoleError, SeriesError, SpecError
 from ..series import _exact
 from .nodes import (
     Add,
-    Appell,
-    BilateralSum,
-    ChainSum,
     Div,
-    Hecke,
     IAdd,
     IBinom,
     IMul,
@@ -52,48 +53,6 @@ from .nodes import (
     ZPow,
     int_eval,
 )
-
-# Polynomials in one ray variable t are coefficient tuples (c0, c1, ...).
-
-ZERO = (Fraction(0),)
-T = (Fraction(0), Fraction(1))
-
-
-def _trim(p):
-    while len(p) > 1 and not p[-1]:
-        p = p[:-1]
-    return tuple(p)
-
-
-def const(v) -> tuple:
-    return (Fraction(v),)
-
-
-def padd(a, b):
-    n = max(len(a), len(b))
-    return _trim(tuple(
-        (a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)
-    ))
-
-
-def pneg(a):
-    return tuple(-c for c in a)
-
-
-def pmul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        for j, cb in enumerate(b):
-            out[i + j] += ca * cb
-    return _trim(tuple(out))
-
-
-def peval(p, t):
-    acc = Fraction(0)
-    for c in reversed(p):
-        acc = acc * t + c
-    return acc
-
 
 # Polynomials in several variables are dicts {monomial: Fraction}; a monomial
 # is a sorted tuple of (name, power) pairs and () is the constant monomial.
@@ -223,8 +182,14 @@ def mpoly(e, sub: dict, env: dict):
     return None
 
 
-def _to_ray(p: dict):
-    """The tuple form of a polynomial in the ray variable alone, else None."""
+def ray_coeffs(p):
+    """Coefficients [c0, c1, ...] of a polynomial in the ray variable alone.
+
+    The list has no trailing zeros ([0] for the zero polynomial). None when
+    p is None or holds another variable.
+    """
+    if p is None:
+        return None
     out = [Fraction(0)]
     for m, c in p.items():
         if len(m) > 1 or (m and m[0][0] != RAY):
@@ -232,82 +197,22 @@ def _to_ray(p: dict):
         k = m[0][1] if m else 0
         out.extend([Fraction(0)] * (k + 1 - len(out)))
         out[k] = c
-    return _trim(tuple(out))
+    return out
 
 
-def ipoly(e, sub: dict, env: dict):
-    """Polynomial of an integer expression in the ray variable (a tuple).
-
-    sub maps identifier names to ray polynomials; identifiers found in env
-    are constants; any other identifier makes the result None.
-    """
-    msub = {name: {((RAY, k),) if k else (): c for k, c in enumerate(p) if c}
-            for name, p in sub.items()}
-    p = mpoly(e, msub, env)
-    return None if p is None else _to_ray(p)
-
-
-def qexp_along(expr, sub: dict, env: dict, zfold):
-    """Explicit q-exponent polynomial of a product body along a ray.
-
-    Pochhammer, binomial, and inverse factors contribute exponents bounded
-    below by a constant, so they count as zero here; None means the shape
-    is outside what this analysis covers.
-    """
-    if isinstance(expr, (Rational, NumPoly, Poch, Theta, QBinom)):
-        return ZERO
-    if isinstance(expr, QPow):
-        if expr.exp is None:
-            return ZERO
-        return ipoly(expr.exp, sub, env)
-    if isinstance(expr, ZPow):
-        if zfold is None:
-            return ZERO
-        e = T if expr.exp is None else ipoly(expr.exp, sub, env)
-        return None if e is None else pmul(e, const(zfold[1]))
-    if isinstance(expr, Neg):
-        return qexp_along(expr.arg, sub, env, zfold)
-    if isinstance(expr, Mul):
-        a = qexp_along(expr.left, sub, env, zfold)
-        b = qexp_along(expr.right, sub, env, zfold)
-        return None if a is None or b is None else padd(a, b)
-    if isinstance(expr, Div):
-        return qexp_along(expr.left, sub, env, zfold)
-    if isinstance(expr, Pow):
-        a = qexp_along(expr.base, sub, env, zfold)
-        e = ipoly(expr.exp, sub, env)
-        if a is None or e is None:
-            return None
-        if a == ZERO:
-            return ZERO
-        return pmul(a, e)
-    if isinstance(expr, (Add, Sub)):
-        a = qexp_along(expr.left, sub, env, zfold)
-        b = qexp_along(expr.right, sub, env, zfold)
-        if a is None or b is None:
-            return None
-        return a if a == b else None
-    if isinstance(expr, (ChainSum, BilateralSum, RangeSum, Appell, Hecke)):
-        return None
-    return None
+def ray_value(p, t):
+    """The value at t of a polynomial given as ray coefficients."""
+    return sum(c * t ** k for k, c in enumerate(p))
 
 
 def grows_both_ways(p) -> bool:
-    """True when the polynomial tends to +infinity in both ray directions."""
-    if p is None:
-        return False
-    p = _trim(p)
-    return len(p) == 3 and p[2] > 0
+    """True when ray coefficients p tend to +infinity in both ray directions."""
+    return p is not None and len(p) == 3 and p[2] > 0
 
 
 def grows_forward(p) -> bool:
-    """True when the polynomial tends to +infinity as the ray variable grows."""
-    if p is None:
-        return False
-    p = _trim(p)
-    if len(p) == 3:
-        return p[2] > 0
-    return len(p) == 2 and p[1] > 0
+    """True when ray coefficients p tend to +infinity as the ray variable grows."""
+    return p is not None and len(p) in (2, 3) and p[-1] > 0
 
 
 # -- product bases -----------------------------------------------------------
@@ -382,10 +287,13 @@ def _product_bounds(expr, sub: dict, env: dict, scale: int, zfold):
         return _UNKNOWN
     if step < 1:
         return _UNKNOWN
+    # A length that moves with the sum counts every negative factor.
     length = None
-    if isinstance(expr, Poch):
+    fixed = True
+    if isinstance(expr, Poch) and expr.length is not None:
         lp = mpoly(expr.length, sub, env)
-        if lp is not None and _is_const(lp):
+        fixed = lp is not None and _is_const(lp)
+        if fixed:
             length = int(lp.get((), 0))
     lift = 0
     vanishes = False
@@ -407,7 +315,10 @@ def _product_bounds(expr, sub: dict, env: dict, scale: int, zfold):
         if (folded == 1 and eff <= 0 and eff % step == 0
                 and (length is None or -eff // step < length)):
             vanishes = True
-    return mconst(-lift), (None if vanishes else {})
+    if vanishes:
+        return mconst(-lift), None
+    # A nonvanishing product of fixed length has lowest exponent exactly -lift.
+    return mconst(-lift), (mconst(-lift) if fixed else {})
 
 
 def term_bounds(expr, sub: dict, env: dict, scale: int, zfold):
@@ -479,7 +390,7 @@ def term_bounds(expr, sub: dict, env: dict, scale: int, zfold):
 
 
 def ray_floor(body, subs, env: dict, scale: int, zfold, inner=(), bound=None):
-    """Lower bound, as a tuple in t, on the lowest q-exponent of a sum's term.
+    """Lower bound, as ray coefficients, on the lowest q-exponent of a sum's term.
 
     Each substitution in subs puts the ray variable (``RAY_T`` or its
     negative) and the ``inner`` names into the body, and the bound is the
@@ -494,35 +405,33 @@ def ray_floor(body, subs, env: dict, scale: int, zfold, inner=(), bound=None):
         floor = lo if floor is None else mmin(floor, lo)
     for name in inner:
         floor = relax(floor, name, bound)
-    return _to_ray(floor)
+    return ray_coeffs(floor)
 
 
 def last_index(p, start: int, order: int, cap: int):
     """Certified last index of a sum along a ray, or None.
 
-    p(t) bounds the lowest q-exponent of the term at ray index t from below.
+    p(t), given as ray coefficients without trailing zeros, bounds the
+    lowest q-exponent of the term at ray index t from below.
     The result is the largest t >= start with p(t) <= order (start - 1 when
     there is none): every later term truncates to zero. The scan runs until
     t is past Cauchy's bound on the roots of p', where p increases, and
-    p(t) > order. It returns the first t > cap with p(t) <= order as soon as
-    it meets one. None when p has degree 0 or a leading coefficient <= 0,
-    and when p rises above order past cap but may still dip before Cauchy's
-    bound: ruling that out would mean scanning beyond the cap.
+    p(t) > order. None when p has degree 0 or a leading coefficient <= 0,
+    and when the scan is not done by t = cap + 1: a lower bound at or below
+    the order past the cap does not prove a term is nonzero there, so such a
+    sum is left to the caller's empty-run rule.
     """
-    p = _trim(p)
     if len(p) < 2 or p[-1] <= 0:
         return None
-    dp = tuple(k * c for k, c in enumerate(p))[1:]
+    dp = [k * c for k, c in enumerate(p)][1:]
     r = 1 + max((abs(c / dp[-1]) for c in dp[:-1]), default=-2)
     last = start - 1
     t = start
     while True:
-        if peval(p, t) <= order:
-            if t > cap:
-                return t
+        if ray_value(p, t) <= order:
             last = t
         elif t > r:
             return last
-        elif t > cap:
+        if t > cap:
             return None
         t += 1

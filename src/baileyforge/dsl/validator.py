@@ -21,7 +21,7 @@ from ..errors import (
 )
 from . import growth
 from .evaluator import bindings_env, evaluate
-from .growth import T, ipoly, pneg, qexp_along
+from .growth import RAY_T, mconst, mmul, mneg
 from .nodes import (
     Add,
     Appell,
@@ -106,7 +106,17 @@ def _enter(index, node, scope, findings):
     return scope | {index}
 
 
-def _walk(expr, scope, findings, zfold, env):
+def _exponent(body, sub, env, zfold, scale):
+    """Upper bound, as ray coefficients, on the lowest q-exponent of body.
+
+    None unless body provably never vanishes. A bound that does not grow
+    along a ray means the sum's terms never clear the window.
+    """
+    _, upper = growth.term_bounds(body, sub, env, scale, zfold)
+    return growth.ray_coeffs(upper)
+
+
+def _walk(expr, scope, findings, zfold, env, scale):
     if expr is None or isinstance(expr, Rational):
         return
     if isinstance(expr, (QPow, ZPow)):
@@ -117,18 +127,18 @@ def _walk(expr, scope, findings, zfold, env):
         return
     if isinstance(expr, Pow):
         _check_int(expr.exp, scope, findings)
-        _walk(expr.base, scope, findings, zfold, env)
+        _walk(expr.base, scope, findings, zfold, env, scale)
         return
     if isinstance(expr, Neg):
-        _walk(expr.arg, scope, findings, zfold, env)
+        _walk(expr.arg, scope, findings, zfold, env, scale)
         return
     if isinstance(expr, (Add, Sub, Mul, Div)):
-        _walk(expr.left, scope, findings, zfold, env)
-        _walk(expr.right, scope, findings, zfold, env)
+        _walk(expr.left, scope, findings, zfold, env, scale)
+        _walk(expr.right, scope, findings, zfold, env, scale)
         return
     if isinstance(expr, (Poch, Theta)):
         for b in expr.bases:
-            _walk(b, scope, findings, zfold, env)
+            _walk(b, scope, findings, zfold, env, scale)
         _check_int(expr.step, scope, findings)
         if isinstance(expr, Poch) and expr.length is not None:
             _check_int(expr.length, scope, findings)
@@ -145,13 +155,13 @@ def _walk(expr, scope, findings, zfold, env):
                 findings.append(Finding("duplicate-index", f"index {idx!r} repeats", expr.span))
             seen.add(idx)
             inner = _enter(idx, expr, inner, findings)
-        _walk(expr.body, inner, findings, zfold, env)
-        _certify_chain(expr, findings, zfold, env)
+        _walk(expr.body, inner, findings, zfold, env, scale)
+        _certify_chain(expr, findings, zfold, env, scale)
         return
     if isinstance(expr, BilateralSum):
         inner = _enter(expr.index, expr, scope, findings)
-        _walk(expr.body, inner, findings, zfold, env)
-        p = qexp_along(expr.body, {expr.index: T}, env, zfold)
+        _walk(expr.body, inner, findings, zfold, env, scale)
+        p = _exponent(expr.body, {expr.index: RAY_T}, env, zfold, scale)
         if p is not None and not growth.grows_both_ways(p):
             findings.append(Finding(
                 "bilateral-no-growth",
@@ -163,13 +173,13 @@ def _walk(expr, scope, findings, zfold, env):
         _check_int(expr.lo, scope, findings)
         _check_int(expr.hi, scope, findings)
         inner = _enter(expr.index, expr, scope, findings)
-        _walk(expr.body, inner, findings, zfold, env)
+        _walk(expr.body, inner, findings, zfold, env, scale)
         return
     if isinstance(expr, Appell):
         inner = _enter(expr.index, expr, scope, findings)
-        _walk(expr.num, inner, findings, zfold, env)
+        _walk(expr.num, inner, findings, zfold, env, scale)
         _check_int(expr.den, inner, findings)
-        p = qexp_along(expr.num, {expr.index: T}, env, zfold)
+        p = _exponent(expr.num, {expr.index: RAY_T}, env, zfold, scale)
         if p is not None and not growth.grows_both_ways(p):
             findings.append(Finding(
                 "appell-no-growth",
@@ -182,13 +192,13 @@ def _walk(expr, scope, findings, zfold, env):
             findings.append(Finding("duplicate-index", "outer and inner indices coincide", expr.span))
         inner = _enter(expr.outer, expr, scope, findings)
         inner = _enter(expr.inner, expr, inner, findings)
-        _walk(expr.body, inner, findings, zfold, env)
+        _walk(expr.body, inner, findings, zfold, env, scale)
         if expr.den is not None:
             _check_int(expr.den, inner, findings)
         # For the half region walk rows n = 2t so the edge j = t stays integral.
-        outer_t = growth.pmul(T, growth.const(2)) if expr.region == "half" else T
-        for jray in (growth.ZERO, T, pneg(T)):
-            p = qexp_along(expr.body, {expr.outer: outer_t, expr.inner: jray}, env, zfold)
+        outer_t = mmul(RAY_T, mconst(2)) if expr.region == "half" else RAY_T
+        for jray in (mconst(0), RAY_T, mneg(RAY_T)):
+            p = _exponent(expr.body, {expr.outer: outer_t, expr.inner: jray}, env, zfold, scale)
             if p is not None and not growth.grows_forward(p):
                 findings.append(Finding(
                     "hecke-no-growth",
@@ -200,15 +210,15 @@ def _walk(expr, scope, findings, zfold, env):
     findings.append(Finding("bad-shape", f"unsupported expression {type(expr).__name__}", getattr(expr, "span", None)))
 
 
-def _certify_chain(expr: ChainSum, findings, zfold, env):
+def _certify_chain(expr: ChainSum, findings, zfold, env, scale):
     k = len(expr.indices)
-    rays = [{idx: T for idx in expr.indices}]
+    rays = [{idx: RAY_T for idx in expr.indices}]
     if k > 1:
-        first = {expr.indices[0]: T}
-        first.update({idx: growth.ZERO for idx in expr.indices[1:]})
+        first = {expr.indices[0]: RAY_T}
+        first.update({idx: mconst(0) for idx in expr.indices[1:]})
         rays.append(first)
     for sub in rays:
-        p = qexp_along(expr.body, sub, env, zfold)
+        p = _exponent(expr.body, sub, env, zfold, scale)
         if p is None:
             return
         if not growth.grows_forward(p):
@@ -253,7 +263,7 @@ def validate(spec: IdentitySpec) -> list:
     if spec.zbind is not None:
         zfold = (spec.zbind.sign, int_eval(spec.zbind.qexp, envs[0]))
     for side in (spec.lhs, spec.rhs):
-        _walk(side, scope, findings, zfold, envs[0])
+        _walk(side, scope, findings, zfold, envs[0], spec.scale)
     if findings:
         return findings
 

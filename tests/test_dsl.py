@@ -24,7 +24,7 @@ from baileyforge.dsl import (
     pretty_print_expr,
     validate,
 )
-from baileyforge.dsl.growth import last_index
+from baileyforge.dsl.growth import last_index, mvar, term_bounds
 from baileyforge.errors import BudgetError, DslSyntaxError, SpecError, TerminationError
 from baileyforge.oracle import brute_force_expand, expand_expr
 from baileyforge.series import EvalContext
@@ -186,6 +186,12 @@ class TestValidator:
         codes = self.finding_codes(
             "identity x { scale 1 order 6 lhs hecke(n, j, full, q^(binom(j,2))) rhs 1 }")
         assert "hecke-no-growth" in codes
+
+    def test_growth_counts_the_divisor(self):
+        # The term is q^(n): the divisor takes the quadratic growth away.
+        codes = self.finding_codes(
+            "identity x { scale 1 order 6 lhs sum(n in Z, q^(n*n) / q^(n*n - n)) rhs 1 }")
+        assert codes == {"bilateral-no-growth"}
 
     def test_probe_catches_non_settling_sum(self):
         # Each term keeps content at q^(-n), so no window is ever cleared.
@@ -495,7 +501,7 @@ class TestSummationLimits:
     @pytest.mark.parametrize("p,start,want", [
         ((400, -40, 1), 0, 22),    # (t - 20)^2 <= 6 up to t = 22
         ((400, 40, 1), 1, 0),      # (t + 20)^2 > 6 from t = 1: no term
-        ((-1000, 1), 0, 29),       # t - 1000 <= 6 past the cap 28
+        ((-1000, 1), 0, None),     # t - 1000 <= 6 past the cap 28
         ((5,), 0, None),           # no growth
         ((0, 3, -1), 0, None),     # falls
         ((1610, -80, 1), 0, None),  # (t - 40)^2 + 10 > 6 past the cap, not yet past its vertex
@@ -506,6 +512,38 @@ class TestSummationLimits:
     def test_last_index_past_the_cap_is_not_settling(self):
         spec = parse("identity far { scale 1 order 6 lhs sum(n >= 0, q^(n - 1000)) rhs 0 }")
         assert [f.code for f in validate(spec)] == ["sum-not-settling"]
+
+    def test_loose_bound_past_the_cap_keeps_the_empty_run_rule(self):
+        # by hand: q^(n - 40) / (1 - q^(-40)) = -q^n / (1 - q^40), so the sum
+        # is -(1 + q + ... + q^6) at order 6 though the bound n - 40 reaches
+        # the order only at n = 46, past the cap 28.
+        spec = parse("identity neg { scale 1 order 6 "
+                     "lhs sum(n >= 0, q^(n - 40) / poch(q^(-40); q, 1)) "
+                     "rhs -1 / (poch(q; q, 1) * poch(q^(40); q, 1)) }")
+        assert validate(spec) == []
+        assert as_dict(evaluate(spec, {}, "lhs")) == {(k, 0): -1 for k in range(7)}
+
+    @pytest.mark.parametrize("src,want", [
+        # 1 - q^(-40) has lowest exponent exactly -40, so its inverse 40.
+        ("1 / poch(q^(-40); q, 1)", {(): 40}),
+        # With a moving length the product may stop before (1 + q^(-1)) or
+        # even (1 + q^(-2)): its lowest exponent is only known to be <= 0.
+        ("1 / poch(-q^(-2); q, n)", {}),
+    ])
+    def test_divisor_bound_of_a_product(self, src, want):
+        lower, _ = term_bounds(parse_expr(src), {"n": mvar("n")}, {}, 1, None)
+        assert lower == want
+
+    def test_divisor_above_the_order_keeps_its_precision(self):
+        # The divisor's valuation 10 lies above the order 6 and above the
+        # numerator's 1; the exact value is q^-9 - q^-8.
+        expr = parse_expr("q / (q^(10) + q^(11) / poch(q; q, 1))")
+        want = {k: c for k, c in expand_expr(expr, scale=1, order=20).items() if k[0] <= 6}
+        assert want == {(-9, 0): 1, (-8, 0): -1}
+        assert as_dict(evaluate_expr(expr, order=6)) == want
+        # A divisor of valuation 1 within the order: exactly q^-1 - 1.
+        expr = parse_expr("1 / (q + q^(2) / poch(q; q, 1))")
+        assert as_dict(evaluate_expr(expr, order=3)) == expand_expr(expr, scale=1, order=3)
 
     def test_certified_sum_spends_one_unit_per_term(self):
         # q^(n*n) <= 6 up to n = 2: three terms, where the empty-run rule takes
@@ -529,6 +567,10 @@ class TestSummationLimits:
         ("sum(n >= 0, (q^(n*n) + q^(n)) / poch(q; q, n))", 20),
         # A generic Appell row; along n = -t the exponent is t^2 - 3t.
         ("appell(n, q^(n*n + 3*n) * poch(-q; q, 2), n)", 30),
+        # A bare z is z^1: the Appell and Hecke recognizers take only
+        # z^(c*n) and z^(c*j), so these rows go the generic way.
+        ("appell(n, z * q^(n*n + n), n)", 8),
+        ("hecke(n, j, full, z * q^(2*n*n + n - j*j))", 8),
     ])
     def test_bounded_sums_match_the_oracle(self, src, order):
         expr = parse_expr(src)
