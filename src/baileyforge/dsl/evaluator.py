@@ -151,6 +151,7 @@ def _product(node, st: _St) -> QSeries:
         return monomial(st.ctx, scalar, fused_z, fused_q)
     evaluated = []
     saw_zero = False
+    val = fused_min
     for f, p in factors:
         s, fkey = _factor(f, st)
         if s.is_zero():
@@ -162,8 +163,12 @@ def _product(node, st: _St) -> QSeries:
         # The inverse of a factor of valuation v > 0 is exact only up to 2v
         # below the working order, so a divisor lifts by twice its share.
         contrib = p * s.min_exponent()
+        val += contrib
         lift += max(0, -contrib * (2 if p < 0 else 1))
         evaluated.append((s, p, fkey))
+    # Valuations add, so a product of nonzero factors above the order is zero.
+    if not saw_zero and val > st.ctx.order:
+        return zero(st.ctx)
     if lift == 0:
         if saw_zero:
             return zero(st.ctx)
@@ -230,14 +235,10 @@ def _poch_series(st: _St, bases, step_expr, length_expr):
                 lift += -(eff + t * step)
                 t += 1
     wctx = st.lifted(lift).ctx
-    out = monomial(wctx, 1)
-    for c, ze, qe in triples:
-        if length is None:
-            out = out * poch_infinite(wctx, (c, ze, qe), step, strict=False)
-        else:
-            out = out * poch_finite(wctx, (c, ze, qe), step, length)
-        if out.is_zero():
-            break
+    if length is None:
+        out = poch_infinite(wctx, triples, step, strict=False)
+    else:
+        out = poch_finite(wctx, triples, step, length)
     if lift:
         out = retruncate(out, st.ctx)
     st.cache[memo_key] = out
@@ -247,37 +248,49 @@ def _poch_series(st: _St, bases, step_expr, length_expr):
 # -- summation loops ---------------------------------------------------------
 
 
-def _last(st: _St, body, start: int, subs, inner=(), bound=None):
+def _last(st: _St, body, start: int, subs, inner=(), bound=None, whole=True):
     """Certified last ray index of a sum, or None.
 
     The sum's term at ray index t is bounded below as body is under the
     substitutions subs, with ``inner`` names relaxed over [0, bound]
-    (``growth.ray_floor``).
+    (``growth.ray_floor``). When body is the whole term (``whole``), there
+    is one substitution and no inner name, and its bound is exact (lower ==
+    upper), every term is nonzero with exactly that lowest exponent; a
+    bound at or below the order past hard_cap then proves a term there, and
+    the result is an index past hard_cap.
     """
     zi = st.ctx.z_interp
     zfold = None if zi is None else (zi.sign, zi.qexp)
     floor = growth.ray_floor(body, subs, st.env, st.ctx.scale, zfold, inner, bound)
     if floor is None:
         return None
-    return growth.last_index(floor, start, st.ctx.order, hard_cap(st.ctx))
+    cap = hard_cap(st.ctx)
+    last = growth.last_index(floor, start, st.ctx.order, cap)
+    if last is None and whole and not inner and len(subs) == 1:
+        lower, upper = growth.term_bounds(body, subs[0], st.env, st.ctx.scale, zfold)
+        if lower == upper and growth.dips_past(floor, cap, st.ctx.order):
+            return cap + 1
+    return last
 
 
 def _one_sided(st: _St, emit, start: int, direction: int, last=None) -> QSeries:
     """Sum emit(n) for n = start, start + direction, ... along one ray.
 
-    A certified last index (``_last``, never past hard_cap) stops the sum
-    at |n| = last, since every later term truncates to zero. A sum without
-    one keeps the empty-run rule: it stops after _EMPTY_RUN zero terms in a
-    row once |n| >= 2 * _EMPTY_RUN, and raises when |n| passes hard_cap
-    first. Each term spends one unit of the budget.
+    A certified last index (``_last``) stops the sum at |n| = last, since
+    every later term truncates to zero; one past hard_cap raises at once. A
+    sum without one keeps the empty-run rule: it stops after _EMPTY_RUN zero
+    terms in a row once |n| >= 2 * _EMPTY_RUN, and raises when |n| passes
+    hard_cap first. Each term spends one unit of the budget.
     """
     out = zero(st.ctx)
+    cap = hard_cap(st.ctx)
     if last is not None:
+        if last > cap:
+            raise TerminationError("sum exceeded its index cap without settling")
         for t in range(abs(start), last + 1):
             st.budget.spend()
             out = out + emit(direction * t)
         return out
-    cap = hard_cap(st.ctx)
     empties = 0
     n = start
     while True:
@@ -296,10 +309,11 @@ def _one_sided(st: _St, emit, start: int, direction: int, last=None) -> QSeries:
     return out
 
 
-def _two_sided(st: _St, emit, body, index: str) -> QSeries:
+def _two_sided(st: _St, emit, body, index: str, whole=True) -> QSeries:
     """A sum over index in Z whose terms are bounded below as body's are."""
-    return (_one_sided(st, emit, 0, 1, _last(st, body, 0, ({index: RAY_T},)))
-            + _one_sided(st, emit, -1, -1, _last(st, body, 1, ({index: growth.mneg(RAY_T)},))))
+    return (_one_sided(st, emit, 0, 1, _last(st, body, 0, ({index: RAY_T},), whole=whole))
+            + _one_sided(st, emit, -1, -1,
+                         _last(st, body, 1, ({index: growth.mneg(RAY_T)},), whole=whole)))
 
 
 def _chain_sum(node: ChainSum, st: _St) -> QSeries:
@@ -436,8 +450,9 @@ def _appell(node: Appell, st: _St) -> QSeries:
         return _den_join(_eval(node.num, inner), d, inner,
                          lambda w: _eval(node.num, w.bind(node.index, n)))
 
-    # 1/(1 + q^d) has lowest exponent max(0, -d), so the numerator bounds the term.
-    return _two_sided(st, emit, node.num, node.index)
+    # 1/(1 + q^d) has lowest exponent max(0, -d), so the numerator bounds the
+    # term from below but is not the whole term.
+    return _two_sided(st, emit, node.num, node.index, whole=False)
 
 
 def _match_hecke(node: Hecke, st: _St):

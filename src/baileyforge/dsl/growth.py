@@ -24,6 +24,7 @@ nonnegative lower end, and the magnitude of a Hecke row's inner index.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from ..errors import PoleError, SeriesError, SpecError
@@ -435,3 +436,18 @@ def last_index(p, start: int, order: int, cap: int):
         if t > cap:
             return None
         t += 1
+
+
+def dips_past(p, cap: int, order: int) -> bool:
+    """True when p(t) <= order is seen at an integer t > cap.
+
+    p is given as ray coefficients. It is checked at t = cap + 1 and, for a
+    quadratic with positive leading coefficient, at the integers next to its
+    vertex past the cap, where it is lowest; a dip of a higher degree
+    further out is not looked for.
+    """
+    ts = {cap + 1}
+    if len(p) == 3 and p[2] > 0:
+        v = -p[1] / (2 * p[2])
+        ts.update(t for t in (math.floor(v), math.ceil(v)) if t > cap)
+    return any(ray_value(p, t) <= order for t in ts)

@@ -203,16 +203,14 @@ def key_pair(ctx: EvalContext, dilation: int | None = None) -> BilateralPair:
     def beta(n: int) -> QSeries:
         if n < 0:
             return zero(ctx)
-        num = poch_finite(ctx, (1, 1, 0), r, n) * poch_finite(ctx, (1, -1, r), r, n)
+        num = poch_finite(ctx, ((1, 1, 0), (1, -1, r)), r, n)
         return num * _inv_poch(ctx, (Fraction(1), 0, r), r, 2 * n)
 
     def floor(n: int) -> int:
         return r * n * (n - 1) // 2 + n * a
 
     def limit() -> QSeries:
-        prod = poch_infinite(ctx, (1, 1, 0), r, strict=False) * poch_infinite(
-            ctx, (1, -1, r), r, strict=False
-        )
+        prod = poch_infinite(ctx, ((1, 1, 0), (1, -1, r)), r, strict=False)
         return prod * _inv_poch_inf(ctx, (Fraction(1), 0, r), r)
 
     return BilateralPair(
@@ -235,8 +233,7 @@ def closed_form_djk_pair(ctx: EvalContext, dilation: int | None = None) -> Bilat
         acc = zero(ctx)
         for j in range(n + 1):
             t = poch_finite(ctx, (-1, 0, 0), u, 2 * j)
-            t = t * poch_finite(ctx, (1, 1, 0), 2 * u, j)
-            t = t * poch_finite(ctx, (1, -1, 2 * u), 2 * u, j)
+            t = t * poch_finite(ctx, ((1, 1, 0), (1, -1, 2 * u)), 2 * u, j)
             t = t * monomial(ctx, 1, 0, u * j)
             t = t * _inv_poch(ctx, (Fraction(1), 0, 2 * u), 2 * u, n - j)
             t = t * _inv_poch(ctx, (Fraction(1), 0, 2 * u), 2 * u, 2 * j)
@@ -265,8 +262,7 @@ def closed_form_jouhet_pair(ctx: EvalContext, dilation: int | None = None) -> Bi
             return zero(ctx)
         acc = zero(ctx)
         for j in range(n + 1):
-            t = poch_finite(ctx, (1, 1, 0), 2 * u, j)
-            t = t * poch_finite(ctx, (1, -1, 2 * u), 2 * u, j)
+            t = poch_finite(ctx, ((1, 1, 0), (1, -1, 2 * u)), 2 * u, j)
             t = t * monomial(ctx, 1, 0, u * (n - j))
             t = t * _inv_poch(ctx, (Fraction(1), 0, 2 * u), 2 * u, n - j)
             t = t * _inv_poch(ctx, (Fraction(1), 0, u), u, 2 * j)
@@ -441,18 +437,12 @@ def _abel_beta_side(pair: BilateralPair, x, y, budget) -> QSeries:
     if pair.beta_limit is None:
         raise TerminationError("alternating zero-growth sum needs a pair with a beta limit")
 
-    def term(n):
-        return (
-            poch_finite(ctx, (x.sign, 0, x.qexp), r, n)
-            * poch_finite(ctx, (y.sign, 0, y.qexp), r, n)
-            * pair.beta(n)
-        )
+    bases = ((x.sign, 0, x.qexp), (y.sign, 0, y.qexp))
 
-    lim = (
-        poch_infinite(ctx, (x.sign, 0, x.qexp), r, strict=False)
-        * poch_infinite(ctx, (y.sign, 0, y.qexp), r, strict=False)
-        * pair.beta_limit()
-    )
+    def term(n):
+        return poch_finite(ctx, bases, r, n) * pair.beta(n)
+
+    lim = poch_infinite(ctx, bases, r, strict=False) * pair.beta_limit()
     return _abel_alternating(ctx, term, lim, budget)
 
 

@@ -213,7 +213,7 @@ class QSeries:
         if other is NotImplemented:
             return other
         return QSeries(
-            self.ctx, _mul_raw(self._c, other._c, self.ctx.order), _trusted=False
+            self.ctx, _ints(_mul_raw(self._c, other._c, self.ctx.order)), _trusted=True
         )
 
     __rmul__ = __mul__
@@ -286,6 +286,15 @@ def _exact(c) -> int | Fraction:
     return c.numerator if c.denominator == 1 else c
 
 
+def _ints(data: dict) -> dict:
+    """Turn the integral Fractions of a coefficient table into ints, in place."""
+    for zd in data.values():
+        for ze, c in zd.items():
+            if type(c) is not int and c.denominator == 1:
+                zd[ze] = c.numerator
+    return data
+
+
 def _acc_into(target: dict, src: dict) -> None:
     for qe, zd in src.items():
         row = target.get(qe)
@@ -340,15 +349,18 @@ def monomial(ctx: EvalContext, coeff, zexp: int = 0, qexp: int = 0) -> QSeries:
     c = _exact(coeff)
     if not c:
         return zero(ctx)
-    zi = ctx.z_interp
-    if zi is not None and zexp:
-        qexp += zexp * zi.qexp
-        if zi.sign == -1 and zexp % 2:
-            c = -c
-        zexp = 0
+    c, zexp, qexp = _fold(ctx, c, zexp, qexp)
     if qexp > ctx.order:
         return zero(ctx)
     return QSeries(ctx, {qexp: {zexp: c}})
+
+
+def _fold(ctx: EvalContext, c, ze: int, qe: int):
+    """c * z^ze * q^qe with z replaced by its monomial under a folded context."""
+    zi = ctx.z_interp
+    if zi is None or not ze:
+        return c, ze, qe
+    return (-c if zi.sign == -1 and ze % 2 else c), 0, qe + ze * zi.qexp
 
 
 # Longest chain of uncached prefixes one poch_finite call builds recursively:
@@ -359,76 +371,130 @@ _POCH_STRIDE = 128
 
 
 def poch_finite(ctx: EvalContext, base, step: int, length: int) -> QSeries:
-    """Finite product prod_{t<length} (1 - base*q^(t*step)), base = (coeff, zexp, qexp)."""
+    """Finite product prod_{t<length} prod_b (1 - b*q^(t*step)).
+
+    base is one triple b = (coeff, zexp, qexp) or a tuple of them, and the
+    result is the product over all of them, built one binomial factor at a
+    time. It is exact to the order when every folded factor exponent is
+    >= 0; otherwise the caller works at an order lifted by the negative
+    exponents and retruncates, as the DSL evaluator does.
+    """
     if length < 0:
         raise ValueError("poch_finite length must be >= 0")
     if step < 1:
         raise ValueError("poch_finite step must be >= 1")
-    key = _basekey(base)
+    bases = _bases(ctx, base)
+    if _vanishes(ctx, bases, step, length, False):
+        return zero(ctx)
     # Each prefix is built from the cached one before it, recursively.
     # Warming every _POCH_STRIDE-th prefix in increasing length first keeps
     # that recursion shallow at any length; a product of at most
     # _POCH_STRIDE factors is a single cache lookup.
     for n in range(_POCH_STRIDE, length, _POCH_STRIDE):
-        _poch_finite_cached(ctx, key, step, n)
-    return _poch_finite_cached(ctx, key, step, length)
+        _poch_finite_cached(ctx, bases, step, n)
+    return _poch_finite_cached(ctx, bases, step, length)
 
 
-def _basekey(base):
-    c, ze, qe = base
-    return (_exact(c), int(ze), int(qe))
+def _bases(ctx: EvalContext, base) -> tuple:
+    """One base triple or a tuple of them, as exact triples folded under ctx."""
+    if base and not isinstance(base[0], (tuple, list)):
+        base = (base,)
+    return tuple(_fold(ctx, _exact(c), int(ze), int(qe)) for c, ze, qe in base)
+
+
+def _vanishes(ctx: EvalContext, bases, step: int, length, strict: bool) -> bool:
+    """True when a factor 1 - q^0 makes the product over folded bases vanish.
+
+    length is None for an infinite product. Bases are scanned in order and
+    each base's factors in t order, so a product vanishes or raises where a
+    base-by-base build would: a formal z-power past the guard cap raises
+    ZDegreeError, and under strict a pure-q factor of nonpositive order
+    raises DivergentProductError unless it is 1 - q^0.
+    """
+    if length == 0:
+        return False
+    for c, ze, qe in bases:
+        if qe > ctx.order:
+            continue
+        if ze:
+            if c:
+                _check_keys(ctx, {qe: {ze: c}})
+        elif qe <= 0:
+            if strict and not (c == 1 and qe == 0):
+                raise DivergentProductError(
+                    f"infinite product factor (1 - {c}*q^{qe}) has nonpositive order"
+                )
+            if c == 1 and qe % step == 0 and (length is None or -qe // step < length):
+                return True
+    return False
+
+
+def _times_binomial(s: QSeries, c, ze: int, qe: int) -> QSeries:
+    """s * (1 - c*z^ze*q^qe) for a folded factor, truncated at the order.
+
+    A factor whose monomial lies above the order truncates to 1.
+    """
+    order = s.ctx.order
+    if not c or qe > order:
+        return s
+    out = {e: dict(zd) for e, zd in s._c.items()}
+    for e, zd in s._c.items():
+        te = e + qe
+        if te > order:
+            continue
+        row = out.setdefault(te, {})
+        for z, v in zd.items():
+            tz = z + ze
+            x = row.get(tz, _ZERO) - c * v
+            if type(x) is not int and x.denominator == 1:
+                x = x.numerator
+            if x:
+                row[tz] = x
+            elif tz in row:
+                del row[tz]
+        if not row:
+            del out[te]
+    return QSeries(s.ctx, out, _trusted=True)
 
 
 @lru_cache(maxsize=None)
-def _poch_finite_cached(ctx, base, step, length):
-    c, ze, qe = base
+def _poch_finite_cached(ctx, bases, step, length):
     if length == 0:
         return one(ctx)
-    prev = _poch_finite_cached(ctx, base, step, length - 1)
-    factor = one(ctx) - monomial(ctx, c, ze, qe + (length - 1) * step)
-    return prev * factor
+    out = _poch_finite_cached(ctx, bases, step, length - 1)
+    shift = (length - 1) * step
+    for c, ze, qe in bases:
+        out = _times_binomial(out, c, ze, qe + shift)
+    return out
 
 
 def poch_infinite(ctx: EvalContext, base, step: int, *, strict: bool = True) -> QSeries:
-    """Infinite product prod_{t>=0} (1 - base*q^(t*step)).
+    """Infinite product prod_{t>=0} prod_b (1 - b*q^(t*step)).
 
-    Factors beyond the truncation order are dropped. A factor whose folded
-    form is pure-q with nonpositive exponent is exact but signals a product
-    outside the usual convergence region; strict mode rejects it unless the
-    factor is identically zero (which collapses the product).
+    base is one triple b = (coeff, zexp, qexp) or a tuple of them, and the
+    result is the product over all of them, built one binomial factor at a
+    time; factors beyond the truncation order are dropped. It is exact to
+    the order when every folded factor exponent is >= 0; otherwise the
+    caller lifts, as for poch_finite. A factor whose folded form is pure-q
+    with nonpositive exponent is exact but signals a product outside the
+    usual convergence region; strict mode rejects it unless the factor is
+    identically zero (which collapses the product).
     """
     if step < 1:
         raise ValueError("poch_infinite step must be >= 1")
-    return _poch_infinite_cached(ctx, _basekey(base), step, strict)
+    return _poch_infinite_cached(ctx, _bases(ctx, base), step, strict)
 
 
 @lru_cache(maxsize=None)
-def _poch_infinite_cached(ctx, base, step, strict):
-    c, ze, qe = base
-    zi = ctx.z_interp
+def _poch_infinite_cached(ctx, bases, step, strict):
+    if _vanishes(ctx, bases, step, None, strict):
+        return zero(ctx)
     out = one(ctx)
-    t = 0
-    while True:
-        fqe = qe + t * step
-        fc, fze = c, ze
-        if zi is not None and fze:
-            # Folded form; the effective exponent still grows with t.
-            fqe += fze * zi.qexp
-            if zi.sign == -1 and fze % 2:
-                fc = -fc
-            fze = 0
-        if fqe > ctx.order:
-            break
-        if fze == 0 and fqe <= 0:
-            if fc == 1 and fqe == 0:
-                # Factor (1 - q^0) vanishes identically, so does the product.
-                return zero(ctx)
-            if strict:
-                raise DivergentProductError(
-                    f"infinite product factor (1 - {fc}*q^{fqe}) has nonpositive order"
-                )
-        out = out * (one(ctx) - monomial(ctx, fc, fze, fqe))
-        t += 1
+    # Folded exponents grow with t, so every factor past `last` is above the order.
+    last = max(((ctx.order - qe) // step for _, _, qe in bases), default=-1)
+    for t in range(last + 1):
+        for c, ze, qe in bases:
+            out = _times_binomial(out, c, ze, qe + t * step)
     return out
 
 

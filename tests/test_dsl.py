@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import baileyforge.dsl.evaluator
 import baileyforge.oracle
+import baileyforge.series
 import oracles
 from baileyforge import registry as R
 from baileyforge.dsl import (
@@ -374,6 +375,22 @@ class TestEvaluator:
         want = {(n, 0): F(c) for n, c in enumerate(oracles.partition_counts(4))}
         assert got == want
 
+    def test_product_above_the_order_multiplies_nothing(self, monkeypatch):
+        # Valuation 5 + 2 + 0 - 0 = 7 lies above the order 6.
+        calls = []
+        mul_raw = baileyforge.series._mul_raw
+        monkeypatch.setattr(baileyforge.series, "_mul_raw",
+                            lambda *args: calls.append(args) or mul_raw(*args))
+        expr = parse_expr("q^(5) * (q^(2) + q^(3)) * poch(q; q, 3) / poch(-q; q, 2)")
+        assert evaluate_expr(expr, order=6).is_zero()
+        assert calls == []
+        assert expand_expr(expr, scale=1, order=6) == {}
+
+    def test_zero_factor_under_a_lift_is_recomputed(self):
+        # q^(10) + q^(11) truncates to zero at order 6, but q^(-8) lifts it back.
+        expr = parse_expr("(q^(10) + q^(11)) * q^(-8)")
+        assert as_dict(evaluate_expr(expr, order=6)) == {(2, 0): 1, (3, 0): 1}
+
 
 class TestOracleAgreement:
     def test_fractional_product_bases_stay_exact(self):
@@ -513,6 +530,17 @@ class TestSummationLimits:
         spec = parse("identity far { scale 1 order 6 lhs sum(n >= 0, q^(n - 1000)) rhs 0 }")
         assert [f.code for f in validate(spec)] == ["sum-not-settling"]
 
+    @pytest.mark.parametrize("src", [
+        # by hand: the terms at n = 38..42 give 1 + 2q + 2q^4, past the cap 28.
+        "sum(n >= 0, q^((n - 40)^2))",
+        "sum(n in Z, q^((n + 40)^2))",
+    ])
+    def test_exact_bound_past_the_cap_is_not_settling(self, src):
+        with pytest.raises(TerminationError, match="exceeded its index cap"):
+            evaluate_expr(parse_expr(src), order=6)
+        spec = parse(f"identity late40 {{ scale 1 order 6 lhs {src} rhs 1 + 2*q + 2*q^(4) }}")
+        assert [f.code for f in validate(spec)] == ["sum-not-settling"]
+
     def test_loose_bound_past_the_cap_keeps_the_empty_run_rule(self):
         # by hand: q^(n - 40) / (1 - q^(-40)) = -q^n / (1 - q^40), so the sum
         # is -(1 + q + ... + q^6) at order 6 though the bound n - 40 reaches
@@ -571,6 +599,9 @@ class TestSummationLimits:
         # z^(c*n) and z^(c*j), so these rows go the generic way.
         ("appell(n, z * q^(n*n + n), n)", 8),
         ("hecke(n, j, full, z * q^(2*n*n + n - j*j))", 8),
+        # The numerator's exact bound reaches the order past the cap 28, at
+        # n = 40, but 1/(1 + q^(-n)) raises each term by n: the sum is 0.
+        ("appell(n, q^((n - 40)^2) * poch(-q; q, 1), -n)", 6),
     ])
     def test_bounded_sums_match_the_oracle(self, src, order):
         expr = parse_expr(src)

@@ -24,6 +24,7 @@ from baileyforge import (
     render,
     zero,
 )
+from baileyforge.engine import retruncate
 from baileyforge.series import _acc_into, _mul_raw
 
 import oracles
@@ -363,6 +364,109 @@ class TestPochhammer:
         assert s.coefficient(3) == -1
 
 
+# Bases (coeff, zexp, qexp) for multi-base products.
+_base = st.tuples(
+    st.sampled_from([1, -1, 2, -2, F(1, 2)]),
+    st.integers(min_value=-2, max_value=2),
+    st.integers(min_value=0, max_value=6),
+)
+
+
+def _negative_share(ctx, bases, step, length):
+    """Sum of the negative folded factor exponents: the order lift that makes
+    truncated products of the factors exact up to ctx.order."""
+    zq = ctx.z_interp.qexp if ctx.z_interp is not None else 0
+    lift = 0
+    for _, ze, qe in bases:
+        e = qe + ze * zq
+        t = 0
+        while e + t * step < 0 and (length is None or t < length):
+            lift -= e + t * step
+            t += 1
+    return lift
+
+
+def _built(build):
+    try:
+        return build()
+    except ZDegreeError:
+        return None
+
+
+class TestMultiBaseProducts:
+    """poch_finite/poch_infinite on a tuple of bases is the product over them."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(_base, min_size=1, max_size=3).map(tuple),
+           st.integers(min_value=1, max_value=3),
+           st.integers(min_value=0, max_value=10),
+           st.booleans(),
+           st.one_of(st.none(), st.tuples(st.sampled_from([1, -1]),
+                                          st.integers(min_value=-2, max_value=2))))
+    def test_product_of_single_bases(self, bases, step, length, infinite, fold):
+        zi = None if fold is None else Monomial(*fold)
+        ctx = EvalContext(order=12, z_interp=zi)
+        n = None if infinite else length
+        work = EvalContext(order=12 + _negative_share(ctx, bases, step, n), z_interp=zi)
+
+        def poch(b):
+            if infinite:
+                return poch_infinite(work, b, step, strict=False)
+            return poch_finite(work, b, step, length)
+
+        def singles():
+            out = one(work)
+            for b in bases:
+                out = out * poch(b)
+            return out
+
+        got = _built(lambda: poch(bases))
+        want = _built(singles)
+        if want is None:
+            # The reference builds every base; the product stops at a
+            # vanishing factor 1 - q^0 before later bases leave the z region.
+            assert got is None or got.is_zero()
+            return
+        assert got is not None
+        assert retruncate(got, ctx) == retruncate(want, ctx)
+        assert coefficient_types(got) <= {int, F}
+
+    def test_single_base_and_one_tuple_agree(self):
+        assert poch_finite(CTX20, ((1, 1, 0),), 1, 2) == poch_finite(CTX20, (1, 1, 0), 1, 2)
+        pair = poch_finite(CTX20, ((1, 1, 0), (1, -1, 1)), 1, 1)
+        assert todict(pair) == POCH_PAIR_1
+
+    def test_vanishing_base_before_a_divergent_one_gives_zero(self):
+        assert poch_infinite(CTX20, ((1, 0, 0), (2, 0, -1)), 1).is_zero()
+
+    def test_divergent_base_before_a_vanishing_one_raises_its_message(self):
+        with pytest.raises(DivergentProductError) as single:
+            poch_infinite(CTX20, (2, 0, -1), 1)
+        with pytest.raises(DivergentProductError) as pair:
+            poch_infinite(CTX20, ((2, 0, -1), (1, 0, 0)), 1)
+        assert str(pair.value) == str(single.value) == \
+            "infinite product factor (1 - 2*q^-1) has nonpositive order"
+        # Two divergent bases: the first one named, as base by base.
+        with pytest.raises(DivergentProductError, match=r"\(1 - 3\*q\^-2\)"):
+            poch_infinite(CTX20, ((3, 0, -2), (2, 0, -1)), 1)
+
+    def test_precedence_follows_base_order_not_factor_order(self):
+        # (q^-2; q)_5 vanishes at its third factor; z^7 leaves the guard cap
+        # 6 at the first factor of its own base.
+        assert poch_finite(CTX20, ((1, 0, -2), (1, 7, 0)), 1, 5).is_zero()
+        with pytest.raises(ZDegreeError) as single:
+            poch_finite(CTX20, (1, 7, 0), 1, 5)
+        with pytest.raises(ZDegreeError) as pair:
+            poch_finite(CTX20, ((1, 7, 0), (1, 0, -2)), 1, 5)
+        assert str(pair.value) == str(single.value)
+
+    def test_long_two_base_product_is_not_recursive(self):
+        ctx = EvalContext(order=10)
+        s = poch_finite(ctx, ((1, 0, 1), (-1, 0, 1)), 1, 1500)
+        # (q, -q; q)_n = (q^2; q^2)_n, exact to order 10 once n > 10
+        assert s == poch_finite(ctx, (1, 0, 2), 2, 1500)
+
+
 class TestQBinomial:
     def test_small(self):
         qb = qbinomial(CTX20, 4, 2)
@@ -463,3 +567,27 @@ class TestProperties:
                 CTX20, (-1) ** j, j, j * (j - 1) // 2
             )
         assert equal_up_to(lhs, rhs)
+
+
+class TestTrustedProducts:
+    def test_integral_product_of_fractions_holds_ints(self):
+        a = monomial(CTX20, F(1, 2)) + monomial(CTX20, 1, 0, 1)
+        b = monomial(CTX20, 2) - monomial(CTX20, 2, 0, 1)
+        p = a * b
+        assert todict(p) == {(0, 0): 1, (1, 0): 1, (2, 0): -2}
+        assert coefficient_types(p) == {int}
+
+    def test_product_leaving_the_z_region_raises(self):
+        a = monomial(CTX20, 1, 4, 0) + monomial(CTX20, 1, 0, 1)
+        b = monomial(CTX20, 1, 3, 0)
+        with pytest.raises(ZDegreeError) as err:
+            a * b
+        assert str(err.value) == "z-exponent 7 at q-exponent 0 exceeds guard cap 6 (scale 1, order 20)"
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_series, small_series,
+           st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool))
+    def test_products_never_hold_floats(self, ta, tb, c):
+        a, b = build(ta) * c, build(tb) + monomial(CTX20, c)
+        assert coefficient_types(a * b) <= {int, F}
+        assert all(type(v) is int for _, _, v in (a * b).terms() if v == int(v))
