@@ -340,6 +340,9 @@ def main(argv=None) -> int:
     except SeriesError as e:
         print(f"error: {e}", file=sys.stderr)
         return ERROR
+    except Exception as e:  # a fault with no finding of its own still exits 2, not as a traceback
+        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
+        return ERROR
 
 
 if __name__ == "__main__":

@@ -4,23 +4,22 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ..engine import _Budget, retruncate
+from ..engine import _Budget, _qshift, retruncate
 from ..errors import PoleError, RegionError, SpecError, TerminationError
 from ..series import (
     EvalContext,
     Monomial,
     QSeries,
+    binomials,
     monomial,
-    poch_finite,
-    poch_infinite,
     qbinomial,
+    times_binomials,
     zero,
 )
 from ..special import (
     AppellLerchSpec,
     HeckeSpec,
     appell_lerch_sum,
-    geometric_inverse,
     hard_cap,
     hecke_sum,
 )
@@ -34,6 +33,7 @@ from .nodes import (
     Div,
     Hecke,
     IdentitySpec,
+    INeg,
     Mul,
     Neg,
     NumPoly,
@@ -53,26 +53,25 @@ _EMPTY_RUN = 8
 
 
 class _St:
-    """Evaluation frame: context, integer bindings, shared budget and cache."""
+    """Evaluation frame: context, integer bindings and shared budget."""
 
-    __slots__ = ("ctx", "env", "budget", "cache")
+    __slots__ = ("ctx", "env", "budget")
 
-    def __init__(self, ctx: EvalContext, env: dict, budget: _Budget, cache: dict):
+    def __init__(self, ctx: EvalContext, env: dict, budget: _Budget):
         self.ctx = ctx
         self.env = env
         self.budget = budget
-        self.cache = cache
 
     def bind(self, name: str, value: int) -> "_St":
         env = dict(self.env)
         env[name] = value
-        return _St(self.ctx, env, self.budget, self.cache)
+        return _St(self.ctx, env, self.budget)
 
     def lifted(self, lift: int) -> "_St":
         if lift <= 0:
             return self
         ctx = EvalContext(self.ctx.scale, self.ctx.order + lift, self.ctx.z_interp)
-        return _St(ctx, self.env, self.budget, self.cache)
+        return _St(ctx, self.env, self.budget)
 
 
 # -- products ----------------------------------------------------------------
@@ -101,34 +100,28 @@ def _flatten(node, power: int, st: _St, box: list, factors: list):
         factors.append((node, power))
 
 
-def _factor(f, st: _St):
-    """A product factor's series and, for a reusable product, its resolved key."""
-    if isinstance(f, Poch):
-        return _poch_series(st, f.bases, f.step, f.length)
-    if isinstance(f, Theta):
-        return _poch_series(st, f.bases, f.step, None)
-    return _eval(f, st), None
-
-
-def _combine(series_factors, head: QSeries, st: "_St") -> QSeries:
+def _combine(series_factors, head: QSeries) -> QSeries:
     out = head
-    for s, p, fkey in series_factors:
-        ck = None if fkey is None else ("pw", st.ctx.order, fkey, p)
-        piece = st.cache.get(ck) if ck is not None else None
-        if piece is None:
-            piece = s
-            for _ in range(abs(p) - 1):
-                piece = piece * s
-            if p < 0:
-                piece = piece.invert()
-            if ck is not None:
-                st.cache[ck] = piece
+    for s, p in series_factors:
+        piece = s ** abs(p)
+        if p < 0:
+            piece = piece.invert()
         out = out * piece
     return out
 
 
 def _product(node, st: _St) -> QSeries:
-    box = [Fraction(1)]
+    """A product of factors to integer powers, lowered onto the series layer.
+
+    Plain q- and z-powers, scalars and the lead monomials of Pochhammer and
+    theta factors (``binomials``) fuse into one exact head monomial. General
+    factors (sums, qbinom, num, ...) are series multiplied into the head, and
+    general divisors are inverted. The binomial factors of the Pochhammer and
+    theta products are then applied to that product in place: they have
+    valuation 0 and are exact at any order, so only the head and the general
+    factors decide the early exit above the order and the working-order lift.
+    """
+    box = [1]
     raw: list = []
     _flatten(node, 1, st, box, raw)
     scalar = box[0]
@@ -136,28 +129,44 @@ def _product(node, st: _St) -> QSeries:
     # exponent truncates together with its partners instead of one at a time.
     fused_z = 0
     fused_q = 0
-    factors: list = []
+    general: list = []
+    num: list = []
+    den: list = []
+    vanishes = False
     for f, p in raw:
         if isinstance(f, QPow):
             fused_q += p * (st.ctx.scale if f.exp is None else int_eval(f.exp, st.env))
         elif isinstance(f, ZPow):
             fused_z += p * (1 if f.exp is None else int_eval(f.exp, st.env))
+        elif isinstance(f, (Poch, Theta)):
+            (c, ze, qe), runs = binomials(st.ctx, *_poch_args(f, st))
+            if not c:
+                if p < 0:
+                    raise PoleError("division by a vanishing factor")
+                vanishes = True
+                continue
+            if c != 1:
+                scalar *= Fraction(c) ** p
+            fused_z += p * ze
+            fused_q += p * qe
+            (num if p > 0 else den).extend(runs * abs(p))
         else:
-            factors.append((f, p))
+            general.append((f, p))
     zi = st.ctx.z_interp
     fused_min = fused_q + (fused_z * zi.qexp if zi is not None else 0)
-    lift = max(0, -fused_min)
-    if not factors:
+    if not general and not num and not den and not vanishes:
         return monomial(st.ctx, scalar, fused_z, fused_q)
+    # The head is exact at any order; it lifts only against general factors.
+    lift = max(0, -fused_min) if general else 0
     evaluated = []
-    saw_zero = False
+    saw_zero = vanishes
     val = fused_min
-    for f, p in factors:
-        s, fkey = _factor(f, st)
+    for f, p in general:
+        s = _eval(f, st)
         if s.is_zero():
             if p >= 0:
                 saw_zero = True
-                evaluated.append((s, p, None))
+                evaluated.append((s, p))
                 continue
             s = _divisor_above(f, st)
         # The inverse of a factor of valuation v > 0 is exact only up to 2v
@@ -165,27 +174,23 @@ def _product(node, st: _St) -> QSeries:
         contrib = p * s.min_exponent()
         val += contrib
         lift += max(0, -contrib * (2 if p < 0 else 1))
-        evaluated.append((s, p, fkey))
+        evaluated.append((s, p))
     # Valuations add, so a product of nonzero factors above the order is zero.
     if not saw_zero and val > st.ctx.order:
         return zero(st.ctx)
-    if lift == 0:
-        if saw_zero:
-            return zero(st.ctx)
-        head = monomial(st.ctx, scalar, fused_z, fused_q)
-        return _combine(evaluated, head, st)
-    # Negative minimal exponents would eat into the window during the
-    # multiplications, so redo every factor above the order and pull back.
-    wst = st.lifted(lift)
-    evaluated = []
-    for f, p in factors:
-        s, fkey = _factor(f, wst)
-        evaluated.append((s, p, fkey))
-    for s, p, _ in evaluated:
-        if p < 0 and s.is_zero():
-            raise PoleError("division by a vanishing factor")
-    head = monomial(wst.ctx, scalar, fused_z, fused_q)
-    return retruncate(_combine(evaluated, head, wst), st.ctx)
+    wst = st
+    if lift:
+        # Negative minimal exponents would eat into the window during the
+        # multiplications, so redo every general factor above the order.
+        wst = st.lifted(lift)
+        evaluated = [(_eval(f, wst), p) for f, p in general]
+        for s, p in evaluated:
+            if p < 0 and s.is_zero():
+                raise PoleError("division by a vanishing factor")
+    if vanishes or (saw_zero and not lift):
+        return zero(st.ctx)
+    out = _combine(evaluated, monomial(wst.ctx, scalar, fused_z, fused_q))
+    return retruncate(times_binomials(out, num, den), st.ctx)
 
 
 def _divisor_above(f, st: _St) -> QSeries:
@@ -205,44 +210,17 @@ def _divisor_above(f, st: _St) -> QSeries:
         lift = min(2 * lift, top)
 
 
-# -- pochhammer lowering -----------------------------------------------------
-
-
-def _poch_series(st: _St, bases, step_expr, length_expr):
-    """A resolved Pochhammer product and its key (base triples, step, length)."""
-    step = int_eval(step_expr, st.env)
+def _poch_args(f, st: _St):
+    """A Pochhammer or theta factor's base triples, step and length (None: infinite)."""
+    step = int_eval(f.step, st.env)
     if step < 1:
         raise SpecError("product step must be >= 1")
     length = None
-    if length_expr is not None:
-        length = int_eval(length_expr, st.env)
+    if isinstance(f, Poch) and f.length is not None:
+        length = int_eval(f.length, st.env)
         if length < 0:
             raise SpecError("product length must be >= 0")
-    triples = tuple(base_triple(b, st.env, st.ctx.scale) for b in bases)
-    # Nested sums hit the same resolved product many times; scale and z fold
-    # are fixed per evaluation, so the resolved data plus order identify it.
-    key = (triples, step, length)
-    memo_key = ("poch", st.ctx.order, key)
-    hit = st.cache.get(memo_key)
-    if hit is not None:
-        return hit, key
-    lift = 0
-    for c, ze, qe in triples:
-        if ze == 0 or st.ctx.z_interp is not None:
-            eff = qe if ze == 0 else qe + ze * st.ctx.z_interp.qexp
-            t = 0
-            while eff + t * step < 0 and (length is None or t < length):
-                lift += -(eff + t * step)
-                t += 1
-    wctx = st.lifted(lift).ctx
-    if length is None:
-        out = poch_infinite(wctx, triples, step, strict=False)
-    else:
-        out = poch_finite(wctx, triples, step, length)
-    if lift:
-        out = retruncate(out, st.ctx)
-    st.cache[memo_key] = out
-    return out, key
+    return tuple(base_triple(b, st.env, st.ctx.scale) for b in f.bases), step, length
 
 
 # -- summation loops ---------------------------------------------------------
@@ -309,11 +287,36 @@ def _one_sided(st: _St, emit, start: int, direction: int, last=None) -> QSeries:
     return out
 
 
-def _two_sided(st: _St, emit, body, index: str, whole=True) -> QSeries:
-    """A sum over index in Z whose terms are bounded below as body's are."""
-    return (_one_sided(st, emit, 0, 1, _last(st, body, 0, ({index: RAY_T},), whole=whole))
-            + _one_sided(st, emit, -1, -1,
-                         _last(st, body, 1, ({index: growth.mneg(RAY_T)},), whole=whole)))
+def _two_sided(st: _St, emit, body, index: str, den=None) -> QSeries:
+    """A sum over index in Z whose term is body, or body / (1 + q^den)."""
+    out = zero(st.ctx)
+    for start, ray in ((0, RAY_T), (1, growth.mneg(RAY_T))):
+        sub = {index: ray}
+        term, whole = body, True
+        if den is not None:
+            term, whole = _den_term(body, den, sub, st.env, start)
+        direction = -1 if start else 1
+        out = out + _one_sided(st, emit, -start, direction,
+                               _last(st, term, start, (sub,), whole=whole))
+    return out
+
+
+def _den_term(body, den, sub: dict, env: dict, start: int):
+    """A node bounding body / (1 + q^den) along a ray, and whether it is the whole term.
+
+    1/(1 + q^d) has lowest exponent max(0, -d): 0 where d >= 0 and -d where
+    d <= 0. Where den keeps one sign on the whole ray, body or body * q^(-den)
+    has the term's lowest exponent; elsewhere body only bounds it from below.
+    """
+    d = _ray(den, sub, env)
+    if d is not None and len(d) <= 2:
+        slope = d[1] if len(d) > 1 else 0
+        first = d[0] + slope * start
+        if slope >= 0 and first >= 0:
+            return body, True
+        if slope <= 0 and first <= 0:
+            return Mul(left=body, right=QPow(exp=INeg(arg=den))), True
+    return body, False
 
 
 def _chain_sum(node: ChainSum, st: _St) -> QSeries:
@@ -335,25 +338,16 @@ def _chain_sum(node: ChainSum, st: _St) -> QSeries:
     return _one_sided(st, lambda v: level(1, v, st.bind(idxs[0], v)), 0, 1, last)
 
 
-def _apply_den(s: QSeries, dexp: int, ctx: EvalContext) -> QSeries:
-    if dexp > 0:
-        return s * geometric_inverse(ctx, 1, dexp)
+def _den_join(s: QSeries, dexp: int) -> QSeries:
+    """s / (1 + q^dexp), divided in place whatever the valuation of s.
+
+    1/(1 + q^0) is 1/2, and for dexp < 0, 1/(1 + q^dexp) = q^(-dexp) / (1 + q^(-dexp)).
+    """
     if dexp == 0:
         return s * Fraction(1, 2)
-    return s * monomial(ctx, 1, 0, -dexp) * geometric_inverse(ctx, 1, -dexp)
-
-
-def _den_join(body_s: QSeries, dexp: int, st: _St, rebuild) -> QSeries:
-    """Multiply a term by 1/(1+q^dexp) with the exact nonpositive rewrites."""
-    if body_s.is_zero():
-        return body_s
-    m = body_s.min_exponent()
-    if m >= 0:
-        return _apply_den(body_s, dexp, st.ctx)
-    # A negative minimum in the term eats into the window against the
-    # geometric factor, so rebuild the term above the order first.
-    wst = st.lifted(-m)
-    return retruncate(_apply_den(rebuild(wst), dexp, wst.ctx), st.ctx)
+    if dexp < 0:
+        s, dexp = _qshift(s, -dexp), -dexp
+    return times_binomials(s, (), ((-1, 0, dexp, 1, 1),))
 
 
 # -- special-series recognition ----------------------------------------------
@@ -431,28 +425,26 @@ def _match_appell(node: Appell, st: _St):
     if dc.denominator != 1 or ds.denominator != 1:
         return None
     try:
-        spec = AppellLerchSpec(alt, zpow, quad, lin, 1, int(dc), int(ds))
+        # The constant exponent stays in the spec, so the window check sees it.
+        spec = AppellLerchSpec(alt, zpow, quad, lin, 1, int(dc), int(ds), int(cst))
     except ValueError:
         return None
-    return box[0], int(cst), spec
+    return box[0], spec
 
 
 def _appell(node: Appell, st: _St) -> QSeries:
     match = _match_appell(node, st)
     if match is not None:
-        sc, cst, spec = match
+        sc, spec = match
         s = appell_lerch_sum(st.ctx, spec)
-        return s * monomial(st.ctx, sc, 0, cst)
+        return s if sc == 1 else s * sc
 
     def emit(n):
         inner = st.bind(node.index, n)
         d = int_eval(node.den, inner.env)
-        return _den_join(_eval(node.num, inner), d, inner,
-                         lambda w: _eval(node.num, w.bind(node.index, n)))
+        return _den_join(_eval(node.num, inner), d)
 
-    # 1/(1 + q^d) has lowest exponent max(0, -d), so the numerator bounds the
-    # term from below but is not the whole term.
-    return _two_sided(st, emit, node.num, node.index, whole=False)
+    return _two_sided(st, emit, node.num, node.index, node.den)
 
 
 def _match_hecke(node: Hecke, st: _St):
@@ -557,9 +549,7 @@ def _hecke(node: Hecke, st: _St) -> QSeries:
             body = _eval(node.body, inner)
             if node.den is not None:
                 d = int_eval(node.den, inner.env)
-                body = _den_join(body, d, inner,
-                                 lambda w, nn=n, jj=j: _eval(
-                                     node.body, w.bind(node.outer, nn).bind(node.inner, jj)))
+                body = _den_join(body, d)
             row = row + body
         return row
 
@@ -590,10 +580,8 @@ def _eval(node, st: _St) -> QSeries:
         return _eval(node.left, st) + _eval(node.right, st)
     if isinstance(node, Sub):
         return _eval(node.left, st) - _eval(node.right, st)
-    if isinstance(node, (Mul, Div, Pow, Neg)):
+    if isinstance(node, (Mul, Div, Pow, Neg, Poch, Theta)):
         return _product(node, st)
-    if isinstance(node, (Poch, Theta)):
-        return _factor(node, st)[0]
     if isinstance(node, QBinom):
         return qbinomial(st.ctx, int_eval(node.top, st.env), int_eval(node.bottom, st.env))
     if isinstance(node, ChainSum):
@@ -652,7 +640,7 @@ def evaluate(spec: IdentitySpec, bindings: dict | None = None, side: str = "lhs"
         raise SpecError("side must be 'lhs' or 'rhs'")
     env = bindings_env(spec, bindings)
     ctx = context_for(spec, env, order)
-    st = _St(ctx, env, _Budget(max_terms), {})
+    st = _St(ctx, env, _Budget(max_terms))
     expr = spec.lhs if side == "lhs" else spec.rhs
     try:
         return _eval(expr, st)
@@ -664,7 +652,7 @@ def evaluate_expr(expr, scale: int = 1, order: int = 50, z_interp: Monomial | No
                   env: dict | None = None, max_terms: int | None = None) -> QSeries:
     """Evaluate a bare expression node to a truncated series."""
     ctx = EvalContext(scale, order, z_interp)
-    st = _St(ctx, dict(env or {}), _Budget(max_terms), {})
+    st = _St(ctx, dict(env or {}), _Budget(max_terms))
     try:
         return _eval(expr, st)
     except KeyError as e:

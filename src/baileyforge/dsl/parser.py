@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+from dataclasses import fields
 from fractions import Fraction
 
 from ..errors import DslSyntaxError
@@ -12,6 +13,7 @@ from .nodes import (
     BilateralSum,
     ChainSum,
     Div,
+    Expr,
     Hecke,
     IAdd,
     IBinom,
@@ -86,6 +88,12 @@ _TOKEN = re.compile(
 
 _CALLS = ("poch", "theta", "qbinom", "sum", "num", "appell", "hecke", "binom")
 
+# Deepest expression the parser accepts, counting both the nesting it
+# recurses through and the depth of the tree it builds. Every later walk of
+# a tree (evaluation, bounds, validation, printing) recurses a few frames a
+# level, so this keeps them all far below the interpreter's recursion limit.
+MAX_DEPTH = 100
+
 
 def _tokenize(text: str):
     toks = []
@@ -114,6 +122,7 @@ class _Parser:
         self.toks = _tokenize(text)
         self.i = 0
         self.scale = 1
+        self.nest = 0
 
     # -- token plumbing --
 
@@ -141,6 +150,35 @@ class _Parser:
         line, col = _linecol(self.text, start)
         raise DslSyntaxError(message, line, col, (start, max(end, start + 1)))
 
+    # -- depth guard --
+
+    def nested(self, parse):
+        """Run a parse step one level deeper; the outermost step checks its tree."""
+        self.nest += 1
+        if self.nest > MAX_DEPTH:
+            self.fail(f"expression nested deeper than {MAX_DEPTH} levels")
+        node = parse()
+        self.nest -= 1
+        if not self.nest:
+            self.check_depth(node)
+        return node
+
+    def check_depth(self, root) -> None:
+        """Reject a tree deeper than MAX_DEPTH at the first node past it."""
+        stack = [(root, 1)]
+        while stack:
+            node, depth = stack.pop()
+            if depth > MAX_DEPTH:
+                start, end = node.span.start, node.span.end
+                line, col = _linecol(self.text, start)
+                raise DslSyntaxError(f"expression nested deeper than {MAX_DEPTH} levels",
+                                     line, col, (start, max(end, start + 1)))
+            for f in fields(node):
+                value = getattr(node, f.name)
+                for child in value if isinstance(value, tuple) else (value,):
+                    if isinstance(child, (Expr, IntExpr)):
+                        stack.append((child, depth + 1))
+
     def name(self, what: str = "name") -> tuple:
         kind, tok, start, end = self.peek()
         if kind != "name":
@@ -164,6 +202,9 @@ class _Parser:
     # -- integer polynomials --
 
     def intexpr(self) -> IntExpr:
+        return self.nested(self.isum)
+
+    def isum(self) -> IntExpr:
         start = self.peek()[2]
         e = self.iterm()
         while self.at("+") or self.at("-"):
@@ -186,7 +227,7 @@ class _Parser:
         start = self.peek()[2]
         if self.at("-"):
             self.take()
-            arg = self.ifactor()
+            arg = self.nested(self.ifactor)
             return INeg(arg=arg, span=self.span(start))
         e = self.iatom()
         if self.at("^"):
@@ -222,7 +263,10 @@ class _Parser:
 
     # -- series expressions --
 
-    def expr(self) -> "Expr":
+    def expr(self) -> Expr:
+        return self.nested(self.sum_expr)
+
+    def sum_expr(self) -> Expr:
         start = self.peek()[2]
         e = self.term()
         while self.at("+") or self.at("-"):
@@ -246,7 +290,7 @@ class _Parser:
         start = self.peek()[2]
         if self.at("-"):
             self.take()
-            arg = self.factor()
+            arg = self.nested(self.factor)
             return Neg(arg=arg, span=self.span(start))
         return self.primary()
 

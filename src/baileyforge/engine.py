@@ -24,14 +24,16 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
 
-from .errors import BudgetError, NegativeFloorError, TerminationError
+from .errors import BudgetError, NegativeFloorError, NonUnitLeadingError, TerminationError
 from .series import (
     EvalContext,
     QSeries,
+    binomials,
     monomial,
     one,
     poch_finite,
     poch_infinite,
+    times_binomials,
     zero,
 )
 from .special import geometric_inverse, hard_cap
@@ -128,14 +130,18 @@ def _zfold(ctx: EvalContext) -> int:
     return zi.qexp if zi is not None else 0
 
 
+def _over_poch(s: QSeries, base, step: int, length) -> QSeries:
+    """s / (base; q^step)_length (length None: the infinite product), divided in place."""
+    (c, ze, qe), runs = binomials(s.ctx, base, step, length)
+    if not c:
+        raise NonUnitLeadingError("cannot invert the zero series")
+    return times_binomials(s, (), runs, (Fraction(1) / c, -ze, -qe))
+
+
 @lru_cache(maxsize=None)
 def _inv_poch(ctx, base, step, length):
-    return poch_finite(ctx, base, step, length).invert()
-
-
-@lru_cache(maxsize=None)
-def _inv_poch_inf(ctx, base, step):
-    return poch_infinite(ctx, base, step, strict=False).invert()
+    """1 / (base; q^step)_length; length None is the infinite product."""
+    return _over_poch(one(ctx), base, step, length)
 
 
 def _inv_one_plus(ctx: EvalContext, qexp: int) -> QSeries:
@@ -154,6 +160,14 @@ def poch_signed(ctx: EvalContext, base, step: int, n: int) -> QSeries:
     c, ze, qe = base
     m = -n
     return _inv_poch(ctx, (Fraction(c), ze, qe - m * step), step, m)
+
+
+def _over_poch_signed(s: QSeries, base, step: int, n: int) -> QSeries:
+    """s / poch_signed(base, step, n): an in-place division, or for n < 0 a product."""
+    if n >= 0:
+        return _over_poch(s, base, step, n)
+    c, ze, qe = base
+    return s * poch_finite(s.ctx, (c, ze, qe + n * step), step, -n)
 
 
 def poch_signed_min(qe: int, step: int, n: int) -> int:
@@ -211,7 +225,7 @@ def key_pair(ctx: EvalContext, dilation: int | None = None) -> BilateralPair:
 
     def limit() -> QSeries:
         prod = poch_infinite(ctx, ((1, 1, 0), (1, -1, r)), r, strict=False)
-        return prod * _inv_poch_inf(ctx, (Fraction(1), 0, r), r)
+        return prod * _inv_poch(ctx, (Fraction(1), 0, r), r, None)
 
     return BilateralPair(
         ctx, r, _memo_seq(alpha), _memo_seq(beta), floor, _memo_thunk(limit), "key"
@@ -400,7 +414,7 @@ class _Weights:
         out = w.beta_weight(n)
         for p in (self.x, self.y):
             if p is not INFINITE:
-                out = out * poch_signed(wctx, (p.sign, 0, r - p.qexp), r, n).invert()
+                out = _over_poch_signed(out, (p.sign, 0, r - p.qexp), r, n)
         return retruncate(out, ctx)
 
     def alpha_weight_min(self, n: int) -> int:
@@ -412,14 +426,14 @@ class _Weights:
 
     def prefactor(self) -> QSeries:
         ctx, r = self.ctx, self.r
-        out = _inv_poch_inf(ctx, (Fraction(1), 0, r), r)
+        out = _inv_poch(ctx, (Fraction(1), 0, r), r, None)
         for p in (self.x, self.y):
             if p is not INFINITE:
                 out = out * poch_infinite(ctx, (p.sign, 0, r - p.qexp), r, strict=False)
         if self.x is not INFINITE and self.y is not INFINITE:
             sigma = self.x.sign * self.y.sign
             kappa = r - self.x.qexp - self.y.qexp
-            out = out * _inv_poch_inf(ctx, (Fraction(sigma), 0, kappa), r)
+            out = out * _inv_poch(ctx, (Fraction(sigma), 0, kappa), r, None)
         return out
 
     def abel_sign(self):
@@ -491,7 +505,7 @@ def weak_lemma_eval(pair: BilateralPair, variant: str):
     ctx, r = pair.ctx, pair.dilation
     budget = _Budget()
     cap = hard_cap(ctx)
-    inv_euler = _inv_poch_inf(ctx, (Fraction(1), 0, r), r)
+    inv_euler = _inv_poch(ctx, (Fraction(1), 0, r), r, None)
 
     def beta_sum(weight, weight_min):
         acc = zero(ctx)
@@ -540,8 +554,8 @@ def weak_lemma_eval(pair: BilateralPair, variant: str):
 
         lim = poch_infinite(ctx, (1, 0, r), 2 * r) * pair.beta_limit()
         lhs = _abel_alternating(ctx, term, lim, budget) * 2
-        pref = poch_infinite(ctx, (1, 0, r), 2 * r) * _inv_poch_inf(
-            ctx, (Fraction(1), 0, 2 * r), 2 * r
+        pref = poch_infinite(ctx, (1, 0, r), 2 * r) * _inv_poch(
+            ctx, (Fraction(1), 0, 2 * r), 2 * r, None
         )
         rhs = pref * alpha_sum(lambda n: monomial(ctx, (-1) ** (n % 2)), lambda n: 0)
         return lhs, rhs
@@ -616,7 +630,7 @@ def chain_step(pair: BilateralPair) -> BilateralPair:
             lambda v: r * v * v, ctx.order, hard_cap(ctx), bilateral=False, budget=budget
         ):
             acc = acc + monomial(ctx, 1, 0, r * j * j) * pair.beta(j)
-        return _inv_poch_inf(ctx, (Fraction(1), 0, r), r) * acc
+        return _inv_poch(ctx, (Fraction(1), 0, r), r, None) * acc
 
     return BilateralPair(
         ctx, r, _memo_seq(alpha), _memo_seq(beta), floor, _memo_thunk(limit),
@@ -633,13 +647,6 @@ def general_chain_step(pair: BilateralPair, x, y) -> BilateralPair:
     else:
         kernel_base = None
 
-    def denom(n: int) -> QSeries:
-        out = one(ctx)
-        for p in (x, y):
-            if p is not INFINITE:
-                out = out * poch_signed(ctx, (p.sign, 0, r - p.qexp), r, n)
-        return out
-
     def alpha(n: int) -> QSeries:
         return w.alpha_weight(n) * pair.alpha(n)
 
@@ -653,7 +660,10 @@ def general_chain_step(pair: BilateralPair, x, y) -> BilateralPair:
             if kernel_base is not None:
                 t = t * poch_finite(ctx, kernel_base, r, n - j)
             acc = acc + t
-        return acc * denom(n).invert()
+        for p in (x, y):
+            if p is not INFINITE:
+                acc = _over_poch(acc, (p.sign, 0, r - p.qexp), r, n)
+        return acc
 
     def floor(n: int) -> int:
         return w.alpha_weight_min(n) + pair.alpha_floor(n)
@@ -668,12 +678,12 @@ def general_chain_step(pair: BilateralPair, x, y) -> BilateralPair:
                 w.beta_weight_min, ctx.order, hard_cap(ctx), bilateral=False, budget=budget
             ):
                 core = core + w.beta_weight(j) * pair.beta(j)
-        out = core * _inv_poch_inf(ctx, (Fraction(1), 0, r), r)
+        out = core * _inv_poch(ctx, (Fraction(1), 0, r), r, None)
         if kernel_base is not None:
             out = out * poch_infinite(ctx, kernel_base, r, strict=False)
         for p in (x, y):
             if p is not INFINITE:
-                out = out * _inv_poch_inf(ctx, (Fraction(p.sign), 0, r - p.qexp), r)
+                out = out * _inv_poch(ctx, (Fraction(p.sign), 0, r - p.qexp), r, None)
         return out
 
     return BilateralPair(
@@ -717,7 +727,7 @@ def lattice_djk(pair: BilateralPair) -> BilateralPair:
         ):
             t = poch_finite(ctx, (-1, 0, 0), s, 2 * j) * monomial(ctx, 1, 0, s * j)
             acc = acc + t * pair.beta(j)
-        return _inv_poch_inf(ctx, (Fraction(1), 0, 2 * s), 2 * s) * acc
+        return _inv_poch(ctx, (Fraction(1), 0, 2 * s), 2 * s, None) * acc
 
     return BilateralPair(
         ctx, s, _memo_seq(alpha), _memo_seq(beta), floor, _memo_thunk(limit),
@@ -789,7 +799,7 @@ def definition_limit_eval(pair: BilateralPair):
         pair.alpha_floor, ctx.order, hard_cap(ctx), bilateral=True, budget=budget
     ):
         acc = acc + pair.alpha(n)
-    inv_e = _inv_poch_inf(ctx, (Fraction(1), 0, r), r)
+    inv_e = _inv_poch(ctx, (Fraction(1), 0, r), r, None)
     return pair.beta_limit(), inv_e * inv_e * acc
 
 

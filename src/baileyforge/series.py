@@ -42,6 +42,8 @@ __all__ = [
     "poch_finite",
     "poch_infinite",
     "qbinomial",
+    "binomials",
+    "times_binomials",
     "dilate",
     "equal_up_to",
     "first_mismatch",
@@ -206,7 +208,7 @@ class QSeries:
                 return zero(self.ctx)
             return QSeries(
                 self.ctx,
-                {qe: {ze: v * c for ze, v in zd.items()} for qe, zd in self._c.items()},
+                _ints({qe: {ze: v * c for ze, v in zd.items()} for qe, zd in self._c.items()}),
                 _trusted=True,
             )
         other = self._comp(other)
@@ -221,14 +223,15 @@ class QSeries:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("series power must be a nonnegative integer")
-        out = one(self.ctx)
+        out = None
         base = self
         while n:
             if n & 1:
-                out = out * base
-            base = base * base if n > 1 else base
+                out = base if out is None else out * base
             n >>= 1
-        return out
+            if n:
+                base = base * base
+        return one(self.ctx) if out is None else out
 
     def invert(self) -> "QSeries":
         """Multiplicative inverse; needs a single-monomial lowest slice.
@@ -271,7 +274,7 @@ class QSeries:
             for n, bn in enumerate(b)
             if bn
         }
-        return QSeries(self.ctx, res, _trusted=True)
+        return QSeries(self.ctx, _ints(res), _trusted=True)
 
 
 def _exact(c) -> int | Fraction:
@@ -363,6 +366,197 @@ def _fold(ctx: EvalContext, c, ze: int, qe: int):
     return (-c if zi.sign == -1 and ze % 2 else c), 0, qe + ze * zi.qexp
 
 
+# -- binomial factors ---------------------------------------------------------
+
+
+def _bases(ctx: EvalContext, base) -> tuple:
+    """One base triple or a tuple of them, as exact triples folded under ctx."""
+    if base and not isinstance(base[0], (tuple, list)):
+        base = (base,)
+    return tuple(_fold(ctx, _exact(c), int(ze), int(qe)) for c, ze, qe in base)
+
+
+def binomials(ctx: EvalContext, base, step: int, length, *, strict: bool = False):
+    """prod_{t<length} prod_b (1 - b*q^(t*step)) as a monomial times runs of binomials.
+
+    base is one triple b = (coeff, zexp, qexp) or a tuple of them; length
+    None is the infinite product. The result (lead, runs) reads the product
+    as lead * prod_{u<count} (1 - c*z^a*q^(e + u*d)) over the runs
+    (c, a, e, d, count): lead = (coeff, zexp, qexp) is a monomial, count is
+    None for a run without end, and every run is folded under ctx, starts
+    at e >= 0 and is not a pure scalar. Runs keep no order: whoever applies
+    them stops each where its exponents pass the order (``times_binomials``).
+
+    A factor with e < 0 is rewritten as -c*z^a*q^e * (1 - z^-a*q^-e/c) and
+    its monomial joins lead; a pure scalar 1 - c joins lead's coefficient,
+    which is 0 when the product vanishes. A formal z-power past the guard
+    cap raises ZDegreeError. Under strict, an infinite product with a pure-q
+    factor of nonpositive order raises DivergentProductError unless that
+    factor is 1 - q^0.
+    """
+    if step < 1:
+        raise ValueError("product step must be >= 1")
+    lc, lz, lq = 1, 0, 0
+    runs: list = []
+    for c, a, e0 in _bases(ctx, base):
+        if not c or length == 0:
+            continue
+        if length is None and strict and not a and e0 <= 0 and not (c == 1 and e0 == 0):
+            raise DivergentProductError(
+                f"infinite product factor (1 - {c}*q^{e0}) has nonpositive order"
+            )
+        if a and abs(a) > ctx.z_cap and e0 <= ctx.order:
+            _check_keys(ctx, {e0: {a: c}})
+        # Factors up to q^0 are rewritten one by one; the rest form one run.
+        t = 0
+        while (length is None or t < length) and e0 + t * step <= 0:
+            e = e0 + t * step
+            if e < 0:
+                lc, lz, lq = -c * lc, lz + a, lq + e
+                runs.append((_exact(1 / Fraction(c)), -a, -e, 1, 1))
+            elif a:
+                runs.append((c, a, 0, 1, 1))
+            else:
+                lc = _exact(lc * (1 - c))
+                if not lc:
+                    return (0, 0, 0), []
+            t += 1
+        if length is None or t < length:
+            runs.append((c, a, e0 + t * step, step, None if length is None else length - t))
+    return (lc, lz, lq), runs
+
+
+def _factors(runs, n: int) -> list:
+    """The factors (c, a, e) of runs with e < n."""
+    out = []
+    for c, a, e, d, count in runs:
+        stop = n if count is None else min(n, e + count * d)
+        out.extend([(c, a, x) for x in range(e, stop, d)])
+    return out
+
+
+def times_binomials(s: QSeries, num=(), den=(), lead=(1, 0, 0)) -> QSeries:
+    """s * lead * prod_num / prod_den of runs of binomials, at s's order.
+
+    lead = (coeff, zexp, qexp) is a folded monomial, and num and den hold
+    folded runs (c, a, e, d, count) of factors 1 - c*z^a*q^(e + u*d) with
+    e >= 0, as ``binomials`` gives them. The table is copied once, shifted
+    by lead. Each numerator factor is then applied by a descending pass
+    row[i] -= c*z^a*row[i-e], and each divisor by the ascending recurrence
+    row[i] += c*z^a*row[i-e]; factors past the order of the copy are 1
+    there. Both passes are exact at the order whatever the valuation of s,
+    so no factor lifts the order, needs a series of its own or reaches
+    ``QSeries.invert``. The shift by lead is exact when its exponent is
+    >= 0 or s is a monomial. A divisor needs e > 0: 1 - c*z^a with no
+    q-power is not a unit.
+    """
+    ctx = s.ctx
+    for _, a, e, _, _ in den:
+        if e <= 0:
+            raise NonUnitLeadingError(
+                f"divisor 1 - c*z^{a}*q^{e} has no positive q-exponent"
+            )
+    lc, lz, lq = lead
+    lc = _exact(lc)
+    if not s._c or not lc:
+        return zero(ctx)
+    lo = min(s._c) + lq
+    n = ctx.order - lo + 1
+    if n <= 0:
+        return zero(ctx)
+    # A factor without z acts on each z-column alone: a pass over one dense
+    # list of coefficients, q-exponents lo .. lo + n - 1.
+    cols: dict = {}
+    for e, zd in s._c.items():
+        i = e + lq - lo
+        if i < n:
+            for z, v in zd.items():
+                col = cols.get(z + lz)
+                if col is None:
+                    col = cols[z + lz] = [0] * n
+                col[i] = v * lc
+    num = _factors(num, n)
+    den = _factors(den, n)
+    qnum = [f for f in num if not f[1]]
+    qden = [f for f in den if not f[1]]
+    for col in cols.values():
+        _column_passes(col, qnum, qden)
+    znum = [f for f in num if f[1]]
+    zden = [f for f in den if f[1]]
+    if znum or zden:
+        data = _row_passes(cols, n, lo, znum, zden)
+    else:
+        data = {}
+        for z, col in cols.items():
+            for i, v in enumerate(col):
+                if v:
+                    data.setdefault(lo + i, {})[z] = v
+    return QSeries(ctx, _ints(data), _trusted=True)
+
+
+def _column_passes(a: list, num, den) -> None:
+    """Apply pure-q factors to one dense coefficient list, in place."""
+    n = len(a)
+    for c, _, e in num:
+        if not e:
+            a[:] = [x - c * x for x in a]
+            continue
+        for i in range(n - 1, e - 1, -1):
+            v = a[i - e]
+            if v:
+                a[i] -= c * v
+    for c, _, e in den:
+        for i in range(e, n):
+            v = a[i - e]
+            if v:
+                a[i] += c * v
+
+
+def _row_passes(cols: dict, n: int, lo: int, num, den) -> dict:
+    """Apply factors carrying z to z-Laurent rows (dicts), one per q-exponent."""
+    rows: list = [None] * n
+    for z, col in cols.items():
+        for i, v in enumerate(col):
+            if v:
+                row = rows[i]
+                if row is None:
+                    rows[i] = {z: v}
+                else:
+                    row[z] = v
+    for c, a, e in num:
+        if not e:
+            for i, row in enumerate(rows):
+                if row:
+                    rows[i] = _axpy(dict(row), row, -c, a)
+            continue
+        for i in range(n - 1, e - 1, -1):
+            src = rows[i - e]
+            if src:
+                rows[i] = _axpy(rows[i], src, -c, a)
+    for c, a, e in den:
+        for i in range(e, n):
+            src = rows[i - e]
+            if src:
+                rows[i] = _axpy(rows[i], src, c, a)
+    data: dict = {}
+    for i, row in enumerate(rows):
+        if row:
+            row = {z: v for z, v in row.items() if v}
+            if row:
+                data[lo + i] = row
+    return data
+
+
+def _axpy(row, src: dict, c, a: int) -> dict:
+    """row + c * z^a * src, into row unless it is None; zeros are kept."""
+    if row is None:
+        return {z + a: c * v for z, v in src.items()}
+    get = row.get
+    for z, v in src.items():
+        row[z + a] = get(z + a, 0) + c * v
+    return row
+
+
 # Longest chain of uncached prefixes one poch_finite call builds recursively:
 # far below the interpreter's recursion limit, and above every product
 # length the catalog reaches at its shipped orders (117), so those products
@@ -371,20 +565,20 @@ _POCH_STRIDE = 128
 
 
 def poch_finite(ctx: EvalContext, base, step: int, length: int) -> QSeries:
-    """Finite product prod_{t<length} prod_b (1 - b*q^(t*step)).
+    """Finite product prod_{t<length} prod_b (1 - b*q^(t*step)), exact to the order.
 
     base is one triple b = (coeff, zexp, qexp) or a tuple of them, and the
-    result is the product over all of them, built one binomial factor at a
-    time. It is exact to the order when every folded factor exponent is
-    >= 0; otherwise the caller works at an order lifted by the negative
-    exponents and retruncates, as the DSL evaluator does.
+    result is the product over all of them. A factor below q^0 joins the
+    lead monomial (``binomials``), so the product is exact whatever the
+    signs of its exponents.
     """
     if length < 0:
         raise ValueError("poch_finite length must be >= 0")
     if step < 1:
         raise ValueError("poch_finite step must be >= 1")
     bases = _bases(ctx, base)
-    if _vanishes(ctx, bases, step, length, False):
+    # Vanishing and the z guard follow the bases in order, as one build would.
+    if not binomials(ctx, bases, step, length)[0][0]:
         return zero(ctx)
     # Each prefix is built from the cached one before it, recursively.
     # Warming every _POCH_STRIDE-th prefix in increasing length first keeps
@@ -395,107 +589,35 @@ def poch_finite(ctx: EvalContext, base, step: int, length: int) -> QSeries:
     return _poch_finite_cached(ctx, bases, step, length)
 
 
-def _bases(ctx: EvalContext, base) -> tuple:
-    """One base triple or a tuple of them, as exact triples folded under ctx."""
-    if base and not isinstance(base[0], (tuple, list)):
-        base = (base,)
-    return tuple(_fold(ctx, _exact(c), int(ze), int(qe)) for c, ze, qe in base)
-
-
-def _vanishes(ctx: EvalContext, bases, step: int, length, strict: bool) -> bool:
-    """True when a factor 1 - q^0 makes the product over folded bases vanish.
-
-    length is None for an infinite product. Bases are scanned in order and
-    each base's factors in t order, so a product vanishes or raises where a
-    base-by-base build would: a formal z-power past the guard cap raises
-    ZDegreeError, and under strict a pure-q factor of nonpositive order
-    raises DivergentProductError unless it is 1 - q^0.
-    """
-    if length == 0:
-        return False
-    for c, ze, qe in bases:
-        if qe > ctx.order:
-            continue
-        if ze:
-            if c:
-                _check_keys(ctx, {qe: {ze: c}})
-        elif qe <= 0:
-            if strict and not (c == 1 and qe == 0):
-                raise DivergentProductError(
-                    f"infinite product factor (1 - {c}*q^{qe}) has nonpositive order"
-                )
-            if c == 1 and qe % step == 0 and (length is None or -qe // step < length):
-                return True
-    return False
-
-
-def _times_binomial(s: QSeries, c, ze: int, qe: int) -> QSeries:
-    """s * (1 - c*z^ze*q^qe) for a folded factor, truncated at the order.
-
-    A factor whose monomial lies above the order truncates to 1.
-    """
-    order = s.ctx.order
-    if not c or qe > order:
-        return s
-    out = {e: dict(zd) for e, zd in s._c.items()}
-    for e, zd in s._c.items():
-        te = e + qe
-        if te > order:
-            continue
-        row = out.setdefault(te, {})
-        for z, v in zd.items():
-            tz = z + ze
-            x = row.get(tz, _ZERO) - c * v
-            if type(x) is not int and x.denominator == 1:
-                x = x.numerator
-            if x:
-                row[tz] = x
-            elif tz in row:
-                del row[tz]
-        if not row:
-            del out[te]
-    return QSeries(s.ctx, out, _trusted=True)
-
-
 @lru_cache(maxsize=None)
 def _poch_finite_cached(ctx, bases, step, length):
-    if length == 0:
-        return one(ctx)
-    out = _poch_finite_cached(ctx, bases, step, length - 1)
     shift = (length - 1) * step
-    for c, ze, qe in bases:
-        out = _times_binomial(out, c, ze, qe + shift)
-    return out
+    if length and all(qe + shift >= 0 for _, _, qe in bases):
+        # The last factors have exponents >= 0: extend the exact prefix.
+        last = [(c, ze, qe + shift, 1, 1) for c, ze, qe in bases if c]
+        return times_binomials(_poch_finite_cached(ctx, bases, step, length - 1), last)
+    lead, factors = binomials(ctx, bases, step, length)
+    return times_binomials(monomial(ctx, *lead), factors)
 
 
 def poch_infinite(ctx: EvalContext, base, step: int, *, strict: bool = True) -> QSeries:
-    """Infinite product prod_{t>=0} prod_b (1 - b*q^(t*step)).
+    """Infinite product prod_{t>=0} prod_b (1 - b*q^(t*step)), exact to the order.
 
     base is one triple b = (coeff, zexp, qexp) or a tuple of them, and the
-    result is the product over all of them, built one binomial factor at a
-    time; factors beyond the truncation order are dropped. It is exact to
-    the order when every folded factor exponent is >= 0; otherwise the
-    caller lifts, as for poch_finite. A factor whose folded form is pure-q
-    with nonpositive exponent is exact but signals a product outside the
-    usual convergence region; strict mode rejects it unless the factor is
-    identically zero (which collapses the product).
+    result is the product over all of them; factors beyond the truncation
+    order are dropped and a factor below q^0 joins the lead monomial
+    (``binomials``). A factor whose folded form is pure-q with nonpositive
+    exponent signals a product outside the usual convergence region;
+    strict mode rejects it unless the factor is identically zero (which
+    collapses the product).
     """
-    if step < 1:
-        raise ValueError("poch_infinite step must be >= 1")
     return _poch_infinite_cached(ctx, _bases(ctx, base), step, strict)
 
 
 @lru_cache(maxsize=None)
 def _poch_infinite_cached(ctx, bases, step, strict):
-    if _vanishes(ctx, bases, step, None, strict):
-        return zero(ctx)
-    out = one(ctx)
-    # Folded exponents grow with t, so every factor past `last` is above the order.
-    last = max(((ctx.order - qe) // step for _, _, qe in bases), default=-1)
-    for t in range(last + 1):
-        for c, ze, qe in bases:
-            out = _times_binomial(out, c, ze, qe + t * step)
-    return out
+    lead, factors = binomials(ctx, bases, step, None, strict=strict)
+    return times_binomials(monomial(ctx, *lead), factors)
 
 
 def qbinomial(ctx: EvalContext, n: int, k: int) -> QSeries:
@@ -507,10 +629,12 @@ def qbinomial(ctx: EvalContext, n: int, k: int) -> QSeries:
 
 @lru_cache(maxsize=None)
 def _qbinomial_cached(ctx, n, k):
+    # (Q;Q)_n / ((Q;Q)_k (Q;Q)_(n-k)) with Q = q^scale: after cancelling
+    # (Q;Q)_(n-k), the factors 1 - Q^(n-k+i) over 1 - Q^i for i = 1..k,
+    # divided in place.
     d = ctx.scale
-    num = poch_finite(ctx, (1, 0, d), d, n)
-    den = poch_finite(ctx, (1, 0, d), d, k) * poch_finite(ctx, (1, 0, d), d, n - k)
-    return num * den.invert()
+    k = min(k, n - k)
+    return times_binomials(one(ctx), [(1, 0, d * (n - k + 1), d, k)], [(1, 0, d, d, k)])
 
 
 def dilate(s: QSeries, m: int) -> QSeries:

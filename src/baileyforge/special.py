@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import PoleError, RegionError, TerminationError
-from .series import EvalContext, QSeries, monomial, one, poch_infinite, zero
+from .errors import NonUnitLeadingError, PoleError, RegionError, TerminationError
+from .series import EvalContext, QSeries, binomials, monomial, one, times_binomials, zero
 
 __all__ = [
     "ThetaProductSpec",
@@ -45,12 +45,24 @@ class ThetaProductSpec:
 
 
 def theta_product(ctx: EvalContext, numerator, denominator=(), *, strict: bool = True) -> QSeries:
-    out = one(ctx)
-    for base, step in numerator:
-        out = out * poch_infinite(ctx, base, step, strict=strict)
-    for base, step in denominator:
-        out = out * poch_infinite(ctx, base, step, strict=strict).invert()
-    return out
+    """The quotient of infinite products, applied factor by factor to its lead monomial."""
+    lc, lz, lq = Fraction(1), 0, 0
+    num: list = []
+    den: list = []
+    vanishes = False
+    for parts, power, runs in ((numerator, 1, num), (denominator, -1, den)):
+        for base, step in parts:
+            (c, ze, qe), rs = binomials(ctx, base, step, None, strict=strict)
+            if not c:
+                if power < 0:
+                    raise NonUnitLeadingError("cannot invert the zero series")
+                vanishes = True
+                continue
+            lc, lz, lq = lc * Fraction(c) ** power, lz + power * ze, lq + power * qe
+            runs.extend(rs)
+    if vanishes:
+        return zero(ctx)
+    return times_binomials(monomial(ctx, lc, lz, lq), num, den)
 
 
 def jtp_sum(ctx: EvalContext, w, step: int) -> QSeries:
@@ -111,7 +123,7 @@ def _geom_tail(ctx: EvalContext, coeff, zexp: int, qexp: int, sign: int, dexp: i
 
 @dataclass(frozen=True)
 class AppellLerchSpec:
-    """Bilateral sum of (-1)^(alt*n) z^(zpow*n) q^(quad*n^2+lin*n) / (1 + den_sign*q^(den_coef*n+den_shift)).
+    """Bilateral sum of (-1)^(alt*n) z^(zpow*n) q^(quad*n^2+lin*n+const) / (1 + den_sign*q^(den_coef*n+den_shift)).
 
     quad/lin are Fractions in scaled units; the exponent must be integral for
     every n, so 2*quad and quad+lin are integers. quad > 0 drives termination.
@@ -124,6 +136,7 @@ class AppellLerchSpec:
     den_sign: int
     den_coef: int
     den_shift: int = 0
+    const: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "quad", Fraction(self.quad))
@@ -139,7 +152,7 @@ class AppellLerchSpec:
 
     def exponent(self, n: int) -> int:
         e = self.quad * n * n + self.lin * n
-        return int(e)
+        return int(e) + self.const
 
 
 def appell_lerch_sum(ctx: EvalContext, spec: AppellLerchSpec) -> QSeries:

@@ -26,7 +26,14 @@ from baileyforge.dsl import (
     validate,
 )
 from baileyforge.dsl.growth import last_index, mvar, term_bounds
-from baileyforge.errors import BudgetError, DslSyntaxError, SpecError, TerminationError
+from baileyforge.errors import (
+    BudgetError,
+    DslSyntaxError,
+    NonUnitLeadingError,
+    PoleError,
+    SpecError,
+    TerminationError,
+)
 from baileyforge.oracle import brute_force_expand, expand_expr
 from baileyforge.series import EvalContext
 from baileyforge.special import hard_cap
@@ -91,6 +98,23 @@ class TestParsing:
         again = parse(printed)
         assert again == spec
         assert pretty_print(again) == printed
+
+    @pytest.mark.parametrize("src,col", [
+        ("(" * 400 + "q" + ")" * 400, 101),
+        ("(" + "-" * 400 + "q)", 101),
+        ("q^(" + "(" * 400 + "1" + ")" * 400 + ")", 103),
+        # A flat product builds a left-deep tree; factor 2901, at column
+        # 5801, is the right operand of the product at depth 100.
+        ("*".join(["q"] * 3000), 5801),
+    ], ids=["parentheses", "negations", "exponent", "product"])
+    def test_deep_expression_is_a_located_syntax_error(self, src, col):
+        with pytest.raises(DslSyntaxError, match="nested deeper than 100 levels") as err:
+            parse_expr(src)
+        assert (err.value.line, err.value.col) == (1, col)
+
+    def test_expression_at_the_depth_limit_evaluates(self):
+        expr = parse_expr("*".join(["q"] * 100))
+        assert as_dict(evaluate_expr(expr, order=100)) == {(100, 0): 1}
 
     def test_expr_round_trip(self):
         e = parse_expr("sum(n in Z, (-1)^(n) * z^(n) * q^(2*binom(n,2) + n))")
@@ -493,6 +517,39 @@ class TestOracleIndependently:
             brute_force_expand(spec, "middle", {})
 
 
+class TestProductLowering:
+    """Pochhammer and theta factors applied in place, against the oracle."""
+
+    @pytest.mark.parametrize("src,order", [
+        # Bases below q^0: each such factor joins the lead monomial.
+        ("poch(q^(-3); q^(2), 4)", 8),
+        ("1 / poch(q^(-3), -q; q^(2), 3)", 8),
+        ("1 / poch(2 * q^(-3); q^(2), 3)", 8),
+        # The lead q^-1 lets the factor 1 - q^11 reach q^10.
+        ("theta(q^(-1), q^(2); q^(3))", 10),
+        ("(poch(q; q, 3))^(-2)", 10),
+        ("q^(-5) * theta(q; q) / poch(q^(2); q^(2), 3)", 6),
+        ("z * poch(z, q / z; q, 2) / poch(q; q, 4)", 8),
+        # by hand: the factor 1 - q^0 at t = 3 makes the product 0.
+        ("poch(q^(-3); q, 5)", 8),
+    ])
+    def test_products_match_the_oracle(self, src, order):
+        expr = parse_expr(src)
+        got = evaluate_expr(expr, order=order)
+        assert as_dict(got) == expand_expr(expr, scale=1, order=order)
+        assert all(type(c) is int for _, _, c in got.terms() if c.denominator == 1)
+
+    def test_vanishing_divisor_is_a_pole(self):
+        with pytest.raises(PoleError, match="division by a vanishing factor"):
+            evaluate_expr(parse_expr("1 / poch(q^(-2); q, 5)"), order=6)
+
+    def test_formal_z_divisor_is_not_a_unit(self):
+        with pytest.raises(NonUnitLeadingError):
+            evaluate_expr(parse_expr("1 / poch(z; q, 2)"), order=6)
+        spec = parse("identity nu { scale 1 order 6 lhs 1 / poch(z; q, 2) rhs 1 }")
+        assert [f.code for f in validate(spec)] == ["non-unit-denominator"]
+
+
 class TestSummationLimits:
     """Sums stop at a certified last index where a term bound proves one."""
 
@@ -534,6 +591,9 @@ class TestSummationLimits:
         # by hand: the terms at n = 38..42 give 1 + 2q + 2q^4, past the cap 28.
         "sum(n >= 0, q^((n - 40)^2))",
         "sum(n in Z, q^((n + 40)^2))",
+        # 1/(1 + q^n) has lowest exponent 0 along n >= 0, so the numerator's
+        # exact bound is the whole term's there.
+        "appell(n, q^((n - 40)^2) * poch(-q; q, 1), n)",
     ])
     def test_exact_bound_past_the_cap_is_not_settling(self, src):
         with pytest.raises(TerminationError, match="exceeded its index cap"):
@@ -602,6 +662,11 @@ class TestSummationLimits:
         # The numerator's exact bound reaches the order past the cap 28, at
         # n = 40, but 1/(1 + q^(-n)) raises each term by n: the sum is 0.
         ("appell(n, q^((n - 40)^2) * poch(-q; q, 1), -n)", 6),
+        # The recognised route: every term lies above the order once the
+        # constant 1600 of (n - 40)^2 is counted.
+        ("appell(n, q^((n - 40)^2), -n)", 6),
+        # A generic row whose numerator starts at q^-5, below q^0.
+        ("appell(n, q^(n*n + n - 4) * poch(-q^(-1); q, 2), n)", 10),
     ])
     def test_bounded_sums_match_the_oracle(self, src, order):
         expr = parse_expr(src)

@@ -170,6 +170,27 @@ def test_bad_numbers_are_usage_errors(argv, flag, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("expr,where", [
+    ("(" * 400 + "q" + ")" * 400, "line 1, column 101"),
+    ("*".join(["q"] * 3000), "line 1, column "),
+], ids=["nested-parentheses", "long-product"])
+def test_deep_expressions_are_located_syntax_errors(expr, where, capsys):
+    assert main(["expand", expr, "--order", "3"]) == 2
+    err = capsys.readouterr().err
+    assert "expression nested deeper than 100 levels" in err
+    assert where in err
+    assert "Traceback" not in err
+
+
+def test_unexpected_exception_exits_2(monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise KeyError("lost")
+
+    monkeypatch.setattr("baileyforge.cli.evaluate_expr", broken)
+    assert main(["expand", "q", "--order", "3"]) == 2
+    assert capsys.readouterr().err.strip() == "error: KeyError: 'lost'"
+
+
 def test_verify_file_on_missing_path():
     (r,) = R.verify_file("/no/such/place.idn")
     assert r.status == "error"

@@ -3,7 +3,7 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from baileyforge import (
     ContextMismatchError,
@@ -25,7 +25,7 @@ from baileyforge import (
     zero,
 )
 from baileyforge.engine import retruncate
-from baileyforge.series import _acc_into, _mul_raw
+from baileyforge.series import _acc_into, _fold, _mul_raw, binomials, times_binomials
 
 import oracles
 
@@ -266,6 +266,12 @@ class TestCoefficientTypes:
         s = one(CTX20) * 3 + monomial(CTX20, 1, 0, 1)
         assert coefficient_types(s.invert()) == {F}
 
+    def test_inverse_with_a_non_unit_lead_keeps_ints(self):
+        # by hand: 1/(2 + 4q) = 1/2 - q + 2q^2 - 4q^3 + ...
+        inv = (one(CTX20) * 2 + monomial(CTX20, 4, 0, 1)).invert()
+        assert [inv.coefficient(n) for n in range(4)] == [F(1, 2), -1, 2, -4]
+        assert all(type(c) is int for _, _, c in inv.terms() if c.denominator == 1)
+
 
 # Leads with a nonzero coefficient, any z-exponent in the formal case.
 _leads = st.tuples(
@@ -344,10 +350,13 @@ class TestPochhammer:
         # (1 - 2q^{-1}) * (1-2) * (1-2q) * ... handled exactly when relaxed
         s = poch_infinite(CTX20, (2, 0, -1), 1, strict=False)
         assert s.min_exponent() < 0
-        ref = one(CTX20)
-        for t in range(22):
-            ref = ref * (one(CTX20) - monomial(CTX20, 2, 0, -1 + t))
-        assert equal_up_to(s, ref)
+        # Through the lead q^-1, the factor 1 - 2q^21 still reaches q^20, so
+        # the reference is built one order higher.
+        work = EvalContext(order=21)
+        ref = one(work)
+        for t in range(23):
+            ref = ref * (one(work) - monomial(work, 2, 0, -1 + t))
+        assert equal_up_to(s, retruncate(ref, CTX20))
 
     def test_infinite_formal_z_base(self):
         # (z;q)_inf is fine in strict mode: factors carry z
@@ -465,6 +474,132 @@ class TestMultiBaseProducts:
         s = poch_finite(ctx, ((1, 0, 1), (-1, 0, 1)), 1, 1500)
         # (q, -q; q)_n = (q^2; q^2)_n, exact to order 10 once n > 10
         assert s == poch_finite(ctx, (1, 0, 2), 2, 1500)
+
+
+# Factors (c, a, e) of 1 - c*z^a*q^e for the in-place kernel.
+_kernel_coeffs = st.sampled_from([1, -1, 2, -2, F(1, 2)])
+_kernel_num = st.tuples(_kernel_coeffs, st.integers(-2, 2), st.integers(0, 6))
+_kernel_den = st.tuples(_kernel_coeffs, st.integers(-2, 2), st.integers(1, 6))
+_kernel_terms = st.lists(
+    st.tuples(st.integers(-3, 6), st.integers(-1, 1), _kernel_coeffs), min_size=1, max_size=4)
+_kernel_fold = st.one_of(st.none(), st.tuples(st.sampled_from([1, -1]), st.integers(0, 2)))
+
+
+def _binomial(ctx, c, a, e):
+    return one(ctx) - monomial(ctx, c, a, e)
+
+
+class TestTimesBinomials:
+    """The in-place kernel against the series route it replaced: multiplying
+    by each binomial factor and by the inverse of each divisor."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_kernel_terms, st.lists(_kernel_num, max_size=4), st.lists(_kernel_den, max_size=3),
+           _kernel_fold)
+    def test_matches_products_and_inverses(self, terms, num, den, fold):
+        zi = None if fold is None else Monomial(*fold)
+        ctx = EvalContext(order=12, z_interp=zi)
+        s = zero(ctx)
+        for qe, ze, c in terms:
+            s = s + monomial(ctx, c, ze, qe)
+        assume(not s.is_zero())
+        num = [_fold(ctx, *f) for f in num]
+        den = [_fold(ctx, *f) for f in den]
+        assume(all(e >= 0 for _, _, e in num) and all(e > 0 for _, _, e in den))
+        # Series products are exact only from q^0 up, so the reference works
+        # above the order by the depth of s below q^0.
+        work = EvalContext(order=12 - min(0, s.min_exponent()), z_interp=zi)
+        try:
+            want = zero(work)
+            for qe, ze, c in terms:
+                want = want + monomial(work, c, ze, qe)
+            for f in num:
+                want = want * _binomial(work, *f)
+            for f in den:
+                want = want * _binomial(work, *f).invert()
+        except ZDegreeError:
+            return
+        num = [f + (1, 1) for f in num]
+        den = [f + (1, 1) for f in den]
+        try:
+            want = retruncate(want, ctx)
+        except ZDegreeError:
+            with pytest.raises(ZDegreeError):
+                times_binomials(s, num, den)
+            return
+        got = times_binomials(s, num, den)
+        assert got == want
+        assert all(type(c) is int for _, _, c in got.terms() if c.denominator == 1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_kernel_coeffs, st.integers(-1, 1), st.integers(0, 4), st.integers(1, 3),
+           st.one_of(st.none(), st.integers(0, 5)), st.booleans())
+    def test_runs_are_their_factors(self, c, a, e, d, count, divide):
+        ctx = EvalContext(order=12)
+        s = monomial(ctx, 3, 0, -2) + monomial(ctx, 1, 0, 1)
+        assume(divide <= (e > 0))
+        stop = 20 if count is None else count
+        factors = [(c, a, e + u * d, 1, 1) for u in range(stop)]
+        run = [(c, a, e, d, count)]
+        try:
+            want = times_binomials(s, (), factors) if divide else times_binomials(s, factors)
+        except ZDegreeError:
+            with pytest.raises(ZDegreeError):
+                times_binomials(s, (), run) if divide else times_binomials(s, run)
+            return
+        got = times_binomials(s, (), run) if divide else times_binomials(s, run)
+        assert got == want
+
+    def test_integral_results_of_fractions_are_ints(self):
+        # by hand: (1/2) * (1 - 2q) = 1/2 - q
+        got = times_binomials(monomial(CTX20, F(1, 2)), [(2, 0, 1, 1, 1)])
+        assert todict(got) == {(0, 0): F(1, 2), (1, 0): -1}
+        assert type(got.coefficient(1)) is int
+
+    def test_lead_is_applied_first(self):
+        # by hand: 1/(1 - q) shifted by -q^2: -q^2 - q^3 - ...
+        got = times_binomials(one(CTX20), (), [(1, 0, 1, 1, 1)], (-1, 0, 2))
+        assert todict(got) == {(k, 0): -1 for k in range(2, 21)}
+
+    def test_divisor_without_a_q_power_is_not_a_unit(self):
+        with pytest.raises(NonUnitLeadingError):
+            times_binomials(one(CTX20), (), [(1, 1, 0, 1, 1)])
+
+
+# Product bases (coeff, zexp, qexp) reaching below q^0.
+_low_base = st.tuples(
+    st.sampled_from([1, -1, 2, F(1, 2)]),
+    st.integers(min_value=-1, max_value=1),
+    st.integers(min_value=-4, max_value=4),
+)
+
+
+class TestBinomials:
+    """binomials reads a product exactly as a lead monomial times runs."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.lists(_low_base, min_size=1, max_size=2).map(tuple),
+           st.integers(min_value=1, max_value=3),
+           st.one_of(st.none(), st.integers(min_value=0, max_value=6)),
+           st.one_of(st.none(), st.tuples(st.sampled_from([1, -1]),
+                                          st.integers(min_value=0, max_value=2))))
+    def test_lead_times_runs_is_the_product(self, bases, step, length, fold):
+        zi = None if fold is None else Monomial(*fold)
+        ctx = EvalContext(order=10, z_interp=zi)
+        share = _negative_share(ctx, bases, step, length)
+        work = EvalContext(order=10 + share, z_interp=zi)
+        try:
+            (c, ze, qe), runs = binomials(ctx, bases, step, length)
+            got = times_binomials(monomial(ctx, c, ze, qe), runs)
+            # Each factor one at a time, every one that reaches the window.
+            want = one(work)
+            for t in range(length if length is not None else 20 + share):
+                for bc, bz, bq in bases:
+                    want = want * _binomial(work, bc, bz, bq + t * step)
+        except ZDegreeError:
+            return
+        assert got == retruncate(want, ctx)
+        assert (c == 0) == got.is_zero()
 
 
 class TestQBinomial:
