@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ..engine import _Budget, _qshift, retruncate
+from ..engine import _Budget, retruncate
 from ..errors import PoleError, RegionError, SpecError, TerminationError
 from ..series import (
     EvalContext,
@@ -345,9 +345,7 @@ def _den_join(s: QSeries, dexp: int) -> QSeries:
     """
     if dexp == 0:
         return s * Fraction(1, 2)
-    if dexp < 0:
-        s, dexp = _qshift(s, -dexp), -dexp
-    return times_binomials(s, (), ((-1, 0, dexp, 1, 1),))
+    return times_binomials(s, (), ((-1, 0, abs(dexp), 1, 1),), (1, 0, max(0, -dexp)))
 
 
 # -- special-series recognition ----------------------------------------------

@@ -384,8 +384,9 @@ def binomials(ctx: EvalContext, base, step: int, length, *, strict: bool = False
     as lead * prod_{u<count} (1 - c*z^a*q^(e + u*d)) over the runs
     (c, a, e, d, count): lead = (coeff, zexp, qexp) is a monomial, count is
     None for a run without end, and every run is folded under ctx, starts
-    at e >= 0 and is not a pure scalar. Runs keep no order: whoever applies
-    them stops each where its exponents pass the order (``times_binomials``).
+    at e >= 0 and is not a pure scalar. Runs are not truncated: the kernel
+    (``times_binomials``) stops each where it passes the order of the
+    product it is applied to.
 
     A factor with e < 0 is rewritten as -c*z^a*q^e * (1 - z^-a*q^-e/c) and
     its monomial joins lead; a pure scalar 1 - c joins lead's coefficient,
@@ -596,8 +597,8 @@ def _poch_finite_cached(ctx, bases, step, length):
         # The last factors have exponents >= 0: extend the exact prefix.
         last = [(c, ze, qe + shift, 1, 1) for c, ze, qe in bases if c]
         return times_binomials(_poch_finite_cached(ctx, bases, step, length - 1), last)
-    lead, factors = binomials(ctx, bases, step, length)
-    return times_binomials(monomial(ctx, *lead), factors)
+    lead, runs = binomials(ctx, bases, step, length)
+    return times_binomials(monomial(ctx, *lead), runs)
 
 
 def poch_infinite(ctx: EvalContext, base, step: int, *, strict: bool = True) -> QSeries:
@@ -616,8 +617,8 @@ def poch_infinite(ctx: EvalContext, base, step: int, *, strict: bool = True) -> 
 
 @lru_cache(maxsize=None)
 def _poch_infinite_cached(ctx, bases, step, strict):
-    lead, factors = binomials(ctx, bases, step, None, strict=strict)
-    return times_binomials(monomial(ctx, *lead), factors)
+    lead, runs = binomials(ctx, bases, step, None, strict=strict)
+    return times_binomials(monomial(ctx, *lead), runs)
 
 
 def qbinomial(ctx: EvalContext, n: int, k: int) -> QSeries:
