@@ -32,6 +32,7 @@ from .series import (
     poch_infinite,
     qbinomial,
     render,
+    retruncate,
     zero,
 )
 from .engine import (
@@ -49,7 +50,6 @@ from .engine import (
     lattice_djk,
     lattice_jouhet,
     multisum_lhs,
-    retruncate,
     verify_pair_definition,
     weak_lemma_eval,
 )

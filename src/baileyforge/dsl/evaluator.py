@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ..engine import _Budget, retruncate
+from ..engine import _Budget
 from ..errors import PoleError, RegionError, SpecError, TerminationError
 from ..series import (
     EvalContext,
@@ -13,6 +13,7 @@ from ..series import (
     binomials,
     monomial,
     qbinomial,
+    retruncate,
     times_binomials,
     zero,
 )

@@ -21,7 +21,6 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable
 
 from .errors import BudgetError, NegativeFloorError, NonUnitLeadingError, TerminationError
@@ -31,12 +30,10 @@ from .series import (
     binomials,
     monomial,
     one,
-    poch_finite,
-    poch_infinite,
     times_binomials,
     zero,
 )
-from .special import geometric_inverse, hard_cap
+from .special import hard_cap
 
 __all__ = [
     "INFINITE",
@@ -130,77 +127,87 @@ def _zfold(ctx: EvalContext) -> int:
     return zi.qexp if zi is not None else 0
 
 
-def _over_poch(s: QSeries, base, step: int, length) -> QSeries:
-    """s / (base; q^step)_length (length None: the infinite product), divided in place."""
-    (c, ze, qe), runs = binomials(s.ctx, base, step, length)
-    if not c:
-        raise NonUnitLeadingError("cannot invert the zero series")
-    return times_binomials(s, (), runs, (Fraction(1) / c, -ze, -qe))
+def _times(s: QSeries, num=(), den=(), lead=(1, 0, 0)) -> QSeries:
+    """s * lead * prod(num) / prod(den), applied to s in place at its order.
+
+    num and den hold Pochhammer products (base, step, length) as
+    ``binomials`` reads them (length None: the infinite product), and lead =
+    (coeff, zexp, qexp) is a folded monomial. Each product's own monomial
+    joins lead and its runs go to one ``times_binomials`` call, so no
+    product is built as a series. Exact at the order when the joined lead
+    exponent is >= 0 or s is a monomial; otherwise it is the exact product
+    of s as truncated.
+    """
+    ctx = s.ctx
+    c, ze, qe = lead
+    nruns: list = []
+    druns: list = []
+    for base, step, length in num:
+        (bc, bz, bq), runs = binomials(ctx, base, step, length)
+        c, ze, qe = c * bc, ze + bz, qe + bq
+        nruns += runs
+    for base, step, length in den:
+        (bc, bz, bq), runs = binomials(ctx, base, step, length)
+        if not bc:
+            raise NonUnitLeadingError("cannot invert the zero series")
+        c, ze, qe = Fraction(c) / bc, ze - bz, qe - bq
+        druns += runs
+    return times_binomials(s, nruns, druns, (c, ze, qe))
 
 
-@lru_cache(maxsize=None)
-def _inv_poch(ctx, base, step, length):
-    """1 / (base; q^step)_length; length None is the infinite product."""
-    return _over_poch(one(ctx), base, step, length)
+def _signed(num: list, den: list, base, step: int, n: int) -> None:
+    """Add (base; q^step)_n at an index of either sign to num / den.
 
-
-def _inv_one_plus(ctx: EvalContext, qexp: int) -> QSeries:
-    """1/(1+q^qexp) for any sign of qexp, with the negative-exponent rewrite."""
-    if qexp > 0:
-        return geometric_inverse(ctx, 1, qexp)
-    if qexp == 0:
-        return monomial(ctx, Fraction(1, 2))
-    return monomial(ctx, 1, 0, -qexp) * geometric_inverse(ctx, 1, -qexp)
-
-
-def poch_signed(ctx: EvalContext, base, step: int, n: int) -> QSeries:
-    """Pochhammer with integer index of either sign."""
+    For n < 0 the product is 1 / (base*q^(n*step); q^step)_(-n).
+    """
     if n >= 0:
-        return poch_finite(ctx, base, step, n)
-    c, ze, qe = base
-    m = -n
-    return _inv_poch(ctx, (Fraction(c), ze, qe - m * step), step, m)
+        num.append((base, step, n))
+    else:
+        c, ze, qe = base
+        den.append(((c, ze, qe + n * step), step, -n))
 
 
-def _over_poch_signed(s: QSeries, base, step: int, n: int) -> QSeries:
-    """s / poch_signed(base, step, n): an in-place division, or for n < 0 a product."""
-    if n >= 0:
-        return _over_poch(s, base, step, n)
-    c, ze, qe = base
-    return s * poch_finite(s.ctx, (c, ze, qe + n * step), step, -n)
+def _bailey_sum(terms, step: int, shift: int = 0, kernel=None) -> QSeries:
+    """sum_k terms[k] q^(shift*k) (kernel; Q)_k / (Q; Q)_k with Q = q^step.
+
+    Summed in Horner form from the last term out,
+        t_0 + q^shift (1 - kernel)/(1 - Q) (t_1 + q^shift (1 - kernel Q)/(1 - Q^2) (t_2 + ...)),
+    with one pass of one numerator and one divisor factor per level. kernel
+    is a base triple with q-exponent >= 0, or None for no numerator. The
+    Bailey convolution sum_j a_j (kernel; Q)_(n-j) q^(shift(n-j)) / (Q; Q)_(n-j)
+    is terms = (a_n, ..., a_0).
+    """
+    acc = terms[-1]
+    for k in range(len(terms) - 2, -1, -1):
+        num = ()
+        if kernel is not None:
+            c, ze, qe = kernel
+            num = (((c, ze, qe + k * step), step, 1),)
+        acc = terms[k] + _times(acc, num, (((1, 0, (k + 1) * step), step, 1),), (1, 0, shift))
+    return acc
+
+
+def _convolve(ctx: EvalContext, a, n: int, step: int, shift: int = 0, kernel=None) -> QSeries:
+    """The Bailey convolution of the memoised terms a(0..n); zero for n < 0."""
+    if n < 0:
+        return zero(ctx)
+    return _bailey_sum([a(j) for j in range(n, -1, -1)], step, shift, kernel)
 
 
 def poch_signed_min(qe: int, step: int, n: int) -> int:
-    """Exact minimal q-exponent of a signed pure-q Pochhammer factor."""
+    """Exact minimal q-exponent of (q^qe; q^step)_n at an index of either sign.
+
+    For n >= 0 the factors below q^0 are the first t = min(n, ceil(-qe/step));
+    for n < 0 the divisors 1 - q^(qe - t*step) below q^0 are those with
+    t > qe/step, t <= -n. Each is an arithmetic sum.
+    """
     if n >= 0:
-        return sum(min(0, qe + t * step) for t in range(n))
+        t = min(n, max(0, -(qe // step)))
+        return t * qe + step * t * (t - 1) // 2
     m = -n
-    return -sum(min(0, qe - t * step) for t in range(1, m + 1))
-
-
-def _lift_ctx(ctx: EvalContext, lift: int) -> EvalContext:
-    return EvalContext(ctx.scale, ctx.order + lift, ctx.z_interp) if lift > 0 else ctx
-
-
-def retruncate(s: QSeries, ctx: EvalContext) -> QSeries:
-    """Restrict a series computed at a higher order back to ctx."""
-    if s.ctx == ctx:
-        return s
-    data: dict[int, dict] = {}
-    for qe, ze, c in s.terms():
-        if qe <= ctx.order:
-            data.setdefault(qe, {})[ze] = c
-    return QSeries(ctx, data)
-
-
-def _qshift(s: QSeries, e: int) -> QSeries:
-    """Multiply by q^e term by term; exact for e >= 0, unlike a truncated
-    monomial whose exponent may overflow the order on its own."""
-    data: dict[int, dict] = {}
-    for qe, ze, c in s.terms():
-        if qe + e <= s.ctx.order:
-            data.setdefault(qe + e, {})[ze] = c
-    return QSeries(s.ctx, data)
+    lo = max(1, qe // step + 1)
+    t = max(0, m - lo + 1)
+    return step * (lo + m) * t // 2 - t * qe
 
 
 # -- pair constructors ------------------------------------------------------
@@ -210,6 +217,7 @@ def key_pair(ctx: EvalContext, dilation: int | None = None) -> BilateralPair:
     """The main pair: alpha_n = (-1)^n z^n Q^binom(n,2), beta_n = (z, Q/z; Q)_n / (Q; Q)_2n."""
     r = ctx.scale if dilation is None else dilation
     a = _zfold(ctx)
+    zbases = ((1, 1, 0), (1, -1, r))
 
     def alpha(n: int) -> QSeries:
         return monomial(ctx, (-1) ** (n % 2), n, r * n * (n - 1) // 2)
@@ -217,15 +225,13 @@ def key_pair(ctx: EvalContext, dilation: int | None = None) -> BilateralPair:
     def beta(n: int) -> QSeries:
         if n < 0:
             return zero(ctx)
-        num = poch_finite(ctx, ((1, 1, 0), (1, -1, r)), r, n)
-        return num * _inv_poch(ctx, (Fraction(1), 0, r), r, 2 * n)
+        return _times(one(ctx), [(zbases, r, n)], [((1, 0, r), r, 2 * n)])
 
     def floor(n: int) -> int:
         return r * n * (n - 1) // 2 + n * a
 
     def limit() -> QSeries:
-        prod = poch_infinite(ctx, ((1, 1, 0), (1, -1, r)), r, strict=False)
-        return prod * _inv_poch(ctx, (Fraction(1), 0, r), r, None)
+        return _times(one(ctx), [(zbases, r, None)], [((1, 0, r), r, None)])
 
     return BilateralPair(
         ctx, r, _memo_seq(alpha), _memo_seq(beta), floor, _memo_thunk(limit), "key"
@@ -239,20 +245,12 @@ def closed_form_djk_pair(ctx: EvalContext, dilation: int | None = None) -> Bilat
 
     def alpha(n: int) -> QSeries:
         num = monomial(ctx, 2 * (-1) ** (n % 2), n, u * n * n)
-        return num * _inv_one_plus(ctx, 2 * u * n)
+        return _times(num, den=[((-1, 0, 2 * u * n), 1, 1)])
 
-    def beta(n: int) -> QSeries:
-        if n < 0:
-            return zero(ctx)
-        acc = zero(ctx)
-        for j in range(n + 1):
-            t = poch_finite(ctx, (-1, 0, 0), u, 2 * j)
-            t = t * poch_finite(ctx, ((1, 1, 0), (1, -1, 2 * u)), 2 * u, j)
-            t = t * monomial(ctx, 1, 0, u * j)
-            t = t * _inv_poch(ctx, (Fraction(1), 0, 2 * u), 2 * u, n - j)
-            t = t * _inv_poch(ctx, (Fraction(1), 0, 2 * u), 2 * u, 2 * j)
-            acc = acc + t
-        return acc
+    @_memo_seq
+    def term(j: int) -> QSeries:
+        num = [((-1, 0, 0), u, 2 * j), (((1, 1, 0), (1, -1, 2 * u)), 2 * u, j)]
+        return _times(one(ctx), num, [((1, 0, 2 * u), 2 * u, 2 * j)], (1, 0, u * j))
 
     def floor(n: int) -> int:
         e = u * n * n + n * a
@@ -260,7 +258,10 @@ def closed_form_djk_pair(ctx: EvalContext, dilation: int | None = None) -> Bilat
             e += 2 * u * (-n)
         return e
 
-    return BilateralPair(ctx, u, _memo_seq(alpha), _memo_seq(beta), floor, None, "closed-djk")
+    return BilateralPair(
+        ctx, u, _memo_seq(alpha), _memo_seq(lambda n: _convolve(ctx, term, n, 2 * u)), floor,
+        None, "closed-djk",
+    )
 
 
 def closed_form_jouhet_pair(ctx: EvalContext, dilation: int | None = None) -> BilateralPair:
@@ -271,22 +272,18 @@ def closed_form_jouhet_pair(ctx: EvalContext, dilation: int | None = None) -> Bi
     def alpha(n: int) -> QSeries:
         return monomial(ctx, (-1) ** (n % 2), n, u * n * (n - 1))
 
-    def beta(n: int) -> QSeries:
-        if n < 0:
-            return zero(ctx)
-        acc = zero(ctx)
-        for j in range(n + 1):
-            t = poch_finite(ctx, ((1, 1, 0), (1, -1, 2 * u)), 2 * u, j)
-            t = t * monomial(ctx, 1, 0, u * (n - j))
-            t = t * _inv_poch(ctx, (Fraction(1), 0, 2 * u), 2 * u, n - j)
-            t = t * _inv_poch(ctx, (Fraction(1), 0, u), u, 2 * j)
-            acc = acc + t
-        return acc
+    @_memo_seq
+    def term(j: int) -> QSeries:
+        num = [(((1, 1, 0), (1, -1, 2 * u)), 2 * u, j)]
+        return _times(one(ctx), num, [((1, 0, u), u, 2 * j)])
 
     def floor(n: int) -> int:
         return u * n * (n - 1) + n * a
 
-    return BilateralPair(ctx, u, _memo_seq(alpha), _memo_seq(beta), floor, None, "closed-jouhet")
+    return BilateralPair(
+        ctx, u, _memo_seq(alpha), _memo_seq(lambda n: _convolve(ctx, term, n, 2 * u, u)), floor,
+        None, "closed-jouhet",
+    )
 
 
 # -- pair verification ------------------------------------------------------
@@ -301,10 +298,7 @@ def verify_pair_definition(pair: BilateralPair, n_max: int) -> bool:
     for n in range(n_max + 1):
         acc = zero(ctx)
         for j in range(-n, n + 1):
-            t = pair.alpha(j)
-            t = t * _inv_poch(ctx, (Fraction(1), 0, r), r, n - j)
-            t = t * _inv_poch(ctx, (Fraction(1), 0, r), r, n + j)
-            acc = acc + t
+            acc = acc + _times(pair.alpha(j), den=[((1, 0, r), r, n - j), ((1, 0, r), r, n + j)])
         if acc != pair.beta(n):
             return False
     return True
@@ -363,33 +357,27 @@ class _Weights:
     divides it by (Q/x, Q/y; Q)_n. Minimal-exponent companions are exact.
     """
 
-    ctx: EvalContext
     r: int
     x: object
     y: object
 
-    def beta_weight(self, n: int) -> QSeries:
-        # Factors with negative minimal exponents can cancel against large
-        # positive partial minima; work at a lifted order, then re-truncate.
-        ctx, r = self.ctx, self.r
-        lift = 0
-        qshift = r * n
+    def apply(self, s: QSeries, n: int, alpha: bool = False) -> QSeries:
+        """s times the beta weight at n, or with alpha the alpha weight, in one pass."""
+        r = self.r
+        num: list = []
+        den: list = []
+        qshift, sign = r * n, 1
         for p in (self.x, self.y):
             if p is INFINITE:
                 qshift += r * n * (n - 1) // 2
             else:
-                lift += max(0, -poch_signed_min(p.qexp, r, n))
+                _signed(num, den, (p.sign, 0, p.qexp), r, n)
+                if alpha:
+                    _signed(den, num, (p.sign, 0, r - p.qexp), r, n)
                 qshift -= p.qexp * n
-        lift += max(0, -qshift)
-        wctx = _lift_ctx(ctx, lift)
-        out = one(wctx)
-        sign = 1
-        for p in (self.x, self.y):
-            if p is not INFINITE:
-                out = out * poch_signed(wctx, (p.sign, 0, p.qexp), r, n)
             if (p is INFINITE or p.sign == -1) and n % 2:
                 sign = -sign
-        return retruncate(out * monomial(wctx, sign, 0, qshift), ctx)
+        return _times(s, num, den, (sign, 0, qshift))
 
     def beta_weight_min(self, n: int) -> int:
         r = self.r
@@ -401,22 +389,6 @@ class _Weights:
                 e += poch_signed_min(p.qexp, r, n) - p.qexp * n
         return e
 
-    def alpha_weight(self, n: int) -> QSeries:
-        # Lift past the exact negativity of each factor so that the
-        # numerator/denominator cancellation survives truncation.
-        ctx, r = self.ctx, self.r
-        lift = max(0, -self.beta_weight_min(n))
-        for p in (self.x, self.y):
-            if p is not INFINITE:
-                lift += max(0, poch_signed_min(r - p.qexp, r, n))
-        wctx = _lift_ctx(ctx, lift)
-        w = self if wctx is ctx else _Weights(wctx, r, self.x, self.y)
-        out = w.beta_weight(n)
-        for p in (self.x, self.y):
-            if p is not INFINITE:
-                out = _over_poch_signed(out, (p.sign, 0, r - p.qexp), r, n)
-        return retruncate(out, ctx)
-
     def alpha_weight_min(self, n: int) -> int:
         e = self.beta_weight_min(n)
         for p in (self.x, self.y):
@@ -424,25 +396,25 @@ class _Weights:
                 e -= poch_signed_min(self.r - p.qexp, self.r, n)
         return e
 
-    def prefactor(self) -> QSeries:
-        ctx, r = self.ctx, self.r
-        out = _inv_poch(ctx, (Fraction(1), 0, r), r, None)
-        for p in (self.x, self.y):
-            if p is not INFINITE:
-                out = out * poch_infinite(ctx, (p.sign, 0, r - p.qexp), r, strict=False)
-        if self.x is not INFINITE and self.y is not INFINITE:
-            sigma = self.x.sign * self.y.sign
-            kappa = r - self.x.qexp - self.y.qexp
-            out = out * _inv_poch(ctx, (Fraction(sigma), 0, kappa), r, None)
-        return out
-
-    def abel_sign(self):
-        """-1 when the beta side is alternating with a unit power part."""
+    def kernel(self):
+        """The base Q/xy of the two-limit kernel, or None with an infinite limit."""
         if self.x is INFINITE or self.y is INFINITE:
             return None
-        if self.r - self.x.qexp - self.y.qexp == 0 and self.x.sign * self.y.sign == -1:
-            return -1
-        return None
+        return (self.x.sign * self.y.sign, 0, self.r - self.x.qexp - self.y.qexp)
+
+    def prefactor(self, s: QSeries) -> QSeries:
+        """s times (Q/x, Q/y; Q)_inf / (Q, Q/xy; Q)_inf over the finite limits."""
+        r = self.r
+        num = [((p.sign, 0, r - p.qexp), r, None) for p in (self.x, self.y) if p is not INFINITE]
+        den = [((1, 0, r), r, None)]
+        kernel = self.kernel()
+        if kernel is not None:
+            den.append((kernel, r, None))
+        return _times(s, num, den)
+
+    def abel_sign(self):
+        """-1 when the beta side is alternating with a unit power part (Q/xy = -1)."""
+        return -1 if self.kernel() == (-1, 0, 0) else None
 
 
 def _abel_beta_side(pair: BilateralPair, x, y, budget) -> QSeries:
@@ -454,9 +426,9 @@ def _abel_beta_side(pair: BilateralPair, x, y, budget) -> QSeries:
     bases = ((x.sign, 0, x.qexp), (y.sign, 0, y.qexp))
 
     def term(n):
-        return poch_finite(ctx, bases, r, n) * pair.beta(n)
+        return _times(pair.beta(n), [(bases, r, n)])
 
-    lim = poch_infinite(ctx, bases, r, strict=False) * pair.beta_limit()
+    lim = _times(pair.beta_limit(), [(bases, r, None)])
     return _abel_alternating(ctx, term, lim, budget)
 
 
@@ -469,7 +441,7 @@ def bms_general_eval(pair: BilateralPair, x, y):
     beta limit.
     """
     ctx = pair.ctx
-    w = _Weights(ctx, pair.dilation, x, y)
+    w = _Weights(pair.dilation, x, y)
     budget = _Budget()
     cap = hard_cap(ctx)
 
@@ -478,16 +450,15 @@ def bms_general_eval(pair: BilateralPair, x, y):
     else:
         lhs = zero(ctx)
         for n in _indices(w.beta_weight_min, ctx.order, cap, bilateral=False, budget=budget):
-            lhs = lhs + w.beta_weight(n) * pair.beta(n)
+            lhs = lhs + w.apply(pair.beta(n), n)
 
     def alpha_bound(n):
         return w.alpha_weight_min(n) + pair.alpha_floor(n)
 
     asum = zero(ctx)
     for n in _indices(alpha_bound, ctx.order, cap, bilateral=True, budget=budget):
-        asum = asum + w.alpha_weight(n) * pair.alpha(n)
-    rhs = w.prefactor() * asum
-    return lhs, rhs
+        asum = asum + w.apply(pair.alpha(n), n, alpha=True)
+    return lhs, w.prefactor(asum)
 
 
 # -- the five collected single-sum forms ------------------------------------
@@ -505,12 +476,13 @@ def weak_lemma_eval(pair: BilateralPair, variant: str):
     ctx, r = pair.ctx, pair.dilation
     budget = _Budget()
     cap = hard_cap(ctx)
-    inv_euler = _inv_poch(ctx, (Fraction(1), 0, r), r, None)
+    euler = ((1, 0, r), r, None)
 
+    # Each weight is applied to its term: weight(n, s) is s times it.
     def beta_sum(weight, weight_min):
         acc = zero(ctx)
         for n in _indices(weight_min, ctx.order, cap, bilateral=False, budget=budget):
-            acc = acc + weight(n) * pair.beta(n)
+            acc = acc + weight(n, pair.beta(n))
         return acc
 
     def alpha_sum(weight, weight_min):
@@ -519,14 +491,16 @@ def weak_lemma_eval(pair: BilateralPair, variant: str):
 
         acc = zero(ctx)
         for n in _indices(bound, ctx.order, cap, bilateral=True, budget=budget):
-            acc = acc + weight(n) * pair.alpha(n)
+            acc = acc + weight(n, pair.alpha(n))
         return acc
 
     if variant == "V1":
-        lhs = beta_sum(lambda n: monomial(ctx, 1, 0, r * n * n), lambda n: r * n * n)
-        rhs = inv_euler * alpha_sum(
-            lambda n: monomial(ctx, 1, 0, r * n * n), lambda n: r * n * n
-        )
+
+        def square(n, s):
+            return _times(s, lead=(1, 0, r * n * n))
+
+        lhs = beta_sum(square, lambda n: r * n * n)
+        rhs = _times(alpha_sum(square, lambda n: r * n * n), den=[euler])
         return lhs, rhs
 
     if variant == "V2":
@@ -534,68 +508,58 @@ def weak_lemma_eval(pair: BilateralPair, variant: str):
             raise ValueError("V2 needs an even dilation (half-step exponents)")
         h = r // 2
 
-        def wb(n):
-            return monomial(ctx, 1, 0, h * n * n) * poch_finite(ctx, (-1, 0, h), r, n)
+        def wb(n, s):
+            return _times(s, [((-1, 0, h), r, n)], lead=(1, 0, h * n * n))
+
+        def wa(n, s):
+            return _times(s, lead=(1, 0, h * n * n))
 
         lhs = beta_sum(wb, lambda n: h * n * n)
-        rhs = (
-            poch_infinite(ctx, (-1, 0, h), r)
-            * inv_euler
-            * alpha_sum(lambda n: monomial(ctx, 1, 0, h * n * n), lambda n: h * n * n)
-        )
+        rhs = _times(alpha_sum(wa, lambda n: h * n * n), [((-1, 0, h), r, None)], [euler])
         return lhs, rhs
 
     if variant == "V3":
         if pair.beta_limit is None:
             raise TerminationError("V3 needs a pair with a beta limit")
+        odd = ((1, 0, r), 2 * r)
 
         def term(n):
-            return poch_finite(ctx, (1, 0, r), 2 * r, n) * pair.beta(n)
+            return _times(pair.beta(n), [odd + (n,)])
 
-        lim = poch_infinite(ctx, (1, 0, r), 2 * r) * pair.beta_limit()
+        lim = _times(pair.beta_limit(), [odd + (None,)])
         lhs = _abel_alternating(ctx, term, lim, budget) * 2
-        pref = poch_infinite(ctx, (1, 0, r), 2 * r) * _inv_poch(
-            ctx, (Fraction(1), 0, 2 * r), 2 * r, None
-        )
-        rhs = pref * alpha_sum(lambda n: monomial(ctx, (-1) ** (n % 2)), lambda n: 0)
+        asum = alpha_sum(lambda n, s: -s if n % 2 else s, lambda n: 0)
+        rhs = _times(asum, [odd + (None,)], [((1, 0, 2 * r), 2 * r, None)])
         return lhs, rhs
 
     if variant == "V4":
 
-        def wb(n):
-            return monomial(ctx, 1, 0, r * n * (n - 1) // 2) * poch_finite(
-                ctx, (-1, 0, r), r, n
-            )
+        def wb(n, s):
+            return _times(s, [((-1, 0, r), r, n)], lead=(1, 0, r * n * (n - 1) // 2))
 
-        def wa(n):
-            return monomial(ctx, 1, 0, r * n * (n - 1) // 2) * (
-                one(ctx) + monomial(ctx, 1, 0, r * n)
-            )
+        def wa(n, s):
+            return _times(s, [((-1, 0, r * n), 1, 1)], lead=(1, 0, r * n * (n - 1) // 2))
 
         def wa_min(n):
             return r * n * (n - 1) // 2 + min(0, r * n)
 
         lhs = beta_sum(wb, lambda n: r * n * (n - 1) // 2)
-        pref = poch_infinite(ctx, (-1, 0, r), r) * inv_euler
-        rhs = pref * alpha_sum(wa, wa_min)
+        rhs = _times(alpha_sum(wa, wa_min), [((-1, 0, r), r, None)], [euler])
         return lhs, rhs
 
     if variant == "V5":
 
-        def wb(n):
-            return monomial(ctx, 1, 0, r * n * (n + 1) // 2) * poch_finite(
-                ctx, (-1, 0, 0), r, n
-            )
+        def wb(n, s):
+            return _times(s, [((-1, 0, 0), r, n)], lead=(1, 0, r * n * (n + 1) // 2))
 
-        def wa(n):
-            return monomial(ctx, 1, 0, r * n * (n + 1) // 2) * _inv_one_plus(ctx, r * n)
+        def wa(n, s):
+            return _times(s, den=[((-1, 0, r * n), 1, 1)], lead=(1, 0, r * n * (n + 1) // 2))
 
         def wa_min(n):
             return r * n * (n + 1) // 2 + (-r * n if n < 0 else 0)
 
         lhs = beta_sum(wb, lambda n: r * n * (n + 1) // 2)
-        pref = 2 * poch_infinite(ctx, (-1, 0, r), r) * inv_euler
-        rhs = pref * alpha_sum(wa, wa_min)
+        rhs = _times(alpha_sum(wa, wa_min), [((-1, 0, r), r, None)], [euler], (2, 0, 0))
         return lhs, rhs
 
     raise ValueError(f"unknown variant {variant!r}")
@@ -609,16 +573,11 @@ def chain_step(pair: BilateralPair) -> BilateralPair:
     ctx, r = pair.ctx, pair.dilation
 
     def alpha(n: int) -> QSeries:
-        return monomial(ctx, 1, 0, r * n * n) * pair.alpha(n)
+        return _times(pair.alpha(n), lead=(1, 0, r * n * n))
 
-    def beta(n: int) -> QSeries:
-        if n < 0:
-            return zero(ctx)
-        acc = zero(ctx)
-        for j in range(n + 1):
-            t = monomial(ctx, 1, 0, r * j * j) * pair.beta(j)
-            acc = acc + t * _inv_poch(ctx, (Fraction(1), 0, r), r, n - j)
-        return acc
+    @_memo_seq
+    def term(j: int) -> QSeries:
+        return _times(pair.beta(j), lead=(1, 0, r * j * j))
 
     def floor(n: int) -> int:
         return r * n * n + pair.alpha_floor(n)
@@ -629,41 +588,43 @@ def chain_step(pair: BilateralPair) -> BilateralPair:
         for j in _indices(
             lambda v: r * v * v, ctx.order, hard_cap(ctx), bilateral=False, budget=budget
         ):
-            acc = acc + monomial(ctx, 1, 0, r * j * j) * pair.beta(j)
-        return _inv_poch(ctx, (Fraction(1), 0, r), r, None) * acc
+            acc = acc + term(j)
+        return _times(acc, den=[((1, 0, r), r, None)])
 
     return BilateralPair(
-        ctx, r, _memo_seq(alpha), _memo_seq(beta), floor, _memo_thunk(limit),
-        f"chain({pair.label})",
+        ctx, r, _memo_seq(alpha), _memo_seq(lambda n: _convolve(ctx, term, n, r)), floor,
+        _memo_thunk(limit), f"chain({pair.label})",
     )
 
 
 def general_chain_step(pair: BilateralPair, x, y) -> BilateralPair:
-    """Two-limit chain step; reduces to chain_step when both limits are infinite."""
+    """Two-limit chain step; reduces to chain_step when both limits are infinite.
+
+    With both limits finite the kernel base is Q/xy = +-q^kappa. kappa < 0
+    raises NegativeFloorError: the beta weights then fall like q^(kappa*n),
+    so the new beta_n needs coefficients of the base pair's beta_j past the
+    order, which the pair does not hold.
+    """
     ctx, r = pair.ctx, pair.dilation
-    w = _Weights(ctx, r, x, y)
-    if x is not INFINITE and y is not INFINITE:
-        kernel_base = (Fraction(x.sign * y.sign), 0, r - x.qexp - y.qexp)
-    else:
-        kernel_base = None
+    w = _Weights(r, x, y)
+    kernel = w.kernel()
+    if kernel is not None and kernel[2] < 0:
+        raise NegativeFloorError(
+            f"general_chain_step: kernel exponent r - x.qexp - y.qexp = {kernel[2]} is "
+            "negative, so the transformed beta is not exact at the order"
+        )
+    limits = [((p.sign, 0, r - p.qexp), r) for p in (x, y) if p is not INFINITE]
 
     def alpha(n: int) -> QSeries:
-        return w.alpha_weight(n) * pair.alpha(n)
+        return w.apply(pair.alpha(n), n, alpha=True)
+
+    @_memo_seq
+    def term(j: int) -> QSeries:
+        return w.apply(pair.beta(j), j)
 
     def beta(n: int) -> QSeries:
-        if n < 0:
-            return zero(ctx)
-        acc = zero(ctx)
-        for j in range(n + 1):
-            t = w.beta_weight(j) * pair.beta(j)
-            t = t * _inv_poch(ctx, (Fraction(1), 0, r), r, n - j)
-            if kernel_base is not None:
-                t = t * poch_finite(ctx, kernel_base, r, n - j)
-            acc = acc + t
-        for p in (x, y):
-            if p is not INFINITE:
-                acc = _over_poch(acc, (p.sign, 0, r - p.qexp), r, n)
-        return acc
+        acc = _convolve(ctx, term, n, r, kernel=kernel)
+        return _times(acc, den=[lim + (n,) for lim in limits]) if n >= 0 else acc
 
     def floor(n: int) -> int:
         return w.alpha_weight_min(n) + pair.alpha_floor(n)
@@ -677,14 +638,10 @@ def general_chain_step(pair: BilateralPair, x, y) -> BilateralPair:
             for j in _indices(
                 w.beta_weight_min, ctx.order, hard_cap(ctx), bilateral=False, budget=budget
             ):
-                core = core + w.beta_weight(j) * pair.beta(j)
-        out = core * _inv_poch(ctx, (Fraction(1), 0, r), r, None)
-        if kernel_base is not None:
-            out = out * poch_infinite(ctx, kernel_base, r, strict=False)
-        for p in (x, y):
-            if p is not INFINITE:
-                out = out * _inv_poch(ctx, (Fraction(p.sign), 0, r - p.qexp), r, None)
-        return out
+                core = core + term(j)
+        num = [] if kernel is None else [(kernel, r, None)]
+        den = [((1, 0, r), r, None)] + [lim + (None,) for lim in limits]
+        return _times(core, num, den)
 
     return BilateralPair(
         ctx, r, _memo_seq(alpha), _memo_seq(beta), floor, _memo_thunk(limit),
@@ -700,18 +657,11 @@ def lattice_djk(pair: BilateralPair) -> BilateralPair:
     s = pair.dilation // 2
 
     def alpha(n: int) -> QSeries:
-        return 2 * monomial(ctx, 1, 0, s * n) * _inv_one_plus(ctx, 2 * s * n) * pair.alpha(n)
+        return _times(pair.alpha(n), den=[((-1, 0, 2 * s * n), 1, 1)], lead=(2, 0, s * n))
 
-    def beta(n: int) -> QSeries:
-        if n < 0:
-            return zero(ctx)
-        acc = zero(ctx)
-        for j in range(n + 1):
-            t = poch_finite(ctx, (-1, 0, 0), s, 2 * j) * monomial(ctx, 1, 0, s * j)
-            t = t * pair.beta(j)
-            t = t * _inv_poch(ctx, (Fraction(1), 0, 2 * s), 2 * s, n - j)
-            acc = acc + t
-        return acc
+    @_memo_seq
+    def term(j: int) -> QSeries:
+        return _times(pair.beta(j), [((-1, 0, 0), s, 2 * j)], lead=(1, 0, s * j))
 
     def floor(n: int) -> int:
         e = s * n + pair.alpha_floor(n)
@@ -725,13 +675,12 @@ def lattice_djk(pair: BilateralPair) -> BilateralPair:
         for j in _indices(
             lambda v: s * v, ctx.order, hard_cap(ctx), bilateral=False, budget=budget
         ):
-            t = poch_finite(ctx, (-1, 0, 0), s, 2 * j) * monomial(ctx, 1, 0, s * j)
-            acc = acc + t * pair.beta(j)
-        return _inv_poch(ctx, (Fraction(1), 0, 2 * s), 2 * s, None) * acc
+            acc = acc + term(j)
+        return _times(acc, den=[((1, 0, 2 * s), 2 * s, None)])
 
     return BilateralPair(
-        ctx, s, _memo_seq(alpha), _memo_seq(beta), floor, _memo_thunk(limit),
-        f"djk({pair.label})",
+        ctx, s, _memo_seq(alpha), _memo_seq(lambda n: _convolve(ctx, term, n, 2 * s)), floor,
+        _memo_thunk(limit), f"djk({pair.label})",
     )
 
 
@@ -742,33 +691,19 @@ def lattice_jouhet(pair: BilateralPair) -> BilateralPair:
         raise ValueError("lattice walk needs an even dilation")
     s = pair.dilation // 2
 
-    def beta(n: int) -> QSeries:
-        if n < 0:
-            return zero(ctx)
-        acc = zero(ctx)
-        for j in range(n + 1):
-            t = poch_finite(ctx, (-1, 0, s), s, 2 * j) * monomial(ctx, 1, 0, s * (n - j))
-            t = t * pair.beta(j)
-            t = t * _inv_poch(ctx, (Fraction(1), 0, 2 * s), 2 * s, n - j)
-            acc = acc + t
-        return acc
+    @_memo_seq
+    def term(j: int) -> QSeries:
+        return _times(pair.beta(j), [((-1, 0, s), s, 2 * j)])
 
     def limit() -> QSeries:
+        # sum_m q^(sm) / (q^2s; q^2s)_m = 1 / (q^s; q^2s)_inf by Euler's identity.
         if pair.beta_limit is None:
             raise TerminationError("lattice limit needs the base pair's beta limit")
-        budget = _Budget()
-        tail = zero(ctx)
-        for m in _indices(
-            lambda v: s * v, ctx.order, hard_cap(ctx), bilateral=False, budget=budget
-        ):
-            tail = tail + monomial(ctx, 1, 0, s * m) * _inv_poch(
-                ctx, (Fraction(1), 0, 2 * s), 2 * s, m
-            )
-        return poch_infinite(ctx, (-1, 0, s), s) * pair.beta_limit() * tail
+        return _times(pair.beta_limit(), [((-1, 0, s), s, None)], [((1, 0, s), 2 * s, None)])
 
     return BilateralPair(
-        ctx, s, pair.alpha, _memo_seq(beta), pair.alpha_floor,
-        _memo_thunk(limit), f"jouhet({pair.label})",
+        ctx, s, pair.alpha, _memo_seq(lambda n: _convolve(ctx, term, n, 2 * s, s)),
+        pair.alpha_floor, _memo_thunk(limit), f"jouhet({pair.label})",
     )
 
 
@@ -799,8 +734,8 @@ def definition_limit_eval(pair: BilateralPair):
         pair.alpha_floor, ctx.order, hard_cap(ctx), bilateral=True, budget=budget
     ):
         acc = acc + pair.alpha(n)
-    inv_e = _inv_poch(ctx, (Fraction(1), 0, r), r, None)
-    return pair.beta_limit(), inv_e * inv_e * acc
+    euler = ((1, 0, r), r, None)
+    return pair.beta_limit(), _times(acc, den=[euler, euler])
 
 
 # -- double-sum transforms --------------------------------------------------
@@ -824,9 +759,9 @@ def aw_lemma_eval(pair: BilateralPair, which: str):
 
     if which == "I":
 
-        def lweight(n):
-            t = poch_finite(ctx, (1, 0, 2 * u), 2 * u, 2 * n) * monomial(ctx, 1, 0, u * n)
-            return t * _inv_poch(ctx, (Fraction(-1), 0, u), u, 2 * n + 1)
+        def lweight(n, s):
+            num = [((1, 0, 2 * u), 2 * u, 2 * n)]
+            return _times(s, num, [((-1, 0, u), u, 2 * n + 1)], (1, 0, u * n))
 
         def outer(n):
             return u * n * (n + 1)
@@ -839,8 +774,8 @@ def aw_lemma_eval(pair: BilateralPair, which: str):
 
     elif which == "II":
 
-        def lweight(n):
-            return poch_finite(ctx, (1, 0, u), u, 2 * n) * monomial(ctx, 1, 0, u * n)
+        def lweight(n, s):
+            return _times(s, [((1, 0, u), u, 2 * n)], lead=(1, 0, u * n))
 
         def outer(n):
             return u * n * (n + 1) // 2
@@ -856,7 +791,7 @@ def aw_lemma_eval(pair: BilateralPair, which: str):
 
     lhs = zero(ctx)
     for n in _indices(lambda v: u * v, ctx.order, cap, bilateral=False, budget=budget):
-        lhs = lhs + lweight(n) * pair.beta(n)
+        lhs = lhs + lweight(n, pair.beta(n))
 
     def row_bound(n):
         return min(outer(n) + inner_qexp(j) + pair.alpha_floor(j) for j in jrange(n))
@@ -870,7 +805,7 @@ def aw_lemma_eval(pair: BilateralPair, which: str):
             if shift + pair.alpha_floor(j) > ctx.order:
                 continue
             budget.spend()
-            rhs = rhs + _qshift(pair.alpha(j), shift)
+            rhs = rhs + _times(pair.alpha(j), lead=(1, 0, shift))
 
     for side, name in ((lhs, "left"), (rhs, "right")):
         m = side.min_exponent()
@@ -893,9 +828,10 @@ def multisum_lhs(kind: str, k: int, ctx: EvalContext, pair: BilateralPair | None
     pair is given explicitly.
 
     Structure: indices n_1 >= ... >= n_k >= 0; level i carries a weight
-    W_i(n_i), each adjacent pair a kernel K_i(n_i - n_{i+1}) (plus a pure
-    power coupling for LAT2), and the inner index a beta factor. Evaluated
-    by dynamic programming from the outside in.
+    W_i(n_i), each adjacent pair a kernel q^(shift*delta) / (Q; Q)_delta at
+    delta = n_i - n_(i+1), and the inner index a beta factor. Evaluated by
+    dynamic programming from the outside in; each level's sum over
+    n_i >= n_(i+1) is a Bailey sum in Horner form.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -903,25 +839,22 @@ def multisum_lhs(kind: str, k: int, ctx: EvalContext, pair: BilateralPair | None
     budget = _Budget()
     cap = hard_cap(ctx)
 
+    # weight(i, n, s) is s times W_i(n); kernel(i) is the (step, shift) of
+    # the kernel below level i.
     if kind in ("AG1", "AG2"):
         base = d if kind == "AG1" else 2 * d
         if pair is None:
             pair = key_pair(ctx, base)
 
-        def weight(i, n):
-            w = monomial(ctx, 1, 0, d * n * n)
-            if kind == "AG2" and i == k:
-                w = w * poch_finite(ctx, (-1, 0, d), 2 * d, n)
-            return w
+        def weight(i, n, s):
+            num = [((-1, 0, d), 2 * d, n)] if kind == "AG2" and i == k else []
+            return _times(s, num, lead=(1, 0, d * n * n))
 
         def weight_min(i, n):
             return d * n * n
 
-        def kernel(i, delta):
-            return _inv_poch(ctx, (Fraction(1), 0, base), base, delta)
-
-        def kernel_shift(i):
-            return 0
+        def kernel(i):
+            return base, 0
 
     elif kind in ("LAT1", "LAT2"):
         if k < 2:
@@ -929,27 +862,24 @@ def multisum_lhs(kind: str, k: int, ctx: EvalContext, pair: BilateralPair | None
         u = d
         if pair is None:
             pair = key_pair(ctx, u * 2 ** (k - 1))
-        w2 = _Weights(ctx, u, x, y)
+        w2 = _Weights(u, x, y)
 
-        def weight(i, n):
+        def weight(i, n, s):
             if i == 1:
-                return w2.beta_weight(n)
+                return w2.apply(s, n)
             p = 2 ** (i - 2) * u
             if kind == "LAT1":
-                return poch_finite(ctx, (-1, 0, 0), p, 2 * n) * monomial(ctx, 1, 0, p * n)
-            return poch_finite(ctx, (-1, 0, p), p, 2 * n)
+                return _times(s, [((-1, 0, 0), p, 2 * n)], lead=(1, 0, p * n))
+            return _times(s, [((-1, 0, p), p, 2 * n)])
 
         def weight_min(i, n):
             if i == 1:
                 return w2.beta_weight_min(n)
             return 2 ** (i - 2) * u * n if kind == "LAT1" else 0
 
-        def kernel(i, delta):
+        def kernel(i):
             p = 2 ** (i - 1) * u
-            return _inv_poch(ctx, (Fraction(1), 0, 2 * p), 2 * p, delta)
-
-        def kernel_shift(i):
-            return 2 ** (i - 1) * u if kind == "LAT2" else 0
+            return 2 * p, (p if kind == "LAT2" else 0)
 
     else:
         raise ValueError(f"unknown multisum kind {kind!r}")
@@ -970,24 +900,19 @@ def multisum_lhs(kind: str, k: int, ctx: EvalContext, pair: BilateralPair | None
         suffix = totals[:]
         for v in range(cap - 1, -1, -1):
             suffix[v] = min(suffix[v], suffix[v + 1])
-        shift = kernel_shift(i)
+        live = [n for n in range(cap + 1) if totals[n] <= ctx.order]
+        terms = {
+            n: weight(i, n, one(ctx) if series_prev is None else series_prev[n]) for n in live
+        }
+        step, shift = kernel(i)
+        empty = zero(ctx)
         new_series: dict[int, QSeries] = {}
         for v in range(cap + 1):
             if suffix[v] > ctx.order:
                 break
-            acc = zero(ctx)
-            for n in range(v, cap + 1):
-                if totals[n] > ctx.order:
-                    continue
-                budget.spend()
-                t = weight(i, n)
-                if series_prev is not None:
-                    t = t * series_prev[n]
-                t = t * kernel(i, n - v)
-                if shift:
-                    t = t * monomial(ctx, 1, 0, shift * (n - v))
-                acc = acc + t
-            new_series[v] = acc
+            budget.spend(sum(1 for n in live if n >= v))
+            row = [terms.get(n, empty) for n in range(v, live[-1] + 1)]
+            new_series[v] = _bailey_sum(row, step, shift)
         series_prev = new_series
         bound_prev = suffix
 
@@ -1002,7 +927,7 @@ def multisum_lhs(kind: str, k: int, ctx: EvalContext, pair: BilateralPair | None
         if inner_totals[n] > ctx.order:
             continue
         budget.spend()
-        t = weight(k, n) * pair.beta(n)
+        t = weight(k, n, pair.beta(n))
         if series_prev is not None:
             t = t * series_prev[n]
         acc = acc + t

@@ -386,9 +386,14 @@ def _eval(node, st: _State) -> _Ex:
 
 
 def _pow(base: _Ex, e: int, st: _State) -> _Ex:
+    """base^e by binary powering: about 2 log2(e) products, not e."""
     out = _Ex({(0, 0): Fraction(1)}, None)
-    for _ in range(e):
-        out = _mul(out, base, st.w)
+    while e:
+        if e & 1:
+            out = _mul(out, base, st.w)
+        e >>= 1
+        if e:
+            base = _mul(base, base, st.w)
     return out
 
 

@@ -45,6 +45,7 @@ __all__ = [
     "binomials",
     "times_binomials",
     "dilate",
+    "retruncate",
     "equal_up_to",
     "first_mismatch",
     "render",
@@ -299,6 +300,7 @@ def _ints(data: dict) -> dict:
 
 
 def _acc_into(target: dict, src: dict) -> None:
+    """Add the table src into target, in place; an integral sum is kept as an int."""
     for qe, zd in src.items():
         row = target.get(qe)
         if row is None:
@@ -307,7 +309,7 @@ def _acc_into(target: dict, src: dict) -> None:
         for ze, c in zd.items():
             s = row.get(ze, _ZERO) + c
             if s:
-                row[ze] = s
+                row[ze] = s if type(s) is int or s.denominator != 1 else s.numerator
             elif ze in row:
                 del row[ze]
         if not row:
@@ -558,13 +560,6 @@ def _axpy(row, src: dict, c, a: int) -> dict:
     return row
 
 
-# Longest chain of uncached prefixes one poch_finite call builds recursively:
-# far below the interpreter's recursion limit, and above every product
-# length the catalog reaches at its shipped orders (117), so those products
-# take a single cache lookup.
-_POCH_STRIDE = 128
-
-
 def poch_finite(ctx: EvalContext, base, step: int, length: int) -> QSeries:
     """Finite product prod_{t<length} prod_b (1 - b*q^(t*step)), exact to the order.
 
@@ -577,27 +572,7 @@ def poch_finite(ctx: EvalContext, base, step: int, length: int) -> QSeries:
         raise ValueError("poch_finite length must be >= 0")
     if step < 1:
         raise ValueError("poch_finite step must be >= 1")
-    bases = _bases(ctx, base)
-    # Vanishing and the z guard follow the bases in order, as one build would.
-    if not binomials(ctx, bases, step, length)[0][0]:
-        return zero(ctx)
-    # Each prefix is built from the cached one before it, recursively.
-    # Warming every _POCH_STRIDE-th prefix in increasing length first keeps
-    # that recursion shallow at any length; a product of at most
-    # _POCH_STRIDE factors is a single cache lookup.
-    for n in range(_POCH_STRIDE, length, _POCH_STRIDE):
-        _poch_finite_cached(ctx, bases, step, n)
-    return _poch_finite_cached(ctx, bases, step, length)
-
-
-@lru_cache(maxsize=None)
-def _poch_finite_cached(ctx, bases, step, length):
-    shift = (length - 1) * step
-    if length and all(qe + shift >= 0 for _, _, qe in bases):
-        # The last factors have exponents >= 0: extend the exact prefix.
-        last = [(c, ze, qe + shift, 1, 1) for c, ze, qe in bases if c]
-        return times_binomials(_poch_finite_cached(ctx, bases, step, length - 1), last)
-    lead, runs = binomials(ctx, bases, step, length)
+    lead, runs = binomials(ctx, base, step, length)
     return times_binomials(monomial(ctx, *lead), runs)
 
 
@@ -612,12 +587,7 @@ def poch_infinite(ctx: EvalContext, base, step: int, *, strict: bool = True) -> 
     strict mode rejects it unless the factor is identically zero (which
     collapses the product).
     """
-    return _poch_infinite_cached(ctx, _bases(ctx, base), step, strict)
-
-
-@lru_cache(maxsize=None)
-def _poch_infinite_cached(ctx, bases, step, strict):
-    lead, runs = binomials(ctx, bases, step, None, strict=strict)
+    lead, runs = binomials(ctx, base, step, None, strict=strict)
     return times_binomials(monomial(ctx, *lead), runs)
 
 
@@ -625,17 +595,23 @@ def qbinomial(ctx: EvalContext, n: int, k: int) -> QSeries:
     """Gaussian binomial coefficient as a series (zero when out of range)."""
     if k < 0 or k > n:
         return zero(ctx)
-    return _qbinomial_cached(ctx, n, k)
-
-
-@lru_cache(maxsize=None)
-def _qbinomial_cached(ctx, n, k):
     # (Q;Q)_n / ((Q;Q)_k (Q;Q)_(n-k)) with Q = q^scale: after cancelling
     # (Q;Q)_(n-k), the factors 1 - Q^(n-k+i) over 1 - Q^i for i = 1..k,
     # divided in place.
     d = ctx.scale
     k = min(k, n - k)
     return times_binomials(one(ctx), [(1, 0, d * (n - k + 1), d, k)], [(1, 0, d, d, k)])
+
+
+def retruncate(s: QSeries, ctx: EvalContext) -> QSeries:
+    """Restrict a series computed at a higher order back to ctx."""
+    if s.ctx == ctx:
+        return s
+    data: dict[int, dict] = {}
+    for qe, ze, c in s.terms():
+        if qe <= ctx.order:
+            data.setdefault(qe, {})[ze] = c
+    return QSeries(ctx, data)
 
 
 def dilate(s: QSeries, m: int) -> QSeries:

@@ -3,10 +3,14 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
+from baileyforge.dsl.evaluator import evaluate
 from baileyforge.engine import (
     INFINITE,
+    _Weights,
+    _bailey_sum,
     bms_general_eval,
     chain_step,
     closed_form_djk_pair,
@@ -19,15 +23,19 @@ from baileyforge.engine import (
     lattice_djk,
     lattice_jouhet,
     multisum_lhs,
+    poch_signed_min,
     verify_pair_definition,
     weak_lemma_eval,
 )
-from baileyforge.errors import TerminationError
+from baileyforge.errors import NegativeFloorError, TerminationError
+from baileyforge.registry import REGISTRY, load_spec
 from baileyforge.series import (
     EvalContext,
     Monomial,
     monomial,
+    one,
     poch_finite,
+    retruncate,
     zero,
 )
 from baileyforge.special import hecke_sum, HeckeSpec
@@ -176,10 +184,40 @@ class TestTransforms:
             (Monomial(-1, 0), INFINITE),
             (Monomial(-1, 1), Monomial(1, 1)),
             (Monomial(-1, 2), Monomial(1, 1)),
+            # kappa = 1, with beta weights below q^0 at small n
+            (Monomial(1, -3), Monomial(1, 6)),
         ],
     )
     def test_general_chain_preserves_definition(self, x, y):
         assert verify_pair_definition(general_chain_step(key_pair(CTX, 4), x, y), 4)
+
+    @pytest.mark.parametrize(
+        "x,y",
+        [
+            (INFINITE, Monomial(-1, 1)),
+            (Monomial(-1, 1), Monomial(1, 1)),
+            (Monomial(1, -3), Monomial(1, 6)),
+            (Monomial(1, 7), Monomial(-1, -3)),
+        ],
+    )
+    def test_general_chain_is_exact_at_the_order(self, x, y):
+        got = general_chain_step(key_pair(CTX, 4), x, y)
+        ref = general_chain_step(key_pair(EvalContext(1, 60), 4), x, y)
+        for n in range(6):
+            assert got.beta(n) == retruncate(ref.beta(n), CTX), n
+        for n in range(-5, 6):
+            assert got.alpha(n) == retruncate(ref.alpha(n), CTX), n
+
+    @pytest.mark.parametrize(
+        "x,y", [(Monomial(1, 3), Monomial(1, 2)), (Monomial(1, 5), Monomial(-1, 1))]
+    )
+    def test_general_chain_refuses_a_negative_kernel_exponent(self, x, y):
+        # kappa = 4 - x - y < 0: the beta weights fall like q^(kappa*n), so
+        # beta'_n at order 30 needs the base pair's beta_j past q^30. Built at
+        # order 30, beta'_2 differed from the pair built at order 60 and the
+        # definition check failed.
+        with pytest.raises(NegativeFloorError, match="kernel exponent"):
+            general_chain_step(key_pair(CTX, 4), x, y)
 
     def test_general_chain_reduces_to_chain(self):
         base = key_pair(CTX)
@@ -389,3 +427,130 @@ class TestIteratedIdentities:
     def test_k_must_be_at_least_two(self):
         with pytest.raises(ValueError):
             iterated_lattice_eval(CTX, "djk", 1, INFINITE, INFINITE)
+
+
+# -- the in-place helpers ----------------------------------------------------
+
+
+def _poch_signed_min_by_terms(qe, step, n):
+    if n >= 0:
+        return sum(min(0, qe + t * step) for t in range(n))
+    return -sum(min(0, qe - t * step) for t in range(1, -n + 1))
+
+
+def _signed_poch(ctx, base, step, n):
+    """(base; q^step)_n as a series: 1 / (base q^(n step); q^step)_(-n) for n < 0."""
+    if n >= 0:
+        return poch_finite(ctx, base, step, n)
+    c, ze, qe = base
+    return poch_finite(ctx, (c, ze, qe + n * step), step, -n).invert()
+
+
+def _table(s):
+    return [(qe, ze, F(c)) for qe, ze, c in s.terms()]
+
+
+_CTXS = [EvalContext(1, 12), EvalContext(1, 12, Monomial(-1, 1)), EvalContext(2, 12)]
+_term_rows = st.lists(
+    st.tuples(
+        st.integers(min_value=-3, max_value=12),
+        st.integers(min_value=-1, max_value=1),
+        st.sampled_from([1, -1, 2, F(1, 2), F(-3, 2)]),
+    ),
+    max_size=4,
+)
+
+
+class TestHelpers:
+    @given(
+        st.integers(min_value=-20, max_value=20),
+        st.integers(min_value=1, max_value=6),
+        st.integers(min_value=-15, max_value=15),
+    )
+    def test_poch_signed_min_closed_form(self, qe, step, n):
+        assert poch_signed_min(qe, step, n) == _poch_signed_min_by_terms(qe, step, n)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(range(len(_CTXS))),
+        st.lists(_term_rows, min_size=1, max_size=4),
+        st.integers(min_value=1, max_value=3),
+        st.integers(min_value=0, max_value=2),
+        st.one_of(
+            st.none(),
+            st.tuples(
+                st.sampled_from([1, -1, 2]),
+                st.integers(min_value=0, max_value=1),
+                st.integers(min_value=0, max_value=3),
+            ),
+        ),
+    )
+    def test_bailey_sum_matches_the_direct_sum(self, ci, rows, step, shift, kernel):
+        ctx = _CTXS[ci]
+        if kernel is not None and not ctx.is_formal:
+            kernel = (kernel[0], 0, kernel[2])
+        # Terms below q^0 leave the top of a truncated product unknown, so the
+        # reference sums at a lifted order and truncates back.
+        lifted = EvalContext(ctx.scale, ctx.order + 3, ctx.z_interp)
+
+        def terms(c):
+            out = []
+            for row in rows:
+                t = zero(c)
+                for qe, ze, coeff in row:
+                    if qe <= ctx.order:
+                        t = t + monomial(c, coeff, ze, qe)
+                out.append(t)
+            return out
+
+        ref = zero(lifted)
+        for k, t in enumerate(terms(lifted)):
+            t = t * monomial(lifted, 1, 0, shift * k)
+            if kernel is not None:
+                t = t * poch_finite(lifted, kernel, step, k)
+            ref = ref + t * poch_finite(lifted, (1, 0, step), step, k).invert()
+        got = _bailey_sum(terms(ctx), step, shift, kernel)
+        assert _table(got) == _table(retruncate(ref, ctx))
+
+    @pytest.mark.parametrize(
+        "x,y",
+        [
+            (INFINITE, INFINITE),
+            (INFINITE, Monomial(-1, 1)),
+            (Monomial(-1, 0), Monomial(1, 1)),
+            (Monomial(1, 2), Monomial(-1, 5)),
+            (Monomial(1, -3), Monomial(1, 6)),
+        ],
+    )
+    @pytest.mark.parametrize("alpha", [False, True])
+    def test_weights_apply_matches_the_product(self, x, y, alpha):
+        # The reference inverts each factor on its own, and inverting one of
+        # valuation v > 0 loses its top v coefficients, so it works at a
+        # lifted order and truncates back.
+        ctx, r = EvalContext(1, 20), 4
+        lifted = EvalContext(1, 120)
+        w = _Weights(r, x, y)
+        for n in range(-4, 5):
+            ref = one(lifted)
+            qshift, sign = r * n, 1
+            for p in (x, y):
+                if p is INFINITE:
+                    qshift += r * n * (n - 1) // 2
+                    sign *= (-1) ** (n % 2)
+                    continue
+                ref = ref * _signed_poch(lifted, (p.sign, 0, p.qexp), r, n)
+                if alpha:
+                    ref = ref * _signed_poch(lifted, (p.sign, 0, r - p.qexp), r, n).invert()
+                qshift -= p.qexp * n
+                sign *= p.sign ** (n % 2)
+            s = one(ctx) + monomial(ctx, 2, 0, 1) - monomial(ctx, F(1, 3), 0, 3)
+            s_lifted = one(lifted) + monomial(lifted, 2, 0, 1) - monomial(lifted, F(1, 3), 0, 3)
+            ref = ref * monomial(lifted, sign, 0, qshift) * s_lifted
+            assert _table(w.apply(s, n, alpha)) == _table(retruncate(ref, ctx)), n
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("kind,name", [("AG1", "ag_multisum_k"), ("AG2", "ag_even_multisum_k")])
+    def test_multisum_matches_the_dsl(self, kind, name, k):
+        ctx = EvalContext(1, 20)
+        spec = load_spec(REGISTRY[f"{name}{k}"])
+        assert _table(multisum_lhs(kind, k, ctx)) == _table(evaluate(spec, {}, "lhs", order=20))

@@ -1,11 +1,14 @@
 """Catalog registry tests: coverage manifest, routing, reports, sweeps."""
 
 import glob
+import importlib
 import json
 import os
+import sys
 
 import pytest
 
+from baileyforge import oracle
 from baileyforge import registry as R
 from baileyforge.cli import main
 from baileyforge.dsl import parse_file, pretty_print
@@ -189,6 +192,45 @@ def test_unexpected_exception_exits_2(monkeypatch, capsys):
     monkeypatch.setattr("baileyforge.cli.evaluate_expr", broken)
     assert main(["expand", "q", "--order", "3"]) == 2
     assert capsys.readouterr().err.strip() == "error: KeyError: 'lost'"
+
+
+def test_oracle_raises_powers_by_squaring(monkeypatch, capsys):
+    expr = "(1 + q)^(100000000)"
+    assert main(["expand", expr, "--order", "3"]) == 0
+    fast = capsys.readouterr().out
+    mul = oracle._mul
+    calls = []
+
+    def counted(a, b, w):
+        # e factors one at a time would never finish; stop them early.
+        calls.append(1)
+        if len(calls) > 100:
+            raise RuntimeError("oracle power multiplies too often")
+        return mul(a, b, w)
+
+    monkeypatch.setattr(oracle, "_mul", counted)
+    assert main(["expand", expr, "--order", "3", "--oracle"]) == 0
+    assert capsys.readouterr().out == fast
+
+
+def test_benchmark_probes_resolve(monkeypatch):
+    """Every function perfbench/layers.py traces is a callable of the package.
+
+    A probe that no longer resolves drops its metrics from a traced run
+    without failing it.
+    """
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), os.pardir, "perfbench"))
+    try:
+        probes = importlib.import_module("layers").PROBES
+    finally:
+        sys.modules.pop("layers", None)
+        sys.modules.pop("tracer", None)
+    assert probes
+    for probe in probes:
+        obj = importlib.import_module(probe.module)
+        for part in probe.qualname.split("."):
+            obj = getattr(obj, part, None)
+        assert callable(obj), f"{probe.module}:{probe.qualname}"
 
 
 def test_verify_file_on_missing_path():

@@ -24,8 +24,15 @@ from baileyforge import (
     render,
     zero,
 )
-from baileyforge.engine import retruncate
-from baileyforge.series import _acc_into, _fold, _mul_raw, binomials, times_binomials
+from baileyforge.dsl import evaluate_expr, parse_expr
+from baileyforge.series import (
+    _acc_into,
+    _fold,
+    _mul_raw,
+    binomials,
+    retruncate,
+    times_binomials,
+)
 
 import oracles
 
@@ -177,7 +184,7 @@ def geometric_inverse(s):
         _acc_into(out, term)
     res = {}
     for qe, zd in out.items():
-        row = {ze - mz: v / mc for ze, v in zd.items() if v}
+        row = {ze - mz: F(v) / mc for ze, v in zd.items() if v}
         if row and qe - m <= s.ctx.order:
             res[qe - m] = row
     return QSeries(s.ctx, res)
@@ -265,6 +272,14 @@ class TestCoefficientTypes:
                 assert coefficient_types(series) <= {int, F}
         s = one(CTX20) * 3 + monomial(CTX20, 1, 0, 1)
         assert coefficient_types(s.invert()) == {F}
+
+    def test_sums_keep_integral_coefficients_as_ints(self):
+        half = monomial(CTX20, F(1, 2))
+        s = half + monomial(CTX20, F(1, 2), 0, 1) + half
+        assert type(s.coefficient(0)) is int and s.coefficient(0) == 1
+        assert type(s.coefficient(1)) is F
+        s = evaluate_expr(parse_expr("1/2 + q/2 + 1/2"), order=3)
+        assert [type(c) for _, _, c in s.terms()] == [int, F]
 
     def test_inverse_with_a_non_unit_lead_keeps_ints(self):
         # by hand: 1/(2 + 4q) = 1/2 - q + 2q^2 - 4q^3 + ...
