@@ -13,7 +13,7 @@ from .dsl import bindings_env, evaluate, evaluate_expr, parse_expr, parse_file, 
 from .dsl.nodes import Appell, BilateralSum, ChainSum, Div, Hecke, Mul, Neg, RangeSum
 from .errors import SeriesError, SpecError
 from .oracle import brute_force_expand, expand_expr
-from .series import Monomial
+from .series import Monomial, render_terms
 
 PASS, FAIL, ERROR = 0, 1, 2
 
@@ -75,13 +75,6 @@ def _emit_reports(reports, fmt: str) -> None:
             print(_report_line(r))
 
 
-def _fmt_q(qe: int, scale: int) -> str:
-    if qe % scale == 0:
-        return str(qe // scale)
-    f = Fraction(qe, scale)
-    return f"{f.numerator}/{f.denominator}"
-
-
 def _emit_table(items, scale: int, order: int, fmt: str) -> int:
     """Print a coefficient table from sorted (qexp, zexp, coeff) triples."""
     if fmt == "json":
@@ -91,21 +84,7 @@ def _emit_table(items, scale: int, order: int, fmt: str) -> int:
                  "coeff": str(c)} for qe, ze, c in items]
         print(json.dumps({"scale": scale, "order": order, "terms": rows}, indent=2))
         return PASS
-    grouped: dict = {}
-    for qe, ze, c in items:
-        grouped.setdefault(qe, []).append((ze, c))
-    lines = []
-    for qe in sorted(grouped):
-        parts = []
-        for ze, c in sorted(grouped[qe]):
-            if ze == 0:
-                parts.append(str(c))
-            elif ze == 1:
-                parts.append(f"{c}*z")
-            else:
-                parts.append(f"{c}*z^{ze}")
-        lines.append(f"q^{_fmt_q(qe, scale)}: " + " + ".join(parts))
-    print("\n".join(lines) if lines else "0")
+    print(render_terms(items, scale))
     return PASS
 
 

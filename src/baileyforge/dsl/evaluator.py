@@ -5,24 +5,18 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ..engine import _Budget
-from ..errors import PoleError, RegionError, SpecError, TerminationError
+from ..errors import PoleError, SpecError, TerminationError
 from ..series import (
     EvalContext,
     Monomial,
     QSeries,
     binomials,
+    hard_cap,
     monomial,
     qbinomial,
     retruncate,
     times_binomials,
     zero,
-)
-from ..special import (
-    AppellLerchSpec,
-    HeckeSpec,
-    appell_lerch_sum,
-    hard_cap,
-    hecke_sum,
 )
 from . import growth
 from .growth import RAY_T, base_triple
@@ -288,35 +282,39 @@ def _one_sided(st: _St, emit, start: int, direction: int, last=None) -> QSeries:
     return out
 
 
-def _two_sided(st: _St, emit, body, index: str, den=None) -> QSeries:
-    """A sum over index in Z whose term is body, or body / (1 + q^den)."""
+def _two_sided(st: _St, emit, body, index: str, den=None, shifted=None) -> QSeries:
+    """A sum over index in Z whose term is body, or body / (1 + q^den).
+
+    shifted is the node body * q^(-den) of a sum with a divisor.
+    """
     out = zero(st.ctx)
     for start, ray in ((0, RAY_T), (1, growth.mneg(RAY_T))):
         sub = {index: ray}
         term, whole = body, True
         if den is not None:
-            term, whole = _den_term(body, den, sub, st.env, start)
+            term, whole = _den_term(body, shifted, den, sub, st.env, start)
         direction = -1 if start else 1
         out = out + _one_sided(st, emit, -start, direction,
                                _last(st, term, start, (sub,), whole=whole))
     return out
 
 
-def _den_term(body, den, sub: dict, env: dict, start: int):
+def _den_term(body, shifted, den, sub: dict, env: dict, start: int):
     """A node bounding body / (1 + q^den) along a ray, and whether it is the whole term.
 
     1/(1 + q^d) has lowest exponent max(0, -d): 0 where d >= 0 and -d where
-    d <= 0. Where den keeps one sign on the whole ray, body or body * q^(-den)
-    has the term's lowest exponent; elsewhere body only bounds it from below.
+    d <= 0. Where den keeps one sign on the whole ray, body or shifted
+    (body * q^(-den)) has the term's lowest exponent; elsewhere body only
+    bounds it from below.
     """
-    d = _ray(den, sub, env)
+    d = growth.ray_coeffs(growth.mpoly(den, sub, env))
     if d is not None and len(d) <= 2:
         slope = d[1] if len(d) > 1 else 0
         first = d[0] + slope * start
         if slope >= 0 and first >= 0:
             return body, True
         if slope <= 0 and first <= 0:
-            return Mul(left=body, right=QPow(exp=INeg(arg=den))), True
+            return shifted, True
     return body, False
 
 
@@ -339,217 +337,45 @@ def _chain_sum(node: ChainSum, st: _St) -> QSeries:
     return _one_sided(st, lambda v: level(1, v, st.bind(idxs[0], v)), 0, 1, last)
 
 
-def _den_join(s: QSeries, dexp: int) -> QSeries:
-    """s / (1 + q^dexp), divided in place whatever the valuation of s.
+def _shifted(body, den):
+    """The node body * q^(-den)."""
+    return Mul(left=body, right=QPow(exp=INeg(arg=den)))
 
-    1/(1 + q^0) is 1/2, and for dexp < 0, 1/(1 + q^dexp) = q^(-dexp) / (1 + q^(-dexp)).
+
+def _over_den(body, shifted, den, st: _St) -> QSeries:
+    """body / (1 + q^den) under st's bindings, divided in place.
+
+    1/(1 + q^0) is 1/2. For d < 0, body / (1 + q^d) is shifted / (1 + q^(-d))
+    with shifted = body * q^(-d), evaluated whole, so a term of body that the
+    shift carries past the order is never built.
     """
-    if dexp == 0:
-        return s * Fraction(1, 2)
-    return times_binomials(s, (), ((-1, 0, abs(dexp), 1, 1),), (1, 0, max(0, -dexp)))
-
-
-# -- special-series recognition ----------------------------------------------
-
-
-def _pieces(node, box: list, out: list) -> bool:
-    if isinstance(node, Mul):
-        return _pieces(node.left, box, out) and _pieces(node.right, box, out)
-    if isinstance(node, Neg):
-        box[0] = -box[0]
-        return _pieces(node.arg, box, out)
-    if isinstance(node, Rational):
-        box[0] = box[0] * Fraction(node.value)
-        return True
-    if isinstance(node, (Pow, QPow, ZPow)):
-        out.append(node)
-        return True
-    return False
-
-
-def _ray(e, sub: dict, env: dict):
-    """Ray coefficients of an integer expression under sub, or None."""
-    return growth.ray_coeffs(growth.mpoly(e, sub, env))
-
-
-def _match_appell(node: Appell, st: _St):
-    box = [Fraction(1)]
-    pieces: list = []
-    if not _pieces(node.num, box, pieces):
-        return None
-    sub = {node.index: RAY_T}
-    alt = 0
-    zpow = 0
-    qp: dict = {}
-    for p in pieces:
-        if isinstance(p, Pow):
-            if not (isinstance(p.base, Neg) and isinstance(p.base.arg, Rational)
-                    and p.base.arg.value == 1):
-                return None
-            ep = _ray(p.exp, sub, st.env)
-            if ep is None or len(ep) > 2 or (len(ep) > 1 and ep[1].denominator != 1):
-                return None
-            c1 = int(ep[1]) if len(ep) > 1 else 0
-            c0 = ep[0]
-            if c0.denominator != 1:
-                return None
-            if (c1 % 2) == 1:
-                alt ^= 1
-            if int(c0) % 2:
-                box[0] = -box[0]
-        elif isinstance(p, ZPow):
-            # The matched form has only z^(zpow * n); a bare z is z^1.
-            ep = None if p.exp is None else _ray(p.exp, sub, st.env)
-            if ep is None or len(ep) > 2 or ep[0] != 0:
-                return None
-            zpow += int(ep[1]) if len(ep) > 1 else 0
-        elif isinstance(p, QPow):
-            ep = growth.mconst(st.ctx.scale) if p.exp is None else growth.mpoly(p.exp, sub, st.env)
-            if ep is None:
-                return None
-            qp = growth.madd(qp, ep)
-        else:
-            return None
-    qp = growth.ray_coeffs(qp)
-    dp = _ray(node.den, sub, st.env)
-    if qp is None or len(qp) > 3 or dp is None or len(dp) > 2:
-        return None
-    quad = qp[2] if len(qp) > 2 else Fraction(0)
-    lin = qp[1] if len(qp) > 1 else Fraction(0)
-    cst = qp[0]
-    if cst.denominator != 1:
-        return None
-    dc = dp[1] if len(dp) > 1 else Fraction(0)
-    ds = dp[0]
-    if dc.denominator != 1 or ds.denominator != 1:
-        return None
-    try:
-        # The constant exponent stays in the spec, so the window check sees it.
-        spec = AppellLerchSpec(alt, zpow, quad, lin, 1, int(dc), int(ds), int(cst))
-    except ValueError:
-        return None
-    return box[0], spec
+    d = int_eval(den, st.env)
+    if d == 0:
+        return _eval(body, st) * Fraction(1, 2)
+    return times_binomials(_eval(body if d > 0 else shifted, st), (), ((-1, 0, abs(d), 1, 1),))
 
 
 def _appell(node: Appell, st: _St) -> QSeries:
-    match = _match_appell(node, st)
-    if match is not None:
-        sc, spec = match
-        s = appell_lerch_sum(st.ctx, spec)
-        return s if sc == 1 else s * sc
+    shifted = _shifted(node.num, node.den)
 
     def emit(n):
-        inner = st.bind(node.index, n)
-        d = int_eval(node.den, inner.env)
-        return _den_join(_eval(node.num, inner), d)
+        return _over_den(node.num, shifted, node.den, st.bind(node.index, n))
 
-    return _two_sided(st, emit, node.num, node.index, node.den)
-
-
-def _match_hecke(node: Hecke, st: _St):
-    box = [Fraction(1)]
-    pieces: list = []
-    if not _pieces(node.body, box, pieces):
-        return None
-    n_, j_ = node.outer, node.inner
-    nsub = {n_: RAY_T, j_: growth.mconst(0)}
-    jsub = {n_: growth.mconst(0), j_: RAY_T}
-    alt = 0
-    zpow = 0
-    pn: dict = {}
-    pj: dict = {}
-    for p in pieces:
-        if isinstance(p, Pow):
-            if not (isinstance(p.base, Neg) and isinstance(p.base.arg, Rational)
-                    and p.base.arg.value == 1):
-                return None
-            en = _ray(p.exp, nsub, st.env)
-            ej = _ray(p.exp, jsub, st.env)
-            if en is None or ej is None or len(ej) > 2 or en not in ([0], ej[:1]):
-                return None
-            if len(ej) > 1 and ej[1] == 1 and ej[0] == 0:
-                alt ^= 1
-            elif ej != [0]:
-                return None
-        elif isinstance(p, ZPow):
-            # The matched form has only z^(zpow * j); a bare z is z^1.
-            if p.exp is None:
-                return None
-            ep = _ray(p.exp, jsub, st.env)
-            en = _ray(p.exp, nsub, st.env)
-            if ep is None or en != [0] or len(ep) > 2 or ep[0] != 0:
-                return None
-            zpow += int(ep[1]) if len(ep) > 1 else 0
-        elif isinstance(p, QPow):
-            if p.exp is None:
-                pn = growth.madd(pn, growth.mconst(st.ctx.scale))
-                continue
-            a = growth.mpoly(p.exp, nsub, st.env)
-            b = growth.mpoly(p.exp, jsub, st.env)
-            if a is None or b is None:
-                return None
-            pn = growth.madd(pn, a)
-            # b's constant term is already counted inside a.
-            pj = growth.madd(pj, {m: c for m, c in b.items() if m})
-        else:
-            return None
-    pn = growth.ray_coeffs(pn)
-    pj = growth.ray_coeffs(pj)
-    if pn is None or pj is None or len(pn) > 3 or len(pj) > 3:
-        return None
-    # Reject mixed n*j terms by direct evaluation at witness points.
-    for nn, jj in ((1, 1), (2, 1), (1, 2), (2, 2), (3, 2)):
-        envp = dict(st.env)
-        envp[n_] = nn
-        envp[j_] = jj
-        total = Fraction(0)
-        for p in pieces:
-            if isinstance(p, QPow):
-                total += st.ctx.scale if p.exp is None else int_eval(p.exp, envp)
-        expect = growth.ray_value(pn, nn) + growth.ray_value(pj, jj)
-        if total != expect:
-            return None
-    a0 = pn[0]
-    a1 = pn[1] if len(pn) > 1 else Fraction(0)
-    a2 = pn[2] if len(pn) > 2 else Fraction(0)
-    b1 = pj[1] if len(pj) > 1 else Fraction(0)
-    b2 = pj[2] if len(pj) > 2 else Fraction(0)
-    den = None
-    if node.den is not None:
-        dj = _ray(node.den, jsub, st.env)
-        dn = _ray(node.den, nsub, st.env)
-        if dj is None or dn is None or len(dj) > 2 or dn != dj[:1]:
-            return None
-        dc = dj[1] if len(dj) > 1 else Fraction(0)
-        if dc.denominator != 1 or dj[0].denominator != 1:
-            return None
-        den = (1, int(dc), int(dj[0]))
-    try:
-        spec = HeckeSpec(node.region, alt, zpow, (a2, a1, a0), (b2, b1), den)
-    except ValueError:
-        return None
-    return box[0], spec
+    return _two_sided(st, emit, node.num, node.index, node.den, shifted)
 
 
 def _hecke(node: Hecke, st: _St) -> QSeries:
-    match = _match_hecke(node, st)
-    if match is not None:
-        sc, spec = match
-        try:
-            return hecke_sum(st.ctx, spec) * Fraction(sc)
-        except RegionError:
-            pass
+    shifted = None if node.den is None else _shifted(node.body, node.den)
 
     def emit_row(n):
         m = n // 2 if node.region == "half" else n
         row = zero(st.ctx)
         for j in range(-m, m + 1):
             inner = st.bind(node.outer, n).bind(node.inner, j)
-            body = _eval(node.body, inner)
-            if node.den is not None:
-                d = int_eval(node.den, inner.env)
-                body = _den_join(body, d)
-            row = row + body
+            if node.den is None:
+                row = row + _eval(node.body, inner)
+            else:
+                row = row + _over_den(node.body, shifted, node.den, inner)
         return row
 
     # Row n sums j over [-n, n] (full) or [-n/2, n/2] (half): bound the body

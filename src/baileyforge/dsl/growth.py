@@ -3,7 +3,7 @@
 Integer expressions lower to polynomials in several variables (``mpoly``),
 and ``term_bounds`` bounds the lowest q-exponent of a summation term from
 below and, for a term that never vanishes, from above. Along one ray a
-polynomial is read as its coefficient list (``ray_coeffs``). Three users
+polynomial is read as its coefficient list (``ray_coeffs``). Two users
 share this:
 
 * the evaluator turns the lower bound into a certified last index
@@ -12,9 +12,7 @@ share this:
   such bound keeps the evaluator's empty-run rule;
 * the validator reports a sum whose upper bound does not grow along a ray,
   since its terms then never clear the window (``grows_both_ways``,
-  ``grows_forward``);
-* the evaluator's Appell and Hecke matchers read the exponents of a
-  product body as ray coefficients.
+  ``grows_forward``).
 
 All arithmetic is exact (``Fraction``/``int``). Every polynomial variable is
 nonnegative: the ray index t of a sum (the backward ray of a two-sided sum

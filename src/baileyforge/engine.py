@@ -28,12 +28,12 @@ from .series import (
     EvalContext,
     QSeries,
     binomials,
+    hard_cap,
     monomial,
     one,
     times_binomials,
     zero,
 )
-from .special import hard_cap
 
 __all__ = [
     "INFINITE",

@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import groupby
 
 from .errors import (
     ContextMismatchError,
@@ -35,6 +36,7 @@ __all__ = [
     "Rational",
     "Monomial",
     "EvalContext",
+    "hard_cap",
     "QSeries",
     "zero",
     "one",
@@ -49,6 +51,7 @@ __all__ = [
     "equal_up_to",
     "first_mismatch",
     "render",
+    "render_terms",
 ]
 
 
@@ -85,6 +88,11 @@ class EvalContext:
     @property
     def z_cap(self) -> int:
         return _z_cap(self.scale, self.order)
+
+
+def hard_cap(ctx: EvalContext) -> int:
+    """Universal bound on summation index magnitude."""
+    return 4 * (ctx.order + 1)
 
 
 @lru_cache(maxsize=None)
@@ -654,24 +662,30 @@ def _fmt_qexp(qe: int, scale: int) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
-def render(s: QSeries, max_terms: int = 200) -> str:
-    """Human-readable listing, one q-exponent per line."""
+def render_terms(terms, scale: int, max_terms: int | None = None) -> str:
+    """Sorted (qexp, zexp, coeff) triples listed one q-exponent per line.
+
+    With max_terms, the listing ends with "..." after the line that reaches it.
+    """
     lines = []
     count = 0
-    for qe in sorted(s._c):
+    for qe, row in groupby(terms, key=lambda t: t[0]):
         parts = []
-        zd = s._c[qe]
-        for ze in sorted(zd):
-            c = zd[ze]
+        for _, ze, c in row:
             if ze == 0:
                 parts.append(str(c))
             elif ze == 1:
                 parts.append(f"{c}*z")
             else:
                 parts.append(f"{c}*z^{ze}")
-            count += 1
-        lines.append(f"q^{_fmt_qexp(qe, s.ctx.scale)}: " + " + ".join(parts))
-        if count >= max_terms:
+        count += len(parts)
+        lines.append(f"q^{_fmt_qexp(qe, scale)}: " + " + ".join(parts))
+        if max_terms is not None and count >= max_terms:
             lines.append("...")
             break
     return "\n".join(lines) if lines else "0"
+
+
+def render(s: QSeries, max_terms: int = 200) -> str:
+    """Human-readable listing, one q-exponent per line."""
+    return render_terms(s.terms(), s.ctx.scale, max_terms)

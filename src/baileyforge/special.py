@@ -1,8 +1,17 @@
-"""Special summation shapes built on the core series.
+"""Closed-form Appell-Lerch and Hecke-type sums, kept as a reference.
 
-Covers infinite product quotients (theta-style), the bilateral theta sum
-matching the triple product, Appell-Lerch sums with their negative-exponent
-denominator rewrite, and Hecke-type double sums over triangular regions.
+The DSL evaluator sums every ``appell(...)`` and ``hecke(...)`` node term by
+term and does not call this module. What is left here has two jobs:
+
+* it is an independent closed-form reference for those two node kinds:
+  ``appell_lerch_sum`` (``AppellLerchSpec``) and ``hecke_sum``
+  (``HeckeSpec``) rewrite a negative denominator exponent and expand each
+  geometric tail (``_geom_tail``) on their own, and the tests compare the
+  evaluator against them;
+* the benchmark's layer probes trace ``appell_lerch_sum``, ``hecke_sum`` and
+  ``geometric_inverse`` by name, which is also why the package imports this
+  module.
+
 All exponent arguments are in scaled units of the evaluation context.
 """
 
@@ -12,84 +21,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import NonUnitLeadingError, PoleError, RegionError, TerminationError
-from .series import EvalContext, QSeries, binomials, monomial, one, times_binomials, zero
+from .errors import PoleError, RegionError, TerminationError
+from .series import EvalContext, QSeries, hard_cap, monomial, zero
 
 __all__ = [
-    "ThetaProductSpec",
     "AppellLerchSpec",
     "HeckeSpec",
-    "theta_product",
-    "jtp_sum",
     "appell_lerch_sum",
     "hecke_sum",
-    "hard_cap",
     "geometric_inverse",
 ]
-
-
-def hard_cap(ctx: EvalContext) -> int:
-    """Universal bound on summation index magnitude."""
-    return 4 * (ctx.order + 1)
-
-
-@dataclass(frozen=True)
-class ThetaProductSpec:
-    """Product of infinite Pochhammer factors over those of the denominator.
-
-    Factors are ((coeff, zexp, qexp), step) pairs.
-    """
-
-    numerator: tuple
-    denominator: tuple = ()
-
-
-def theta_product(ctx: EvalContext, numerator, denominator=(), *, strict: bool = True) -> QSeries:
-    """The quotient of infinite products, applied factor by factor to its lead monomial."""
-    lc, lz, lq = Fraction(1), 0, 0
-    num: list = []
-    den: list = []
-    vanishes = False
-    for parts, power, runs in ((numerator, 1, num), (denominator, -1, den)):
-        for base, step in parts:
-            (c, ze, qe), rs = binomials(ctx, base, step, None, strict=strict)
-            if not c:
-                if power < 0:
-                    raise NonUnitLeadingError("cannot invert the zero series")
-                vanishes = True
-                continue
-            lc, lz, lq = lc * Fraction(c) ** power, lz + power * ze, lq + power * qe
-            runs.extend(rs)
-    if vanishes:
-        return zero(ctx)
-    return times_binomials(monomial(ctx, lc, lz, lq), num, den)
-
-
-def jtp_sum(ctx: EvalContext, w, step: int) -> QSeries:
-    """Bilateral sum over n of (-1)^n q^(step*binom(n,2)) w^n, w = (coeff, zexp, qexp)."""
-    if step < 1:
-        raise ValueError("step must be >= 1")
-    c, ze, qe = w
-    c = Fraction(c)
-    if not c:
-        return one(ctx)
-    zi = ctx.z_interp
-    eff = qe + (ze * zi.qexp if zi is not None else 0)
-    cap = hard_cap(ctx)
-
-    # Convex in n, so once both endpoints clear the order nothing outside
-    # the window can land inside it.
-    def min_order(n):
-        return step * n * (n - 1) // 2 + n * eff
-
-    if min_order(cap) <= ctx.order or min_order(-cap) <= ctx.order:
-        raise TerminationError("bilateral theta sum does not leave the window")
-    acc = zero(ctx)
-    for n in range(-cap, cap + 1):
-        if min_order(n) > ctx.order:
-            continue
-        acc = acc + monomial(ctx, c**n * (-1) ** (n % 2), ze * n, step * n * (n - 1) // 2 + n * qe)
-    return acc
 
 
 @lru_cache(maxsize=None)

@@ -35,8 +35,7 @@ from baileyforge.errors import (
     TerminationError,
 )
 from baileyforge.oracle import brute_force_expand, expand_expr
-from baileyforge.series import EvalContext
-from baileyforge.special import hard_cap
+from baileyforge.series import EvalContext, hard_cap
 
 
 def as_dict(s):
@@ -655,15 +654,14 @@ class TestSummationLimits:
         ("sum(n >= 0, (q^(n*n) + q^(n)) / poch(q; q, n))", 20),
         # A generic Appell row; along n = -t the exponent is t^2 - 3t.
         ("appell(n, q^(n*n + 3*n) * poch(-q; q, 2), n)", 30),
-        # A bare z is z^1: the Appell and Hecke recognizers take only
-        # z^(c*n) and z^(c*j), so these rows go the generic way.
+        # A bare z is z^1, a z-power that does not move with the index.
         ("appell(n, z * q^(n*n + n), n)", 8),
         ("hecke(n, j, full, z * q^(2*n*n + n - j*j))", 8),
         # The numerator's exact bound reaches the order past the cap 28, at
         # n = 40, but 1/(1 + q^(-n)) raises each term by n: the sum is 0.
         ("appell(n, q^((n - 40)^2) * poch(-q; q, 1), -n)", 6),
-        # The recognised route: every term lies above the order once the
-        # constant 1600 of (n - 40)^2 is counted.
+        # The same row with a monomial numerator: every term lies above the
+        # order once the constant 1600 of (n - 40)^2 is counted.
         ("appell(n, q^((n - 40)^2), -n)", 6),
         # A generic row whose numerator starts at q^-5, below q^0.
         ("appell(n, q^(n*n + n - 4) * poch(-q^(-1); q, 2), n)", 10),

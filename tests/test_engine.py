@@ -490,8 +490,9 @@ class TestHelpers:
         if kernel is not None and not ctx.is_formal:
             kernel = (kernel[0], 0, kernel[2])
         # Terms below q^0 leave the top of a truncated product unknown, so the
-        # reference sums at a lifted order and truncates back.
-        lifted = EvalContext(ctx.scale, ctx.order + 3, ctx.z_interp)
+        # reference sums at a lifted order and truncates back. The lowest
+        # folded exponent is -4: q^-3 z^-1 at z = -q.
+        lifted = EvalContext(ctx.scale, ctx.order + 4, ctx.z_interp)
 
         def terms(c):
             out = []

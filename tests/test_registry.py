@@ -1,9 +1,10 @@
 """Catalog registry tests: coverage manifest, routing, reports, sweeps."""
 
 import glob
-import importlib
+import hashlib
 import json
 import os
+import subprocess
 import sys
 
 import pytest
@@ -213,24 +214,62 @@ def test_oracle_raises_powers_by_squaring(monkeypatch, capsys):
     assert capsys.readouterr().out == fast
 
 
-def test_benchmark_probes_resolve(monkeypatch):
-    """Every function perfbench/layers.py traces is a callable of the package.
+# expand text of appell_double_half (scale 2, formal z), recorded before the
+# command line and series.render shared one formatter.
+EXPAND_RHS_ORDER_8 = """\
+q^0: 1/2
+q^1/2: 1/2
+q^1: 1/2
+q^3/2: 1 + -1*z
+q^2: 3/2 + -1*z
+q^5/2: 2 + -1*z
+q^3: 5/2 + -2*z
+q^7/2: -1*z^-1 + 7/2 + -2*z
+q^4: -1*z^-1 + 5 + -3*z
+"""
+EXPAND_SHA256 = "8dd9a60bb901d08ed6f4b058bea14e78511a066c89cf6b75201a45e7fc7438aa"
 
-    A probe that no longer resolves drops its metrics from a traced run
-    without failing it.
+
+def test_expand_text_is_unchanged(capsys):
+    assert main(["expand", "appell_double_half", "--side", "rhs", "--order", "8"]) == 0
+    assert capsys.readouterr().out == EXPAND_RHS_ORDER_8
+    for side in ("lhs", "rhs"):
+        assert main(["expand", "appell_double_half", "--side", side]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == EXPAND_SHA256
+
+
+_PROBE_CHECK = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from baileyforge import registry
+loaded = dict(sys.modules)
+sys.path.insert(0, sys.argv[2])
+from layers import PROBES
+missing = []
+for probe in PROBES:
+    obj = loaded.get(probe.module)
+    for part in probe.qualname.split("."):
+        obj = getattr(obj, part, None)
+    if not callable(obj):
+        missing.append(probe.module + ":" + probe.qualname)
+print(json.dumps(missing))
+"""
+
+
+def test_benchmark_probes_resolve():
+    """Every function perfbench/layers.py traces is loaded once the registry is.
+
+    The traced run imports only ``baileyforge.registry`` and looks each probe
+    up in ``sys.modules``; a probe whose module nothing imports drops its
+    metrics from that run without failing it. So the check runs in a fresh
+    interpreter that does the same.
     """
-    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), os.pardir, "perfbench"))
-    try:
-        probes = importlib.import_module("layers").PROBES
-    finally:
-        sys.modules.pop("layers", None)
-        sys.modules.pop("tracer", None)
-    assert probes
-    for probe in probes:
-        obj = importlib.import_module(probe.module)
-        for part in probe.qualname.split("."):
-            obj = getattr(obj, part, None)
-        assert callable(obj), f"{probe.module}:{probe.qualname}"
+    src = os.path.dirname(os.path.dirname(os.path.abspath(R.__file__)))
+    perfbench = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
+    out = subprocess.run([sys.executable, "-c", _PROBE_CHECK, src, perfbench],
+                         capture_output=True, text=True, check=True).stdout
+    assert json.loads(out) == []
 
 
 def test_verify_file_on_missing_path():
