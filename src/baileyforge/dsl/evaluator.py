@@ -1,4 +1,16 @@
-"""Compile identity ASTs onto the exact truncated-series layer."""
+"""Compile identity ASTs onto the exact truncated-series layer.
+
+Each side of a spec is lowered once (``_compile``) into a plan: a tree of
+closures over an evaluation frame (``_St``). Integer expressions become
+closures over the bindings, a product becomes its flattened factor list
+with the index-free parts (scalars, constant product bases) resolved, and a
+sum becomes a loop that adds every term into one coefficient table in
+place. The plan is kept on the spec (``IdentitySpec.plans``), so every
+evaluation of a parsed spec, each sweep point and the validator's probe
+among them, reuses it. Lowering reads no binding and raises nothing: a name
+or a bad value in a branch that is never reached fails nowhere, and every
+error is raised where the term that causes it is evaluated.
+"""
 
 from __future__ import annotations
 
@@ -10,6 +22,7 @@ from ..series import (
     EvalContext,
     Monomial,
     QSeries,
+    _acc_into,
     binomials,
     hard_cap,
     monomial,
@@ -19,7 +32,7 @@ from ..series import (
     zero,
 )
 from . import growth
-from .growth import RAY_T, base_triple
+from .growth import RAY_T
 from .nodes import (
     Add,
     Appell,
@@ -41,58 +54,175 @@ from .nodes import (
     Sub,
     Theta,
     ZPow,
+    int_closure,
     int_eval,
+    int_vars,
 )
 
 _EMPTY_RUN = 8
 
 
 class _St:
-    """Evaluation frame: context, integer bindings and shared budget."""
+    """Evaluation frame: context, integer bindings, shared budget and product reads.
 
-    __slots__ = ("ctx", "env", "budget")
+    A sum binds its indices in a frame of its own (``binding``). reads
+    memoises ``binomials`` by its arguments and the working order, whose z
+    guard depends on it, for the whole evaluation.
+    """
 
-    def __init__(self, ctx: EvalContext, env: dict, budget: _Budget):
+    __slots__ = ("ctx", "env", "budget", "reads")
+
+    def __init__(self, ctx: EvalContext, env: dict, budget: _Budget, reads: dict):
         self.ctx = ctx
         self.env = env
         self.budget = budget
-
-    def bind(self, name: str, value: int) -> "_St":
-        env = dict(self.env)
-        env[name] = value
-        return _St(self.ctx, env, self.budget)
+        self.reads = reads
 
     def lifted(self, lift: int) -> "_St":
         if lift <= 0:
             return self
         ctx = EvalContext(self.ctx.scale, self.ctx.order + lift, self.ctx.z_interp)
-        return _St(ctx, self.env, self.budget)
+        return _St(ctx, self.env, self.budget, self.reads)
+
+    def binding(self) -> "_St":
+        """A frame over a copy of the bindings, for a sum to bind its indices in."""
+        return _St(self.ctx, dict(self.env), self.budget, self.reads)
+
+    def read(self, args: tuple):
+        """binomials(ctx, *args): the product's lead monomial and its runs."""
+        key = (args, self.ctx.order)
+        hit = self.reads.get(key)
+        if hit is None:
+            hit = self.reads[key] = binomials(self.ctx, *args)
+        return hit
+
+
+def _table(st: _St, acc: dict) -> QSeries:
+    return QSeries(st.ctx, acc, _trusted=True)
 
 
 # -- products ----------------------------------------------------------------
 
+# Items of a flattened product, and the kinds of its factors.
+_LEAF, _SIGN, _RAT, _POW = range(4)
+_Q, _Z, _POCH, _GENERAL = range(4)
 
-def _flatten(node, power: int, st: _St, box: list, factors: list):
+
+def _product_items(node, power: int, items: list, scale: int) -> None:
+    """The factors of a product, in order, with their powers.
+
+    A power whose exponent reads a name stays one item, resolved at run time;
+    a constant exponent 0 drops its base unread.
+    """
     if isinstance(node, Mul):
-        _flatten(node.left, power, st, box, factors)
-        _flatten(node.right, power, st, box, factors)
+        _product_items(node.left, power, items, scale)
+        _product_items(node.right, power, items, scale)
     elif isinstance(node, Div):
-        _flatten(node.left, power, st, box, factors)
-        _flatten(node.right, -power, st, box, factors)
+        _product_items(node.left, power, items, scale)
+        _product_items(node.right, -power, items, scale)
     elif isinstance(node, Neg):
-        if power % 2:
-            box[0] = -box[0]
-        _flatten(node.arg, power, st, box, factors)
+        items.append((_SIGN, power))
+        _product_items(node.arg, power, items, scale)
     elif isinstance(node, Rational):
-        if not node.value and power < 0:
-            raise PoleError("division by zero")
-        box[0] = box[0] * Fraction(node.value) ** power
+        items.append((_RAT, node.value, power))
     elif isinstance(node, Pow):
-        e = int_eval(node.exp, st.env)
-        if e:
-            _flatten(node.base, power * e, st, box, factors)
+        if int_vars(node.exp):
+            base: list = []
+            _product_items(node.base, 1, base, scale)
+            items.append((_POW, int_closure(node.exp), base, power))
+        else:
+            e = int_eval(node.exp, {})
+            if e:
+                _product_items(node.base, power * e, items, scale)
     else:
-        factors.append((node, power))
+        items.append((_LEAF, _factor(node, scale), power))
+
+
+def _resolve(items: list, mult: int, env, leaves: list):
+    """The scalar of flattened items raised to mult; their factors join leaves."""
+    scalar = 1
+    for item in items:
+        tag = item[0]
+        if tag == _LEAF:
+            leaves.append((item[1], item[2] * mult))
+        elif tag == _SIGN:
+            if item[1] * mult % 2:
+                scalar = -scalar
+        elif tag == _RAT:
+            p = item[2] * mult
+            if not item[1] and p < 0:
+                raise PoleError("division by zero")
+            scalar = scalar * Fraction(item[1]) ** p
+        else:
+            e = item[1](env)
+            if e:
+                scalar = scalar * _resolve(item[2], item[3] * mult * e, env, leaves)
+    return scalar
+
+
+def _factor(node, scale: int):
+    """(kind, data) of one factor of a product."""
+    if isinstance(node, QPow):
+        return _Q, (int_closure(node.exp) if node.exp is not None else (lambda env: scale))
+    if isinstance(node, ZPow):
+        return _Z, (int_closure(node.exp) if node.exp is not None else (lambda env: 1))
+    if isinstance(node, (Poch, Theta)):
+        return _POCH, _poch(node, scale)
+    return _GENERAL, _compile(node, scale)
+
+
+def _poch(node, scale: int):
+    """A Pochhammer or theta factor as (resolve, positive).
+
+    resolve(env) gives the arguments of its ``binomials`` read: base
+    triples, step and length (None: infinite). positive says that every
+    base is a constant pure q-power above q^0, so the product's lead is 1.
+    """
+    fns = [growth.base_closure(b, scale) for b in node.bases]
+    consts = []
+    for f in fns:
+        try:
+            consts.append(f({}))
+        except (KeyError, SpecError, PoleError):
+            break
+    const = tuple(consts) if len(consts) == len(fns) else None
+    positive = const is not None and all(not c or (not ze and qe > 0) for c, ze, qe in const)
+    step_of = int_closure(node.step)
+    length_of = int_closure(node.length) if isinstance(node, Poch) and node.length is not None else None
+
+    def resolve(env):
+        step = step_of(env)
+        if step < 1:
+            raise SpecError("product step must be >= 1")
+        length = None
+        if length_of is not None:
+            length = length_of(env)
+            if length < 0:
+                raise SpecError("product length must be >= 0")
+        return (const if const is not None else tuple(f(env) for f in fns)), step, length
+
+    return resolve, positive
+
+
+def _unit_lead(ctx: EvalContext, triples) -> bool:
+    """Whether ``binomials`` gives the product lead 1 and raises nothing.
+
+    True when every base with a nonzero coefficient folds to an exponent
+    above q^0 and a formal z-power within the guard: then every factor
+    starts above q^0 and its read can wait until the product is known to
+    reach the window.
+    """
+    zi = ctx.z_interp
+    for c, ze, qe in triples:
+        if not c:
+            continue
+        if ze and zi is not None:
+            qe += ze * zi.qexp
+        elif ze and abs(ze) > ctx.z_cap and qe <= ctx.order:
+            return False
+        if qe <= 0:
+            return False
+    return True
 
 
 def _combine(series_factors, head: QSeries) -> QSeries:
@@ -105,7 +235,7 @@ def _combine(series_factors, head: QSeries) -> QSeries:
     return out
 
 
-def _product(node, st: _St) -> QSeries:
+def _product(node, scale: int):
     """A product of factors to integer powers, lowered onto the series layer.
 
     Plain q- and z-powers, scalars and the lead monomials of Pochhammer and
@@ -115,77 +245,103 @@ def _product(node, st: _St) -> QSeries:
     theta products are then applied to that product in place: they have
     valuation 0 and are exact at any order, so only the head and the general
     factors decide the early exit above the order and the working-order lift.
+    A factor whose lead is 1 (``_unit_lead``) is read only after that exit.
     """
-    box = [1]
-    raw: list = []
-    _flatten(node, 1, st, box, raw)
-    scalar = box[0]
-    # Fuse plain q- and z-powers into one exact monomial so a large positive
-    # exponent truncates together with its partners instead of one at a time.
-    fused_z = 0
-    fused_q = 0
-    general: list = []
-    num: list = []
-    den: list = []
-    vanishes = False
-    for f, p in raw:
-        if isinstance(f, QPow):
-            fused_q += p * (st.ctx.scale if f.exp is None else int_eval(f.exp, st.env))
-        elif isinstance(f, ZPow):
-            fused_z += p * (1 if f.exp is None else int_eval(f.exp, st.env))
-        elif isinstance(f, (Poch, Theta)):
-            (c, ze, qe), runs = binomials(st.ctx, *_poch_args(f, st))
-            if not c:
-                if p < 0:
-                    raise PoleError("division by a vanishing factor")
-                vanishes = True
-                continue
-            if c != 1:
-                scalar *= Fraction(c) ** p
-            fused_z += p * ze
-            fused_q += p * qe
-            (num if p > 0 else den).extend(runs * abs(p))
+    items: list = []
+    _product_items(node, 1, items, scale)
+    static = None
+    if all(item[0] != _POW for item in items):
+        leaves: list = []
+        try:
+            static = (_resolve(items, 1, None, leaves), leaves)
+        except PoleError:
+            pass
+
+    def run(st: _St) -> QSeries:
+        env = st.env
+        ctx = st.ctx
+        if static is not None:
+            scalar, leaves = static
         else:
-            general.append((f, p))
-    zi = st.ctx.z_interp
-    fused_min = fused_q + (fused_z * zi.qexp if zi is not None else 0)
-    if not general and not num and not den and not vanishes:
-        return monomial(st.ctx, scalar, fused_z, fused_q)
-    # The head is exact at any order; it lifts only against general factors.
-    lift = max(0, -fused_min) if general else 0
-    evaluated = []
-    saw_zero = vanishes
-    val = fused_min
-    for f, p in general:
-        s = _eval(f, st)
-        if s.is_zero():
-            if p >= 0:
-                saw_zero = True
-                evaluated.append((s, p))
-                continue
-            s = _divisor_above(f, st)
-        # The inverse of a factor of valuation v > 0 is exact only up to 2v
-        # below the working order, so a divisor lifts by twice its share.
-        contrib = p * s.min_exponent()
-        val += contrib
-        lift += max(0, -contrib * (2 if p < 0 else 1))
-        evaluated.append((s, p))
-    # Valuations add, so a product of nonzero factors above the order is zero.
-    if not saw_zero and val > st.ctx.order:
-        return zero(st.ctx)
-    wst = st
-    if lift:
-        # Negative minimal exponents would eat into the window during the
-        # multiplications, so redo every general factor above the order.
-        wst = st.lifted(lift)
-        evaluated = [(_eval(f, wst), p) for f, p in general]
-        for s, p in evaluated:
-            if p < 0 and s.is_zero():
-                raise PoleError("division by a vanishing factor")
-    if vanishes or (saw_zero and not lift):
-        return zero(st.ctx)
-    out = _combine(evaluated, monomial(wst.ctx, scalar, fused_z, fused_q))
-    return retruncate(times_binomials(out, num, den), st.ctx)
+            leaves = []
+            scalar = _resolve(items, 1, env, leaves)
+        fused_z = 0
+        fused_q = 0
+        general: list = []
+        reads: list = []
+        vanishes = False
+        for (kind, data), p in leaves:
+            if kind == _Q:
+                fused_q += p * data(env)
+            elif kind == _Z:
+                fused_z += p * data(env)
+            elif kind == _POCH:
+                resolve, positive = data
+                args = resolve(env)
+                if args[2] == 0:
+                    continue
+                if positive or _unit_lead(ctx, args[0]):
+                    reads.append((args, p))
+                    continue
+                (c, ze, qe), runs = st.read(args)
+                if not c:
+                    if p < 0:
+                        raise PoleError("division by a vanishing factor")
+                    vanishes = True
+                    continue
+                if c != 1:
+                    scalar *= Fraction(c) ** p
+                fused_z += p * ze
+                fused_q += p * qe
+                if runs:
+                    reads.append((args, p))
+            else:
+                general.append((data, p))
+        zi = ctx.z_interp
+        fused_min = fused_q + (fused_z * zi.qexp if zi is not None else 0)
+        if not general and not reads and not vanishes:
+            return monomial(ctx, scalar, fused_z, fused_q)
+        # The head is exact at any order; it lifts only against general factors.
+        lift = max(0, -fused_min) if general else 0
+        evaluated = []
+        saw_zero = vanishes
+        val = fused_min
+        for f, p in general:
+            s = f(st)
+            if s.is_zero():
+                if p >= 0:
+                    saw_zero = True
+                    evaluated.append((s, p))
+                    continue
+                s = _divisor_above(f, st)
+            # The inverse of a factor of valuation v > 0 is exact only up to 2v
+            # below the working order, so a divisor lifts by twice its share.
+            contrib = p * s.min_exponent()
+            val += contrib
+            lift += max(0, -contrib * (2 if p < 0 else 1))
+            evaluated.append((s, p))
+        # Valuations add, so a product of nonzero factors above the order is zero.
+        if not saw_zero and val > ctx.order:
+            return zero(ctx)
+        wst = st
+        if lift:
+            # Negative minimal exponents would eat into the window during the
+            # multiplications, so redo every general factor above the order.
+            wst = st.lifted(lift)
+            evaluated = [(f(wst), p) for f, p in general]
+            for s, p in evaluated:
+                if p < 0 and s.is_zero():
+                    raise PoleError("division by a vanishing factor")
+        if vanishes or (saw_zero and not lift):
+            return zero(ctx)
+        num: list = []
+        den: list = []
+        for args, p in reads:
+            (num if p > 0 else den).extend(st.read(args)[1] * abs(p))
+        out = _combine(evaluated, monomial(wst.ctx, scalar, fused_z, fused_q))
+        return retruncate(times_binomials(out, num, den), ctx)
+
+    return run
 
 
 def _divisor_above(f, st: _St) -> QSeries:
@@ -197,25 +353,12 @@ def _divisor_above(f, st: _St) -> QSeries:
     top = hard_cap(st.ctx) - st.ctx.order
     lift = 1
     while True:
-        s = _eval(f, st.lifted(lift))
+        s = f(st.lifted(lift))
         if not s.is_zero():
             return s
         if lift == top:
             raise PoleError("division by a vanishing factor")
         lift = min(2 * lift, top)
-
-
-def _poch_args(f, st: _St):
-    """A Pochhammer or theta factor's base triples, step and length (None: infinite)."""
-    step = int_eval(f.step, st.env)
-    if step < 1:
-        raise SpecError("product step must be >= 1")
-    length = None
-    if isinstance(f, Poch) and f.length is not None:
-        length = int_eval(f.length, st.env)
-        if length < 0:
-            raise SpecError("product length must be >= 0")
-    return tuple(base_triple(b, st.env, st.ctx.scale) for b in f.bases), step, length
 
 
 # -- summation loops ---------------------------------------------------------
@@ -246,24 +389,24 @@ def _last(st: _St, body, start: int, subs, inner=(), bound=None, whole=True):
     return last
 
 
-def _one_sided(st: _St, emit, start: int, direction: int, last=None) -> QSeries:
-    """Sum emit(n) for n = start, start + direction, ... along one ray.
+def _one_sided(st: _St, emit, start: int, direction: int, last, acc: dict) -> None:
+    """Add emit(n) into acc for n = start, start + direction, ... along one ray.
 
-    A certified last index (``_last``) stops the sum at |n| = last, since
-    every later term truncates to zero; one past hard_cap raises at once. A
-    sum without one keeps the empty-run rule: it stops after _EMPTY_RUN zero
-    terms in a row once |n| >= 2 * _EMPTY_RUN, and raises when |n| passes
-    hard_cap first. Each term spends one unit of the budget.
+    emit(n) gives the term's coefficient table. A certified last index
+    (``_last``) stops the sum at |n| = last, since every later term
+    truncates to zero; one past hard_cap raises at once. A sum without one
+    keeps the empty-run rule: it stops after _EMPTY_RUN zero terms in a row
+    once |n| >= 2 * _EMPTY_RUN, and raises when |n| passes hard_cap first.
+    Each term spends one unit of the budget.
     """
-    out = zero(st.ctx)
     cap = hard_cap(st.ctx)
     if last is not None:
         if last > cap:
             raise TerminationError("sum exceeded its index cap without settling")
         for t in range(abs(start), last + 1):
             st.budget.spend()
-            out = out + emit(direction * t)
-        return out
+            _acc_into(acc, emit(direction * t))
+        return
     empties = 0
     n = start
     while True:
@@ -271,32 +414,31 @@ def _one_sided(st: _St, emit, start: int, direction: int, last=None) -> QSeries:
             raise TerminationError("sum exceeded its index cap without settling")
         st.budget.spend()
         term = emit(n)
-        out = out + term
-        if term.is_zero():
+        _acc_into(acc, term)
+        if not term:
             empties += 1
             if empties >= _EMPTY_RUN and abs(n) >= 2 * _EMPTY_RUN:
                 break
         else:
             empties = 0
         n += direction
-    return out
 
 
-def _two_sided(st: _St, emit, body, index: str, den=None, shifted=None) -> QSeries:
-    """A sum over index in Z whose term is body, or body / (1 + q^den).
+def _two_sided(st: _St, emit, body, index: str, den=None, shifted=None) -> dict:
+    """The table of a sum over index in Z whose term is body, or body / (1 + q^den).
 
     shifted is the node body * q^(-den) of a sum with a divisor.
     """
-    out = zero(st.ctx)
+    acc: dict = {}
     for start, ray in ((0, RAY_T), (1, growth.mneg(RAY_T))):
         sub = {index: ray}
         term, whole = body, True
         if den is not None:
             term, whole = _den_term(body, shifted, den, sub, st.env, start)
         direction = -1 if start else 1
-        out = out + _one_sided(st, emit, -start, direction,
-                               _last(st, term, start, (sub,), whole=whole))
-    return out
+        _one_sided(st, emit, -start, direction,
+                   _last(st, term, start, (sub,), whole=whole), acc)
+    return acc
 
 
 def _den_term(body, shifted, den, sub: dict, env: dict, start: int):
@@ -318,23 +460,69 @@ def _den_term(body, shifted, den, sub: dict, env: dict, start: int):
     return body, False
 
 
-def _chain_sum(node: ChainSum, st: _St) -> QSeries:
+def _chain_sum(node: ChainSum, scale: int):
     idxs = node.indices
-
-    def level(i: int, bound: int, frame: _St) -> QSeries:
-        if i == len(idxs):
-            st.budget.spend()
-            return _eval(node.body, frame)
-        acc = zero(st.ctx)
-        for v in range(0, bound + 1):
-            acc = acc + level(i + 1, v, frame.bind(idxs[i], v))
-        return acc
-
+    body = _compile(node.body, scale)
     # Inner indices run over the box 0 <= n_i <= n_1.
     sub = {i: growth.mvar(i) for i in idxs[1:]}
     sub[idxs[0]] = RAY_T
-    last = _last(st, node.body, 0, (sub,), idxs[1:], RAY_T)
-    return _one_sided(st, lambda v: level(1, v, st.bind(idxs[0], v)), 0, 1, last)
+
+    def run(st: _St) -> QSeries:
+        inner = st.binding()
+        env = inner.env
+
+        def level(i: int, bound: int, acc: dict) -> None:
+            if i == len(idxs):
+                st.budget.spend()
+                _acc_into(acc, body(inner)._c)
+                return
+            for v in range(0, bound + 1):
+                env[idxs[i]] = v
+                level(i + 1, v, acc)
+
+        def emit(v: int) -> dict:
+            env[idxs[0]] = v
+            acc: dict = {}
+            level(1, v, acc)
+            return acc
+
+        acc: dict = {}
+        _one_sided(st, emit, 0, 1, _last(st, node.body, 0, (sub,), idxs[1:], RAY_T), acc)
+        return _table(st, acc)
+
+    return run
+
+
+def _over_z(index: str, term, body, den=None, shifted=None):
+    """A sum over index in Z of the plan term, bounded as ``_two_sided`` bounds body."""
+
+    def run(st: _St) -> QSeries:
+        inner = st.binding()
+
+        def emit(n: int) -> dict:
+            inner.env[index] = n
+            return term(inner)._c
+
+        return _table(st, _two_sided(st, emit, body, index, den, shifted))
+
+    return run
+
+
+def _range_sum(node: RangeSum, scale: int):
+    body = _compile(node.body, scale)
+    lo_of, hi_of = int_closure(node.lo), int_closure(node.hi)
+
+    def run(st: _St) -> QSeries:
+        lo = lo_of(st.env)
+        hi = hi_of(st.env)
+        inner = st.binding()
+        acc: dict = {}
+        for v in range(lo, hi + 1):
+            inner.env[node.index] = v
+            _acc_into(acc, body(inner)._c)
+        return _table(st, acc)
+
+    return run
 
 
 def _shifted(body, den):
@@ -342,91 +530,125 @@ def _shifted(body, den):
     return Mul(left=body, right=QPow(exp=INeg(arg=den)))
 
 
-def _over_den(body, shifted, den, st: _St) -> QSeries:
-    """body / (1 + q^den) under st's bindings, divided in place.
+def _over_den(body, shifted, den, scale: int):
+    """body / (1 + q^den) under the frame's bindings, divided in place.
 
     1/(1 + q^0) is 1/2. For d < 0, body / (1 + q^d) is shifted / (1 + q^(-d))
     with shifted = body * q^(-d), evaluated whole, so a term of body that the
     shift carries past the order is never built.
     """
-    d = int_eval(den, st.env)
-    if d == 0:
-        return _eval(body, st) * Fraction(1, 2)
-    return times_binomials(_eval(body if d > 0 else shifted, st), (), ((-1, 0, abs(d), 1, 1),))
+    num, up, den_of = _compile(body, scale), _compile(shifted, scale), int_closure(den)
+
+    def run(st: _St) -> QSeries:
+        d = den_of(st.env)
+        if d == 0:
+            return num(st) * Fraction(1, 2)
+        return times_binomials((num if d > 0 else up)(st), (), ((-1, 0, abs(d), 1, 1),))
+
+    return run
 
 
-def _appell(node: Appell, st: _St) -> QSeries:
-    shifted = _shifted(node.num, node.den)
-
-    def emit(n):
-        return _over_den(node.num, shifted, node.den, st.bind(node.index, n))
-
-    return _two_sided(st, emit, node.num, node.index, node.den, shifted)
-
-
-def _hecke(node: Hecke, st: _St) -> QSeries:
-    shifted = None if node.den is None else _shifted(node.body, node.den)
-
-    def emit_row(n):
-        m = n // 2 if node.region == "half" else n
-        row = zero(st.ctx)
-        for j in range(-m, m + 1):
-            inner = st.bind(node.outer, n).bind(node.inner, j)
-            if node.den is None:
-                row = row + _eval(node.body, inner)
-            else:
-                row = row + _over_den(node.body, shifted, node.den, inner)
-        return row
-
+def _hecke(node: Hecke, scale: int):
+    if node.den is None:
+        term = _compile(node.body, scale)
+    else:
+        term = _over_den(node.body, _shifted(node.body, node.den), node.den, scale)
+    half = node.region == "half"
     # Row n sums j over [-n, n] (full) or [-n/2, n/2] (half): bound the body
     # at j = +j' and j = -j' with j' relaxed over that half-width. A factor
     # 1/(1 + q^d) only raises the lowest exponent.
-    width = RAY_T if node.region != "half" else growth.mmul(RAY_T, growth.mconst(Fraction(1, 2)))
+    width = growth.mmul(RAY_T, growth.mconst(Fraction(1, 2))) if half else RAY_T
     jv = growth.mvar(node.inner)
     subs = ({node.outer: RAY_T, node.inner: jv}, {node.outer: RAY_T, node.inner: growth.mneg(jv)})
-    return _one_sided(st, emit_row, 0, 1, _last(st, node.body, 0, subs, (node.inner,), width))
+
+    def run(st: _St) -> QSeries:
+        inner = st.binding()
+        env = inner.env
+
+        def emit_row(n: int) -> dict:
+            env[node.outer] = n
+            m = n // 2 if half else n
+            row: dict = {}
+            for j in range(-m, m + 1):
+                env[node.inner] = j
+                _acc_into(row, term(inner)._c)
+            return row
+
+        acc: dict = {}
+        _one_sided(st, emit_row, 0, 1, _last(st, node.body, 0, subs, (node.inner,), width), acc)
+        return _table(st, acc)
+
+    return run
 
 
-# -- dispatch ----------------------------------------------------------------
+# -- lowering ----------------------------------------------------------------
 
 
-def _eval(node, st: _St) -> QSeries:
+def _add(node, scale: int):
+    """A chain of + and - as its signed terms, added into one table in place."""
+    terms: list = []
+
+    def collect(n, sign):
+        if isinstance(n, Add):
+            collect(n.left, sign)
+            collect(n.right, sign)
+        elif isinstance(n, Sub):
+            collect(n.left, sign)
+            collect(n.right, -sign)
+        else:
+            terms.append((sign, _compile(n, scale)))
+
+    collect(node, 1)
+
+    def run(st: _St) -> QSeries:
+        acc: dict = {}
+        for sign, f in terms:
+            s = f(st)
+            _acc_into(acc, s._c if sign > 0 else (-s)._c)
+        return _table(st, acc)
+
+    return run
+
+
+def _compile(node, scale: int):
+    """Lower an expression node to a plan: a closure from a frame to its series."""
     if isinstance(node, Rational):
-        return monomial(st.ctx, node.value)
+        value = node.value
+        return lambda st: monomial(st.ctx, value)
     if isinstance(node, QPow):
-        e = st.ctx.scale if node.exp is None else int_eval(node.exp, st.env)
-        return monomial(st.ctx, 1, 0, e)
+        e = int_closure(node.exp) if node.exp is not None else (lambda env: scale)
+        return lambda st: monomial(st.ctx, 1, 0, e(st.env))
     if isinstance(node, ZPow):
-        e = 1 if node.exp is None else int_eval(node.exp, st.env)
-        return monomial(st.ctx, 1, e, 0)
+        e = int_closure(node.exp) if node.exp is not None else (lambda env: 1)
+        return lambda st: monomial(st.ctx, 1, e(st.env), 0)
     if isinstance(node, NumPoly):
-        return monomial(st.ctx, int_eval(node.poly, st.env))
-    if isinstance(node, Add):
-        return _eval(node.left, st) + _eval(node.right, st)
-    if isinstance(node, Sub):
-        return _eval(node.left, st) - _eval(node.right, st)
+        v = int_closure(node.poly)
+        return lambda st: monomial(st.ctx, v(st.env))
+    if isinstance(node, (Add, Sub)):
+        return _add(node, scale)
     if isinstance(node, (Mul, Div, Pow, Neg, Poch, Theta)):
-        return _product(node, st)
+        return _product(node, scale)
     if isinstance(node, QBinom):
-        return qbinomial(st.ctx, int_eval(node.top, st.env), int_eval(node.bottom, st.env))
+        top, bottom = int_closure(node.top), int_closure(node.bottom)
+        return lambda st: qbinomial(st.ctx, top(st.env), bottom(st.env))
     if isinstance(node, ChainSum):
-        return _chain_sum(node, st)
+        return _chain_sum(node, scale)
     if isinstance(node, BilateralSum):
-        def emit(n):
-            return _eval(node.body, st.bind(node.index, n))
-        return _two_sided(st, emit, node.body, node.index)
+        return _over_z(node.index, _compile(node.body, scale), node.body)
     if isinstance(node, RangeSum):
-        lo = int_eval(node.lo, st.env)
-        hi = int_eval(node.hi, st.env)
-        acc = zero(st.ctx)
-        for v in range(lo, hi + 1):
-            acc = acc + _eval(node.body, st.bind(node.index, v))
-        return acc
+        return _range_sum(node, scale)
     if isinstance(node, Appell):
-        return _appell(node, st)
+        shifted = _shifted(node.num, node.den)
+        term = _over_den(node.num, shifted, node.den, scale)
+        return _over_z(node.index, term, node.num, node.den, shifted)
     if isinstance(node, Hecke):
-        return _hecke(node, st)
-    raise SpecError(f"unsupported expression node {type(node).__name__}")
+        return _hecke(node, scale)
+    kind = type(node).__name__
+
+    def unsupported(st):
+        raise SpecError(f"unsupported expression node {kind}")
+
+    return unsupported
 
 
 # -- entry points ------------------------------------------------------------
@@ -458,27 +680,32 @@ def context_for(spec: IdentitySpec, env: dict, order: int | None = None) -> Eval
     return EvalContext(spec.scale, spec.order if order is None else order, z_interp)
 
 
+def _run(plan, ctx: EvalContext, env: dict, max_terms: int | None) -> QSeries:
+    st = _St(ctx, env, _Budget(max_terms), {})
+    try:
+        return plan(st)
+    except KeyError as e:
+        raise SpecError(f"unbound identifier {e.args[0]!r}") from e
+
+
 def evaluate(spec: IdentitySpec, bindings: dict | None = None, side: str = "lhs",
              order: int | None = None, max_terms: int | None = None) -> QSeries:
-    """Evaluate one side of an identity spec to a truncated series."""
+    """Evaluate one side of an identity spec to a truncated series.
+
+    The side is lowered on its first evaluation and its plan kept on the spec.
+    """
     if side not in ("lhs", "rhs"):
         raise SpecError("side must be 'lhs' or 'rhs'")
     env = bindings_env(spec, bindings)
     ctx = context_for(spec, env, order)
-    st = _St(ctx, env, _Budget(max_terms))
-    expr = spec.lhs if side == "lhs" else spec.rhs
-    try:
-        return _eval(expr, st)
-    except KeyError as e:
-        raise SpecError(f"unbound identifier {e.args[0]!r}") from e
+    plan = spec.plans.get(side)
+    if plan is None:
+        plan = spec.plans[side] = _compile(spec.lhs if side == "lhs" else spec.rhs, spec.scale)
+    return _run(plan, ctx, env, max_terms)
 
 
 def evaluate_expr(expr, scale: int = 1, order: int = 50, z_interp: Monomial | None = None,
                   env: dict | None = None, max_terms: int | None = None) -> QSeries:
     """Evaluate a bare expression node to a truncated series."""
-    ctx = EvalContext(scale, order, z_interp)
-    st = _St(ctx, dict(env or {}), _Budget(max_terms))
-    try:
-        return _eval(expr, st)
-    except KeyError as e:
-        raise SpecError(f"unbound identifier {e.args[0]!r}") from e
+    return _run(_compile(expr, scale), EvalContext(scale, order, z_interp), dict(env or {}),
+                max_terms)

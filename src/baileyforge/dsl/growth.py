@@ -50,6 +50,7 @@ from .nodes import (
     Sub,
     Theta,
     ZPow,
+    int_closure,
     int_eval,
 )
 
@@ -217,45 +218,77 @@ def grows_forward(p) -> bool:
 # -- product bases -----------------------------------------------------------
 
 
-def base_triple(b, env: dict, scale: int):
-    """Read a product base structurally as one monomial (coeff, zexp, qexp).
+def base_closure(b, scale: int):
+    """A product base as a closure from the bindings to one monomial (coeff, zexp, qexp).
 
-    Structural, not via evaluation: a base monomial above the working order
-    would otherwise truncate to nothing and look like a malformed base. The
-    coefficient is an int when integral, so cache keys hash as ints.
+    The base is read structurally, not via evaluation: a base monomial above
+    the working order would otherwise truncate to nothing and look like a
+    malformed base. The coefficient is an int when integral, so cache keys
+    hash as ints. A malformed base raises when the closure runs.
     """
     if isinstance(b, Rational):
-        return _exact(b.value), 0, 0
+        t = (_exact(b.value), 0, 0)
+        return lambda env: t
     if isinstance(b, NumPoly):
-        return int_eval(b.poly, env), 0, 0
+        f = int_closure(b.poly)
+        return lambda env: (f(env), 0, 0)
+    if isinstance(b, (QPow, ZPow)):
+        if b.exp is None:
+            t = (1, 0, scale) if isinstance(b, QPow) else (1, 1, 0)
+            return lambda env: t
+        f = int_closure(b.exp)
+        if isinstance(b, QPow):
+            return lambda env: (1, 0, f(env))
+        return lambda env: (1, f(env), 0)
     if isinstance(b, Neg):
-        c, ze, qe = base_triple(b.arg, env, scale)
-        return -c, ze, qe
-    if isinstance(b, QPow):
-        p = scale if b.exp is None else int_eval(b.exp, env)
-        return 1, 0, p
-    if isinstance(b, ZPow):
-        p = 1 if b.exp is None else int_eval(b.exp, env)
-        return 1, p, 0
+        f = base_closure(b.arg, scale)
+
+        def neg(env):
+            c, ze, qe = f(env)
+            return -c, ze, qe
+
+        return neg
     if isinstance(b, Mul):
-        c1, z1, q1 = base_triple(b.left, env, scale)
-        c2, z2, q2 = base_triple(b.right, env, scale)
-        return _exact(c1 * c2), z1 + z2, q1 + q2
+        f, g = base_closure(b.left, scale), base_closure(b.right, scale)
+
+        def mul(env):
+            (c1, z1, q1), (c2, z2, q2) = f(env), g(env)
+            return _exact(c1 * c2), z1 + z2, q1 + q2
+
+        return mul
     if isinstance(b, Div):
-        c1, z1, q1 = base_triple(b.left, env, scale)
-        c2, z2, q2 = base_triple(b.right, env, scale)
-        if not c2:
-            raise PoleError("division by a zero base")
-        return _exact(Fraction(c1) / c2), z1 - z2, q1 - q2
+        f, g = base_closure(b.left, scale), base_closure(b.right, scale)
+
+        def div(env):
+            (c1, z1, q1), (c2, z2, q2) = f(env), g(env)
+            if not c2:
+                raise PoleError("division by a zero base")
+            return _exact(Fraction(c1) / c2), z1 - z2, q1 - q2
+
+        return div
     if isinstance(b, Pow):
-        p = int_eval(b.exp, env)
-        c, ze, qe = base_triple(b.base, env, scale)
-        if not c:
-            if p < 0:
-                raise PoleError("zero base raised to a negative power")
-            return (1, 0, 0) if p == 0 else (0, 0, 0)
-        return _exact(Fraction(c) ** p), ze * p, qe * p
-    raise SpecError("product base must be a single monomial")
+        f, g = int_closure(b.exp), base_closure(b.base, scale)
+
+        def power(env):
+            p = f(env)
+            c, ze, qe = g(env)
+            if not c:
+                if p < 0:
+                    raise PoleError("zero base raised to a negative power")
+                return (1, 0, 0) if p == 0 else (0, 0, 0)
+            return _exact(Fraction(c) ** p), ze * p, qe * p
+
+        return power
+
+    def malformed(env):
+        raise SpecError("product base must be a single monomial")
+
+    return malformed
+
+
+def base_triple(b, env: dict, scale: int):
+    """Read a product base structurally as one monomial (coeff, zexp, qexp)."""
+    return base_closure(b, scale)(env)
 
 
 # -- lowest-exponent bounds of summation terms -------------------------------

@@ -39,6 +39,7 @@ __all__ = [
     "ZBind",
     "IdentitySpec",
     "int_eval",
+    "int_closure",
     "int_vars",
     "pretty_print",
     "pretty_print_expr",
@@ -272,6 +273,8 @@ class ZBind:
 
 @dataclass(frozen=True)
 class IdentitySpec:
+    """One identity; ``plans`` holds each side's evaluation plan once it is compiled."""
+
     name: str
     params: tuple
     scale: int
@@ -280,6 +283,7 @@ class IdentitySpec:
     lhs: Expr
     rhs: Expr
     span: Span | None = _span_field()
+    plans: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
 
 # -- integer expression evaluation ------------------------------------------
@@ -306,6 +310,53 @@ def int_eval(e: IntExpr, env: dict) -> int:
     if isinstance(e, IBinom):
         v = int_eval(e.arg, env)
         return v * (v - 1) // 2
+    raise TypeError(f"not an integer expression: {e!r}")
+
+
+def int_closure(e: IntExpr):
+    """An integer polynomial as a closure over the bindings: int_eval, lowered once.
+
+    A literal operand is folded into its operation. An unbound name raises
+    the KeyError int_eval raises.
+    """
+    if isinstance(e, IntLit):
+        v = e.value
+        return lambda env: v
+    if isinstance(e, IVar):
+        name = e.name
+
+        def var(env):
+            try:
+                return env[name]
+            except KeyError:
+                raise KeyError(f"unbound variable {name!r}") from None
+
+        return var
+    if isinstance(e, (IAdd, ISub, IMul)):
+        a, b = int_closure(e.left), int_closure(e.right)
+        if isinstance(e, IMul):
+            if isinstance(e.left, IntLit):
+                k = e.left.value
+                return lambda env: k * b(env)
+            return lambda env: a(env) * b(env)
+        k = e.right.value if isinstance(e.right, IntLit) else None
+        if isinstance(e, IAdd):
+            return (lambda env: a(env) + k) if k is not None else (lambda env: a(env) + b(env))
+        return (lambda env: a(env) - k) if k is not None else (lambda env: a(env) - b(env))
+    if isinstance(e, INeg):
+        a = int_closure(e.arg)
+        return lambda env: -a(env)
+    if isinstance(e, IPow):
+        a, k = int_closure(e.base), e.power
+        return lambda env: a(env) ** k
+    if isinstance(e, IBinom):
+        a = int_closure(e.arg)
+
+        def binom(env):
+            v = a(env)
+            return v * (v - 1) // 2
+
+        return binom
     raise TypeError(f"not an integer expression: {e!r}")
 
 

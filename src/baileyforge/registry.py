@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -467,6 +466,9 @@ def sweep_entry(name: str, grid: str, order: int | None = None, jobs: int = 1,
     bindings = expand_grid(parse_grid(grid))
     if jobs <= 1 or len(bindings) <= 1:
         return [verify_entry(name, b, order, use_oracle, max_terms) for b in bindings]
+    # Imported here: the process pool's machinery costs every other run set-up time.
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         futs = [pool.submit(verify_entry, name, b, order, use_oracle, max_terms)
                 for b in bindings]

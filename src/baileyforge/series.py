@@ -17,10 +17,10 @@ family stays inside this region; a violation aborts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from itertools import groupby
+from math import isqrt
 
 from .errors import (
     ContextMismatchError,
@@ -69,39 +69,33 @@ class Monomial:
 
 @dataclass(frozen=True)
 class EvalContext:
-    """Evaluation context: scale d, truncation order, z interpretation."""
+    """Evaluation context: scale d, truncation order, z interpretation.
+
+    z_cap, the z-degree guard cap, is derived from scale and order.
+    """
 
     scale: int = 1
     order: int = 50
     z_interp: Monomial | None = None
+    z_cap: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.scale < 1:
             raise ValueError("scale must be >= 1")
         if self.order < 0:
             raise ValueError("order must be >= 0")
+        # Largest j >= 1 with scale*binom(j, 2) <= order, that is with
+        # j*(j - 1) <= 2*order // scale; |z-exponent| may not exceed it.
+        object.__setattr__(self, "z_cap", (1 + isqrt(1 + 4 * (2 * self.order // self.scale))) // 2)
 
     @property
     def is_formal(self) -> bool:
         return self.z_interp is None
 
-    @property
-    def z_cap(self) -> int:
-        return _z_cap(self.scale, self.order)
-
 
 def hard_cap(ctx: EvalContext) -> int:
     """Universal bound on summation index magnitude."""
     return 4 * (ctx.order + 1)
-
-
-@lru_cache(maxsize=None)
-def _z_cap(scale: int, order: int) -> int:
-    # Largest j with scale*binom(j,2) <= order; |z-exponent| may not exceed it.
-    j = 1
-    while scale * (j + 1) * j // 2 <= order:
-        j += 1
-    return j
 
 
 def _check_keys(ctx: EvalContext, data: dict) -> None:

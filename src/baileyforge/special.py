@@ -176,10 +176,17 @@ class HeckeSpec:
 def hecke_sum(ctx: EvalContext, spec: HeckeSpec) -> QSeries:
     """Evaluate a Hecke-type double sum.
 
-    The per-row minimal retained exponent must be nondecreasing from row 2
-    on; rows stop once it passes the order. Denominator exponents are
-    rewritten exactly as in the Appell-Lerch evaluator.
+    The quadratic part outer[0]*n^2 + inner[0]*j^2 must grow over the region
+    |j| <= w*n (w = 1 full, 1/2 half), that is outer[0] + min(inner[0], 0)*w^2
+    > 0; a shape that fails this is refused before any row is summed, since
+    its rows can fall back into the window after one has left it. The
+    per-row minimal retained exponent must be nondecreasing from row 2 on;
+    rows stop once it passes the order. Denominator exponents are rewritten
+    exactly as in the Appell-Lerch evaluator.
     """
+    width_sq = 1 if spec.region == "full" else Fraction(1, 4)
+    if spec.outer[0] + min(spec.inner[0], 0) * width_sq <= 0:
+        raise RegionError("quadratic part does not grow over the region")
     zi = ctx.z_interp
     cap = hard_cap(ctx)
 

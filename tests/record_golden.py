@@ -2,8 +2,9 @@
 
 Each entry is evaluated at its shipped order (the order rule of a family at
 its default parameters, the engine order of an engine entry) and the row is
-printed in the ``GOLDEN`` table's layout. Record on a known-good commit,
-before the change the digests are meant to pin:
+printed in the ``GOLDEN`` table's layout, with the term budget each side of
+a DSL entry spends. Record on a known-good commit, before the change the
+digests are meant to pin:
 
     PYTHONPATH=src python3 tests/record_golden.py [name ...]
 """
@@ -14,7 +15,8 @@ import sys
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
-from baileyforge.dsl.evaluator import bindings_env  # noqa: E402
+from baileyforge.dsl.evaluator import bindings_env, evaluate  # noqa: E402
+from baileyforge.errors import BudgetError  # noqa: E402
 from baileyforge.registry import REGISTRY, load_spec  # noqa: E402
 from test_golden import sides, table_digest  # noqa: E402
 
@@ -30,13 +32,37 @@ def shipped(entry):
     return params, spec.order
 
 
+def spent(spec, params, side, order) -> int:
+    """The fewest term-budget units under which one side evaluates."""
+    def fits(units):
+        try:
+            evaluate(spec, params, side, order=order, max_terms=units)
+        except BudgetError:
+            return False
+        return True
+
+    hi = 1
+    while not fits(hi):
+        hi *= 2
+    lo = -1     # the largest count known not to fit
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if fits(mid) else (mid, hi)
+    return hi
+
+
 def main(names):
     for name in names or list(REGISTRY):
-        params, order = shipped(REGISTRY[name])
+        entry = REGISTRY[name]
+        params, order = shipped(entry)
         lhs, rhs = sides(name, params, order)
+        units = None
+        if entry.route == "dsl":
+            spec = load_spec(entry)
+            units = tuple(spent(spec, params, side, order) for side in ("lhs", "rhs"))
         print(f'    ("{name}", {json.dumps(params)}, {order},\n'
               f'     "{table_digest(lhs)}",\n'
-              f'     "{table_digest(rhs)}"),')
+              f'     "{table_digest(rhs)}", {units}),')
 
 
 if __name__ == "__main__":

@@ -5,7 +5,7 @@ import os
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, reject, settings, strategies as st
 
 import baileyforge.dsl.evaluator
 import baileyforge.oracle
@@ -33,9 +33,10 @@ from baileyforge.errors import (
     PoleError,
     SpecError,
     TerminationError,
+    ZDegreeError,
 )
 from baileyforge.oracle import brute_force_expand, expand_expr
-from baileyforge.series import EvalContext, hard_cap
+from baileyforge.series import EvalContext, Monomial, hard_cap
 
 
 def as_dict(s):
@@ -706,3 +707,167 @@ class TestSummationLimits:
     def test_oracle_sees_the_late_terms(self, tmp_path):
         report = self.verify_source(tmp_path, self.LATE, use_oracle=True)
         assert report.status == "pass", report.detail
+
+
+# -- generated specs ---------------------------------------------------------
+#
+# Expressions are drawn as builders: a builder maps the summation indices in
+# scope to DSL text. A sum names its index after its depth: n... for a
+# one-sided sum, i... for a range and b... for an Appell or Hecke sum, whose
+# indices stand in scope as None since nothing inside reads them. Below a
+# one-sided sum, a one-sided sum becomes a range and an Appell or Hecke sum
+# its body, since the oracle sums every nested unbounded sum to its
+# empty-run limit again for each outer term. Every
+# sum keeps to terms whose lowest exponent grows from index 0: a one-sided
+# sum carries q^(a*n^2 + b*n) with a >= 1 and b >= 0, and inside it an index
+# (always >= 0) enters only through exponents k*i + c with k >= 0 and through
+# product lengths. Appell and Hecke bodies are products of leaves, and their
+# linear parts stay within the quadratic one on every ray. So the oracle's
+# empty-run rule stops where the terms have really left the window, and the
+# test compares summation limits, product lowering and the sum loops, not
+# that rule.
+
+
+def _pick(scope, pick):
+    names = [i for i in scope if i is not None]
+    return names[pick % len(names)] if names else None
+
+
+def _exp(k, c, pick):
+    def text(s):
+        i = _pick(s, pick)
+        return f"{k}*{i} + {c}" if i and k else f"{c}"
+    return text
+
+
+def _length(form, c, pick):
+    forms = ("{c}", "{i}", "{i} + {c}", "2*{i}")
+    return lambda s: forms[form if _pick(s, pick) else 0].format(c=c, i=_pick(s, pick))
+
+
+_ints = st.integers
+_picks = _ints(0, 3)
+_NUM_BASES = ("q^({c})", "-q^({c})", "2*q^({c})", "z*q^({c})", "q^({c})/z", "q^(-1)")
+_DEN_BASES = ("q^({c})", "-q^({c})", "2*q^({c})")
+
+
+def _bases(choices):
+    one = st.builds(lambda form, c: choices[form].format(c=c),
+                    _ints(0, len(choices) - 1), _ints(1, 3))
+    return st.lists(one, min_size=1, max_size=2).map(", ".join)
+
+
+def _poch(bases, step, length, over):
+    head = "1 / " if over else ""
+    if length is None:
+        return lambda s: f"{head}theta({bases}; q^({step}))"
+    return lambda s: f"{head}poch({bases}; q^({step}), {length(s)})"
+
+
+def _sign(k, pick):
+    return lambda s: f"(-1)^({_pick(s, pick) or k})"
+
+
+_lengths = st.one_of(st.none(), st.builds(_length, _ints(0, 3), _ints(0, 2), _picks))
+_LEAVES = st.one_of(
+    st.builds(lambda e: lambda s: f"q^({e(s)})", st.builds(_exp, _ints(0, 2), _ints(-2, 3), _picks)),
+    st.builds(lambda k: lambda s: f"z^({k})", st.sampled_from([-1, 1])),
+    st.builds(_sign, _ints(0, 1), _picks),
+    st.builds(_poch, _bases(_NUM_BASES), _ints(1, 2), _lengths, st.just(False)),
+    st.builds(_poch, _bases(_DEN_BASES), _ints(1, 2), _lengths, st.just(True)),
+    st.builds(lambda e: lambda s: f"num({e(s)})", st.builds(_exp, _ints(0, 2), _ints(0, 3), _picks)),
+    st.builds(lambda e, k: lambda s: f"qbinom({e(s)}, {k})",
+              st.builds(_exp, _ints(0, 1), _ints(0, 3), _picks), _ints(0, 2)),
+    st.builds(lambda sign, c, over: lambda s: f"{'1 / ' if over else ''}(1 {sign} q^({c}))",
+              st.sampled_from("+-"), _ints(1, 3), st.booleans()),
+)
+_ROW_BODIES = st.lists(_LEAVES, min_size=1, max_size=2).map(
+    lambda fs: lambda s: " * ".join(f"({f(s)})" for f in fs))
+
+
+def _unbounded(scope):
+    return any(i and i[0] == "n" for i in scope)
+
+
+def _range_sum(body, hi, pick):
+    def text(s):
+        i = f"i{len(s)}"
+        top = _pick(s, pick) if pick < 2 else None
+        return f"sum({i} in 0..{top or hi}, {body(s + [i])})"
+    return text
+
+
+def _one_sided(body, a, b):
+    def text(s):
+        if _unbounded(s):
+            return _range_sum(body, a + b, 2)(s)
+        n = f"n{len(s)}"
+        return f"sum({n} >= 0, q^({a}*{n}^2 + {b}*{n}) * ({body(s + [n])}))"
+    return text
+
+
+def _appell(body, a, b, zp, alt, den):
+    def text(s):
+        if _unbounded(s):
+            return body(s)
+        n = f"b{len(s)}"
+        return (f"appell({n}, (-1)^({alt}*{n}) * z^({zp}*{n}) * q^({a}*{n}^2 + {b}*{n})"
+                f" * {body(s + [None])}, {den[0]}*{n} + {den[1]})")
+    return text
+
+
+def _hecke(body, region, a, b, c, d, zp, den):
+    def text(s):
+        if _unbounded(s):
+            return body(s)
+        n, j = f"b{len(s)}", f"b{len(s) + 1}"
+        tail = "" if den is None else f", {den[0]}*{j} + {den[1]}"
+        return (f"hecke({n}, {j}, {region}, (-1)^({j}) * z^({zp}*{j})"
+                f" * q^({a}*{n}^2 + {b}*{n} + {c}*{j}^2 + {d}*{j}) * {body(s + [None, None])}{tail})")
+    return text
+
+
+_DENS = st.tuples(_ints(-2, 2), _ints(-2, 2))
+_BILATERAL = st.one_of(
+    _ints(1, 2).flatmap(lambda a: st.builds(
+        _appell, _ROW_BODIES, st.just(a), _ints(1 - a, a - 1), _ints(-1, 1), _ints(0, 1), _DENS)),
+    st.tuples(_ints(1, 2), _ints(0, 1)).flatmap(lambda ab: st.builds(
+        _hecke, _ROW_BODIES, st.sampled_from(["full", "half"]), st.just(ab[0]), st.just(ab[1]),
+        _ints(0, 2), _ints(1 - sum(ab), sum(ab) - 1), _ints(-1, 1), st.one_of(st.none(), _DENS))),
+)
+
+
+def _extend(children):
+    return st.one_of(
+        st.builds(lambda x, y: lambda s: f"({x(s)}) * ({y(s)})", children, children),
+        st.builds(lambda x, y, op: lambda s: f"({x(s)}) {op} ({y(s)})",
+                  children, children, st.sampled_from("+-")),
+        st.builds(_range_sum, children, _ints(0, 3), _picks),
+        st.builds(_one_sided, children, _ints(1, 2), _ints(0, 2)),
+    )
+
+
+_EXPRESSIONS = st.recursive(st.one_of(_LEAVES, _BILATERAL), _extend, max_leaves=6).map(
+    lambda build: build([]))
+
+
+class TestGeneratedSpecs:
+    @settings(max_examples=100, deadline=None)
+    @given(text=_EXPRESSIONS)
+    def test_print_parse_round_trip(self, text):
+        expr = parse_expr(text)
+        printed = pretty_print_expr(expr)
+        assert parse_expr(printed) == expr
+        assert pretty_print_expr(parse_expr(printed)) == printed
+
+    @settings(max_examples=100, deadline=None)
+    @given(text=_EXPRESSIONS, order=st.sampled_from([6, 9, 12]),
+           zfold=st.one_of(st.none(), st.tuples(st.sampled_from([1, -1]), _ints(-1, 1))))
+    def test_evaluator_equals_the_oracle(self, text, order, zfold):
+        expr = parse_expr(text)
+        zi = None if zfold is None else Monomial(*zfold)
+        try:
+            got = evaluate_expr(expr, order=order, z_interp=zi)
+        except ZDegreeError:
+            reject()    # the z-degree guard is a resource limit the oracle does not keep
+        assert as_dict(got) == expand_expr(expr, scale=1, order=order, zfold=zfold), text

@@ -305,3 +305,20 @@ def test_sweep_serial_and_parallel_agree():
         assert sd == pd
         assert sd["status"] == "pass"
     assert [s.params for s in serial] == R.expand_grid(R.parse_grid("m=1..2,a=0..m"))
+
+
+def test_registry_import_leaves_the_process_pool_out():
+    # Only a parallel sweep needs the pool; importing it costs every run set-up time.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(R.__file__)))
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); from baileyforge import registry; "
+            "print('concurrent.futures.process' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code, src],
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "False"
+
+
+def test_parallel_sweep_from_the_command_line(capsys):
+    assert main(["sweep", "rr_mod3m_plus", "--grid", "m=1..2,a=0..1", "--jobs", "2",
+                 "--format", "json"]) == 0
+    reports = json.loads(capsys.readouterr().out)
+    assert [r["status"] for r in reports] == ["pass"] * 4

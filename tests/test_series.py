@@ -97,6 +97,19 @@ class TestBuilders:
         with pytest.raises(ZDegreeError):
             monomial(ctx, 1, 8, 0)
 
+    def test_z_cap_closed_form_matches_the_search(self):
+        # The cap was found by search: the largest j >= 1 with
+        # scale*binom(j, 2) <= order.
+        def searched(scale, order):
+            j = 1
+            while scale * (j + 1) * j // 2 <= order:
+                j += 1
+            return j
+
+        for scale in range(1, 13):
+            for order in range(5000):
+                assert EvalContext(scale, order).z_cap == searched(scale, order), (scale, order)
+
 
 class TestRingOps:
     def test_add_sub(self):

@@ -4,7 +4,7 @@ DSL evaluator's generic Appell and Hecke route against those closed forms."""
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from baileyforge import EvalContext, Monomial, PoleError, TerminationError, equal_up_to, monomial
 from baileyforge.dsl import evaluate_expr, parse_expr
@@ -190,6 +190,13 @@ class TestHecke:
         assert h.coefficient(3, 1) == -1
         assert h.coefficient(7, -1) == -1
 
+    def test_divergent_shape_is_refused(self):
+        # q^(3*n - binom(j, 2)) over the half region: row minima go 15 (n = 12),
+        # 0 (n = 22), -6 (n = 24), so no row is the last one inside the window.
+        spec = HeckeSpec("half", 0, 0, (0, 3, 0), (F(-1, 2), F(1, 2)))
+        with pytest.raises(SeriesError, match="does not grow"):
+            hecke_sum(EvalContext(order=12), spec)
+
     def test_region_guard(self):
         # inner exponent -5j drags row minima down faster than outer grows
         with pytest.raises(Exception) as exc:
@@ -239,12 +246,9 @@ class TestGenericRoute:
            den=st.one_of(st.none(), st.tuples(st.integers(-3, 3), st.integers(-3, 3))),
            order=_orders, zi=_zfolds)
     def test_hecke(self, region, alt, zpow, a, b, c, d, den, order, zi):
-        # Only shapes whose quadratic part grows over the region converge; on
-        # others hecke_sum stops at the first row above the order and misses
-        # the rows that fall back into it. A RegionError from hecke_sum counts
-        # as no value: the closed form refuses row minima that fall, and the
-        # generic route sums them.
-        assume(a + min(c, 0) * (1 if region == "full" else F(1, 4)) > 0)
+        # A RegionError from hecke_sum counts as no value: the closed form
+        # refuses a quadratic part that does not grow over the region and row
+        # minima that fall, and the generic route sums them.
         ctx = EvalContext(order=order, z_interp=zi)
         spec = HeckeSpec(region, alt, zpow, (F(a, 2), b - F(a, 2), 0), (F(c, 2), d - F(c, 2)),
                          None if den is None else (1,) + den)
