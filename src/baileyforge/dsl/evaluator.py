@@ -26,6 +26,7 @@ from ..series import (
     binomials,
     hard_cap,
     monomial,
+    one,
     qbinomial,
     retruncate,
     times_binomials,
@@ -41,7 +42,6 @@ from .nodes import (
     Div,
     Hecke,
     IdentitySpec,
-    INeg,
     Mul,
     Neg,
     NumPoly,
@@ -112,7 +112,8 @@ def _product_items(node, power: int, items: list, scale: int) -> None:
     """The factors of a product, in order, with their powers.
 
     A power whose exponent reads a name stays one item, resolved at run time;
-    a constant exponent 0 drops its base unread.
+    a constant exponent 0 drops its base unread. A sum of two monomials is a
+    length-one Pochhammer factor (``growth.two_monomials``).
     """
     if isinstance(node, Mul):
         _product_items(node.left, power, items, scale)
@@ -125,6 +126,8 @@ def _product_items(node, power: int, items: list, scale: int) -> None:
         _product_items(node.arg, power, items, scale)
     elif isinstance(node, Rational):
         items.append((_RAT, node.value, power))
+    elif (two := growth.two_monomials(node)) is not None:
+        _product_items(two, power, items, scale)
     elif isinstance(node, Pow):
         if int_vars(node.exp):
             base: list = []
@@ -240,9 +243,9 @@ def _product(node, scale: int):
 
     Plain q- and z-powers, scalars and the lead monomials of Pochhammer and
     theta factors (``binomials``) fuse into one exact head monomial. General
-    factors (sums, qbinom, num, ...) are series multiplied into the head, and
-    general divisors are inverted. The binomial factors of the Pochhammer and
-    theta products are then applied to that product in place: they have
+    factors (sums, qbinom, num, and runs to a power p other than +-1, raised in
+    log |p| products) are series multiplied into the head, and general divisors
+    are inverted. Other runs are then applied to that product in place: they have
     valuation 0 and are exact at any order, so only the head and the general
     factors decide the early exit above the order and the working-order lift.
     A factor whose lead is 1 (``_unit_lead``) is read only after that exit.
@@ -297,6 +300,7 @@ def _product(node, scale: int):
                     reads.append((args, p))
             else:
                 general.append((data, p))
+        general += [(_runs_series(args, p > 0), abs(p)) for args, p in reads if abs(p) > 1]
         zi = ctx.z_interp
         fused_min = fused_q + (fused_z * zi.qexp if zi is not None else 0)
         if not general and not reads and not vanishes:
@@ -337,9 +341,20 @@ def _product(node, scale: int):
         num: list = []
         den: list = []
         for args, p in reads:
-            (num if p > 0 else den).extend(st.read(args)[1] * abs(p))
+            if abs(p) == 1:
+                (num if p > 0 else den).extend(st.read(args)[1])
         out = _combine(evaluated, monomial(wst.ctx, scalar, fused_z, fused_q))
         return retruncate(times_binomials(out, num, den), ctx)
+
+    return run
+
+
+def _runs_series(args, numerator: bool):
+    """A read's runs, or their inverse, as one series for ``_combine`` to raise to its power."""
+
+    def run(st: _St) -> QSeries:
+        runs = st.read(args)[1]
+        return times_binomials(one(st.ctx), runs if numerator else (), () if numerator else runs)
 
     return run
 
@@ -364,16 +379,15 @@ def _divisor_above(f, st: _St) -> QSeries:
 # -- summation loops ---------------------------------------------------------
 
 
-def _last(st: _St, body, start: int, subs, inner=(), bound=None, whole=True):
+def _last(st: _St, body, start: int, subs, inner=(), bound=None):
     """Certified last ray index of a sum, or None.
 
     The sum's term at ray index t is bounded below as body is under the
     substitutions subs, with ``inner`` names relaxed over [0, bound]
-    (``growth.ray_floor``). When body is the whole term (``whole``), there
-    is one substitution and no inner name, and its bound is exact (lower ==
-    upper), every term is nonzero with exactly that lowest exponent; a
-    bound at or below the order past hard_cap then proves a term there, and
-    the result is an index past hard_cap.
+    (``growth.ray_floor``). With one substitution and no inner name, an
+    exact bound (lower == upper) is every term's lowest exponent: one at or
+    below the order past hard_cap proves a term there, and the result is an
+    index past hard_cap.
     """
     zi = st.ctx.z_interp
     zfold = None if zi is None else (zi.sign, zi.qexp)
@@ -382,7 +396,7 @@ def _last(st: _St, body, start: int, subs, inner=(), bound=None, whole=True):
         return None
     cap = hard_cap(st.ctx)
     last = growth.last_index(floor, start, st.ctx.order, cap)
-    if last is None and whole and not inner and len(subs) == 1:
+    if last is None and not inner and len(subs) == 1:
         lower, upper = growth.term_bounds(body, subs[0], st.env, st.ctx.scale, zfold)
         if lower == upper and growth.dips_past(floor, cap, st.ctx.order):
             return cap + 1
@@ -424,42 +438,6 @@ def _one_sided(st: _St, emit, start: int, direction: int, last, acc: dict) -> No
         n += direction
 
 
-def _two_sided(st: _St, emit, body, index: str, den=None, shifted=None) -> dict:
-    """The table of a sum over index in Z whose term is body, or body / (1 + q^den).
-
-    shifted is the node body * q^(-den) of a sum with a divisor.
-    """
-    acc: dict = {}
-    for start, ray in ((0, RAY_T), (1, growth.mneg(RAY_T))):
-        sub = {index: ray}
-        term, whole = body, True
-        if den is not None:
-            term, whole = _den_term(body, shifted, den, sub, st.env, start)
-        direction = -1 if start else 1
-        _one_sided(st, emit, -start, direction,
-                   _last(st, term, start, (sub,), whole=whole), acc)
-    return acc
-
-
-def _den_term(body, shifted, den, sub: dict, env: dict, start: int):
-    """A node bounding body / (1 + q^den) along a ray, and whether it is the whole term.
-
-    1/(1 + q^d) has lowest exponent max(0, -d): 0 where d >= 0 and -d where
-    d <= 0. Where den keeps one sign on the whole ray, body or shifted
-    (body * q^(-den)) has the term's lowest exponent; elsewhere body only
-    bounds it from below.
-    """
-    d = growth.ray_coeffs(growth.mpoly(den, sub, env))
-    if d is not None and len(d) <= 2:
-        slope = d[1] if len(d) > 1 else 0
-        first = d[0] + slope * start
-        if slope >= 0 and first >= 0:
-            return body, True
-        if slope <= 0 and first <= 0:
-            return shifted, True
-    return body, False
-
-
 def _chain_sum(node: ChainSum, scale: int):
     idxs = node.indices
     body = _compile(node.body, scale)
@@ -493,8 +471,9 @@ def _chain_sum(node: ChainSum, scale: int):
     return run
 
 
-def _over_z(index: str, term, body, den=None, shifted=None):
-    """A sum over index in Z of the plan term, bounded as ``_two_sided`` bounds body."""
+def _over_z(index: str, body, scale: int):
+    """A sum over index in Z of body, one ray from 0 up and one from -1 down."""
+    term = _compile(body, scale)
 
     def run(st: _St) -> QSeries:
         inner = st.binding()
@@ -503,7 +482,11 @@ def _over_z(index: str, term, body, den=None, shifted=None):
             inner.env[index] = n
             return term(inner)._c
 
-        return _table(st, _two_sided(st, emit, body, index, den, shifted))
+        acc: dict = {}
+        for start, ray in ((0, RAY_T), (1, growth.mneg(RAY_T))):
+            last = _last(st, body, start, ({index: ray},))
+            _one_sided(st, emit, -start, -1 if start else 1, last, acc)
+        return _table(st, acc)
 
     return run
 
@@ -525,38 +508,18 @@ def _range_sum(node: RangeSum, scale: int):
     return run
 
 
-def _shifted(body, den):
-    """The node body * q^(-den)."""
-    return Mul(left=body, right=QPow(exp=INeg(arg=den)))
-
-
-def _over_den(body, shifted, den, scale: int):
-    """body / (1 + q^den) under the frame's bindings, divided in place.
-
-    1/(1 + q^0) is 1/2. For d < 0, body / (1 + q^d) is shifted / (1 + q^(-d))
-    with shifted = body * q^(-d), evaluated whole, so a term of body that the
-    shift carries past the order is never built.
-    """
-    num, up, den_of = _compile(body, scale), _compile(shifted, scale), int_closure(den)
-
-    def run(st: _St) -> QSeries:
-        d = den_of(st.env)
-        if d == 0:
-            return num(st) * Fraction(1, 2)
-        return times_binomials((num if d > 0 else up)(st), (), ((-1, 0, abs(d), 1, 1),))
-
-    return run
+def _pole_split(body, den):
+    """The node body / (1 + q^den) of an Appell or Hecke term."""
+    one = Rational(value=Fraction(1))
+    return body if den is None else Div(left=body, right=Add(left=one, right=QPow(exp=den)))
 
 
 def _hecke(node: Hecke, scale: int):
-    if node.den is None:
-        term = _compile(node.body, scale)
-    else:
-        term = _over_den(node.body, _shifted(node.body, node.den), node.den, scale)
+    body = _pole_split(node.body, node.den)
+    term = _compile(body, scale)
     half = node.region == "half"
-    # Row n sums j over [-n, n] (full) or [-n/2, n/2] (half): bound the body
-    # at j = +j' and j = -j' with j' relaxed over that half-width. A factor
-    # 1/(1 + q^d) only raises the lowest exponent.
+    # Row n sums j over [-n, n] (full) or [-n/2, n/2] (half): bound the term
+    # at j = +j' and j = -j' with j' relaxed over that half-width.
     width = growth.mmul(RAY_T, growth.mconst(Fraction(1, 2))) if half else RAY_T
     jv = growth.mvar(node.inner)
     subs = ({node.outer: RAY_T, node.inner: jv}, {node.outer: RAY_T, node.inner: growth.mneg(jv)})
@@ -575,7 +538,7 @@ def _hecke(node: Hecke, scale: int):
             return row
 
         acc: dict = {}
-        _one_sided(st, emit_row, 0, 1, _last(st, node.body, 0, subs, (node.inner,), width), acc)
+        _one_sided(st, emit_row, 0, 1, _last(st, body, 0, subs, (node.inner,), width), acc)
         return _table(st, acc)
 
     return run
@@ -634,13 +597,11 @@ def _compile(node, scale: int):
     if isinstance(node, ChainSum):
         return _chain_sum(node, scale)
     if isinstance(node, BilateralSum):
-        return _over_z(node.index, _compile(node.body, scale), node.body)
+        return _over_z(node.index, node.body, scale)
     if isinstance(node, RangeSum):
         return _range_sum(node, scale)
     if isinstance(node, Appell):
-        shifted = _shifted(node.num, node.den)
-        term = _over_den(node.num, shifted, node.den, scale)
-        return _over_z(node.index, term, node.num, node.den, shifted)
+        return _over_z(node.index, _pole_split(node.num, node.den), scale)
     if isinstance(node, Hecke):
         return _hecke(node, scale)
     kind = type(node).__name__

@@ -212,7 +212,7 @@ def grows_both_ways(p) -> bool:
 
 def grows_forward(p) -> bool:
     """True when ray coefficients p tend to +infinity as the ray variable grows."""
-    return p is not None and len(p) in (2, 3) and p[-1] > 0
+    return p is not None and len(p) > 1 and p[-1] > 0
 
 
 # -- product bases -----------------------------------------------------------
@@ -286,11 +286,6 @@ def base_closure(b, scale: int):
     return malformed
 
 
-def base_triple(b, env: dict, scale: int):
-    """Read a product base structurally as one monomial (coeff, zexp, qexp)."""
-    return base_closure(b, scale)(env)
-
-
 # -- lowest-exponent bounds of summation terms -------------------------------
 
 _UNKNOWN = (None, None)
@@ -314,8 +309,10 @@ def _product_bounds(expr, sub: dict, env: dict, scale: int, zfold):
     fixed = {k: v for k, v in env.items() if k not in sub}
     try:
         step = int_eval(expr.step, fixed)
-        triples = [base_triple(b, fixed, scale) for b in expr.bases]
-    except (KeyError, SeriesError):
+        triples = [base_closure(b, scale)(fixed) for b in expr.bases]
+    except KeyError:
+        return _moving_bounds(expr, sub, env, scale, zfold)
+    except SeriesError:
         return _UNKNOWN
     if step < 1:
         return _UNKNOWN
@@ -353,6 +350,50 @@ def _product_bounds(expr, sub: dict, env: dict, scale: int, zfold):
     return mconst(-lift), (mconst(-lift) if fixed else {})
 
 
+def _moving_bounds(expr, sub: dict, env: dict, scale: int, zfold):
+    # A length-one product 1 - b whose base moves with the sum. If b has
+    # exponent e, the factor has lowest exponent min(0, e), exact where e
+    # keeps one sign; it vanishes only where e = 0 and b = 1.
+    if not isinstance(expr, Poch) or len(expr.bases) != 1 or expr.length is None:
+        return _UNKNOWN
+    b = expr.bases[0]
+    lo, up = term_bounds(b, sub, env, scale, zfold)
+    if lo is None or mpoly(expr.length, sub, env) != mconst(1):
+        return _UNKNOWN
+    rises, falls = (all(sign * c >= 0 for c in lo.values()) for sign in (1, -1))
+    nonzero = (rises or falls) and lo.get((), 0) != 0
+    if lo != up or not (nonzero or _coeff(b) not in (None, 1)):
+        return mmin({}, lo), None
+    return mmin({}, lo), (lo if falls else {})
+
+
+def _coeff(e):
+    """The nonzero coefficient of e read as a product of rationals and q-powers, or None."""
+    if isinstance(e, Rational):
+        return e.value or None
+    if isinstance(e, QPow):
+        return Fraction(1)
+    if isinstance(e, Neg):
+        c = _coeff(e.arg)
+        return None if c is None else -c
+    if isinstance(e, (Mul, Div)):
+        c1, c2 = _coeff(e.left), _coeff(e.right)
+        if c1 is None or c2 is None:
+            return None
+        return c1 * c2 if isinstance(e, Mul) else c1 / c2
+    return None
+
+
+def two_monomials(node):
+    """m1 +- m2 as m1 * (-+m2/m1; q)_1 where m1, m2 are products of rationals and q-powers."""
+    if not isinstance(node, (Add, Sub)) or None in (_coeff(node.left), _coeff(node.right)):
+        return None
+    base = Div(left=node.right, right=node.left)
+    one = IntLit(value=1)
+    poch = Poch(bases=(Neg(arg=base) if isinstance(node, Add) else base,), step=one, length=one)
+    return Mul(left=node.left, right=poch)
+
+
 def term_bounds(expr, sub: dict, env: dict, scale: int, zfold):
     """(lower, upper) polynomial bounds on the lowest q-exponent of expr.
 
@@ -361,7 +402,8 @@ def term_bounds(expr, sub: dict, env: dict, scale: int, zfold):
     for formal z. ``lower`` is None when no bound is proven. ``upper`` is
     None unless expr provably never vanishes: exactly then it may divide.
     The lowest exponent of a product is the sum of its factors' lowest
-    exponents, and that of 1/D is minus that of D. A sum takes the
+    exponents, and that of 1/D is minus that of D. A sum of two monomials is
+    the product ``two_monomials`` makes of it; any other sum takes the
     coefficientwise minimum of its parts' lower bounds.
     """
     if isinstance(expr, Rational):
@@ -386,6 +428,9 @@ def term_bounds(expr, sub: dict, env: dict, scale: int, zfold):
             return _plus(alo, blo), _plus(aup, bup)
         return _minus(alo, bup), _minus(aup, blo)
     if isinstance(expr, (Add, Sub)):
+        two = two_monomials(expr)
+        if two is not None:
+            return term_bounds(two, sub, env, scale, zfold)
         alo, _ = term_bounds(expr.left, sub, env, scale, zfold)
         blo, _ = term_bounds(expr.right, sub, env, scale, zfold)
         return (None if alo is None or blo is None else mmin(alo, blo)), None
@@ -469,16 +514,35 @@ def last_index(p, start: int, order: int, cap: int):
         t += 1
 
 
-def dips_past(p, cap: int, order: int) -> bool:
-    """True when p(t) <= order is seen at an integer t > cap.
+def _turns(p, a: int, b: int) -> list:
+    """Sorted integers of [a, b], a and b among them, between which p is monotone.
 
-    p is given as ray coefficients. It is checked at t = cap + 1 and, for a
-    quadratic with positive leading coefficient, at the integers next to its
-    vertex past the cap, where it is lowest; a dip of a higher degree
-    further out is not looked for.
+    p is given as ray coefficients. A sign change of p' is narrowed by
+    bisection to two integers next to each other, so p is least over the
+    integers of [a, b] at one of the results.
     """
-    ts = {cap + 1}
-    if len(p) == 3 and p[2] > 0:
-        v = -p[1] / (2 * p[2])
-        ts.update(t for t in (math.floor(v), math.ceil(v)) if t > cap)
-    return any(ray_value(p, t) <= order for t in ts)
+    if len(p) <= 2:
+        return [a, b]
+    dp = [k * c for k, c in enumerate(p)][1:]
+    cuts = _turns(dp, a, b)
+    out = set(cuts)
+    for lo, hi in zip(cuts, cuts[1:]):
+        rising = ray_value(dp, lo) > 0
+        if (ray_value(dp, hi) > 0) != rising:
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                lo, hi = (mid, hi) if (ray_value(dp, mid) > 0) == rising else (lo, mid)
+            out.update((lo, hi))
+    return sorted(out)
+
+
+def dips_past(p, cap: int, order: int) -> bool:
+    """True when p(t) <= order at an integer t > cap.
+
+    p is given as ray coefficients. Past Cauchy's bound on the roots of
+    p - order, p - order has the sign of its leading coefficient; up to
+    there it is least at one of its turns (``_turns``).
+    """
+    q = [p[0] - order, *p[1:]]
+    top = math.floor(1 + max((abs(c / q[-1]) for c in q[:-1]), default=-1)) + 1
+    return any(ray_value(q, t) <= 0 for t in _turns(q, cap + 1, max(cap + 1, top)))

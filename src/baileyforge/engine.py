@@ -27,6 +27,7 @@ from .errors import BudgetError, NegativeFloorError, NonUnitLeadingError, Termin
 from .series import (
     EvalContext,
     QSeries,
+    _acc_into,
     binomials,
     hard_cap,
     monomial,
@@ -325,6 +326,14 @@ def _indices(bound, order, cap, *, bilateral, budget):
     return out
 
 
+def _index_sum(ctx: EvalContext, f, bound, *, bilateral=False, budget) -> QSeries:
+    """The sum of f(n) over ``_indices``, added into one table in place."""
+    acc: dict = {}
+    for n in _indices(bound, ctx.order, hard_cap(ctx), bilateral=bilateral, budget=budget):
+        _acc_into(acc, f(n)._c)
+    return QSeries(ctx, acc, _trusted=True)
+
+
 def _abel_alternating(ctx, term, term_limit, budget) -> QSeries:
     """Abel value of sum_{n>=0} (-1)^n term(n) with term(n) -> term_limit."""
     acc = term_limit * Fraction(1, 2)
@@ -443,21 +452,15 @@ def bms_general_eval(pair: BilateralPair, x, y):
     ctx = pair.ctx
     w = _Weights(pair.dilation, x, y)
     budget = _Budget()
-    cap = hard_cap(ctx)
 
     if w.abel_sign() is not None:
         lhs = _abel_beta_side(pair, x, y, budget)
     else:
-        lhs = zero(ctx)
-        for n in _indices(w.beta_weight_min, ctx.order, cap, bilateral=False, budget=budget):
-            lhs = lhs + w.apply(pair.beta(n), n)
+        lhs = _index_sum(ctx, lambda n: w.apply(pair.beta(n), n), w.beta_weight_min, budget=budget)
 
-    def alpha_bound(n):
-        return w.alpha_weight_min(n) + pair.alpha_floor(n)
-
-    asum = zero(ctx)
-    for n in _indices(alpha_bound, ctx.order, cap, bilateral=True, budget=budget):
-        asum = asum + w.apply(pair.alpha(n), n, alpha=True)
+    asum = _index_sum(ctx, lambda n: w.apply(pair.alpha(n), n, alpha=True),
+                      lambda n: w.alpha_weight_min(n) + pair.alpha_floor(n),
+                      bilateral=True, budget=budget)
     return lhs, w.prefactor(asum)
 
 
@@ -475,24 +478,16 @@ def weak_lemma_eval(pair: BilateralPair, variant: str):
     """
     ctx, r = pair.ctx, pair.dilation
     budget = _Budget()
-    cap = hard_cap(ctx)
     euler = ((1, 0, r), r, None)
 
     # Each weight is applied to its term: weight(n, s) is s times it.
     def beta_sum(weight, weight_min):
-        acc = zero(ctx)
-        for n in _indices(weight_min, ctx.order, cap, bilateral=False, budget=budget):
-            acc = acc + weight(n, pair.beta(n))
-        return acc
+        return _index_sum(ctx, lambda n: weight(n, pair.beta(n)), weight_min, budget=budget)
 
     def alpha_sum(weight, weight_min):
-        def bound(n):
-            return weight_min(n) + pair.alpha_floor(n)
-
-        acc = zero(ctx)
-        for n in _indices(bound, ctx.order, cap, bilateral=True, budget=budget):
-            acc = acc + weight(n, pair.alpha(n))
-        return acc
+        return _index_sum(ctx, lambda n: weight(n, pair.alpha(n)),
+                          lambda n: weight_min(n) + pair.alpha_floor(n),
+                          bilateral=True, budget=budget)
 
     if variant == "V1":
 
@@ -583,12 +578,7 @@ def chain_step(pair: BilateralPair) -> BilateralPair:
         return r * n * n + pair.alpha_floor(n)
 
     def limit() -> QSeries:
-        budget = _Budget()
-        acc = zero(ctx)
-        for j in _indices(
-            lambda v: r * v * v, ctx.order, hard_cap(ctx), bilateral=False, budget=budget
-        ):
-            acc = acc + term(j)
+        acc = _index_sum(ctx, term, lambda v: r * v * v, budget=_Budget())
         return _times(acc, den=[((1, 0, r), r, None)])
 
     return BilateralPair(
@@ -634,11 +624,7 @@ def general_chain_step(pair: BilateralPair, x, y) -> BilateralPair:
         if w.abel_sign() is not None:
             core = _abel_beta_side(pair, x, y, budget)
         else:
-            core = zero(ctx)
-            for j in _indices(
-                w.beta_weight_min, ctx.order, hard_cap(ctx), bilateral=False, budget=budget
-            ):
-                core = core + term(j)
+            core = _index_sum(ctx, term, w.beta_weight_min, budget=budget)
         num = [] if kernel is None else [(kernel, r, None)]
         den = [((1, 0, r), r, None)] + [lim + (None,) for lim in limits]
         return _times(core, num, den)
@@ -670,12 +656,7 @@ def lattice_djk(pair: BilateralPair) -> BilateralPair:
         return e
 
     def limit() -> QSeries:
-        budget = _Budget()
-        acc = zero(ctx)
-        for j in _indices(
-            lambda v: s * v, ctx.order, hard_cap(ctx), bilateral=False, budget=budget
-        ):
-            acc = acc + term(j)
+        acc = _index_sum(ctx, term, lambda v: s * v, budget=_Budget())
         return _times(acc, den=[((1, 0, 2 * s), 2 * s, None)])
 
     return BilateralPair(
@@ -728,12 +709,7 @@ def definition_limit_eval(pair: BilateralPair):
     if pair.beta_limit is None:
         raise TerminationError("pair carries no beta limit")
     ctx, r = pair.ctx, pair.dilation
-    budget = _Budget()
-    acc = zero(ctx)
-    for n in _indices(
-        pair.alpha_floor, ctx.order, hard_cap(ctx), bilateral=True, budget=budget
-    ):
-        acc = acc + pair.alpha(n)
+    acc = _index_sum(ctx, pair.alpha, pair.alpha_floor, bilateral=True, budget=_Budget())
     euler = ((1, 0, r), r, None)
     return pair.beta_limit(), _times(acc, den=[euler, euler])
 
@@ -789,9 +765,7 @@ def aw_lemma_eval(pair: BilateralPair, which: str):
     else:
         raise ValueError("which must be 'I' or 'II'")
 
-    lhs = zero(ctx)
-    for n in _indices(lambda v: u * v, ctx.order, cap, bilateral=False, budget=budget):
-        lhs = lhs + lweight(n, pair.beta(n))
+    lhs = _index_sum(ctx, lambda n: lweight(n, pair.beta(n)), lambda v: u * v, budget=budget)
 
     def row_bound(n):
         return min(outer(n) + inner_qexp(j) + pair.alpha_floor(j) for j in jrange(n))

@@ -2,6 +2,7 @@
 
 import glob
 import os
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -25,7 +26,7 @@ from baileyforge.dsl import (
     pretty_print_expr,
     validate,
 )
-from baileyforge.dsl.growth import last_index, mvar, term_bounds
+from baileyforge.dsl.growth import dips_past, last_index, mvar, ray_value, term_bounds
 from baileyforge.errors import (
     BudgetError,
     DslSyntaxError,
@@ -532,12 +533,25 @@ class TestProductLowering:
         ("z * poch(z, q / z; q, 2) / poch(q; q, 4)", 8),
         # by hand: the factor 1 - q^0 at t = 3 makes the product 0.
         ("poch(q^(-3); q, 5)", 8),
+        # Two monomials m1 +- m2 are m1 * (-+m2/m1; q)_1, below q^0 too.
+        ("q^(-2) / (1 + q^(-3))", 8),
+        ("(2*q - 3*q^(-1))^(3) / (q^(2) + q^(3))", 8),
+        ("(1 + q^(0)) / (1/2 - q^(2))^(2)", 8),
     ])
     def test_products_match_the_oracle(self, src, order):
         expr = parse_expr(src)
         got = evaluate_expr(expr, order=order)
         assert as_dict(got) == expand_expr(expr, scale=1, order=order)
         assert all(type(c) is int for _, _, c in got.terms() if c.denominator == 1)
+
+    @pytest.mark.parametrize("src", ["(poch(q; q, 1))^(100000000)", "(1 + q)^(-100000000)"])
+    def test_power_of_a_factor_costs_no_pass_per_unit(self, src):
+        # Applying the runs |p| times would take minutes and gigabytes here.
+        expr = parse_expr(src)
+        start = time.process_time()
+        got = as_dict(evaluate_expr(expr, order=3))
+        assert time.process_time() - start < 1
+        assert got == expand_expr(expr, scale=1, order=3)
 
     def test_vanishing_divisor_is_a_pole(self):
         with pytest.raises(PoleError, match="division by a vanishing factor"):
@@ -594,12 +608,39 @@ class TestSummationLimits:
         # 1/(1 + q^n) has lowest exponent 0 along n >= 0, so the numerator's
         # exact bound is the whole term's there.
         "appell(n, q^((n - 40)^2) * poch(-q; q, 1), n)",
+        # A cubic: the term at n = 40 is q^0, past the cap 28 and below the
+        # bound's vertex.
+        "sum(n >= 0, q^((n - 40)^2 * (n + 1)))",
     ])
     def test_exact_bound_past_the_cap_is_not_settling(self, src):
         with pytest.raises(TerminationError, match="exceeded its index cap"):
             evaluate_expr(parse_expr(src), order=6)
         spec = parse(f"identity late40 {{ scale 1 order 6 lhs {src} rhs 1 + 2*q + 2*q^(4) }}")
         assert [f.code for f in validate(spec)] == ["sum-not-settling"]
+
+    @pytest.mark.parametrize("src", [
+        # The vertex lies a million indices past the cap: found without a scan.
+        "sum(n >= 0, q^((n - 1000000)^2))",
+        # A falling exact bound reaches the order for good past the cap, at n = 94.
+        "sum(n >= 0, q^(100 - n))",
+    ])
+    def test_far_or_falling_exact_bound_is_not_settling(self, src):
+        start = time.process_time()
+        with pytest.raises(TerminationError, match="exceeded its index cap"):
+            evaluate_expr(parse_expr(src), order=6)
+        assert time.process_time() - start < 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(p=st.lists(st.integers(-60, 60), min_size=1, max_size=5),
+           cap=st.integers(0, 30), order=st.integers(0, 10))
+    def test_dips_past_matches_a_scan(self, p, cap, order):
+        # Every root of p - order is at most 1 + 70 in magnitude, so a
+        # scan to cap + 200 sees every integer where p(t) <= order can first hold.
+        p = [F(c) for c in p]
+        while len(p) > 1 and not p[-1]:
+            p.pop()
+        want = any(ray_value(p, t) <= order for t in range(cap + 1, cap + 200))
+        assert dips_past(p, cap, order) == want
 
     def test_loose_bound_past_the_cap_keeps_the_empty_run_rule(self):
         # by hand: q^(n - 40) / (1 - q^(-40)) = -q^n / (1 - q^40), so the sum
@@ -613,14 +654,22 @@ class TestSummationLimits:
 
     @pytest.mark.parametrize("src,want", [
         # 1 - q^(-40) has lowest exponent exactly -40, so its inverse 40.
-        ("1 / poch(q^(-40); q, 1)", {(): 40}),
+        ("1 / poch(q^(-40); q, 1)", ({(): 40}, {(): 40})),
         # With a moving length the product may stop before (1 + q^(-1)) or
-        # even (1 + q^(-2)): its lowest exponent is only known to be <= 0.
-        ("1 / poch(-q^(-2); q, n)", {}),
+        # even (1 + q^(-2)): its lowest exponent is only known to be <= 0,
+        # and at least -3.
+        ("1 / poch(-q^(-2); q, n)", ({}, {(): 3})),
+        # 1 + q^(2n) = (-q^(2n); q)_1 has lowest exponent exactly 0 for
+        # n >= 0, and is 2 at n = 0.
+        ("1 / (1 + q^(2*n))", ({}, {})),
+        # 1 - q^n vanishes at n = 0, so its inverse has no lower bound.
+        ("1 / (1 - q^(n))", (None, {})),
+        # The exponent n - 3 changes sign: 1 + q^(n - 3) has lowest exponent
+        # min(0, n - 3), known only to lie in [-3, 0].
+        ("1 / (1 + q^(n - 3))", ({}, {(): 3})),
     ])
     def test_divisor_bound_of_a_product(self, src, want):
-        lower, _ = term_bounds(parse_expr(src), {"n": mvar("n")}, {}, 1, None)
-        assert lower == want
+        assert term_bounds(parse_expr(src), {"n": mvar("n")}, {}, 1, None) == want
 
     def test_divisor_above_the_order_keeps_its_precision(self):
         # The divisor's valuation 10 lies above the order 6 and above the
@@ -703,7 +752,34 @@ class TestSummationLimits:
         monkeypatch.setattr(baileyforge.dsl.evaluator, "_last", lambda *args, **kwargs: None)
         assert sides() == certified
 
-    @pytest.mark.xfail(strict=True, reason="the oracle keeps the empty-run rule (ROADMAP item 2)")
+    def test_catalog_sums_are_certified(self, monkeypatch):
+        # Every catalog sum stops at a proven last index, at the validator's
+        # probe order and at the shipped one, and no side inverts a series:
+        # each 1 + q^e divisor is a length-one Pochhammer factor.
+        one_sided = baileyforge.dsl.evaluator._one_sided
+        uncertified = []
+
+        def certified_only(st, emit, start, direction, last, acc):
+            if last is None:
+                uncertified.append(current)
+            return one_sided(st, emit, start, direction, last, acc)
+
+        def no_invert(self):
+            raise AssertionError(f"{current} inverts a series")
+
+        monkeypatch.setattr(baileyforge.dsl.evaluator, "_one_sided", certified_only)
+        monkeypatch.setattr(baileyforge.series.QSeries, "invert", no_invert)
+        for entry in R.REGISTRY.values():
+            if entry.route != "dsl":
+                continue
+            spec = R.load_spec(entry)
+            for side in ("lhs", "rhs"):
+                for order in (6, None):
+                    current = (entry.name, side, order)
+                    evaluate(spec, dict(entry.default_params), side, order=order)
+        assert uncertified == []
+
+    @pytest.mark.xfail(strict=True, reason="the oracle keeps the empty-run rule (ROADMAP item 4)")
     def test_oracle_sees_the_late_terms(self, tmp_path):
         report = self.verify_source(tmp_path, self.LATE, use_oracle=True)
         assert report.status == "pass", report.detail

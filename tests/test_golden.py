@@ -69,7 +69,7 @@ GOLDEN = [
      "f92a17d04f3e94de5b880625412e353b847f18e16fe0e3f0d64bff29cfd42f9e", (102, 15)),
     ("hecke_full_lat1_z1", {}, 50,
      "dac91b92a8cbcb6f241938a123e11cd1096ed265fbbd8d9494c6883fcd25172c",
-     "dac91b92a8cbcb6f241938a123e11cd1096ed265fbbd8d9494c6883fcd25172c", (118, 14)),
+     "dac91b92a8cbcb6f241938a123e11cd1096ed265fbbd8d9494c6883fcd25172c", (102, 14)),
     # Every other catalog entry at its shipped order and default parameters,
     # engine entries included, recorded with tests/record_golden.py.
     ("finite_key_form", {"nn": 12}, 145,
@@ -215,19 +215,19 @@ GOLDEN = [
      "a1f9a2501c2c65166c7686168946da5b5acdd0e1c028c8ee3d189d26602db2eb", (128, 0)),
     ("lat_single_appell", {}, 40,
      "119ed2c1e4a854a1fcb3929a0e553f67cd0ac00bc8a7a35a13756e6ae1fae363",
-     "119ed2c1e4a854a1fcb3929a0e553f67cd0ac00bc8a7a35a13756e6ae1fae363", (98, 12)),
+     "119ed2c1e4a854a1fcb3929a0e553f67cd0ac00bc8a7a35a13756e6ae1fae363", (82, 12)),
     ("appell_double_sq", {}, 40,
      "f5b16fce26fb6236c43bc8f8946541a36a0d43f37e38d0327ee6fdac41c62c37",
-     "f5b16fce26fb6236c43bc8f8946541a36a0d43f37e38d0327ee6fdac41c62c37", (170, 9)),
+     "f5b16fce26fb6236c43bc8f8946541a36a0d43f37e38d0327ee6fdac41c62c37", (35, 9)),
     ("appell_double_half", {}, 80,
      "e84db24b7e34363f895dee0b89e01692530d02bd1ec696a93f3d58af0da87a41",
-     "e84db24b7e34363f895dee0b89e01692530d02bd1ec696a93f3d58af0da87a41", (170, 10)),
+     "e84db24b7e34363f895dee0b89e01692530d02bd1ec696a93f3d58af0da87a41", (54, 10)),
     ("appell_double_alt", {}, 80,
      "1ef2583a7ecaa28b6121009dbe42144f186dc8ab68f75acdf6c9d164bb1e64dc",
      "1ef2583a7ecaa28b6121009dbe42144f186dc8ab68f75acdf6c9d164bb1e64dc", None),
     ("euler_bridge", {}, 40,
      "f5b16fce26fb6236c43bc8f8946541a36a0d43f37e38d0327ee6fdac41c62c37",
-     "f5b16fce26fb6236c43bc8f8946541a36a0d43f37e38d0327ee6fdac41c62c37", (170, 12)),
+     "f5b16fce26fb6236c43bc8f8946541a36a0d43f37e38d0327ee6fdac41c62c37", (35, 12)),
     ("lat_mod4", {}, 40,
      "cbbf562b1e5a92bd9d1650dba0d6835c6bc537712278b3aa5d55708d035adc48",
      "cbbf562b1e5a92bd9d1650dba0d6835c6bc537712278b3aa5d55708d035adc48", (35, 0)),
@@ -260,22 +260,22 @@ GOLDEN = [
      "03c909afdf68249f8bf9cf6e186de3a68b61297964ad22f1f21891cc3e3ba4cd", (102, 10)),
     ("hecke_full_lat1", {}, 50,
      "078b4b91cf0726d6da71f37c0c1c030ef2ab6185242098c09d9dc65cebb82157",
-     "078b4b91cf0726d6da71f37c0c1c030ef2ab6185242098c09d9dc65cebb82157", (118, 7)),
+     "078b4b91cf0726d6da71f37c0c1c030ef2ab6185242098c09d9dc65cebb82157", (102, 7)),
     ("hecke_half_lat1", {}, 50,
      "1cda5b2914757895c8b29069c1484c0879f75632f2fa95c2dee44e5f48089ef9",
-     "1cda5b2914757895c8b29069c1484c0879f75632f2fa95c2dee44e5f48089ef9", (118, 10)),
+     "1cda5b2914757895c8b29069c1484c0879f75632f2fa95c2dee44e5f48089ef9", (102, 10)),
     ("hecke_half_lat1_z1", {}, 50,
      "da4d5a3d688460c89d8423f2ce3030391d815339648b9c012be9ade648c9dead",
      "da4d5a3d688460c89d8423f2ce3030391d815339648b9c012be9ade648c9dead", (102, 10)),
     ("hecke_full_lat2", {}, 50,
      "1337b061e0bbadb3e5025e59f928a01ae0f52da7acebefaf797f2a3ab0437618",
-     "1337b061e0bbadb3e5025e59f928a01ae0f52da7acebefaf797f2a3ab0437618", (118, 8)),
+     "1337b061e0bbadb3e5025e59f928a01ae0f52da7acebefaf797f2a3ab0437618", (102, 8)),
     ("hecke_half_lat2", {}, 50,
      "f40fbd61d9da3680e2c5433ad71d19b96420e4b35f8ea4c6a523735861e986d4",
      "f40fbd61d9da3680e2c5433ad71d19b96420e4b35f8ea4c6a523735861e986d4", (102, 11)),
     ("hecke_full_lat2_z1", {}, 50,
      "34d9f1575b70df20b2f945dd7978bc2fabbdc3521f1fbacf25045f0ddd76e810",
-     "34d9f1575b70df20b2f945dd7978bc2fabbdc3521f1fbacf25045f0ddd76e810", (50, 8)),
+     "34d9f1575b70df20b2f945dd7978bc2fabbdc3521f1fbacf25045f0ddd76e810", (34, 8)),
     ("hecke_half_lat2_z1", {}, 50,
      "02e1e823b2e28bb5e3c766da8121abbfba0ff1cae0b69b3c3c174f0327041af8",
      "02e1e823b2e28bb5e3c766da8121abbfba0ff1cae0b69b3c3c174f0327041af8", (34, 11)),
