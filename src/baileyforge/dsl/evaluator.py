@@ -10,6 +10,11 @@ evaluation of a parsed spec, each sweep point and the validator's probe
 among them, reuses it. Lowering reads no binding and raises nothing: a name
 or a bad value in a branch that is never reached fails nowhere, and every
 error is raised where the term that causes it is evaluated.
+
+Within one evaluation a product reaches each term from its last one where
+its window does not grow and that is cheaper, applying only the factors
+that changed (``_from_last``), and a range sum skips the terms above the
+order and visits the others as their lower bound rises (``_range_sum``).
 """
 
 from __future__ import annotations
@@ -63,30 +68,32 @@ _EMPTY_RUN = 8
 
 
 class _St:
-    """Evaluation frame: context, integer bindings, shared budget and product reads.
+    """Evaluation frame: context, integer bindings, shared budget and product memos.
 
     A sum binds its indices in a frame of its own (``binding``). reads
     memoises ``binomials`` by its arguments and the working order, whose z
-    guard depends on it, for the whole evaluation.
+    guard depends on it, for the whole evaluation. lasts holds, per product
+    plan, the last term it built from Pochhammer reads (``_from_last``).
     """
 
-    __slots__ = ("ctx", "env", "budget", "reads")
+    __slots__ = ("ctx", "env", "budget", "reads", "lasts")
 
-    def __init__(self, ctx: EvalContext, env: dict, budget: _Budget, reads: dict):
+    def __init__(self, ctx: EvalContext, env: dict, budget: _Budget, reads: dict, lasts: dict):
         self.ctx = ctx
         self.env = env
         self.budget = budget
         self.reads = reads
+        self.lasts = lasts
 
     def lifted(self, lift: int) -> "_St":
         if lift <= 0:
             return self
         ctx = EvalContext(self.ctx.scale, self.ctx.order + lift, self.ctx.z_interp)
-        return _St(ctx, self.env, self.budget, self.reads)
+        return _St(ctx, self.env, self.budget, self.reads, self.lasts)
 
     def binding(self) -> "_St":
         """A frame over a copy of the bindings, for a sum to bind its indices in."""
-        return _St(self.ctx, dict(self.env), self.budget, self.reads)
+        return _St(self.ctx, dict(self.env), self.budget, self.reads, self.lasts)
 
     def read(self, args: tuple):
         """binomials(ctx, *args): the product's lead monomial and its runs."""
@@ -249,6 +256,8 @@ def _product(node, scale: int):
     valuation 0 and are exact at any order, so only the head and the general
     factors decide the early exit above the order and the working-order lift.
     A factor whose lead is 1 (``_unit_lead``) is read only after that exit.
+    A product without general factors is its head times its runs, which
+    ``_from_last`` may reach from the product's last term.
     """
     items: list = []
     _product_items(node, 1, items, scale)
@@ -282,6 +291,10 @@ def _product(node, scale: int):
                 resolve, positive = data
                 args = resolve(env)
                 if args[2] == 0:
+                    # An empty product still holds its place among the reads
+                    # (``_from_last`` pairs them by place).
+                    if abs(p) == 1:
+                        reads.append((args, p))
                     continue
                 if positive or _unit_lead(ctx, args[0]):
                     reads.append((args, p))
@@ -296,7 +309,7 @@ def _product(node, scale: int):
                     scalar *= Fraction(c) ** p
                 fused_z += p * ze
                 fused_q += p * qe
-                if runs:
+                if runs or abs(p) == 1:
                     reads.append((args, p))
             else:
                 general.append((data, p))
@@ -338,15 +351,103 @@ def _product(node, scale: int):
                     raise PoleError("division by a vanishing factor")
         if vanishes or (saw_zero and not lift):
             return zero(ctx)
-        num: list = []
-        den: list = []
-        for args, p in reads:
-            if abs(p) == 1:
-                (num if p > 0 else den).extend(st.read(args)[1])
+        if not general:
+            return _from_last(st, run, reads, monomial(ctx, scalar, fused_z, fused_q))
         out = _combine(evaluated, monomial(wst.ctx, scalar, fused_z, fused_q))
-        return retruncate(times_binomials(out, num, den), ctx)
+        runs = _runs(st, [(args, p) for args, p in reads if abs(p) == 1])
+        return retruncate(times_binomials(out, *runs), ctx)
 
     return run
+
+
+# The cost model of ``_from_last``, in coefficient updates. A term built
+# anew applies each of its factors once over its window of n exponents. One
+# reached from an earlier term applies each factor that changed as if twice,
+# since it works on a full table, reads that table back at the cost of two
+# passes, and pairs the reads at the cost of _PAIRING updates.
+_PAIRING = 200
+
+
+def _from_last(st: _St, plan, reads: list, head: QSeries) -> QSeries:
+    """head times the runs of reads (args, power +-1), from the plan's last term where cheaper.
+
+    The plan's last term in this evaluation (``_St.lasts``) is kept with its
+    head and reads. When the new head's exponent is no lower, the new term
+    lies in a window no larger, so it is the last term times the ratio of
+    the heads and the factors that changed (``_delta``), exact at the order.
+    Otherwise, and where the cost model above says that does not pay, the
+    term is built from its head; a term too small to pay is not kept.
+    """
+    ctx = st.ctx
+    if head.is_zero():
+        return head
+    ((hq, row),) = head._c.items()
+    ((hz, hc),) = row.items()
+    n = ctx.order - hq + 1
+    # The factors the term built anew applies, within its window.
+    full = 0
+    for args, _ in reads:
+        full += len(args[0]) * (n if args[2] is None else min(args[2], n))
+    if (full - 2) * n <= _PAIRING:
+        return times_binomials(head, *_runs(st, reads))
+    last = st.lasts.get(plan)
+    delta = None
+    if last is not None and last[0] == ctx.order and last[2][2] <= hq:
+        delta = _delta(st, last[1], reads, n, full)
+    if delta is None:
+        out = times_binomials(head, *_runs(st, reads))
+    else:
+        lc, lz, lq = last[2]
+        ratio = 1 if hc == lc else Fraction(hc) / lc
+        out = times_binomials(last[3], *delta, (ratio, hz - lz, hq - lq))
+    st.lasts[plan] = (ctx.order, reads, (hc, hz, hq), out)
+    return out
+
+
+def _runs(st: _St, reads) -> tuple:
+    """The numerator and divisor runs of reads (args, power)."""
+    num: list = []
+    den: list = []
+    for args, p in reads:
+        (num if p > 0 else den).extend(st.read(args)[1])
+    return num, den
+
+
+def _delta(st: _St, old: list, new: list, n: int, full: int):
+    """Runs (num, den) that take the product of the reads old to that of new, or None.
+
+    Reads in the same place with the same bases, step and power differ by
+    their lengths: a product grown from length m to l gains
+    (base*q^(m*step); q^step)_(l-m), one shrunk loses the same factors.
+    Any other change takes the old read out (power -p) and puts the new one
+    in. A factor that leaves the numerator becomes a divisor, which needs a
+    positive q-exponent. None when one does not have it, when the reads do
+    not pair up, or when the change does not pay against full, the factors
+    of the new product within the window of n exponents: factors are
+    counted from the reads' arguments, len(bases) per unit of length.
+    """
+    if len(old) != len(new):
+        return None
+    moved = 0
+    changes: list = []
+    for (a, p), (b, pb) in zip(old, new):
+        if a == b and p == pb:
+            continue
+        if a[0] == b[0] and a[1] == b[1] and p == pb and a[2] is not None and b[2] is not None:
+            (bases, step, m), length = a, b[2]
+            k = step * min(m, length)
+            shifted = tuple((c, ze, qe + k) for c, ze, qe in bases)
+            changes.append(((shifted, step, abs(length - m)), p if length > m else -p))
+        else:
+            changes += [(a, -p), (b, pb)]
+    for args, _ in changes:
+        moved += len(args[0]) * (n if args[2] is None else min(args[2], n))
+    if (full - 2 * moved - 2) * n <= _PAIRING:
+        return None
+    num, den = _runs(st, changes)
+    if any(run[2] <= 0 for run in den):
+        return None
+    return num, den
 
 
 def _runs_series(args, numerator: bool):
@@ -494,13 +595,25 @@ def _over_z(index: str, body, scale: int):
 def _range_sum(node: RangeSum, scale: int):
     body = _compile(node.body, scale)
     lo_of, hi_of = int_closure(node.lo), int_closure(node.hi)
+    floors: dict = {}
 
     def run(st: _St) -> QSeries:
         lo = lo_of(st.env)
         hi = hi_of(st.env)
+        # The term's lower bound (``growth.free_floor``, per z binding)
+        # skips the terms above the order, and the others come in the order
+        # in which it rises, so that a product's window does not grow from
+        # one term to the next (``_from_last``).
+        zi = st.ctx.z_interp
+        zfold = None if zi is None else (zi.sign, zi.qexp)
+        if zfold not in floors:
+            floors[zfold] = growth.free_floor(node.body, scale, zfold)
+        values = None
+        if floors[zfold] is not None:
+            values = growth.range_values(floors[zfold], node.index, st.env, lo, hi, st.ctx.order)
         inner = st.binding()
         acc: dict = {}
-        for v in range(lo, hi + 1):
+        for v in range(lo, hi + 1) if values is None else values:
             inner.env[node.index] = v
             _acc_into(acc, body(inner)._c)
         return _table(st, acc)
@@ -642,7 +755,7 @@ def context_for(spec: IdentitySpec, env: dict, order: int | None = None) -> Eval
 
 
 def _run(plan, ctx: EvalContext, env: dict, max_terms: int | None) -> QSeries:
-    st = _St(ctx, env, _Budget(max_terms), {})
+    st = _St(ctx, env, _Budget(max_terms), {}, {})
     try:
         return plan(st)
     except KeyError as e:

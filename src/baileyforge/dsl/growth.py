@@ -9,7 +9,9 @@ share this:
 * the evaluator turns the lower bound into a certified last index
   (``ray_floor``, ``last_index``): every term past it truncates to zero at
   the working order, so the sum stops there. A sum whose terms admit no
-  such bound keeps the evaluator's empty-run rule;
+  such bound keeps the evaluator's empty-run rule. A range sum skips the
+  terms above the order and visits the others as the bound rises
+  (``free_floor``, ``range_values``);
 * the validator reports a sum whose upper bound does not grow along a ray,
   since its terms then never clear the window (``grows_both_ways``,
   ``grows_forward``).
@@ -17,7 +19,8 @@ share this:
 All arithmetic is exact (``Fraction``/``int``). Every polynomial variable is
 nonnegative: the ray index t of a sum (the backward ray of a two-sided sum
 substitutes n = -t with t >= 1), inner chain indices, range indices with a
-nonnegative lower end, and the magnitude of a Hecke row's inner index.
+nonnegative lower end, the magnitude of a Hecke row's inner index, and in a
+``free_floor`` every name, which ``floor_along`` checks at its values.
 """
 
 from __future__ import annotations
@@ -202,12 +205,18 @@ def ray_coeffs(p):
 
 def ray_value(p, t):
     """The value at t of a polynomial given as ray coefficients."""
-    return sum(c * t ** k for k, c in enumerate(p))
+    v = 0
+    for c in reversed(p):
+        v = v * t + c
+    return v
 
 
 def grows_both_ways(p) -> bool:
-    """True when ray coefficients p tend to +infinity in both ray directions."""
-    return p is not None and len(p) == 3 and p[2] > 0
+    """True when ray coefficients p tend to +infinity in both ray directions.
+
+    That is when p has even positive degree and a positive leading coefficient.
+    """
+    return p is not None and len(p) % 2 == 1 and len(p) > 1 and p[-1] > 0
 
 
 def grows_forward(p) -> bool:
@@ -466,6 +475,79 @@ def term_bounds(expr, sub: dict, env: dict, scale: int, zfold):
     return _UNKNOWN
 
 
+class _EveryName(dict):
+    """A substitution that reads every name as a variable of its own."""
+
+    def __contains__(self, name):
+        return True
+
+    def __missing__(self, name):
+        return mvar(name)
+
+
+def free_floor(body, scale: int, zfold):
+    """Lower bound on the lowest q-exponent of body as a polynomial in all its names.
+
+    Every name is a variable of its own, so the bound holds wherever each
+    name is >= 0. None when no bound is proven.
+    """
+    try:
+        return term_bounds(body, _EveryName(), {}, scale, zfold)[0]
+    except SeriesError:
+        return None
+
+
+def floor_along(floor, name: str, env: dict):
+    """A ``free_floor`` with every other name read from env, as ray coefficients in name.
+
+    None when another name is unbound or negative there.
+    """
+    out: dict = {}
+    for m, c in floor.items():
+        k = 0
+        for v, e in m:
+            if v == name:
+                k = e
+                continue
+            x = env.get(v)
+            if x is None or x < 0:
+                return None
+            c *= x ** e
+        out[k] = out.get(k, 0) + c
+    return [out.get(k, 0) for k in range(max(out, default=0) + 1)]
+
+
+def _over(p, order: int) -> list:
+    """d * (p - order) for ray coefficients p: integer coefficients, the sign of p - order."""
+    d = math.lcm(*(Fraction(c).denominator for c in p))
+    q = [int(c * d) for c in p]
+    q[0] -= order * d
+    return q
+
+
+def _past_roots(q) -> int:
+    """An integer past Cauchy's bound 1 + max |q_k / q_top| on the real roots of q."""
+    return 2 + (max(map(abs, q[:-1])) // abs(q[-1]) if len(q) > 1 else 0)
+
+
+def range_values(floor, name: str, env: dict, lo: int, hi: int, order: int):
+    """The values lo..hi of name at which the floor is at most the order.
+
+    floor is a ``free_floor``; at the other values the term truncates to
+    zero. The values come in the order in which the floor rises from end to
+    end. None when the floor does not apply: lo < 0, or ``floor_along``
+    gives none.
+    """
+    p = None if lo < 0 else floor_along(floor, name, env)
+    if p is None:
+        return None
+    q = _over(p, order)
+    values = range(lo, hi + 1)
+    if ray_value(q, hi) < ray_value(q, lo):
+        values = reversed(values)
+    return [v for v in values if ray_value(q, v) <= 0]
+
+
 def ray_floor(body, subs, env: dict, scale: int, zfold, inner=(), bound=None):
     """Lower bound, as ray coefficients, on the lowest q-exponent of a sum's term.
 
@@ -491,27 +573,30 @@ def last_index(p, start: int, order: int, cap: int):
     p(t), given as ray coefficients without trailing zeros, bounds the
     lowest q-exponent of the term at ray index t from below.
     The result is the largest t >= start with p(t) <= order (start - 1 when
-    there is none): every later term truncates to zero. The scan runs until
-    t is past Cauchy's bound on the roots of p', where p increases, and
-    p(t) > order. None when p has degree 0 or a leading coefficient <= 0,
-    and when the scan is not done by t = cap + 1: a lower bound at or below
-    the order past the cap does not prove a term is nonzero there, so such a
-    sum is left to the caller's empty-run rule.
+    there is none): every later term truncates to zero. Past Cauchy's bound
+    on the roots of p - order, p > order; up to there p is monotone between
+    its turns (``_turns``), and the last t of each stretch with p(t) <=
+    order is found by bisection. None when p has degree 0 or a leading
+    coefficient <= 0, and when that t lies past cap: a lower bound at or
+    below the order past the cap does not prove a term is nonzero there, so
+    such a sum is left to the caller's empty-run rule.
     """
     if len(p) < 2 or p[-1] <= 0:
         return None
-    dp = [k * c for k, c in enumerate(p)][1:]
-    r = 1 + max((abs(c / dp[-1]) for c in dp[:-1]), default=-2)
+    q = _over(p, order)
+    top = max(start, _past_roots(q))
     last = start - 1
-    t = start
-    while True:
-        if ray_value(p, t) <= order:
-            last = t
-        elif t > r:
-            return last
-        if t > cap:
-            return None
-        t += 1
+    cuts = _turns(q, start, top)
+    for lo, hi in zip(cuts, cuts[1:] or cuts):
+        # On [lo, hi] q is monotone: find its last integer with q <= 0.
+        if ray_value(q, hi) <= 0:
+            last = max(last, hi)
+        elif ray_value(q, lo) <= 0:
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                lo, hi = (mid, hi) if ray_value(q, mid) <= 0 else (lo, mid)
+            last = max(last, lo)
+    return None if last > cap else last
 
 
 def _turns(p, a: int, b: int) -> list:
@@ -543,6 +628,5 @@ def dips_past(p, cap: int, order: int) -> bool:
     p - order, p - order has the sign of its leading coefficient; up to
     there it is least at one of its turns (``_turns``).
     """
-    q = [p[0] - order, *p[1:]]
-    top = math.floor(1 + max((abs(c / q[-1]) for c in q[:-1]), default=-1)) + 1
-    return any(ray_value(q, t) <= 0 for t in _turns(q, cap + 1, max(cap + 1, top)))
+    q = _over(p, order)
+    return any(ray_value(q, t) <= 0 for t in _turns(q, cap + 1, max(cap + 1, _past_roots(q))))

@@ -14,6 +14,14 @@ coefficientwise limit are evaluated in the Abel sense:
     sum (-1)^n c_n := c_inf/2 + sum_{n>=0} (-1)^n (c_n - c_inf),
 
 which needs the pair to carry its coefficientwise beta limit.
+
+The main pair's beta_n is hypergeometric: beta_n / beta_(n-1) is a product
+of four binomials. So are the weights every evaluator and transform puts on
+it. Both are written as product forms (``series._times`` arguments as
+functions of n), and each weighted term beta_n W(n) is reached from its
+predecessor by the factors that change (``_weighted``, ``series._stepped``):
+one kernel call with a few factors per term, where a term built from
+scratch applies O(n) factors.
 """
 
 from __future__ import annotations
@@ -23,16 +31,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .errors import BudgetError, NegativeFloorError, NonUnitLeadingError, TerminationError
+from .errors import BudgetError, NegativeFloorError, TerminationError
 from .series import (
     EvalContext,
     QSeries,
     _acc_into,
-    binomials,
+    _stepped,
+    _times,
     hard_cap,
     monomial,
     one,
-    times_binomials,
     zero,
 )
 
@@ -89,7 +97,10 @@ class BilateralPair:
     alpha_floor(n) must lower-bound the minimal retained q-exponent of
     alpha(n) (z interpretation already folded in); beta(n) must have
     nonnegative minimal exponent. beta_limit, when present, returns the
-    coefficientwise limit of beta_n.
+    coefficientwise limit of beta_n. beta_form, when present, gives beta_n
+    for n >= 0 as a product form, the ``_times`` arguments (num, den, lead)
+    that build it from 1; beta_n / beta_(n-1) is read from it
+    (``series._ratio``). Pairs whose beta is a convolution have none.
     """
 
     ctx: EvalContext
@@ -99,6 +110,7 @@ class BilateralPair:
     alpha_floor: Callable[[int], int]
     beta_limit: Callable[[], QSeries] | None = None
     label: str = ""
+    beta_form: Callable[[int], tuple] | None = None
 
 
 def _memo_seq(fn):
@@ -128,32 +140,22 @@ def _zfold(ctx: EvalContext) -> int:
     return zi.qexp if zi is not None else 0
 
 
-def _times(s: QSeries, num=(), den=(), lead=(1, 0, 0)) -> QSeries:
-    """s * lead * prod(num) / prod(den), applied to s in place at its order.
+def _weighted(pair: "BilateralPair", form):
+    """n -> beta_n W(n) for n >= 0, where W(n) is the product form(n).
 
-    num and den hold Pochhammer products (base, step, length) as
-    ``binomials`` reads them (length None: the infinite product), and lead =
-    (coeff, zexp, qexp) is a folded monomial. Each product's own monomial
-    joins lead and its runs go to one ``times_binomials`` call, so no
-    product is built as a series. Exact at the order when the joined lead
-    exponent is >= 0 or s is a monomial; otherwise it is the exact product
-    of s as truncated.
+    Over a pair with a beta form, beta_n W(n) is one product form and each
+    term is reached from the one before (``_stepped``); otherwise W(n) is
+    applied to beta_n. Nothing is memoised.
     """
-    ctx = s.ctx
-    c, ze, qe = lead
-    nruns: list = []
-    druns: list = []
-    for base, step, length in num:
-        (bc, bz, bq), runs = binomials(ctx, base, step, length)
-        c, ze, qe = c * bc, ze + bz, qe + bq
-        nruns += runs
-    for base, step, length in den:
-        (bc, bz, bq), runs = binomials(ctx, base, step, length)
-        if not bc:
-            raise NonUnitLeadingError("cannot invert the zero series")
-        c, ze, qe = Fraction(c) / bc, ze - bz, qe - bq
-        druns += runs
-    return times_binomials(s, nruns, druns, (c, ze, qe))
+    if pair.beta_form is None:
+        return lambda n: _times(pair.beta(n), *form(n))
+
+    def joined(n: int):
+        bnum, bden, (bc, bz, bq) = pair.beta_form(n)
+        wnum, wden, (wc, wz, wq) = form(n)
+        return [*bnum, *wnum], [*bden, *wden], (bc * wc, bz + wz, bq + wq)
+
+    return _stepped(pair.ctx, joined)
 
 
 def _signed(num: list, den: list, base, step: int, n: int) -> None:
@@ -223,10 +225,9 @@ def key_pair(ctx: EvalContext, dilation: int | None = None) -> BilateralPair:
     def alpha(n: int) -> QSeries:
         return monomial(ctx, (-1) ** (n % 2), n, r * n * (n - 1) // 2)
 
-    def beta(n: int) -> QSeries:
-        if n < 0:
-            return zero(ctx)
-        return _times(one(ctx), [(zbases, r, n)], [((1, 0, r), r, 2 * n)])
+    # beta_n / beta_(n-1) = (1 - zQ^(n-1))(1 - Q^n/z) / ((1 - Q^(2n-1))(1 - Q^(2n))).
+    def form(n: int):
+        return [(zbases, r, n)], [((1, 0, r), r, 2 * n)], (1, 0, 0)
 
     def floor(n: int) -> int:
         return r * n * (n - 1) // 2 + n * a
@@ -235,7 +236,8 @@ def key_pair(ctx: EvalContext, dilation: int | None = None) -> BilateralPair:
         return _times(one(ctx), [(zbases, r, None)], [((1, 0, r), r, None)])
 
     return BilateralPair(
-        ctx, r, _memo_seq(alpha), _memo_seq(beta), floor, _memo_thunk(limit), "key"
+        ctx, r, _memo_seq(alpha), _memo_seq(_stepped(ctx, form)), floor, _memo_thunk(limit),
+        "key", form,
     )
 
 
@@ -335,8 +337,13 @@ def _index_sum(ctx: EvalContext, f, bound, *, bilateral=False, budget) -> QSerie
 
 
 def _abel_alternating(ctx, term, term_limit, budget) -> QSeries:
-    """Abel value of sum_{n>=0} (-1)^n term(n) with term(n) -> term_limit."""
-    acc = term_limit * Fraction(1, 2)
+    """Abel value of sum_{n>=0} (-1)^n term(n) with term(n) -> term_limit.
+
+    Twice the value, term_limit + sum_n 2(-1)^n (term(n) - term_limit), is
+    added up in one table in place, in integers for integral terms, and
+    halved once at the end.
+    """
+    acc = {qe: dict(zd) for qe, zd in term_limit._c.items()}
     zeros = 0
     n = 0
     cap = hard_cap(ctx)
@@ -349,9 +356,9 @@ def _abel_alternating(ctx, term, term_limit, budget) -> QSeries:
             zeros += 1
         else:
             zeros = 0
-            acc = acc + diff * ((-1) ** (n % 2))
+            _acc_into(acc, (diff * (-2 if n % 2 else 2))._c)
         n += 1
-    return acc
+    return QSeries(ctx, acc, _trusted=True) * Fraction(1, 2)
 
 
 # -- two-limit weight machinery ---------------------------------------------
@@ -370,8 +377,8 @@ class _Weights:
     x: object
     y: object
 
-    def apply(self, s: QSeries, n: int, alpha: bool = False) -> QSeries:
-        """s times the beta weight at n, or with alpha the alpha weight, in one pass."""
+    def form(self, n: int, alpha: bool = False):
+        """The beta weight at n, or with alpha the alpha weight, as ``_times`` arguments."""
         r = self.r
         num: list = []
         den: list = []
@@ -386,7 +393,11 @@ class _Weights:
                 qshift -= p.qexp * n
             if (p is INFINITE or p.sign == -1) and n % 2:
                 sign = -sign
-        return _times(s, num, den, (sign, 0, qshift))
+        return num, den, (sign, 0, qshift)
+
+    def apply(self, s: QSeries, n: int, alpha: bool = False) -> QSeries:
+        """s times the beta weight at n, or with alpha the alpha weight, in one pass."""
+        return _times(s, *self.form(n, alpha))
 
     def beta_weight_min(self, n: int) -> int:
         r = self.r
@@ -433,10 +444,7 @@ def _abel_beta_side(pair: BilateralPair, x, y, budget) -> QSeries:
         raise TerminationError("alternating zero-growth sum needs a pair with a beta limit")
 
     bases = ((x.sign, 0, x.qexp), (y.sign, 0, y.qexp))
-
-    def term(n):
-        return _times(pair.beta(n), [(bases, r, n)])
-
+    term = _weighted(pair, lambda n: ([(bases, r, n)], (), (1, 0, 0)))
     lim = _times(pair.beta_limit(), [(bases, r, None)])
     return _abel_alternating(ctx, term, lim, budget)
 
@@ -456,7 +464,7 @@ def bms_general_eval(pair: BilateralPair, x, y):
     if w.abel_sign() is not None:
         lhs = _abel_beta_side(pair, x, y, budget)
     else:
-        lhs = _index_sum(ctx, lambda n: w.apply(pair.beta(n), n), w.beta_weight_min, budget=budget)
+        lhs = _index_sum(ctx, _weighted(pair, w.form), w.beta_weight_min, budget=budget)
 
     asum = _index_sum(ctx, lambda n: w.apply(pair.alpha(n), n, alpha=True),
                       lambda n: w.alpha_weight_min(n) + pair.alpha_floor(n),
@@ -480,19 +488,19 @@ def weak_lemma_eval(pair: BilateralPair, variant: str):
     budget = _Budget()
     euler = ((1, 0, r), r, None)
 
-    # Each weight is applied to its term: weight(n, s) is s times it.
+    # Each weight is a product form: weight(n) gives it as ``_times`` arguments.
     def beta_sum(weight, weight_min):
-        return _index_sum(ctx, lambda n: weight(n, pair.beta(n)), weight_min, budget=budget)
+        return _index_sum(ctx, _weighted(pair, weight), weight_min, budget=budget)
 
     def alpha_sum(weight, weight_min):
-        return _index_sum(ctx, lambda n: weight(n, pair.alpha(n)),
+        return _index_sum(ctx, lambda n: _times(pair.alpha(n), *weight(n)),
                           lambda n: weight_min(n) + pair.alpha_floor(n),
                           bilateral=True, budget=budget)
 
     if variant == "V1":
 
-        def square(n, s):
-            return _times(s, lead=(1, 0, r * n * n))
+        def square(n):
+            return (), (), (1, 0, r * n * n)
 
         lhs = beta_sum(square, lambda n: r * n * n)
         rhs = _times(alpha_sum(square, lambda n: r * n * n), den=[euler])
@@ -503,11 +511,11 @@ def weak_lemma_eval(pair: BilateralPair, variant: str):
             raise ValueError("V2 needs an even dilation (half-step exponents)")
         h = r // 2
 
-        def wb(n, s):
-            return _times(s, [((-1, 0, h), r, n)], lead=(1, 0, h * n * n))
+        def wb(n):
+            return [((-1, 0, h), r, n)], (), (1, 0, h * n * n)
 
-        def wa(n, s):
-            return _times(s, lead=(1, 0, h * n * n))
+        def wa(n):
+            return (), (), (1, 0, h * n * n)
 
         lhs = beta_sum(wb, lambda n: h * n * n)
         rhs = _times(alpha_sum(wa, lambda n: h * n * n), [((-1, 0, h), r, None)], [euler])
@@ -517,23 +525,20 @@ def weak_lemma_eval(pair: BilateralPair, variant: str):
         if pair.beta_limit is None:
             raise TerminationError("V3 needs a pair with a beta limit")
         odd = ((1, 0, r), 2 * r)
-
-        def term(n):
-            return _times(pair.beta(n), [odd + (n,)])
-
+        term = _weighted(pair, lambda n: ([odd + (n,)], (), (1, 0, 0)))
         lim = _times(pair.beta_limit(), [odd + (None,)])
         lhs = _abel_alternating(ctx, term, lim, budget) * 2
-        asum = alpha_sum(lambda n, s: -s if n % 2 else s, lambda n: 0)
+        asum = alpha_sum(lambda n: ((), (), (-1 if n % 2 else 1, 0, 0)), lambda n: 0)
         rhs = _times(asum, [odd + (None,)], [((1, 0, 2 * r), 2 * r, None)])
         return lhs, rhs
 
     if variant == "V4":
 
-        def wb(n, s):
-            return _times(s, [((-1, 0, r), r, n)], lead=(1, 0, r * n * (n - 1) // 2))
+        def wb(n):
+            return [((-1, 0, r), r, n)], (), (1, 0, r * n * (n - 1) // 2)
 
-        def wa(n, s):
-            return _times(s, [((-1, 0, r * n), 1, 1)], lead=(1, 0, r * n * (n - 1) // 2))
+        def wa(n):
+            return [((-1, 0, r * n), 1, 1)], (), (1, 0, r * n * (n - 1) // 2)
 
         def wa_min(n):
             return r * n * (n - 1) // 2 + min(0, r * n)
@@ -544,11 +549,11 @@ def weak_lemma_eval(pair: BilateralPair, variant: str):
 
     if variant == "V5":
 
-        def wb(n, s):
-            return _times(s, [((-1, 0, 0), r, n)], lead=(1, 0, r * n * (n + 1) // 2))
+        def wb(n):
+            return [((-1, 0, 0), r, n)], (), (1, 0, r * n * (n + 1) // 2)
 
-        def wa(n, s):
-            return _times(s, den=[((-1, 0, r * n), 1, 1)], lead=(1, 0, r * n * (n + 1) // 2))
+        def wa(n):
+            return (), [((-1, 0, r * n), 1, 1)], (1, 0, r * n * (n + 1) // 2)
 
         def wa_min(n):
             return r * n * (n + 1) // 2 + (-r * n if n < 0 else 0)
@@ -570,9 +575,7 @@ def chain_step(pair: BilateralPair) -> BilateralPair:
     def alpha(n: int) -> QSeries:
         return _times(pair.alpha(n), lead=(1, 0, r * n * n))
 
-    @_memo_seq
-    def term(j: int) -> QSeries:
-        return _times(pair.beta(j), lead=(1, 0, r * j * j))
+    term = _memo_seq(_weighted(pair, lambda j: ((), (), (1, 0, r * j * j))))
 
     def floor(n: int) -> int:
         return r * n * n + pair.alpha_floor(n)
@@ -608,9 +611,7 @@ def general_chain_step(pair: BilateralPair, x, y) -> BilateralPair:
     def alpha(n: int) -> QSeries:
         return w.apply(pair.alpha(n), n, alpha=True)
 
-    @_memo_seq
-    def term(j: int) -> QSeries:
-        return w.apply(pair.beta(j), j)
+    term = _memo_seq(_weighted(pair, w.form))
 
     def beta(n: int) -> QSeries:
         acc = _convolve(ctx, term, n, r, kernel=kernel)
@@ -645,9 +646,7 @@ def lattice_djk(pair: BilateralPair) -> BilateralPair:
     def alpha(n: int) -> QSeries:
         return _times(pair.alpha(n), den=[((-1, 0, 2 * s * n), 1, 1)], lead=(2, 0, s * n))
 
-    @_memo_seq
-    def term(j: int) -> QSeries:
-        return _times(pair.beta(j), [((-1, 0, 0), s, 2 * j)], lead=(1, 0, s * j))
+    term = _memo_seq(_weighted(pair, lambda j: ([((-1, 0, 0), s, 2 * j)], (), (1, 0, s * j))))
 
     def floor(n: int) -> int:
         e = s * n + pair.alpha_floor(n)
@@ -672,9 +671,7 @@ def lattice_jouhet(pair: BilateralPair) -> BilateralPair:
         raise ValueError("lattice walk needs an even dilation")
     s = pair.dilation // 2
 
-    @_memo_seq
-    def term(j: int) -> QSeries:
-        return _times(pair.beta(j), [((-1, 0, s), s, 2 * j)])
+    term = _memo_seq(_weighted(pair, lambda j: ([((-1, 0, s), s, 2 * j)], (), (1, 0, 0))))
 
     def limit() -> QSeries:
         # sum_m q^(sm) / (q^2s; q^2s)_m = 1 / (q^s; q^2s)_inf by Euler's identity.
@@ -735,9 +732,8 @@ def aw_lemma_eval(pair: BilateralPair, which: str):
 
     if which == "I":
 
-        def lweight(n, s):
-            num = [((1, 0, 2 * u), 2 * u, 2 * n)]
-            return _times(s, num, [((-1, 0, u), u, 2 * n + 1)], (1, 0, u * n))
+        def lweight(n):
+            return [((1, 0, 2 * u), 2 * u, 2 * n)], [((-1, 0, u), u, 2 * n + 1)], (1, 0, u * n)
 
         def outer(n):
             return u * n * (n + 1)
@@ -750,8 +746,8 @@ def aw_lemma_eval(pair: BilateralPair, which: str):
 
     elif which == "II":
 
-        def lweight(n, s):
-            return _times(s, [((1, 0, u), u, 2 * n)], lead=(1, 0, u * n))
+        def lweight(n):
+            return [((1, 0, u), u, 2 * n)], (), (1, 0, u * n)
 
         def outer(n):
             return u * n * (n + 1) // 2
@@ -765,7 +761,7 @@ def aw_lemma_eval(pair: BilateralPair, which: str):
     else:
         raise ValueError("which must be 'I' or 'II'")
 
-    lhs = _index_sum(ctx, lambda n: lweight(n, pair.beta(n)), lambda v: u * v, budget=budget)
+    lhs = _index_sum(ctx, _weighted(pair, lweight), lambda v: u * v, budget=budget)
 
     def row_bound(n):
         return min(outer(n) + inner_qexp(j) + pair.alpha_floor(j) for j in jrange(n))
@@ -813,16 +809,16 @@ def multisum_lhs(kind: str, k: int, ctx: EvalContext, pair: BilateralPair | None
     budget = _Budget()
     cap = hard_cap(ctx)
 
-    # weight(i, n, s) is s times W_i(n); kernel(i) is the (step, shift) of
-    # the kernel below level i.
+    # weight(i, n) is W_i(n) as ``_times`` arguments; kernel(i) is the
+    # (step, shift) of the kernel below level i.
     if kind in ("AG1", "AG2"):
         base = d if kind == "AG1" else 2 * d
         if pair is None:
             pair = key_pair(ctx, base)
 
-        def weight(i, n, s):
+        def weight(i, n):
             num = [((-1, 0, d), 2 * d, n)] if kind == "AG2" and i == k else []
-            return _times(s, num, lead=(1, 0, d * n * n))
+            return num, (), (1, 0, d * n * n)
 
         def weight_min(i, n):
             return d * n * n
@@ -838,13 +834,13 @@ def multisum_lhs(kind: str, k: int, ctx: EvalContext, pair: BilateralPair | None
             pair = key_pair(ctx, u * 2 ** (k - 1))
         w2 = _Weights(u, x, y)
 
-        def weight(i, n, s):
+        def weight(i, n):
             if i == 1:
-                return w2.apply(s, n)
+                return w2.form(n)
             p = 2 ** (i - 2) * u
             if kind == "LAT1":
-                return _times(s, [((-1, 0, 0), p, 2 * n)], lead=(1, 0, p * n))
-            return _times(s, [((-1, 0, p), p, 2 * n)])
+                return [((-1, 0, 0), p, 2 * n)], (), (1, 0, p * n)
+            return [((-1, 0, p), p, 2 * n)], (), (1, 0, 0)
 
         def weight_min(i, n):
             if i == 1:
@@ -876,7 +872,8 @@ def multisum_lhs(kind: str, k: int, ctx: EvalContext, pair: BilateralPair | None
             suffix[v] = min(suffix[v], suffix[v + 1])
         live = [n for n in range(cap + 1) if totals[n] <= ctx.order]
         terms = {
-            n: weight(i, n, one(ctx) if series_prev is None else series_prev[n]) for n in live
+            n: _times(one(ctx) if series_prev is None else series_prev[n], *weight(i, n))
+            for n in live
         }
         step, shift = kernel(i)
         empty = zero(ctx)
@@ -896,12 +893,13 @@ def multisum_lhs(kind: str, k: int, ctx: EvalContext, pair: BilateralPair | None
     ]
     if inner_totals[cap] <= ctx.order:
         raise TerminationError("inner level does not leave the window by the cap")
+    inner = _weighted(pair, lambda n: weight(k, n))
     acc = zero(ctx)
     for n in range(cap + 1):
         if inner_totals[n] > ctx.order:
             continue
         budget.spend()
-        t = weight(k, n, pair.beta(n))
+        t = inner(n)
         if series_prev is not None:
             t = t * series_prev[n]
         acc = acc + t

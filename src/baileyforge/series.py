@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import groupby
-from math import isqrt
+from math import isqrt, lcm
 
 from .errors import (
     ContextMismatchError,
@@ -31,6 +31,7 @@ from .errors import (
 
 Rational = Fraction
 _ZERO = 0
+_INT = {int}
 
 __all__ = [
     "Rational",
@@ -127,11 +128,13 @@ class QSeries:
                 if keep:
                     clean[qe] = keep
             data = clean
-        if not ctx.is_formal:
+        if ctx.is_formal:
+            _check_keys(ctx, data)
+        else:
+            # Every z-exponent is 0, within any guard cap.
             for zd in data.values():
-                if any(ze != 0 for ze in zd):
+                if (len(zd) != 1 or 0 not in zd) and any(ze != 0 for ze in zd):
                     raise ZDegreeError("z-exponent survived monomial folding")
-        _check_keys(ctx, data)
         self._c = data
 
     # -- inspection ---------------------------------------------------------
@@ -454,6 +457,10 @@ def times_binomials(s: QSeries, num=(), den=(), lead=(1, 0, 0)) -> QSeries:
     ``QSeries.invert``. The shift by lead is exact when its exponent is
     >= 0 or s is a monomial. A divisor needs e > 0: 1 - c*z^a with no
     q-power is not a unit.
+
+    The passes run on ints when the factors' coefficients are ints: a lead
+    or table with fractions is scaled to ints, and the scale is divided out
+    once at the end.
     """
     ctx = s.ctx
     for _, a, e, _, _ in den:
@@ -479,13 +486,24 @@ def times_binomials(s: QSeries, num=(), den=(), lead=(1, 0, 0)) -> QSeries:
                 col = cols.get(z + lz)
                 if col is None:
                     col = cols[z + lz] = [0] * n
-                col[i] = v * lc
+                col[i] = v
+    # A lead p/r and a table whose denominators have lcm l become the
+    # multiplier p*l and the scale r*l.
+    mult, scale = lc, 1
+    if type(lc) is not int or any(set(map(type, col)) != _INT for col in cols.values()):
+        dens = lcm(1, *(v.denominator for col in cols.values() for v in col if type(v) is not int))
+        lc = Fraction(lc)
+        mult, scale = lc.numerator * dens, lc.denominator * dens
+    if mult != 1:
+        for col in cols.values():
+            col[:] = [v * mult if type(v) is int else (v * mult).numerator for v in col]
     num = _factors(num, n)
     den = _factors(den, n)
     qnum = [f for f in num if not f[1]]
     qden = [f for f in den if not f[1]]
-    for col in cols.values():
-        _column_passes(col, qnum, qden)
+    if qnum or qden:
+        for col in cols.values():
+            _column_passes(col, qnum, qden)
     znum = [f for f in num if f[1]]
     zden = [f for f in den if f[1]]
     if znum or zden:
@@ -496,7 +514,14 @@ def times_binomials(s: QSeries, num=(), den=(), lead=(1, 0, 0)) -> QSeries:
             for i, v in enumerate(col):
                 if v:
                     data.setdefault(lo + i, {})[z] = v
-    return QSeries(ctx, _ints(data), _trusted=True)
+    if scale != 1:
+        for zd in data.values():
+            for z, v in zd.items():
+                zd[z] = _exact(Fraction(v, scale))
+    # Factors with rational coefficients may leave integral Fractions.
+    if any(type(f[0]) is not int for f in num) or any(type(f[0]) is not int for f in den):
+        _ints(data)
+    return QSeries(ctx, data, _trusted=True)
 
 
 def _column_passes(a: list, num, den) -> None:
@@ -603,6 +628,107 @@ def qbinomial(ctx: EvalContext, n: int, k: int) -> QSeries:
     d = ctx.scale
     k = min(k, n - k)
     return times_binomials(one(ctx), [(1, 0, d * (n - k + 1), d, k)], [(1, 0, d, d, k)])
+
+
+# -- product forms -----------------------------------------------------------
+#
+# A product form is (num, den, lead): Pochhammer products (base, step,
+# length) as ``binomials`` reads them, over and under a folded monomial lead
+# = (coeff, zexp, qexp). As functions of an index, forms describe
+# hypergeometric terms, each reached from the one before (``_stepped``).
+
+
+def _read(ctx: EvalContext, num=(), den=(), lead=(1, 0, 0)):
+    """(joined lead, numerator runs, divisor runs) of lead * prod(num) / prod(den).
+
+    num and den hold Pochhammer products (base, step, length) as
+    ``binomials`` reads them (length None: the infinite product), and lead =
+    (coeff, zexp, qexp) is a folded monomial; each product's own monomial
+    joins lead.
+    """
+    c, ze, qe = lead
+    nruns: list = []
+    druns: list = []
+    for base, step, length in num:
+        (bc, bz, bq), runs = binomials(ctx, base, step, length)
+        c, ze, qe = c * bc, ze + bz, qe + bq
+        nruns += runs
+    for base, step, length in den:
+        (bc, bz, bq), runs = binomials(ctx, base, step, length)
+        if not bc:
+            raise NonUnitLeadingError("cannot invert the zero series")
+        c, ze, qe = Fraction(c) / bc, ze - bz, qe - bq
+        druns += runs
+    return (c, ze, qe), nruns, druns
+
+
+def _times(s: QSeries, num=(), den=(), lead=(1, 0, 0)) -> QSeries:
+    """s * lead * prod(num) / prod(den), applied to s in place at its order.
+
+    The products are read by ``_read`` and go to one ``times_binomials``
+    call, so no product is built as a series. Exact at the order when the
+    joined lead exponent is >= 0 or s is a monomial; otherwise it is the
+    exact product of s as truncated.
+    """
+    lead, nruns, druns = _read(s.ctx, num, den, lead)
+    return times_binomials(s, nruns, druns, lead)
+
+
+def _shift(base, k: int):
+    """base * q^k for one base triple or a tuple of them."""
+    if isinstance(base[0], tuple):
+        return tuple((c, ze, qe + k) for c, ze, qe in base)
+    c, ze, qe = base
+    return c, ze, qe + k
+
+
+def _ratio(prev, cur):
+    """cur / prev for two product forms with the same products in the same places.
+
+    A form is (num, den, lead) as ``_times`` reads it, every product of
+    finite length. A product grown from length m to l contributes
+    (base*q^(m*step); q^step)_(l-m) on its own side, and one shrunk from m
+    to l the product (base*q^(l*step); q^step)_(m-l) on the other side.
+    """
+    num: list = []
+    den: list = []
+    for old, new, own, other in ((prev[0], cur[0], num, den), (prev[1], cur[1], den, num)):
+        for (base, step, m), (_, _, length) in zip(old, new):
+            if length != m:
+                side = own if length > m else other
+                side.append((_shift(base, step * min(m, length)), step, abs(length - m)))
+    (pc, pz, pq), (cc, cz, cq) = prev[2], cur[2]
+    return num, den, (Fraction(cc) / pc, cz - pz, cq - pq)
+
+
+def _stepped(ctx: EvalContext, form):
+    """n -> the product form(n) applied to 1, each term reached from the one before.
+
+    The step form(n) / form(n-1) (``_ratio``) applied to the term at n - 1
+    as truncated is exact at the order when its joined lead exponent is
+    >= 0. Otherwise, and for the first index asked or one below the last,
+    the term is built from 1, which is exact whatever the lead. Only the
+    last term is held, so a caller that reads the sequence more than once
+    memoises it; the terms are built by iteration, never by recursion.
+    Terms at n < 0 are zero.
+    """
+    last: list = []
+
+    def term(n: int) -> QSeries:
+        if n < 0:
+            return zero(ctx)
+        if not last or n < last[0]:
+            last[:] = [n, _times(one(ctx), *form(n))]
+        while last[0] < n:
+            k = last[0] + 1
+            lead, nruns, druns = _read(ctx, *_ratio(form(k - 1), form(k)))
+            if lead[2] >= 0:
+                last[:] = [k, times_binomials(last[1], nruns, druns, lead)]
+            else:
+                last[:] = [k, _times(one(ctx), *form(k))]
+        return last[1]
+
+    return term
 
 
 def retruncate(s: QSeries, ctx: EvalContext) -> QSeries:

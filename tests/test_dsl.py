@@ -26,7 +26,15 @@ from baileyforge.dsl import (
     pretty_print_expr,
     validate,
 )
-from baileyforge.dsl.growth import dips_past, last_index, mvar, ray_value, term_bounds
+from baileyforge.dsl.growth import (
+    dips_past,
+    floor_along,
+    free_floor,
+    last_index,
+    mvar,
+    ray_value,
+    term_bounds,
+)
 from baileyforge.errors import (
     BudgetError,
     DslSyntaxError,
@@ -197,6 +205,13 @@ class TestValidator:
         codes = self.finding_codes(
             "identity x { scale 1 order 6 lhs sum(n in Z, z^(n) * q^(n)) rhs 1 }")
         assert "bilateral-no-growth" in codes
+
+    def test_bilateral_needs_even_degree(self):
+        # n^3 falls along n = -t; n^4 grows both ways.
+        codes = self.finding_codes("identity x { scale 1 order 6 lhs sum(n in Z, q^(n^3)) rhs 1 }")
+        assert "bilateral-no-growth" in codes
+        assert self.finding_codes(
+            "identity x { scale 1 order 6 lhs sum(n in Z, q^(n^4 - n)) rhs 1 }") == set()
 
     def test_chain_without_explicit_growth(self):
         codes = self.finding_codes(
@@ -564,6 +579,90 @@ class TestProductLowering:
         assert [f.code for f in validate(spec)] == ["non-unit-denominator"]
 
 
+class TestTermsFromTheLast:
+    """A product in a sum is reached from its last term where its window does not grow."""
+
+    LAT2 = ("sum(n >= 0, poch(q; q, 2*n) * sum(j in 0..n, poch(z, q^(4) / z; q^(4), j)"
+            " * q^(3*n - 2*j) / (poch(q^(4); q^(4), n - j) * poch(q^(2); q^(2), 2*j))))")
+
+    @pytest.mark.parametrize("src,order,zfold", [
+        # Windows shrink: the head q^(n^2) rises along the sum.
+        ("sum(n >= 0, poch(z, q / z; q, n) * q^(n^2) / poch(q; q, 2*n))", 16, None),
+        ("sum(n >= 0, poch(z, q / z; q, n) * q^(n^2) / poch(q; q, 2*n))", 30, (-1, 1)),
+        # z = q^-2 puts factors below q^0 and then a factor 1 - q^0 in the steps.
+        ("sum(n >= 0, poch(z, q^(3) / z; q, n) * q^(n^2) / poch(q; q, 2*n))", 24, (1, -2)),
+        # The head q^(3n - 2j) falls with j, so j runs down and the windows
+        # shrink; from j = 1 to j = 0 the factor 1 - z leaves the numerator.
+        # It is no unit, so that term is built anew.
+        (LAT2, 14, None),
+        (LAT2, 30, (-1, 1)),
+        # The head q^((j - 3)^2) falls, then rises: windows grow, then shrink.
+        ("sum(j in 0..7, poch(z; q, j) * q^((j - 3)^2) / poch(q; q, 7 - j))", 12, None),
+        ("sum(j in 0..7, poch(z; q, j) * q^((j - 3)^2) / poch(q; q, 7 - j))", 20, (1, 1)),
+        # A moving base: 1 + q^(2n) is taken out whole and the next one put in.
+        ("sum(n >= 0, poch(z, q^(2) / z; q^(2), n) * q^(n) / ((1 + q^(2*n)) * poch(q; q, 2*n)))",
+         16, None),
+        # An infinite product beside finite ones, and a rational head.
+        ("sum(n >= 0, theta(-q; q) * poch(-q; q^(2), n) * q^(n^2) / (2 * poch(q^(2); q^(2), n)))",
+         24, None),
+    ])
+    def test_sums_match_the_oracle(self, src, order, zfold):
+        expr = parse_expr(src)
+        zi = None if zfold is None else Monomial(*zfold)
+        got = evaluate_expr(expr, order=order, z_interp=zi)
+        assert as_dict(got) == expand_expr(expr, scale=1, order=order, zfold=zfold)
+
+    def test_shrinking_windows_apply_few_factors(self, monkeypatch):
+        # by hand: from n - 1 to n the product gains 1 - q^(2n) on top and
+        # 1 - q^(2n - 1), 1 - q^(2n) below, 3 factors where 3n build it anew.
+        # Terms n = 1..9 reach the order 100; n = 1, 2, 3 save too little and
+        # are built anew, n = 4..9 take the 3 factors.
+        expr = parse_expr("sum(n >= 0, poch(q^(2); q^(2), n) * q^(n^2) / poch(q; q, 2*n))")
+        factors = baileyforge.series._factors
+        seen = []
+
+        def counted(runs, n):
+            out = factors(runs, n)
+            seen.append(len(out))
+            return out
+
+        monkeypatch.setattr(baileyforge.series, "_factors", counted)
+        got = evaluate_expr(expr, order=100)
+        stepped = sum(seen)
+        seen.clear()
+        monkeypatch.setattr(baileyforge.dsl.evaluator, "_delta", lambda *args: None)
+        assert as_dict(evaluate_expr(expr, order=100)) == as_dict(got)
+        assert stepped == 3 + 6 + 9 + 3 * 6
+        assert sum(seen) == 3 * sum(range(1, 10))
+
+    @pytest.mark.parametrize("body,env,want", [
+        # by hand: the exponents 3n - 2j and (j - 3)^2 bound the terms.
+        ("q^(3*n - 2*j) / poch(q; q, j)", {"n": 4}, [12, -2]),
+        ("poch(z, q^(4) / z; q^(4), j) * q^(2*j) / (1 + q^(4*j))", {}, [0, 2]),
+        ("q^((j - 3)^2)", {}, [9, -6, 1]),
+        # A negative name voids the bound, which holds for names >= 0.
+        ("q^(3*n - 2*j)", {"n": -1}, None),
+    ])
+    def test_floor_along(self, body, env, want):
+        floor = free_floor(parse_expr(body), 1, None)
+        assert floor_along(floor, "j", env) == want
+
+    def test_range_terms_above_the_order_are_skipped(self, monkeypatch):
+        # by hand: q^(3n - 2j) <= 6 needs j >= (3n - 6)/2, so row n = 4 reads
+        # j = 3, 4 only, and the terms come highest j first.
+        seen = []
+        read = baileyforge.dsl.evaluator._St.read
+
+        def spy(st, args):
+            seen.append(args[2])
+            return read(st, args)
+
+        monkeypatch.setattr(baileyforge.dsl.evaluator._St, "read", spy)
+        expr = parse_expr("sum(j in 0..4, q^(12 - 2*j) / poch(q; q, j))")
+        assert as_dict(evaluate_expr(expr, order=6)) == expand_expr(expr, scale=1, order=6)
+        assert seen == [4, 3]
+
+
 class TestSummationLimits:
     """Sums stop at a certified last index where a term bound proves one."""
 
@@ -592,10 +691,23 @@ class TestSummationLimits:
         ((-1000, 1), 0, None),     # t - 1000 <= 6 past the cap 28
         ((5,), 0, None),           # no growth
         ((0, 3, -1), 0, None),     # falls
-        ((1610, -80, 1), 0, None),  # (t - 40)^2 + 10 > 6 past the cap, not yet past its vertex
+        ((1610, -80, 1), 0, -1),   # (t - 40)^2 + 10 > 6 everywhere, vertex past the cap: no term
     ])
     def test_last_index(self, p, start, want):
         assert last_index(tuple(F(c) for c in p), start, 6, 28) == want
+
+    def test_vertex_past_the_cap_spends_no_term(self):
+        # by hand: (n - 40)^2 + 10 > 6 for every n, so the last index is -1
+        # and the sum is 0 without a term, within a budget of none.
+        expr = parse_expr("sum(n >= 0, q^((n - 40)^2 + 10))")
+        assert as_dict(evaluate_expr(expr, order=6, max_terms=0)) == {}
+
+    def test_bilateral_quartic_settles(self, tmp_path):
+        # by hand: n^4 <= 20 at n = 0, +-1, +-2 gives 1 + 2q + 2q^16.
+        src = "identity quart { scale 1 order 20 lhs sum(n in Z, q^(n^4)) rhs 1 + 2*q + 2*q^(16) }"
+        assert validate(parse(src)) == []
+        assert as_dict(evaluate(parse(src), {}, "lhs")) == {(0, 0): 1, (1, 0): 2, (16, 0): 2}
+        assert self.verify_source(tmp_path, src).status == "pass"
 
     def test_last_index_past_the_cap_is_not_settling(self):
         spec = parse("identity far { scale 1 order 6 lhs sum(n >= 0, q^(n - 1000)) rhs 0 }")

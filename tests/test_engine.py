@@ -1,5 +1,6 @@
 """Engine tests: pair construction, transforms, and the summation evaluators."""
 
+import dataclasses
 from fractions import Fraction as F
 
 import pytest
@@ -10,7 +11,11 @@ from baileyforge.dsl.evaluator import evaluate
 from baileyforge.engine import (
     INFINITE,
     _Weights,
+    _abel_alternating,
+    _Budget,
     _bailey_sum,
+    _times,
+    _weighted,
     bms_general_eval,
     chain_step,
     closed_form_djk_pair,
@@ -29,6 +34,7 @@ from baileyforge.engine import (
 )
 from baileyforge.errors import NegativeFloorError, TerminationError
 from baileyforge.registry import REGISTRY, load_spec
+import baileyforge.series
 from baileyforge.series import (
     EvalContext,
     Monomial,
@@ -555,3 +561,148 @@ class TestHelpers:
         ctx = EvalContext(1, 20)
         spec = load_spec(REGISTRY[f"{name}{k}"])
         assert _table(multisum_lhs(kind, k, ctx)) == _table(evaluate(spec, {}, "lhs", order=20))
+
+
+# -- terms reached from their predecessors -----------------------------------
+
+_STEP_CTXS = [
+    EvalContext(1, 24),
+    EvalContext(2, 24),
+    EvalContext(1, 40, Monomial(-1, 1)),
+    EvalContext(2, 40, Monomial(-1, 1)),
+    # z = q^-2 folds the first factors of (z; Q)_n below q^0, so the first
+    # steps have a negative lead and are built from scratch, and a factor
+    # 1 - q^0 makes beta_n vanish from then on.
+    EvalContext(1, 40, Monomial(1, -2)),
+    EvalContext(2, 40, Monomial(1, -2)),
+]
+_STEP_IDS = ["formal-1", "formal-2", "folded-1", "folded-2", "below-1", "below-2"]
+
+
+def _lifted(ctx):
+    return EvalContext(ctx.scale, ctx.order + 10, ctx.z_interp)
+
+
+def _ref_beta(ctx, r, n):
+    """(z, Q/z; Q)_n / (Q; Q)_2n built as products and an inverse, Q = q^r.
+
+    The numerator may start below q^0 (z = q^-2 gives q^-2 at n = 1), so
+    the product is taken at a higher order and truncated back.
+    """
+    lifted = _lifted(ctx)
+    num = poch_finite(lifted, ((1, 1, 0), (1, -1, r)), r, n)
+    return retruncate(num * poch_finite(lifted, (1, 0, r), r, 2 * n).invert(), ctx)
+
+
+def _weight_forms(r):
+    """The product forms the engine puts on beta_n, at dilation r."""
+    h = r // 2 or 1
+    odd = ((1, 0, r), 2 * r)
+    forms = {
+        "V1": lambda n: ((), (), (1, 0, r * n * n)),
+        "V2": lambda n: ([((-1, 0, h), r, n)], (), (1, 0, h * n * n)),
+        "V3": lambda n: ([odd + (n,)], (), (1, 0, 0)),
+        "V4": lambda n: ([((-1, 0, r), r, n)], (), (1, 0, r * n * (n - 1) // 2)),
+        "V5": lambda n: ([((-1, 0, 0), r, n)], (), (1, 0, r * n * (n + 1) // 2)),
+        "abel": lambda n: ([(((1, 0, 1), (-1, 0, 1)), r, n)], (), (1, 0, 0)),
+        "djk": lambda n: ([((-1, 0, 0), h, 2 * n)], (), (1, 0, h * n)),
+        "jouhet": lambda n: ([((-1, 0, h), h, 2 * n)], (), (1, 0, 0)),
+        "aw-I": lambda n: ([((1, 0, 2 * h), 2 * h, 2 * n)], [((-1, 0, h), h, 2 * n + 1)],
+                           (1, 0, h * n)),
+    }
+    for x, y in [(INFINITE, INFINITE), (Monomial(1, 1), INFINITE),
+                 (Monomial(-1, 0), Monomial(1, 1)), (Monomial(1, -1), Monomial(-1, 2))]:
+        forms[f"weights-{x}-{y}"] = _Weights(r, x, y).form
+    return forms
+
+
+class TestSteppedTerms:
+    """Each term beta_n W(n) is reached from its predecessor, exactly."""
+
+    @pytest.mark.parametrize("ctx", _STEP_CTXS, ids=_STEP_IDS)
+    def test_key_beta_matches_the_product(self, ctx):
+        pair = key_pair(ctx)
+        for n in range(41):
+            assert _table(pair.beta(n)) == _table(_ref_beta(ctx, ctx.scale, n)), n
+
+    @pytest.mark.parametrize("ctx", _STEP_CTXS, ids=_STEP_IDS)
+    def test_weighted_terms_match_the_product(self, ctx):
+        r = ctx.scale
+        pair = key_pair(ctx)
+        for name, form in _weight_forms(r).items():
+            term = _weighted(pair, form)
+            for n in range(41):
+                # A weight may start below q^0 too (x = q^-1).
+                want = retruncate(_times(_ref_beta(_lifted(ctx), r, n), *form(n)), ctx)
+                assert _table(term(n)) == _table(want), (name, n)
+
+    @pytest.mark.parametrize("ctx", [EvalContext(1, 30), EvalContext(2, 40),
+                                     EvalContext(2, 40, Monomial(-1, 1))],
+                             ids=["formal-1", "formal-2", "folded-2"])
+    def test_abel_sum_matches_its_definition(self, ctx):
+        # c_inf/2 + sum (-1)^n (c_n - c_inf), summed here term by term in
+        # rationals, against the stepped terms summed twice and halved.
+        r = ctx.scale
+        pair = key_pair(ctx)
+        odd = ((1, 0, r), 2 * r)
+        lim = _times(pair.beta_limit(), [odd + (None,)])
+        want = lim * F(1, 2)
+        for n in range(41):
+            want = want + (_times(_ref_beta(ctx, r, n), [odd + (n,)]) - lim) * (-1) ** n
+        term = _weighted(pair, lambda n: ([odd + (n,)], (), (1, 0, 0)))
+        assert _table(_abel_alternating(ctx, term, lim, _Budget())) == _table(want)
+
+    @pytest.mark.parametrize("ctx", [EvalContext(2, 24), EvalContext(2, 40, Monomial(-1, 1))],
+                             ids=["formal", "folded"])
+    def test_transforms_match_the_unstepped_pair(self, ctx):
+        stepped = key_pair(ctx)
+        plain = dataclasses.replace(stepped, beta_form=None)
+        x, y = Monomial(1, 1), Monomial(-1, 1)
+        for make in (chain_step, lattice_djk, lattice_jouhet,
+                     lambda p: general_chain_step(p, Monomial(-1, 0), Monomial(1, 1))):
+            a, b = make(stepped), make(plain)
+            for n in range(8):
+                assert _table(a.beta(n)) == _table(b.beta(n)), (make, n)
+            assert _table(a.beta_limit()) == _table(b.beta_limit()), make
+        for v in ("V1", "V2", "V3", "V4", "V5"):
+            assert list(map(_table, weak_lemma_eval(stepped, v))) == list(
+                map(_table, weak_lemma_eval(plain, v))), v
+        assert list(map(_table, bms_general_eval(stepped, x, y))) == list(
+            map(_table, bms_general_eval(plain, x, y)))
+        for which in ("I", "II"):
+            assert list(map(_table, aw_lemma_eval(stepped, which))) == list(
+                map(_table, aw_lemma_eval(plain, which))), which
+        assert _table(multisum_lhs("AG2", 2, ctx, stepped)) == _table(
+            multisum_lhs("AG2", 2, ctx, plain))
+
+    def test_beta_applies_a_linear_number_of_factors(self, monkeypatch):
+        # Each step applies 4 factors; built from scratch, beta_n applies 4n.
+        factors = baileyforge.series._factors
+        seen = []
+
+        def counted(runs, n):
+            out = factors(runs, n)
+            seen.append(len(out))
+            return out
+
+        monkeypatch.setattr(baileyforge.series, "_factors", counted)
+
+        def applied(count):
+            seen.clear()
+            pair = key_pair(EvalContext(1, 200))
+            for n in range(count + 1):
+                pair.beta(n)
+            return sum(seen)
+
+        assert applied(20) == 4 * 20
+        assert applied(40) == 4 * 40
+
+    def test_far_beta_needs_no_recursion(self):
+        # beta_0 first, so beta_300 is reached by 300 steps.
+        ctx = EvalContext(1, 400, Monomial(-1, 1))
+        pair = key_pair(ctx)
+        pair.beta(0)
+        got = pair.beta(300)
+        zbases = ((1, 1, 0), (1, -1, 1))
+        want = _times(one(ctx), [(zbases, 1, 300)], [((1, 0, 1), 1, 600)])
+        assert _table(got) == _table(want)
