@@ -4,8 +4,8 @@ Each side of a spec is lowered once (``_compile``) into a plan: a tree of
 closures over an evaluation frame (``_St``). Integer expressions become
 closures over the bindings, a product becomes its flattened factor list
 with the index-free parts (scalars, constant product bases) resolved, and a
-sum becomes a loop that adds every term into one coefficient table in
-place. The plan is kept on the spec (``IdentitySpec.plans``), so every
+sum becomes a loop that adds every term into one running sum in place,
+column by column (``series._Sum``). The plan is kept on the spec (``IdentitySpec.plans``), so every
 evaluation of a parsed spec, each sweep point and the validator's probe
 among them, reuses it. Lowering reads no binding and raises nothing: a name
 or a bad value in a branch that is never reached fails nowhere, and every
@@ -27,7 +27,7 @@ from ..series import (
     EvalContext,
     Monomial,
     QSeries,
-    _acc_into,
+    _Sum,
     binomials,
     hard_cap,
     monomial,
@@ -102,10 +102,6 @@ class _St:
         if hit is None:
             hit = self.reads[key] = binomials(self.ctx, *args)
         return hit
-
-
-def _table(st: _St, acc: dict) -> QSeries:
-    return QSeries(st.ctx, acc, _trusted=True)
 
 
 # -- products ----------------------------------------------------------------
@@ -363,8 +359,9 @@ def _product(node, scale: int):
 # The cost model of ``_from_last``, in coefficient updates. A term built
 # anew applies each of its factors once over its window of n exponents. One
 # reached from an earlier term applies each factor that changed as if twice,
-# since it works on a full table, reads that table back at the cost of two
-# passes, and pairs the reads at the cost of _PAIRING updates.
+# since it works on the last term's full window, copies and trims that
+# window at about the cost of two passes, and pairs the reads at the cost of
+# _PAIRING updates.
 _PAIRING = 200
 
 
@@ -381,8 +378,8 @@ def _from_last(st: _St, plan, reads: list, head: QSeries) -> QSeries:
     ctx = st.ctx
     if head.is_zero():
         return head
-    ((hq, row),) = head._c.items()
-    ((hz, hc),) = row.items()
+    hq = head.min_exponent()
+    ((hz, (hc,)),) = head._c.items()
     n = ctx.order - hq + 1
     # The factors the term built anew applies, within its window.
     full = 0
@@ -504,10 +501,10 @@ def _last(st: _St, body, start: int, subs, inner=(), bound=None):
     return last
 
 
-def _one_sided(st: _St, emit, start: int, direction: int, last, acc: dict) -> None:
+def _one_sided(st: _St, emit, start: int, direction: int, last, acc: _Sum) -> None:
     """Add emit(n) into acc for n = start, start + direction, ... along one ray.
 
-    emit(n) gives the term's coefficient table. A certified last index
+    emit(n) gives the term as a series. A certified last index
     (``_last``) stops the sum at |n| = last, since every later term
     truncates to zero; one past hard_cap raises at once. A sum without one
     keeps the empty-run rule: it stops after _EMPTY_RUN zero terms in a row
@@ -520,7 +517,7 @@ def _one_sided(st: _St, emit, start: int, direction: int, last, acc: dict) -> No
             raise TerminationError("sum exceeded its index cap without settling")
         for t in range(abs(start), last + 1):
             st.budget.spend()
-            _acc_into(acc, emit(direction * t))
+            acc.add(emit(direction * t))
         return
     empties = 0
     n = start
@@ -529,8 +526,8 @@ def _one_sided(st: _St, emit, start: int, direction: int, last, acc: dict) -> No
             raise TerminationError("sum exceeded its index cap without settling")
         st.budget.spend()
         term = emit(n)
-        _acc_into(acc, term)
-        if not term:
+        acc.add(term)
+        if term.is_zero():
             empties += 1
             if empties >= _EMPTY_RUN and abs(n) >= 2 * _EMPTY_RUN:
                 break
@@ -550,24 +547,24 @@ def _chain_sum(node: ChainSum, scale: int):
         inner = st.binding()
         env = inner.env
 
-        def level(i: int, bound: int, acc: dict) -> None:
+        def level(i: int, bound: int, acc: _Sum) -> None:
             if i == len(idxs):
                 st.budget.spend()
-                _acc_into(acc, body(inner)._c)
+                acc.add(body(inner))
                 return
             for v in range(0, bound + 1):
                 env[idxs[i]] = v
                 level(i + 1, v, acc)
 
-        def emit(v: int) -> dict:
+        def emit(v: int) -> QSeries:
             env[idxs[0]] = v
-            acc: dict = {}
+            acc = _Sum()
             level(1, v, acc)
-            return acc
+            return acc.series(st.ctx)
 
-        acc: dict = {}
+        acc = _Sum()
         _one_sided(st, emit, 0, 1, _last(st, node.body, 0, (sub,), idxs[1:], RAY_T), acc)
-        return _table(st, acc)
+        return acc.series(st.ctx)
 
     return run
 
@@ -579,15 +576,15 @@ def _over_z(index: str, body, scale: int):
     def run(st: _St) -> QSeries:
         inner = st.binding()
 
-        def emit(n: int) -> dict:
+        def emit(n: int) -> QSeries:
             inner.env[index] = n
-            return term(inner)._c
+            return term(inner)
 
-        acc: dict = {}
+        acc = _Sum()
         for start, ray in ((0, RAY_T), (1, growth.mneg(RAY_T))):
             last = _last(st, body, start, ({index: ray},))
             _one_sided(st, emit, -start, -1 if start else 1, last, acc)
-        return _table(st, acc)
+        return acc.series(st.ctx)
 
     return run
 
@@ -612,11 +609,11 @@ def _range_sum(node: RangeSum, scale: int):
         if floors[zfold] is not None:
             values = growth.range_values(floors[zfold], node.index, st.env, lo, hi, st.ctx.order)
         inner = st.binding()
-        acc: dict = {}
+        acc = _Sum()
         for v in range(lo, hi + 1) if values is None else values:
             inner.env[node.index] = v
-            _acc_into(acc, body(inner)._c)
-        return _table(st, acc)
+            acc.add(body(inner))
+        return acc.series(st.ctx)
 
     return run
 
@@ -641,18 +638,18 @@ def _hecke(node: Hecke, scale: int):
         inner = st.binding()
         env = inner.env
 
-        def emit_row(n: int) -> dict:
+        def emit_row(n: int) -> QSeries:
             env[node.outer] = n
             m = n // 2 if half else n
-            row: dict = {}
+            row = _Sum()
             for j in range(-m, m + 1):
                 env[node.inner] = j
-                _acc_into(row, term(inner)._c)
-            return row
+                row.add(term(inner))
+            return row.series(st.ctx)
 
-        acc: dict = {}
+        acc = _Sum()
         _one_sided(st, emit_row, 0, 1, _last(st, body, 0, subs, (node.inner,), width), acc)
-        return _table(st, acc)
+        return acc.series(st.ctx)
 
     return run
 
@@ -661,7 +658,7 @@ def _hecke(node: Hecke, scale: int):
 
 
 def _add(node, scale: int):
-    """A chain of + and - as its signed terms, added into one table in place."""
+    """A chain of + and - as its signed terms, added into one running sum in place."""
     terms: list = []
 
     def collect(n, sign):
@@ -677,11 +674,10 @@ def _add(node, scale: int):
     collect(node, 1)
 
     def run(st: _St) -> QSeries:
-        acc: dict = {}
+        acc = _Sum()
         for sign, f in terms:
-            s = f(st)
-            _acc_into(acc, s._c if sign > 0 else (-s)._c)
-        return _table(st, acc)
+            acc.add(f(st), sign)
+        return acc.series(st.ctx)
 
     return run
 

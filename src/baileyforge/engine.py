@@ -35,7 +35,7 @@ from .errors import BudgetError, NegativeFloorError, TerminationError
 from .series import (
     EvalContext,
     QSeries,
-    _acc_into,
+    _Sum,
     _stepped,
     _times,
     hard_cap,
@@ -329,21 +329,22 @@ def _indices(bound, order, cap, *, bilateral, budget):
 
 
 def _index_sum(ctx: EvalContext, f, bound, *, bilateral=False, budget) -> QSeries:
-    """The sum of f(n) over ``_indices``, added into one table in place."""
-    acc: dict = {}
+    """The sum of f(n) over ``_indices``, added into one running sum in place."""
+    acc = _Sum()
     for n in _indices(bound, ctx.order, hard_cap(ctx), bilateral=bilateral, budget=budget):
-        _acc_into(acc, f(n)._c)
-    return QSeries(ctx, acc, _trusted=True)
+        acc.add(f(n))
+    return acc.series(ctx)
 
 
 def _abel_alternating(ctx, term, term_limit, budget) -> QSeries:
     """Abel value of sum_{n>=0} (-1)^n term(n) with term(n) -> term_limit.
 
     Twice the value, term_limit + sum_n 2(-1)^n (term(n) - term_limit), is
-    added up in one table in place, in integers for integral terms, and
+    added up in one running sum in place, in integers for integral terms, and
     halved once at the end.
     """
-    acc = {qe: dict(zd) for qe, zd in term_limit._c.items()}
+    acc = _Sum()
+    acc.add(term_limit)
     zeros = 0
     n = 0
     cap = hard_cap(ctx)
@@ -356,9 +357,9 @@ def _abel_alternating(ctx, term, term_limit, budget) -> QSeries:
             zeros += 1
         else:
             zeros = 0
-            _acc_into(acc, (diff * (-2 if n % 2 else 2))._c)
+            acc.add(diff * (-2 if n % 2 else 2))
         n += 1
-    return QSeries(ctx, acc, _trusted=True) * Fraction(1, 2)
+    return acc.series(ctx) * Fraction(1, 2)
 
 
 # -- two-limit weight machinery ---------------------------------------------

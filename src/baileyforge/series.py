@@ -3,16 +3,23 @@
 A series lives in variables q and z. q-exponents are integers in scaled
 units: under a context with scale d, the stored exponent e means q^(e/d).
 z-exponents are plain integers. Coefficients are exact rationals: a
-coefficient is a Python int when it is integral on entry and a
-fractions.Fraction otherwise, never a float. Integral series therefore run
-on native integer arithmetic; int and Fraction compare and hash alike, so
-the mix is invisible to equality and to printed output. Series are
-compared up to the context order: all terms with scaled q-exponent <= order
-are retained, everything above is dropped.
+coefficient is a Python int when it is integral and a fractions.Fraction
+otherwise, never a float (a float input raises TypeError). Integral series
+therefore run on native integer arithmetic; int and Fraction compare and
+hash alike, so the mix is invisible to equality and to printed output.
+Series are compared up to the context order: all terms with scaled
+q-exponent <= order are retained, everything above is dropped.
+
+A series is stored as the kernel works on it: one dense list of
+coefficients per z-exponent, over a common lowest q-exponent (``QSeries``).
+The kernel (``times_binomials``) copies the columns onto its window and
+runs its passes on them, ring operations and sums (``_Sum``) add columns
+entrywise, and no operation converts the table to another layout.
 
 Resource guard: a retained term with z-exponent e must satisfy
 d*binom(|e|,2) <= order. Every series built from the supported identity
-family stays inside this region; a violation aborts.
+family stays inside this region; a violation aborts. The guard reads each
+z-column once, whenever a series is made.
 """
 
 from __future__ import annotations
@@ -21,6 +28,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import groupby
 from math import isqrt, lcm
+from operator import add, sub
 
 from .errors import (
     ContextMismatchError,
@@ -99,60 +107,118 @@ def hard_cap(ctx: EvalContext) -> int:
     return 4 * (ctx.order + 1)
 
 
-def _check_keys(ctx: EvalContext, data: dict) -> None:
+def _lead(col: list) -> int:
+    """Index of the first nonzero entry of a column, or its length when there is none."""
+    for v in filter(None, col):
+        return col.index(v)
+    return len(col)
+
+
+def _check_keys(ctx: EvalContext, lo: int, cols: dict) -> None:
+    """Raise ZDegreeError for a z-column outside the guard region, each column checked once.
+
+    Under a folded context the only column is z^0; under a formal one every
+    |z-exponent| is at most ctx.z_cap. The error names the offending term
+    with the lowest q-exponent among the first terms of the columns.
+    """
+    if not ctx.is_formal:
+        if cols and (len(cols) > 1 or 0 not in cols):
+            raise ZDegreeError("z-exponent survived monomial folding")
+        return
     cap = ctx.z_cap
-    for qe, zd in data.items():
-        for ze in zd:
-            if abs(ze) > cap:
-                raise ZDegreeError(
-                    f"z-exponent {ze} at q-exponent {qe} exceeds guard cap "
-                    f"{cap} (scale {ctx.scale}, order {ctx.order})"
-                )
+    if cols and (max(cols) > cap or min(cols) < -cap):
+        qe, ze = min((lo + _lead(col), z) for z, col in cols.items() if abs(z) > cap)
+        raise ZDegreeError(
+            f"z-exponent {ze} at q-exponent {qe} exceeds guard cap "
+            f"{cap} (scale {ctx.scale}, order {ctx.order})"
+        )
 
 
 class QSeries:
-    """Immutable truncated Laurent series over a fixed context."""
+    """Immutable truncated Laurent series over a fixed context.
 
-    __slots__ = ("ctx", "_c")
+    The table is one dense list of coefficients per z-exponent over a
+    common lowest q-exponent: ``_c[z][i]`` is the coefficient of
+    z^z * q^(_lo + i). It is canonical: no column is empty or ends in a
+    zero, some column starts with a nonzero, and none reaches past the
+    order, so equality compares the lists and ``_lo`` is the valuation.
+    ``_int`` says that every coefficient is an int.
+    """
 
-    def __init__(self, ctx: EvalContext, data: dict | None = None, *, _trusted=False):
+    __slots__ = ("ctx", "_lo", "_c", "_int")
+
+    def __init__(self, ctx: EvalContext, data: dict | None = None):
+        """The series sum data[qe][ze] * z^ze * q^qe; terms above the order are dropped."""
+        terms = [(qe, ze, _exact(c)) for qe, zd in (data or {}).items() if qe <= ctx.order
+                 for ze, c in zd.items()]
+        terms = [t for t in terms if t[2]]
+        lo = min((qe for qe, _, _ in terms), default=0)
+        cols: dict = {}
+        for qe, ze, c in terms:
+            col = cols.setdefault(ze, [])
+            i = qe - lo
+            if len(col) <= i:
+                col += [0] * (i + 1 - len(col))
+            col[i] = c
+        self._set(ctx, lo, cols, False)
+
+    def _set(self, ctx: EvalContext, lo: int, cols: dict, ints: bool) -> "QSeries":
+        """Hold the columns cols over lo, made canonical in place; they become the series' own.
+
+        Columns are cut at the order and trimmed, empty ones dropped, and lo
+        moves up to the lowest nonzero exponent. Unless ints says that every
+        coefficient is an int, integral Fractions become ints here.
+        """
+        n = ctx.order - lo + 1
+        if n <= 0:
+            cols = {}
+        # k: the fewest leading zeros of a column.
+        k = n
+        for z, col in list(cols.items()):
+            if len(col) > n:
+                del col[n:]
+            if not ints and not _INT.issuperset(map(type, col)):
+                col[:] = [v if type(v) is int or v.denominator != 1 else v.numerator for v in col]
+            if col and not col[-1]:
+                del col[len(col) - _lead(col[::-1]):]
+            if not col:
+                del cols[z]
+            elif col[0]:
+                k = 0
+            elif k:
+                k = min(k, _lead(col))
+        if not ints:
+            ints = all(_INT.issuperset(map(type, col)) for col in cols.values())
+        if cols and k:
+            for col in cols.values():
+                del col[:k]
+            lo += k
+        _check_keys(ctx, lo, cols)
         self.ctx = ctx
-        if data is None:
-            data = {}
-        if not _trusted:
-            clean: dict[int, dict[int, int | Fraction]] = {}
-            for qe, zd in data.items():
-                if qe > ctx.order:
-                    continue
-                keep = {ze: _exact(c) for ze, c in zd.items() if c}
-                if keep:
-                    clean[qe] = keep
-            data = clean
-        if ctx.is_formal:
-            _check_keys(ctx, data)
-        else:
-            # Every z-exponent is 0, within any guard cap.
-            for zd in data.values():
-                if (len(zd) != 1 or 0 not in zd) and any(ze != 0 for ze in zd):
-                    raise ZDegreeError("z-exponent survived monomial folding")
-        self._c = data
+        self._lo = lo if cols else 0
+        self._c = cols
+        self._int = ints
+        return self
 
     # -- inspection ---------------------------------------------------------
 
     def terms(self):
         """Yield (qexp, zexp, coeff) in ascending (qexp, zexp) order."""
-        for qe in sorted(self._c):
-            zd = self._c[qe]
-            for ze in sorted(zd):
-                yield qe, ze, zd[ze]
+        cols = [(z, self._c[z]) for z in sorted(self._c)]
+        for i in range(max(map(len, self._c.values()), default=0)):
+            for z, col in cols:
+                if i < len(col) and col[i]:
+                    yield self._lo + i, z, col[i]
 
     def coefficient(self, qexp: int, zexp: int = 0) -> int | Fraction:
         """Coefficient of z^zexp q^(qexp/scale): an int when integral, else a Fraction."""
-        return self._c.get(qexp, {}).get(zexp, _ZERO)
+        col = self._c.get(zexp)
+        i = qexp - self._lo
+        return col[i] if col is not None and 0 <= i < len(col) else _ZERO
 
     def min_exponent(self):
         """Smallest scaled q-exponent with a nonzero term, or None."""
-        return min(self._c) if self._c else None
+        return self._lo if self._c else None
 
     def is_zero(self) -> bool:
         return not self._c
@@ -160,12 +226,12 @@ class QSeries:
     def __eq__(self, other):
         if not isinstance(other, QSeries):
             return NotImplemented
-        return self.ctx == other.ctx and self._c == other._c
+        return self.ctx == other.ctx and self._lo == other._lo and self._c == other._c
 
     __hash__ = None
 
     def __repr__(self):
-        n = sum(len(zd) for zd in self._c.values())
+        n = sum(len(col) - col.count(0) for col in self._c.values())
         return f"<QSeries scale={self.ctx.scale} order={self.ctx.order} terms={n}>"
 
     # -- ring operations ----------------------------------------------------
@@ -181,28 +247,25 @@ class QSeries:
             return monomial(self.ctx, other)
         return NotImplemented
 
-    def __add__(self, other):
+    def _plus(self, other, sign: int):
         other = self._comp(other)
         if other is NotImplemented:
             return other
-        out = {qe: dict(zd) for qe, zd in self._c.items()}
-        _acc_into(out, other._c)
-        return QSeries(self.ctx, out, _trusted=True)
+        acc = _Sum()
+        acc.add(self)
+        acc.add(other, sign)
+        return acc.series(self.ctx)
+
+    def __add__(self, other):
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QSeries(
-            self.ctx,
-            {qe: {ze: -c for ze, c in zd.items()} for qe, zd in self._c.items()},
-            _trusted=True,
-        )
+        return _new(self.ctx, self._lo, {z: [-v for v in col] for z, col in self._c.items()}, self._int)
 
     def __sub__(self, other):
-        other = self._comp(other)
-        if other is NotImplemented:
-            return other
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -212,17 +275,12 @@ class QSeries:
             c = _exact(other)
             if not c:
                 return zero(self.ctx)
-            return QSeries(
-                self.ctx,
-                _ints({qe: {ze: v * c for ze, v in zd.items()} for qe, zd in self._c.items()}),
-                _trusted=True,
-            )
+            return _new(self.ctx, self._lo, {z: [v * c for v in col] for z, col in self._c.items()},
+                        self._int and type(c) is int)
         other = self._comp(other)
         if other is NotImplemented:
             return other
-        return QSeries(
-            self.ctx, _ints(_mul_raw(self._c, other._c, self.ctx.order)), _trusted=True
-        )
+        return _mul_raw(self, other)
 
     __rmul__ = __mul__
 
@@ -244,110 +302,134 @@ class QSeries:
 
         With self = mc * z^mz * q^m * (1 + u), where u has only positive
         q-exponents, 1/(1 + u) = sum_n b_n q^n with b_0 = 1 and
-        b_n = -sum_{k=1..n} u_k b_{n-k}, each b_n a Laurent polynomial in z.
-        Rows up to n = order + m are needed.
+        b_n = -sum_{k=1..n} u_k b_{n-k}, each b_n a Laurent polynomial in z,
+        kept as the columns of b. Terms up to n = order + m are needed.
         """
-        if not self._c:
+        cols = self._c
+        if not cols:
             raise NonUnitLeadingError("cannot invert the zero series")
-        m = min(self._c)
-        lead = self._c[m]
+        m = self._lo
+        lead = [(z, col[0]) for z, col in cols.items() if col[0]]
         if len(lead) != 1:
             raise NonUnitLeadingError(
                 f"lowest q-slice (exponent {m}) is not a single monomial in z"
             )
-        ((mz, mc),) = lead.items()
+        ((mz, mc),) = lead
         inv = _exact(1 / Fraction(mc))
         top = self.ctx.order + m
-        # Rows u_k of u, each a list of (z-exponent, coefficient).
-        u = sorted(
-            (qe - m, [(ze - mz, c * inv) for ze, c in zd.items()])
-            for qe, zd in self._c.items()
-            if 0 < qe - m <= top
-        )
-        b = [[(0, 1)]] if top >= 0 else []
+        if top < 0:
+            return zero(self.ctx)
+        # The terms u_k * z^zu of u, k = 1..top, by rising k.
+        u = sorted((k, z - mz, col[k] * inv) for z, col in cols.items()
+                   for k in range(1, min(top + 1, len(col))) if col[k])
+        # The columns of b, each b_0 .. b_top.
+        b = {0: [1] + [0] * top}
         for n in range(1, top + 1):
-            row: dict[int, int | Fraction] = {}
-            for k, uk in u:
+            row: dict = {}
+            for k, zu, cu in u:
                 if k > n:
                     break
-                for zb, cb in b[n - k]:
-                    for zu, cu in uk:
-                        z = zu + zb
-                        row[z] = row.get(z, 0) - cu * cb
-            b.append([(z, c) for z, c in row.items() if c])
-        res = {
-            n - m: {z - mz: c * inv for z, c in bn}
-            for n, bn in enumerate(b)
-            if bn
-        }
-        return QSeries(self.ctx, _ints(res), _trusted=True)
+                for zb, col in b.items():
+                    v = col[n - k]
+                    if v:
+                        row[zb + zu] = row.get(zb + zu, 0) - cu * v
+            for z, v in row.items():
+                if v:
+                    b.setdefault(z, [0] * (top + 1))[n] = v
+        return _new(self.ctx, -m, {z - mz: [v * inv for v in col] for z, col in b.items()},
+                    self._int and type(inv) is int)
+
+
+def _new(ctx: EvalContext, lo: int, cols: dict, ints: bool = True) -> QSeries:
+    """The series of the columns cols over lo (``QSeries._set``)."""
+    return QSeries.__new__(QSeries)._set(ctx, lo, cols, ints)
 
 
 def _exact(c) -> int | Fraction:
     """An exact coefficient: an int when c is integral, else a Fraction.
 
-    Coefficients never become floats: int / int and int ** -k give floats,
-    so callers divide through Fraction and pass the quotient here.
+    A float raises TypeError: coefficients are exact, and int / int and
+    int ** -k give floats, so callers divide through Fraction and pass the
+    quotient here.
     """
     if type(c) is int:
         return c
+    if isinstance(c, float):
+        raise TypeError(f"coefficient {c!r} is a float; coefficients must be exact")
     c = Fraction(c)
     return c.numerator if c.denominator == 1 else c
 
 
-def _ints(data: dict) -> dict:
-    """Turn the integral Fractions of a coefficient table into ints, in place."""
-    for zd in data.values():
-        for ze, c in zd.items():
-            if type(c) is not int and c.denominator == 1:
-                zd[ze] = c.numerator
-    return data
+class _Sum:
+    """A running sum of series of one context, added up in place in the column layout.
+
+    ``series`` hands the columns to its result, so a sum is read once.
+    """
+
+    __slots__ = ("lo", "cols", "ints")
+
+    def __init__(self):
+        self.lo = 0
+        self.cols: dict = {}
+        self.ints = True
+
+    def add(self, s: QSeries, sign: int = 1) -> None:
+        """Add s, or -s when sign is -1."""
+        if not s._c:
+            return
+        self.ints = self.ints and s._int
+        cols = self.cols
+        d = s._lo - self.lo
+        if d < 0 and cols:
+            pad = [0] * -d
+            for col in cols.values():
+                col[:0] = pad
+        if d < 0 or not cols:
+            self.lo, d = s._lo, 0
+        op = add if sign > 0 else sub
+        for z, col in s._c.items():
+            t = cols.get(z)
+            if t is None:
+                cols[z] = [0] * d + (col if sign > 0 else [-v for v in col])
+                continue
+            m = d + len(col)
+            if len(t) < m:
+                t += [0] * (m - len(t))
+            t[d:m] = map(op, t[d:m], col)
+
+    def series(self, ctx: EvalContext) -> QSeries:
+        return _new(ctx, self.lo, self.cols, self.ints)
 
 
-def _acc_into(target: dict, src: dict) -> None:
-    """Add the table src into target, in place; an integral sum is kept as an int."""
-    for qe, zd in src.items():
-        row = target.get(qe)
-        if row is None:
-            target[qe] = dict(zd)
-            continue
-        for ze, c in zd.items():
-            s = row.get(ze, _ZERO) + c
-            if s:
-                row[ze] = s if type(s) is int or s.denominator != 1 else s.numerator
-            elif ze in row:
-                del row[ze]
-        if not row:
-            del target[qe]
-
-
-def _mul_raw(a: dict, b: dict, order: int) -> dict:
-    if len(a) > len(b):
-        a, b = b, a
-    bitems = sorted(b.items())
-    out: dict[int, dict[int, int | Fraction]] = {}
-    for qa, zda in a.items():
-        lim = order - qa
-        for qb, zdb in bitems:
-            if qb > lim:
-                break
-            row = out.setdefault(qa + qb, {})
-            for za, ca in zda.items():
-                for zb, cb in zdb.items():
-                    z = za + zb
-                    s = row.get(z, _ZERO) + ca * cb
-                    if s:
-                        row[z] = s
-                    elif z in row:
-                        del row[z]
-    return {qe: zd for qe, zd in out.items() if zd}
+def _mul_raw(a: QSeries, b: QSeries) -> QSeries:
+    """a * b at a's context: every pair of z-columns convolved, up to the order."""
+    ctx = a.ctx
+    lo = a._lo + b._lo
+    width = max(map(len, a._c.values()), default=0) + max(map(len, b._c.values()), default=0) - 1
+    n = min(ctx.order - lo + 1, width)
+    out: dict = {}
+    if n > 0:
+        bnz = [(zb, [(j, y) for j, y in enumerate(cb[:n]) if y]) for zb, cb in b._c.items()]
+        for za, ca in a._c.items():
+            for zb, nz in bnz:
+                col = out.get(za + zb)
+                if col is None:
+                    col = out[za + zb] = [0] * n
+                for i, x in enumerate(ca[:n]):
+                    if x:
+                        lim = n - i
+                        for j, y in nz:
+                            if j >= lim:
+                                break
+                            col[i + j] += x * y
+    return _new(ctx, lo, out, a._int and b._int)
 
 
 # -- builders ---------------------------------------------------------------
 
 
 def zero(ctx: EvalContext) -> QSeries:
-    return QSeries(ctx, {}, _trusted=True)
+    return _new(ctx, 0, {})
 
 
 def one(ctx: EvalContext) -> QSeries:
@@ -360,9 +442,7 @@ def monomial(ctx: EvalContext, coeff, zexp: int = 0, qexp: int = 0) -> QSeries:
     if not c:
         return zero(ctx)
     c, zexp, qexp = _fold(ctx, c, zexp, qexp)
-    if qexp > ctx.order:
-        return zero(ctx)
-    return QSeries(ctx, {qexp: {zexp: c}})
+    return _new(ctx, qexp, {zexp: [c]}, type(c) is int)
 
 
 def _fold(ctx: EvalContext, c, ze: int, qe: int):
@@ -414,7 +494,7 @@ def binomials(ctx: EvalContext, base, step: int, length, *, strict: bool = False
                 f"infinite product factor (1 - {c}*q^{e0}) has nonpositive order"
             )
         if a and abs(a) > ctx.z_cap and e0 <= ctx.order:
-            _check_keys(ctx, {e0: {a: c}})
+            _check_keys(ctx, e0, {a: [c]})
         # Factors up to q^0 are rewritten one by one; the rest form one run.
         t = 0
         while (length is None or t < length) and e0 + t * step <= 0:
@@ -448,19 +528,20 @@ def times_binomials(s: QSeries, num=(), den=(), lead=(1, 0, 0)) -> QSeries:
 
     lead = (coeff, zexp, qexp) is a folded monomial, and num and den hold
     folded runs (c, a, e, d, count) of factors 1 - c*z^a*q^(e + u*d) with
-    e >= 0, as ``binomials`` gives them. The table is copied once, shifted
-    by lead. Each numerator factor is then applied by a descending pass
-    row[i] -= c*z^a*row[i-e], and each divisor by the ascending recurrence
-    row[i] += c*z^a*row[i-e]; factors past the order of the copy are 1
-    there. Both passes are exact at the order whatever the valuation of s,
-    so no factor lifts the order, needs a series of its own or reaches
-    ``QSeries.invert``. The shift by lead is exact when its exponent is
-    >= 0 or s is a monomial. A divisor needs e > 0: 1 - c*z^a with no
-    q-power is not a unit.
+    e >= 0, as ``binomials`` gives them. The columns of s are copied once
+    onto the window of the product, shifted by lead. Each numerator factor
+    then subtracts c times column z - a, shifted up by e, from column z (as
+    read before the factor), and each divisor adds it by the ascending
+    recurrence (as read after); factors past the window are 1 there
+    (``_column_passes``, ``_z_pass``). Both passes are exact at the order
+    whatever the valuation of s, so no factor lifts the order, needs a
+    series of its own or reaches ``QSeries.invert``. The shift by lead is
+    exact when its exponent is >= 0 or s is a monomial. A divisor needs
+    e > 0: 1 - c*z^a with no q-power is not a unit.
 
     The passes run on ints when the factors' coefficients are ints: a lead
-    or table with fractions is scaled to ints, and the scale is divided out
-    once at the end.
+    or a table with fractions (one whose ``_int`` is unset) is scaled to
+    ints, and the scale is divided out once at the end.
     """
     ctx = s.ctx
     for _, a, e, _, _ in den:
@@ -472,119 +553,95 @@ def times_binomials(s: QSeries, num=(), den=(), lead=(1, 0, 0)) -> QSeries:
     lc = _exact(lc)
     if not s._c or not lc:
         return zero(ctx)
-    lo = min(s._c) + lq
+    lo = s._lo + lq
     n = ctx.order - lo + 1
     if n <= 0:
         return zero(ctx)
-    # A factor without z acts on each z-column alone: a pass over one dense
-    # list of coefficients, q-exponents lo .. lo + n - 1.
-    cols: dict = {}
-    for e, zd in s._c.items():
-        i = e + lq - lo
-        if i < n:
-            for z, v in zd.items():
-                col = cols.get(z + lz)
-                if col is None:
-                    col = cols[z + lz] = [0] * n
-                col[i] = v
     # A lead p/r and a table whose denominators have lcm l become the
     # multiplier p*l and the scale r*l.
     mult, scale = lc, 1
-    if type(lc) is not int or any(set(map(type, col)) != _INT for col in cols.values()):
-        dens = lcm(1, *(v.denominator for col in cols.values() for v in col if type(v) is not int))
+    if type(lc) is not int or not s._int:
+        dens = 1 if s._int else lcm(1, *(v.denominator for col in s._c.values() for v in col
+                                          if type(v) is not int))
         lc = Fraction(lc)
         mult, scale = lc.numerator * dens, lc.denominator * dens
-    if mult != 1:
-        for col in cols.values():
-            col[:] = [v * mult if type(v) is int else (v * mult).numerator for v in col]
-    num = _factors(num, n)
-    den = _factors(den, n)
-    qnum = [f for f in num if not f[1]]
-    qden = [f for f in den if not f[1]]
+    # Each column is copied onto the window, q-exponents lo .. lo + n - 1.
+    cols: dict = {}
+    for z, col in s._c.items():
+        col = col[:n]
+        if mult != 1:
+            col = [v * mult if type(v) is int else (v * mult).numerator for v in col]
+        col += [0] * (n - len(col))
+        cols[z + lz] = col
+    fnum = _factors(num, n)
+    fden = _factors(den, n)
+    qnum = [f for f in fnum if not f[1]]
+    qden = [f for f in fden if not f[1]]
     if qnum or qden:
         for col in cols.values():
             _column_passes(col, qnum, qden)
-    znum = [f for f in num if f[1]]
-    zden = [f for f in den if f[1]]
-    if znum or zden:
-        data = _row_passes(cols, n, lo, znum, zden)
-    else:
-        data = {}
-        for z, col in cols.items():
-            for i, v in enumerate(col):
-                if v:
-                    data.setdefault(lo + i, {})[z] = v
-    if scale != 1:
-        for zd in data.values():
-            for z, v in zd.items():
-                zd[z] = _exact(Fraction(v, scale))
+    for c, a, e in fnum:
+        if a:
+            _z_pass(cols, n, c, a, e, False)
+    for c, a, e in fden:
+        if a:
+            _z_pass(cols, n, c, a, e, True)
     # Factors with rational coefficients may leave integral Fractions.
-    if any(type(f[0]) is not int for f in num) or any(type(f[0]) is not int for f in den):
-        _ints(data)
-    return QSeries(ctx, data, _trusted=True)
+    ints = all(type(r[0]) is int for r in num) and all(type(r[0]) is int for r in den)
+    if scale != 1:
+        for col in cols.values():
+            col[:] = [Fraction(v, scale) if v else 0 for v in col]
+        ints = False
+    return _new(ctx, lo, cols, ints)
 
 
 def _column_passes(a: list, num, den) -> None:
-    """Apply pure-q factors to one dense coefficient list, in place."""
+    """Apply pure-q factors to one column, in place, from its first nonzero entry f on."""
     n = len(a)
+    f = _lead(a)
     for c, _, e in num:
-        if not e:
-            a[:] = [x - c * x for x in a]
-            continue
-        for i in range(n - 1, e - 1, -1):
-            v = a[i - e]
-            if v:
-                a[i] -= c * v
+        a[f + e:] = _minus(a[f + e:], a[f:], c)
     for c, _, e in den:
-        for i in range(e, n):
+        for i in range(f + e, n):
             v = a[i - e]
             if v:
                 a[i] += c * v
 
 
-def _row_passes(cols: dict, n: int, lo: int, num, den) -> dict:
-    """Apply factors carrying z to z-Laurent rows (dicts), one per q-exponent."""
-    rows: list = [None] * n
-    for z, col in cols.items():
-        for i, v in enumerate(col):
-            if v:
-                row = rows[i]
-                if row is None:
-                    rows[i] = {z: v}
-                else:
-                    row[z] = v
-    for c, a, e in num:
-        if not e:
-            for i, row in enumerate(rows):
-                if row:
-                    rows[i] = _axpy(dict(row), row, -c, a)
-            continue
-        for i in range(n - 1, e - 1, -1):
-            src = rows[i - e]
-            if src:
-                rows[i] = _axpy(rows[i], src, -c, a)
-    for c, a, e in den:
-        for i in range(e, n):
-            src = rows[i - e]
-            if src:
-                rows[i] = _axpy(rows[i], src, c, a)
-    data: dict = {}
-    for i, row in enumerate(rows):
-        if row:
-            row = {z: v for z, v in row.items() if v}
-            if row:
-                data[lo + i] = row
-    return data
+def _z_pass(cols: dict, n: int, c, a: int, e: int, divide: bool) -> None:
+    """Apply 1 - c*z^a*q^e, or with divide its inverse (e > 0), to the columns in place.
+
+    The factor takes column z, shifted up by e, into column z + a, from the
+    first nonzero entry f of column z on, and a column whose f + e lies past
+    the window gives nothing. The factor subtracts c times the old column z,
+    so the columns are visited against the direction of a, each read before
+    it is written, whatever e. The divisor adds c times the new column z,
+    chained along a, so the columns are visited along a; a column the
+    divisor makes is continued at once, since only column z feeds z + a.
+    """
+    for z in sorted(cols, reverse=(a > 0) != divide):
+        while True:
+            src = cols[z]
+            f = _lead(src)
+            if f + e >= n:
+                break
+            col = cols.get(z + a)
+            made = col is None
+            if made:
+                col = cols[z + a] = [0] * n
+            col[f + e:] = _minus(col[f + e:], src[f:], -c if divide else c)
+            if not (divide and made):
+                break
+            z += a
 
 
-def _axpy(row, src: dict, c, a: int) -> dict:
-    """row + c * z^a * src, into row unless it is None; zeros are kept."""
-    if row is None:
-        return {z + a: c * v for z, v in src.items()}
-    get = row.get
-    for z, v in src.items():
-        row[z + a] = get(z + a, 0) + c * v
-    return row
+def _minus(x: list, y: list, c):
+    """x - c*y entrywise, over the length of x; c = +-1 runs at C speed."""
+    if c == 1:
+        return map(sub, x, y)
+    if c == -1:
+        return map(add, x, y)
+    return [u - c * v if v else u for u, v in zip(x, y)]
 
 
 def poch_finite(ctx: EvalContext, base, step: int, length: int) -> QSeries:
@@ -732,25 +789,32 @@ def _stepped(ctx: EvalContext, form):
 
 
 def retruncate(s: QSeries, ctx: EvalContext) -> QSeries:
-    """Restrict a series computed at a higher order back to ctx."""
+    """Restrict a series computed at a higher order back to ctx.
+
+    ctx has s's scale and z binding and an order no higher than s's;
+    anything else would relabel or invent terms, and raises
+    ContextMismatchError.
+    """
     if s.ctx == ctx:
         return s
-    data: dict[int, dict] = {}
-    for qe, ze, c in s.terms():
-        if qe <= ctx.order:
-            data.setdefault(qe, {})[ze] = c
-    return QSeries(ctx, data)
+    if (ctx.scale, ctx.z_interp) != (s.ctx.scale, s.ctx.z_interp) or ctx.order > s.ctx.order:
+        raise ContextMismatchError(f"cannot retruncate a series at {s.ctx} to {ctx}")
+    n = max(0, ctx.order - s._lo + 1)
+    return _new(ctx, s._lo, {z: col[:n] for z, col in s._c.items()}, s._int)
 
 
 def dilate(s: QSeries, m: int) -> QSeries:
     """Multiply every q-exponent by m (substitute q^(1/d) -> q^(m/d))."""
     if m < 1:
         raise ValueError("dilation factor must be >= 1")
+    keep = max(0, s.ctx.order // m - s._lo + 1)
     out = {}
-    for qe, zd in s._c.items():
-        if qe * m <= s.ctx.order:
-            out[qe * m] = dict(zd)
-    return QSeries(s.ctx, out, _trusted=True)
+    for z, col in s._c.items():
+        col = col[:keep]
+        if col:
+            out[z] = [0] * (m * len(col) - m + 1)
+            out[z][::m] = col
+    return _new(s.ctx, s._lo * m, out, s._int)
 
 
 # -- comparison and display -------------------------------------------------
@@ -760,14 +824,15 @@ def first_mismatch(a: QSeries, b: QSeries):
     """Lowest differing (qexp, zexp, coeff_a, coeff_b), or None if equal."""
     if a.ctx != b.ctx:
         raise ContextMismatchError(f"contexts differ: {a.ctx} vs {b.ctx}")
-    for qe in sorted(set(a._c) | set(b._c)):
-        za = a._c.get(qe, {})
-        zb = b._c.get(qe, {})
-        for ze in sorted(set(za) | set(zb)):
-            ca = za.get(ze, _ZERO)
-            cb = zb.get(ze, _ZERO)
-            if ca != cb:
-                return qe, ze, ca, cb
+    if a == b:
+        return None
+    ta = {(qe, ze): c for qe, ze, c in a.terms()}
+    tb = {(qe, ze): c for qe, ze, c in b.terms()}
+    for key in sorted(ta.keys() | tb.keys()):
+        ca = ta.get(key, _ZERO)
+        cb = tb.get(key, _ZERO)
+        if ca != cb:
+            return (*key, ca, cb)
     return None
 
 

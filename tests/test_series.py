@@ -26,7 +26,6 @@ from baileyforge import (
 )
 from baileyforge.dsl import evaluate_expr, parse_expr
 from baileyforge.series import (
-    _acc_into,
     _fold,
     _mul_raw,
     binomials,
@@ -173,33 +172,25 @@ class TestInvert:
 
 def geometric_inverse(s):
     """The series core's earlier inverse, kept as a reference: 1/(1+u) as
-    sum_k (-u)^k, one full truncated product per power of u."""
-    c = {}
-    for qe, ze, v in s.terms():
-        c.setdefault(qe, {})[ze] = v
-    m = min(c)
-    ((mz, mc),) = c[m].items()
+    sum_k (-u)^k, one full truncated product per power of u, on the term
+    lists of ``oracles``."""
+    c = todict(s)
+    m = min(qe for qe, _ in c)
+    ((mz, mc),) = [(ze, v) for (qe, ze), v in c.items() if qe == m]
     work = s.ctx.order + max(0, m)
-    shifted = {}
-    for qe, zd in c.items():
-        row = shifted.setdefault(qe - m, {})
-        for ze, v in zd.items():
-            if (qe - m, ze - mz) != (0, 0):
-                row[ze - mz] = F(v) / mc
-    shifted = {qe: zd for qe, zd in shifted.items() if zd}
-    out = {0: {0: F(1)}}
-    term = {0: {0: F(1)}}
+    shifted = {(qe - m, ze - mz): F(v) / mc for (qe, ze), v in c.items()
+               if (qe - m, ze - mz) != (0, 0)}
+    out = oracles.tl_one()
+    term = oracles.tl_one()
     for _ in range(work + 1):
-        term = _mul_raw(term, shifted, work)
+        term = oracles.tl_scale(oracles.tl_mul(term, shifted, work), -1)
         if not term:
             break
-        term = {qe: {ze: -v for ze, v in zd.items()} for qe, zd in term.items()}
-        _acc_into(out, term)
+        out = oracles.tl_add(out, term)
     res = {}
-    for qe, zd in out.items():
-        row = {ze - mz: F(v) / mc for ze, v in zd.items() if v}
-        if row and qe - m <= s.ctx.order:
-            res[qe - m] = row
+    for (qe, ze), v in out.items():
+        if qe - m <= s.ctx.order:
+            res.setdefault(qe - m, {})[ze - mz] = v / mc
     return QSeries(s.ctx, res)
 
 
@@ -754,3 +745,219 @@ class TestTrustedProducts:
         a, b = build(ta) * c, build(tb) + monomial(CTX20, c)
         assert coefficient_types(a * b) <= {int, F}
         assert all(type(v) is int for _, _, v in (a * b).terms() if v == int(v))
+
+
+class TestExactInputs:
+    def test_floats_are_refused(self):
+        # 0.1 would be stored as 3602879701896397/36028797018963968.
+        with pytest.raises(TypeError):
+            monomial(CTX20, 0.1)
+        with pytest.raises(TypeError):
+            QSeries(CTX20, {0: {0: 0.1}})
+        with pytest.raises(TypeError):
+            one(CTX20) * 0.5
+        with pytest.raises(TypeError):
+            times_binomials(one(CTX20), [(1, 0, 1, 1, 1)], (), (0.5, 0, 0))
+
+    def test_exact_inputs_still_pass(self):
+        assert todict(QSeries(CTX20, {0: {0: F(1, 10)}, 1: {0: 2}})) == {(0, 0): F(1, 10), (1, 0): 2}
+
+
+class TestRetruncate:
+    def test_a_higher_order_is_refused(self):
+        # At order 5, (q;q)_inf reads 1 - q - q^2 + q^5; at order 20 it has
+        # q^7, q^12, q^15, which the lower series never computed.
+        low = poch_infinite(EvalContext(order=5), (1, 0, 1), 1)
+        with pytest.raises(ContextMismatchError):
+            retruncate(low, CTX20)
+
+    def test_another_scale_or_z_binding_is_refused(self):
+        s = poch_infinite(CTX20, (1, 0, 1), 1)
+        with pytest.raises(ContextMismatchError):
+            retruncate(s, EvalContext(scale=2, order=20))
+        with pytest.raises(ContextMismatchError):
+            retruncate(s, EvalContext(order=10, z_interp=Monomial(1, 0)))
+
+    def test_a_lower_order_cuts(self):
+        s = poch_infinite(CTX20, (1, 0, 1), 1)
+        low = retruncate(s, EvalContext(order=5))
+        assert todict(low) == {(0, 0): 1, (1, 0): -1, (2, 0): -1, (5, 0): 1}
+        assert retruncate(s, CTX20) is s
+        assert retruncate(s, EvalContext(order=0)) == one(EvalContext(order=0))
+
+
+class TestZGuardPlaces:
+    """The guard reads each z-column once, wherever a table is made."""
+
+    def test_row_pass_past_the_cap(self):
+        # z^6 is within the cap 6 at order 20; 1 - z takes it to z^7.
+        with pytest.raises(ZDegreeError) as err:
+            times_binomials(monomial(CTX20, 1, 6, 0), [(1, 1, 0, 1, 1)])
+        assert str(err.value) == "z-exponent 7 at q-exponent 0 exceeds guard cap 6 (scale 1, order 20)"
+        # 1/(1 - z*q) = sum_k z^k q^k reaches z^7 at q^7.
+        with pytest.raises(ZDegreeError) as err:
+            times_binomials(one(CTX20), (), [(1, 1, 1, 1, 1)])
+        assert str(err.value) == "z-exponent 7 at q-exponent 7 exceeds guard cap 6 (scale 1, order 20)"
+
+    def test_mul_raw(self):
+        a = monomial(CTX20, 1, 4, 0) + monomial(CTX20, 1, 0, 1)
+        b = monomial(CTX20, 1, 3, 2)
+        with pytest.raises(ZDegreeError) as err:
+            _mul_raw(a, b)
+        assert str(err.value) == "z-exponent 7 at q-exponent 2 exceeds guard cap 6 (scale 1, order 20)"
+
+    def test_public_constructor(self):
+        with pytest.raises(ZDegreeError):
+            QSeries(CTX20, {3: {7: 1}})
+        with pytest.raises(ZDegreeError):
+            QSeries(CTX20, {3: {-7: 1}, 4: {0: 1}})
+        folded = EvalContext(order=20, z_interp=Monomial(1, 1))
+        with pytest.raises(ZDegreeError, match="survived monomial folding"):
+            QSeries(folded, {3: {1: 1}})
+        # A zero coefficient or a term above the order is no term.
+        assert QSeries(CTX20, {3: {9: 0}}).is_zero()
+        assert QSeries(CTX20, {21: {9: 1}}).is_zero()
+
+
+# Random tables against the term lists of ``oracles``: q-exponents below
+# q^0 and above the order, z-exponents up to the guard under formal z.
+_TL_ORDER = 10
+_tl_coeffs = st.sampled_from([1, -1, 2, -3, F(1, 2), F(-2, 3)])
+_tl_folds = st.one_of(st.none(), st.tuples(st.sampled_from([1, -1]), st.integers(0, 2)))
+
+
+@st.composite
+def _tables(draw, formal):
+    zs = st.integers(-2, 2) if formal else st.just(0)
+    entries = draw(st.lists(st.tuples(st.integers(-3, _TL_ORDER + 2), zs, _tl_coeffs), max_size=7))
+    tl = {}
+    for qe, ze, c in entries:
+        tl = oracles.tl_add(tl, oracles.tl_mono(c, ze, qe))
+    return tl
+
+
+def _tl_ctx(fold):
+    return EvalContext(order=_TL_ORDER, z_interp=None if fold is None else Monomial(*fold))
+
+
+def _series(ctx, tl):
+    data = {}
+    for (qe, ze), c in tl.items():
+        data.setdefault(qe, {})[ze] = c
+    return QSeries(ctx, data)
+
+
+def _cut(tl, order):
+    return {k: c for k, c in tl.items() if k[0] <= order}
+
+
+def _agrees(s, tl):
+    """s holds exactly the terms of tl up to its order, integral ones as ints."""
+    got = todict(s)
+    assert got == _cut(tl, s.ctx.order)
+    assert all(type(c) is int for c in got.values() if c.denominator == 1)
+    assert s.is_zero() == (not got)
+    assert s.min_exponent() == min((qe for qe, _ in got), default=None)
+
+
+def _binomial_tl(c, a, e):
+    return oracles.tl_add(oracles.tl_one(), oracles.tl_mono(-F(c), a, e))
+
+
+def _over_cap(tl, ctx):
+    return any(abs(ze) > ctx.z_cap for (qe, ze) in tl if qe <= ctx.order)
+
+
+class TestColumnLayoutAgainstTermLists:
+    """Every series operation on the column layout against ``oracles.tl_*``."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data(), _tl_folds, _tl_coeffs)
+    def test_ring_operations(self, data, fold, c):
+        ctx = _tl_ctx(fold)
+        ta = _cut(data.draw(_tables(fold is None)), ctx.order)
+        tb = _cut(data.draw(_tables(fold is None)), ctx.order)
+        a, b = _series(ctx, ta), _series(ctx, tb)
+        _agrees(a, ta)
+        _agrees(a + b, oracles.tl_add(ta, tb))
+        _agrees(a - b, oracles.tl_add(ta, oracles.tl_scale(tb, -1)))
+        _agrees(-a, oracles.tl_scale(ta, -1))
+        _agrees(a * c, oracles.tl_scale(ta, c))
+        _agrees(c * a + b * 0, oracles.tl_scale(ta, c))
+        prod = oracles.tl_mul(ta, tb, ctx.order)
+        if _over_cap(prod, ctx):
+            with pytest.raises(ZDegreeError):
+                a * b
+        else:
+            _agrees(a * b, prod)
+        # Total cancellation leaves the zero series.
+        assert a + (-a) == zero(ctx)
+        assert (a - a).is_zero()
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data(), _tl_folds)
+    def test_inspection_and_comparison(self, data, fold):
+        ctx = _tl_ctx(fold)
+        ta = _cut(data.draw(_tables(fold is None)), ctx.order)
+        tb = _cut(data.draw(_tables(fold is None)), ctx.order)
+        a, b = _series(ctx, ta), _series(ctx, tb)
+        assert list(a.terms()) == [(qe, ze, c) for (qe, ze), c in sorted(ta.items())]
+        for qe in range(-4, ctx.order + 2):
+            for ze in range(-3, 4):
+                assert a.coefficient(qe, ze) == ta.get((qe, ze), 0)
+                assert type(a.coefficient(qe, ze)) in (int, F)
+        bad = oracles.tl_cmp_upto(ta, tb, ctx.order)
+        want = None if not bad else (*bad[0][0], bad[0][1], bad[0][2])
+        assert first_mismatch(a, b) == want
+        assert (a == b) == (want is None)
+        for m in (1, 2, 3):
+            _agrees(dilate(a, m), {(qe * m, ze): c for (qe, ze), c in ta.items()})
+        for order in (ctx.order, 4, 0):
+            low = EvalContext(order=order, z_interp=ctx.z_interp)
+            if _over_cap(ta, low):
+                with pytest.raises(ZDegreeError):
+                    retruncate(a, low)
+            else:
+                _agrees(retruncate(a, low), ta)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data(), _tl_folds)
+    def test_invert(self, data, fold):
+        ctx = _tl_ctx(fold)
+        ta = _cut(data.draw(_tables(fold is None)), ctx.order)
+        assume(ta)
+        m = min(qe for qe, _ in ta)
+        assume(len([k for k in ta if k[0] == m]) == 1)
+        a = _series(ctx, ta)
+        # The reference reaches the order through a lead above q^0 when it
+        # works m above it.
+        want = oracles.tl_inv(ta, ctx.order + max(0, m))
+        if _over_cap(want, ctx):
+            with pytest.raises(ZDegreeError):
+                a.invert()
+        else:
+            _agrees(a.invert(), want)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), _tl_folds, _tl_coeffs, st.integers(0, 2))
+    def test_times_binomials(self, data, fold, lc, lq):
+        ctx = _tl_ctx(fold)
+        formal = fold is None
+        ta = _cut(data.draw(_tables(formal)), ctx.order)
+        zs = st.integers(-1, 1) if formal else st.just(0)
+        num = data.draw(st.lists(st.tuples(_tl_coeffs, zs, st.integers(0, 5)), max_size=3))
+        den = data.draw(st.lists(st.tuples(_tl_coeffs, zs, st.integers(1, 5)), max_size=3))
+        a = _series(ctx, ta)
+        m = min((qe for qe, _ in ta), default=0) + lq
+        work = ctx.order - min(0, m)
+        want = oracles.tl_mul(ta, oracles.tl_mono(lc, 0, lq), work)
+        for f in num:
+            want = oracles.tl_mul(want, _binomial_tl(*f), work)
+        for f in den:
+            want = oracles.tl_mul(want, oracles.tl_inv(_binomial_tl(*f), work), work)
+        runs = ([f + (1, 1) for f in num], [f + (1, 1) for f in den], (lc, 0, lq))
+        if _over_cap(want, ctx):
+            with pytest.raises(ZDegreeError):
+                times_binomials(a, *runs)
+        else:
+            _agrees(times_binomials(a, *runs), want)
