@@ -262,7 +262,7 @@ class QSeries:
     __radd__ = __add__
 
     def __neg__(self):
-        return _new(self.ctx, self._lo, {z: [-v for v in col] for z, col in self._c.items()}, self._int)
+        return self * -1
 
     def __sub__(self, other):
         return self._plus(other, -1)
