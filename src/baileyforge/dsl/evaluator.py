@@ -5,11 +5,15 @@ closures over an evaluation frame (``_St``). Integer expressions become
 closures over the bindings, a product becomes its flattened factor list
 with the index-free parts (scalars, constant product bases) resolved, and a
 sum becomes a loop that adds every term into one running sum in place,
-column by column (``series._Sum``). The plan is kept on the spec (``IdentitySpec.plans``), so every
-evaluation of a parsed spec, each sweep point and the validator's probe
-among them, reuses it. Lowering reads no binding and raises nothing: a name
-or a bad value in a branch that is never reached fails nowhere, and every
-error is raised where the term that causes it is evaluated.
+column by column (``series._Sum``). A sum's bound on its term's lowest
+exponent is lowered with it (``growth.lower_floor``, ``_Ray``), so a run
+substitutes the parameters' values and a query that repeats the last one
+reuses its last index. The plan is kept on the spec
+(``IdentitySpec.plans``), so every evaluation of a parsed spec, each sweep
+point and the validator's probe among them, reuses it. Lowering reads no
+binding and raises nothing: a name or a bad value in a branch that is never
+reached fails nowhere, and every error is raised where the term that causes
+it is evaluated.
 
 Within one evaluation a product reaches each term from its last one where
 its window does not grow and that is cheaper, applying only the factors
@@ -477,27 +481,47 @@ def _divisor_above(f, st: _St) -> QSeries:
 # -- summation loops ---------------------------------------------------------
 
 
-def _last(st: _St, body, start: int, subs, inner=(), bound=None):
+class _Ray:
+    """A sum's term bound along one ray, lowered with its plan, and its last answer.
+
+    floor is the ``growth.lower_floor`` closure; memo keeps the last query
+    (floor, exactness, order, cap) with its last index, so a repeated query
+    costs a comparison.
+    """
+
+    __slots__ = ("floor", "start", "memo")
+
+    def __init__(self, body, subs, scale: int, start: int = 0, inner=(), bound=None):
+        self.floor = growth.lower_floor(body, subs, scale, inner, bound)
+        self.start = start
+        self.memo = (None, None)
+
+
+def _zfold(ctx: EvalContext):
+    zi = ctx.z_interp
+    return None if zi is None else (zi.sign, zi.qexp)
+
+
+def _last(st: _St, ray: _Ray):
     """Certified last ray index of a sum, or None.
 
-    The sum's term at ray index t is bounded below as body is under the
-    substitutions subs, with ``inner`` names relaxed over [0, bound]
-    (``growth.ray_floor``). With one substitution and no inner name, an
-    exact bound (lower == upper) is every term's lowest exponent: one at or
-    below the order past hard_cap proves a term there, and the result is an
-    index past hard_cap.
+    The sum's term at ray index t is bounded below by the ray's floor. An
+    exact floor (one substitution, no inner name, lower == upper) is every
+    term's lowest exponent: one at or below the order past hard_cap proves a
+    term there, and the result is an index past hard_cap.
     """
-    zi = st.ctx.z_interp
-    zfold = None if zi is None else (zi.sign, zi.qexp)
-    floor = growth.ray_floor(body, subs, st.env, st.ctx.scale, zfold, inner, bound)
+    floor, exact = ray.floor(st.env, _zfold(st.ctx))
     if floor is None:
         return None
+    order = st.ctx.order
     cap = hard_cap(st.ctx)
-    last = growth.last_index(floor, start, st.ctx.order, cap)
-    if last is None and not inner and len(subs) == 1:
-        lower, upper = growth.term_bounds(body, subs[0], st.env, st.ctx.scale, zfold)
-        if lower == upper and growth.dips_past(floor, cap, st.ctx.order):
-            return cap + 1
+    query = (floor, exact, order, cap)
+    if ray.memo[0] == query:
+        return ray.memo[1]
+    last = growth.last_index(floor, ray.start, order, cap)
+    if last is None and exact and growth.dips_past(floor, cap, order):
+        last = cap + 1
+    ray.memo = (query, last)
     return last
 
 
@@ -542,6 +566,7 @@ def _chain_sum(node: ChainSum, scale: int):
     # Inner indices run over the box 0 <= n_i <= n_1.
     sub = {i: growth.mvar(i) for i in idxs[1:]}
     sub[idxs[0]] = RAY_T
+    ray = _Ray(node.body, (sub,), scale, 0, idxs[1:], RAY_T)
 
     def run(st: _St) -> QSeries:
         inner = st.binding()
@@ -563,7 +588,7 @@ def _chain_sum(node: ChainSum, scale: int):
             return acc.series(st.ctx)
 
         acc = _Sum()
-        _one_sided(st, emit, 0, 1, _last(st, node.body, 0, (sub,), idxs[1:], RAY_T), acc)
+        _one_sided(st, emit, 0, 1, _last(st, ray), acc)
         return acc.series(st.ctx)
 
     return run
@@ -572,6 +597,8 @@ def _chain_sum(node: ChainSum, scale: int):
 def _over_z(index: str, body, scale: int):
     """A sum over index in Z of body, one ray from 0 up and one from -1 down."""
     term = _compile(body, scale)
+    rays = [_Ray(body, ({index: t},), scale, start)
+            for start, t in ((0, RAY_T), (1, growth.mneg(RAY_T)))]
 
     def run(st: _St) -> QSeries:
         inner = st.binding()
@@ -581,9 +608,9 @@ def _over_z(index: str, body, scale: int):
             return term(inner)
 
         acc = _Sum()
-        for start, ray in ((0, RAY_T), (1, growth.mneg(RAY_T))):
-            last = _last(st, body, start, ({index: ray},))
-            _one_sided(st, emit, -start, -1 if start else 1, last, acc)
+        for ray in rays:
+            start = ray.start
+            _one_sided(st, emit, -start, -1 if start else 1, _last(st, ray), acc)
         return acc.series(st.ctx)
 
     return run
@@ -592,22 +619,16 @@ def _over_z(index: str, body, scale: int):
 def _range_sum(node: RangeSum, scale: int):
     body = _compile(node.body, scale)
     lo_of, hi_of = int_closure(node.lo), int_closure(node.hi)
-    floors: dict = {}
+    # The term's lower bound (``growth.lower_range``) skips the terms above
+    # the order, and the others come in the order in which it rises, so that
+    # a product's window does not grow from one term to the next
+    # (``_from_last``).
+    worth = growth.lower_range(node.body, node.index, scale)
 
     def run(st: _St) -> QSeries:
         lo = lo_of(st.env)
         hi = hi_of(st.env)
-        # The term's lower bound (``growth.free_floor``, per z binding)
-        # skips the terms above the order, and the others come in the order
-        # in which it rises, so that a product's window does not grow from
-        # one term to the next (``_from_last``).
-        zi = st.ctx.z_interp
-        zfold = None if zi is None else (zi.sign, zi.qexp)
-        if zfold not in floors:
-            floors[zfold] = growth.free_floor(node.body, scale, zfold)
-        values = None
-        if floors[zfold] is not None:
-            values = growth.range_values(floors[zfold], node.index, st.env, lo, hi, st.ctx.order)
+        values = worth(st.env, _zfold(st.ctx), lo, hi, st.ctx.order)
         inner = st.binding()
         acc = _Sum()
         for v in range(lo, hi + 1) if values is None else values:
@@ -633,6 +654,7 @@ def _hecke(node: Hecke, scale: int):
     width = growth.mmul(RAY_T, growth.mconst(Fraction(1, 2))) if half else RAY_T
     jv = growth.mvar(node.inner)
     subs = ({node.outer: RAY_T, node.inner: jv}, {node.outer: RAY_T, node.inner: growth.mneg(jv)})
+    ray = _Ray(body, subs, scale, 0, (node.inner,), width)
 
     def run(st: _St) -> QSeries:
         inner = st.binding()
@@ -648,7 +670,7 @@ def _hecke(node: Hecke, scale: int):
             return row.series(st.ctx)
 
         acc = _Sum()
-        _one_sided(st, emit_row, 0, 1, _last(st, body, 0, subs, (node.inner,), width), acc)
+        _one_sided(st, emit_row, 0, 1, _last(st, ray), acc)
         return acc.series(st.ctx)
 
     return run

@@ -1,32 +1,38 @@
 """Exponent-growth analysis for summation bodies.
 
-Integer expressions lower to polynomials in several variables (``mpoly``),
-and ``term_bounds`` bounds the lowest q-exponent of a summation term from
-below and, for a term that never vanishes, from above. Along one ray a
+Integer expressions expand to polynomials in several variables (``mpoly``),
+and ``lower_bounds`` bounds the lowest q-exponent of a summation term from
+below and, for a term that never vanishes, from above. A bound is lowered
+once against its substitution, the names a sum binds: exponents are
+expanded with the parameters kept as variables of their own, and product
+bases, steps and lengths become closures. A run substitutes the parameters'
+values, keeps the integer lift and vanishing checks of products, and
+combines the resulting small numeric polynomials. Along one ray a
 polynomial is read as its coefficient list (``ray_coeffs``). Two users
-share this:
+share this one derivation:
 
-* the evaluator turns the lower bound into a certified last index
-  (``ray_floor``, ``last_index``): every term past it truncates to zero at
-  the working order, so the sum stops there. A sum whose terms admit no
-  such bound keeps the evaluator's empty-run rule. A range sum skips the
-  terms above the order and visits the others as the bound rises
-  (``free_floor``, ``range_values``);
+* the evaluator lowers each sum's bound with its plan (``lower_floor``,
+  ``lower_range``) and turns it into a certified last index
+  (``last_index``): every term past it truncates to zero at the working
+  order, so the sum stops there. A sum whose terms admit no such bound
+  keeps the evaluator's empty-run rule. A range sum skips the terms above
+  the order and visits the others as the bound rises (``range_values``);
 * the validator reports a sum whose upper bound does not grow along a ray,
-  since its terms then never clear the window (``grows_both_ways``,
-  ``grows_forward``).
+  since its terms then never clear the window (``term_bounds``,
+  ``grows_both_ways``, ``grows_forward``).
 
 All arithmetic is exact (``Fraction``/``int``). Every polynomial variable is
 nonnegative: the ray index t of a sum (the backward ray of a two-sided sum
-substitutes n = -t with t >= 1), inner chain indices, range indices with a
-nonnegative lower end, the magnitude of a Hecke row's inner index, and in a
-``free_floor`` every name, which ``floor_along`` checks at its values.
+substitutes n = -t with t >= 1), inner chain indices, the magnitude of a
+range index (below 0 a range sum substitutes j = -j') and of a Hecke row's
+inner index. Parameters and outer indices are constants of any sign.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import chain
 
 from ..errors import PoleError, SeriesError, SpecError
 from ..series import _exact
@@ -34,7 +40,6 @@ from .nodes import (
     Add,
     Div,
     IAdd,
-    IBinom,
     IMul,
     INeg,
     IPow,
@@ -54,23 +59,23 @@ from .nodes import (
     Theta,
     ZPow,
     int_closure,
-    int_eval,
+    int_vars,
 )
 
-# Polynomials in several variables are dicts {monomial: Fraction}; a monomial
-# is a sorted tuple of (name, power) pairs and () is the constant monomial.
-# RAY names the ray variable t, a name no identifier can spell.
+# Polynomials in several variables are dicts {monomial: int or Fraction}; a
+# monomial is a sorted tuple of (name, power) pairs and () is the constant
+# monomial. No polynomial is changed once built, so an operation may return
+# an operand. RAY names the ray variable t, a name no identifier can spell.
 
 RAY = "@t"
 
 
 def mconst(v) -> dict:
-    v = Fraction(v)
     return {(): v} if v else {}
 
 
 def mvar(name: str) -> dict:
-    return {((name, 1),): Fraction(1)}
+    return {((name, 1),): 1}
 
 
 RAY_T = mvar(RAY)
@@ -85,6 +90,8 @@ def _put(out: dict, m, c):
 
 
 def madd(a: dict, b: dict) -> dict:
+    if not (a and b):
+        return a or b
     out = dict(a)
     for m, c in b.items():
         _put(out, m, c)
@@ -150,39 +157,25 @@ def relax(p: dict, name: str, bound: dict) -> dict:
     return out
 
 
-def mpoly(e, sub: dict, env: dict):
-    """Polynomial of an integer expression in several variables.
-
-    sub maps identifier names to polynomials; identifiers found in env are
-    constants; any other identifier makes the result None.
-    """
+def mpoly(e, sub: dict) -> dict:
+    """Polynomial of an integer expression; sub maps each of its names to a polynomial."""
     if isinstance(e, IntLit):
         return mconst(e.value)
     if isinstance(e, IVar):
-        if e.name in sub:
-            return sub[e.name]
-        if e.name in env:
-            return mconst(env[e.name])
-        return None
+        return sub[e.name]
     if isinstance(e, (IAdd, ISub, IMul)):
-        a, b = mpoly(e.left, sub, env), mpoly(e.right, sub, env)
-        if a is None or b is None:
-            return None
+        a, b = mpoly(e.left, sub), mpoly(e.right, sub)
         if isinstance(e, IAdd):
             return madd(a, b)
         if isinstance(e, ISub):
             return madd(a, mneg(b))
         return mmul(a, b)
-    if isinstance(e, (INeg, IPow, IBinom)):
-        a = mpoly(e.base if isinstance(e, IPow) else e.arg, sub, env)
-        if a is None:
-            return None
-        if isinstance(e, INeg):
-            return mneg(a)
-        if isinstance(e, IPow):
-            return mpow(a, e.power)
-        return mmul(mmul(a, madd(a, mconst(-1))), mconst(Fraction(1, 2)))
-    return None
+    a = mpoly(e.base if isinstance(e, IPow) else e.arg, sub)
+    if isinstance(e, INeg):
+        return mneg(a)
+    if isinstance(e, IPow):
+        return mpow(a, e.power)
+    return mmul(mmul(a, madd(a, mconst(-1))), mconst(Fraction(1, 2)))
 
 
 def ray_coeffs(p):
@@ -193,12 +186,12 @@ def ray_coeffs(p):
     """
     if p is None:
         return None
-    out = [Fraction(0)]
+    out = [0]
     for m, c in p.items():
         if len(m) > 1 or (m and m[0][0] != RAY):
             return None
         k = m[0][1] if m else 0
-        out.extend([Fraction(0)] * (k + 1 - len(out)))
+        out.extend([0] * (k + 1 - len(out)))
         out[k] = c
     return out
 
@@ -296,8 +289,17 @@ def base_closure(b, scale: int):
 
 
 # -- lowest-exponent bounds of summation terms -------------------------------
+#
+# A bound is lowered once against its substitution: the result is a closure
+# (env, zfold) -> (lower, upper) over the bindings and the z fold, whose
+# polynomials hold only the substituted variables.
 
 _UNKNOWN = (None, None)
+_ONE = mconst(1)
+
+
+def _unknown(env, zfold):
+    return _UNKNOWN
 
 
 def _plus(a, b):
@@ -312,68 +314,117 @@ def _times(a, k):
     return None if a is None else mmul(a, mconst(k))
 
 
-def _product_bounds(expr, sub: dict, env: dict, scale: int, zfold):
+def _lower_int(e, sub: dict):
+    """An integer expression as a closure from the bindings to its polynomial in sub's variables.
+
+    The expansion runs once, with every name outside sub a variable of its
+    own; a run substitutes those names' values, and gives None when one of
+    them is unbound.
+    """
+    names = int_vars(e) - sub.keys()
+    p = mpoly(e, {**sub, **{x: mvar(x) for x in names}})
+    if not names:
+        return lambda env: p
+    terms = [(tuple(x for x in m if x[0] not in names), c, tuple(x for x in m if x[0] in names))
+             for m, c in p.items()]
+    names = tuple(names)
+
+    def poly(env):
+        for x in names:
+            if x not in env:
+                return None
+        out: dict = {}
+        for m, c, free in terms:
+            for x, k in free:
+                c *= env[x] ** k
+            _put(out, m, c)
+        return out
+
+    return poly
+
+
+def _lower_product(expr, sub: dict, scale: int):
     # Only bases and steps fixed along the sum are certified: names bound by
     # the sum are taken out of env, so reading a base that uses one fails.
-    fixed = {k: v for k, v in env.items() if k not in sub}
-    try:
-        step = int_eval(expr.step, fixed)
-        triples = [base_closure(b, scale)(fixed) for b in expr.bases]
-    except KeyError:
-        return _moving_bounds(expr, sub, env, scale, zfold)
-    except SeriesError:
-        return _UNKNOWN
-    if step < 1:
-        return _UNKNOWN
-    # A length that moves with the sum counts every negative factor.
-    length = None
-    fixed = True
+    step_of = int_closure(expr.step)
+    fns = [base_closure(b, scale) for b in expr.bases]
+    length_of = None
     if isinstance(expr, Poch) and expr.length is not None:
-        lp = mpoly(expr.length, sub, env)
-        fixed = lp is not None and _is_const(lp)
-        if fixed:
-            length = int(lp.get((), 0))
-    lift = 0
-    vanishes = False
-    for c, ze, qe in triples:
-        if not c:
-            continue
-        if ze and zfold is None:
-            eff, folded = qe, None          # z stays formal: never 1 - q^0
-        elif ze:
-            eff = qe + ze * zfold[1]
-            folded = -c if zfold[0] == -1 and ze % 2 else c
-        else:
-            eff, folded = qe, c
-        k = 0
-        while eff + k * step < 0 and (length is None or k < length):
-            lift -= eff + k * step
-            k += 1
-        # A factor 1 - q^0 at some t < length makes the whole product vanish.
-        if (folded == 1 and eff <= 0 and eff % step == 0
-                and (length is None or -eff // step < length)):
-            vanishes = True
-    if vanishes:
-        return mconst(-lift), None
-    # A nonvanishing product of fixed length has lowest exponent exactly -lift.
-    return mconst(-lift), (mconst(-lift) if fixed else {})
+        length_of = _lower_int(expr.length, sub)
+    moving = _lower_moving(expr, sub, scale, length_of)
+
+    def product(env, zfold):
+        fixed = env
+        for k in sub:
+            if k in env:
+                fixed = {k: v for k, v in env.items() if k not in sub}
+                break
+        try:
+            step = step_of(fixed)
+            triples = [f(fixed) for f in fns]
+        except KeyError:
+            return moving(env, zfold)
+        except SeriesError:
+            return _UNKNOWN
+        if step < 1:
+            return _UNKNOWN
+        # A length that moves with the sum counts every negative factor.
+        length = None
+        constant = True
+        if length_of is not None:
+            lp = length_of(env)
+            constant = lp is not None and _is_const(lp)
+            if constant:
+                length = int(lp.get((), 0))
+        lift = 0
+        vanishes = False
+        for c, ze, qe in triples:
+            if not c:
+                continue
+            if ze and zfold is None:
+                eff, folded = qe, None          # z stays formal: never 1 - q^0
+            elif ze:
+                eff = qe + ze * zfold[1]
+                folded = -c if zfold[0] == -1 and ze % 2 else c
+            else:
+                eff, folded = qe, c
+            k = 0
+            while eff + k * step < 0 and (length is None or k < length):
+                lift -= eff + k * step
+                k += 1
+            # A factor 1 - q^0 at some t < length makes the whole product vanish.
+            if (folded == 1 and eff <= 0 and eff % step == 0
+                    and (length is None or -eff // step < length)):
+                vanishes = True
+        if vanishes:
+            return mconst(-lift), None
+        # A nonvanishing product of fixed length has lowest exponent exactly -lift.
+        return mconst(-lift), (mconst(-lift) if constant else {})
+
+    return product
 
 
-def _moving_bounds(expr, sub: dict, env: dict, scale: int, zfold):
+def _lower_moving(expr, sub: dict, scale: int, length_of):
     # A length-one product 1 - b whose base moves with the sum. If b has
     # exponent e, the factor has lowest exponent min(0, e), exact where e
     # keeps one sign; it vanishes only where e = 0 and b = 1.
-    if not isinstance(expr, Poch) or len(expr.bases) != 1 or expr.length is None:
-        return _UNKNOWN
+    if not isinstance(expr, Poch) or len(expr.bases) != 1 or length_of is None:
+        return _unknown
     b = expr.bases[0]
-    lo, up = term_bounds(b, sub, env, scale, zfold)
-    if lo is None or mpoly(expr.length, sub, env) != mconst(1):
-        return _UNKNOWN
-    rises, falls = (all(sign * c >= 0 for c in lo.values()) for sign in (1, -1))
-    nonzero = (rises or falls) and lo.get((), 0) != 0
-    if lo != up or not (nonzero or _coeff(b) not in (None, 1)):
-        return mmin({}, lo), None
-    return mmin({}, lo), (lo if falls else {})
+    base = lower_bounds(b, sub, scale)
+    unit = _coeff(b) in (None, 1)
+
+    def moving(env, zfold):
+        lo, up = base(env, zfold)
+        if lo is None or length_of(env) != _ONE:
+            return _UNKNOWN
+        rises, falls = (all(sign * c >= 0 for c in lo.values()) for sign in (1, -1))
+        nonzero = (rises or falls) and lo.get((), 0) != 0
+        if lo != up or not (nonzero or not unit):
+            return mmin({}, lo), None
+        return mmin({}, lo), (lo if falls else {})
+
+    return moving
 
 
 def _coeff(e):
@@ -403,123 +454,196 @@ def two_monomials(node):
     return Mul(left=node.left, right=poch)
 
 
-def term_bounds(expr, sub: dict, env: dict, scale: int, zfold):
-    """(lower, upper) polynomial bounds on the lowest q-exponent of expr.
+def _lower_range(expr: RangeSum, sub: dict, scale: int):
+    # The window splits at 0: j = j' over [0, hi] and, below 0, j = -j' over
+    # [1, -lo]; each part relaxes j' over [0, its width], and the bound is
+    # the lower of the two.
+    lo_of, hi_of = _lower_int(expr.lo, sub), _lower_int(expr.hi, sub)
+    j = mvar(expr.index)
+    up = lower_bounds(expr.body, {**sub, expr.index: j}, scale)
+    down = lower_bounds(expr.body, {**sub, expr.index: mneg(j)}, scale)
 
-    sub maps bound index names to polynomials in nonnegative variables; env
-    holds the fixed parameters; zfold is (sign, qexp) of a z binding, None
-    for formal z. ``lower`` is None when no bound is proven. ``upper`` is
-    None unless expr provably never vanishes: exactly then it may divide.
-    The lowest exponent of a product is the sum of its factors' lowest
-    exponents, and that of 1/D is minus that of D. A sum of two monomials is
-    the product ``two_monomials`` makes of it; any other sum takes the
-    coefficientwise minimum of its parts' lower bounds.
+    def range_sum(env, zfold):
+        lo_p, hi_p = lo_of(env), hi_of(env)
+        if lo_p is None or hi_p is None or any(c < 0 for c in hi_p.values()):
+            return _UNKNOWN
+        parts = [(up, hi_p)]
+        if not (_is_const(lo_p) and lo_p.get((), 0) >= 0):
+            if any(c > 0 for c in lo_p.values()):
+                return _UNKNOWN
+            parts.append((down, mneg(lo_p)))
+        out = None
+        for body, width in parts:
+            lo, _ = body(env, zfold)
+            if lo is None:
+                return _UNKNOWN
+            lo = relax(lo, expr.index, width)
+            out = lo if out is None else mmin(out, lo)
+        return out, None
+
+    return range_sum
+
+
+def lower_bounds(expr, sub: dict, scale: int):
+    """(lower, upper) polynomial bounds on the lowest q-exponent of expr, lowered once.
+
+    The result is a closure (env, zfold) -> (lower, upper). sub maps bound
+    index names to polynomials in nonnegative variables; env holds the fixed
+    parameters; zfold is (sign, qexp) of a z binding, None for formal z.
+    ``lower`` is None when no bound is proven. ``upper`` is None unless expr
+    provably never vanishes: exactly then it may divide. The lowest exponent
+    of a product is the sum of its factors' lowest exponents, and that of
+    1/D is minus that of D. A sum of two monomials is the product
+    ``two_monomials`` makes of it; any other sum takes the coefficientwise
+    minimum of its parts' lower bounds.
     """
     if isinstance(expr, Rational):
-        return {}, ({} if expr.value else None)
+        r = ({}, ({} if expr.value else None))
+        return lambda env, zfold: r
     if isinstance(expr, (NumPoly, QBinom)):
-        return {}, None
+        r = ({}, None)
+        return lambda env, zfold: r
     if isinstance(expr, QPow):
-        e = mconst(scale) if expr.exp is None else mpoly(expr.exp, sub, env)
-        return e, e
+        e = (lambda env: mconst(scale)) if expr.exp is None else _lower_int(expr.exp, sub)
+
+        def qpow(env, zfold):
+            p = e(env)
+            return p, p
+
+        return qpow
     if isinstance(expr, ZPow):
-        if zfold is None:
-            return {}, {}
-        e = mconst(1) if expr.exp is None else mpoly(expr.exp, sub, env)
-        e = _times(e, zfold[1])
-        return e, e
+        e = (lambda env: _ONE) if expr.exp is None else _lower_int(expr.exp, sub)
+
+        def zpow(env, zfold):
+            if zfold is None:
+                return {}, {}
+            p = _times(e(env), zfold[1])
+            return p, p
+
+        return zpow
     if isinstance(expr, Neg):
-        return term_bounds(expr.arg, sub, env, scale, zfold)
+        return lower_bounds(expr.arg, sub, scale)
     if isinstance(expr, (Mul, Div)):
-        alo, aup = term_bounds(expr.left, sub, env, scale, zfold)
-        blo, bup = term_bounds(expr.right, sub, env, scale, zfold)
+        a, b = lower_bounds(expr.left, sub, scale), lower_bounds(expr.right, sub, scale)
         if isinstance(expr, Mul):
-            return _plus(alo, blo), _plus(aup, bup)
-        return _minus(alo, bup), _minus(aup, blo)
+            def mul(env, zfold):
+                (alo, aup), (blo, bup) = a(env, zfold), b(env, zfold)
+                return _plus(alo, blo), _plus(aup, bup)
+
+            return mul
+
+        def div(env, zfold):
+            (alo, aup), (blo, bup) = a(env, zfold), b(env, zfold)
+            return _minus(alo, bup), _minus(aup, blo)
+
+        return div
     if isinstance(expr, (Add, Sub)):
         two = two_monomials(expr)
         if two is not None:
-            return term_bounds(two, sub, env, scale, zfold)
-        alo, _ = term_bounds(expr.left, sub, env, scale, zfold)
-        blo, _ = term_bounds(expr.right, sub, env, scale, zfold)
-        return (None if alo is None or blo is None else mmin(alo, blo)), None
+            return lower_bounds(two, sub, scale)
+        a, b = lower_bounds(expr.left, sub, scale), lower_bounds(expr.right, sub, scale)
+
+        def add(env, zfold):
+            alo, blo = a(env, zfold)[0], b(env, zfold)[0]
+            return (None if alo is None or blo is None else mmin(alo, blo)), None
+
+        return add
     if isinstance(expr, Pow):
-        e = mpoly(expr.exp, sub, env)
-        if e is None:
-            return _UNKNOWN
-        if _is_const(e):
-            k = int(e.get((), 0))
-            if k == 0:
-                return {}, {}
-            lo, up = term_bounds(expr.base, sub, env, scale, zfold)
-            return (_times(lo, k), _times(up, k)) if k > 0 else (_times(up, k), _times(lo, k))
-        # A power that moves with an index needs the base's exact lowest
-        # exponent, which a nonvanishing monomial has.
-        lo, up = term_bounds(expr.base, sub, env, scale, zfold)
-        if lo is None or lo != up:
-            return _UNKNOWN
-        x = mmul(e, lo)
-        return x, x
+        e, base = _lower_int(expr.exp, sub), lower_bounds(expr.base, sub, scale)
+
+        def power(env, zfold):
+            k = e(env)
+            if k is None:
+                return _UNKNOWN
+            if _is_const(k):
+                k = int(k.get((), 0))
+                if k == 0:
+                    return {}, {}
+                lo, up = base(env, zfold)
+                return (_times(lo, k), _times(up, k)) if k > 0 else (_times(up, k), _times(lo, k))
+            # A power that moves with an index needs the base's exact lowest
+            # exponent, which a nonvanishing monomial has.
+            lo, up = base(env, zfold)
+            if lo is None or lo != up:
+                return _UNKNOWN
+            x = mmul(k, lo)
+            return x, x
+
+        return power
     if isinstance(expr, (Poch, Theta)):
-        return _product_bounds(expr, sub, env, scale, zfold)
+        return _lower_product(expr, sub, scale)
     if isinstance(expr, RangeSum):
-        lo_p = mpoly(expr.lo, sub, env)
-        hi_p = mpoly(expr.hi, sub, env)
-        if (lo_p is None or hi_p is None or not _is_const(lo_p) or lo_p.get((), 0) < 0
-                or any(c < 0 for c in hi_p.values())):
-            return _UNKNOWN
-        inner = dict(sub)
-        inner[expr.index] = mvar(expr.index)
-        lo, _ = term_bounds(expr.body, inner, env, scale, zfold)
-        return (None if lo is None else relax(lo, expr.index, hi_p)), None
-    return _UNKNOWN
+        return _lower_range(expr, sub, scale)
+    return _unknown
 
 
-class _EveryName(dict):
-    """A substitution that reads every name as a variable of its own."""
-
-    def __contains__(self, name):
-        return True
-
-    def __missing__(self, name):
-        return mvar(name)
+def term_bounds(expr, sub: dict, env: dict, scale: int, zfold):
+    """``lower_bounds`` of expr, lowered and called once."""
+    return lower_bounds(expr, sub, scale)(env, zfold)
 
 
-def free_floor(body, scale: int, zfold):
-    """Lower bound on the lowest q-exponent of body as a polynomial in all its names.
+def lower_floor(body, subs, scale: int, inner=(), bound=None):
+    """A sum's term bound, lowered once: a closure (env, zfold) -> (floor, exact).
 
-    Every name is a variable of its own, so the bound holds wherever each
-    name is >= 0. None when no bound is proven.
+    floor bounds the lowest q-exponent of the sum's term from below, as ray
+    coefficients. Each substitution in subs puts the ray variable (``RAY_T``
+    or its negative) and the ``inner`` names into the body, and the bound is
+    the minimum over them; each inner name is relaxed over [0, bound]. floor
+    is None when no bound is proven. exact says that with one substitution
+    and no inner name the bound is also an upper bound: then it is every
+    term's lowest exponent.
     """
-    try:
-        return term_bounds(body, _EveryName(), {}, scale, zfold)[0]
-    except SeriesError:
-        return None
+    bounds = [lower_bounds(body, sub, scale) for sub in subs]
+    single = len(subs) == 1 and not inner
+
+    def floor(env, zfold):
+        out = None
+        for f in bounds:
+            lo, up = f(env, zfold)
+            if lo is None:
+                return None, False
+            out = lo if out is None else mmin(out, lo)
+        for name in inner:
+            out = relax(out, name, bound)
+        return ray_coeffs(out), single and lo == up
+
+    return floor
 
 
-def floor_along(floor, name: str, env: dict):
-    """A ``free_floor`` with every other name read from env, as ray coefficients in name.
+def lower_range(body, index: str, scale: int):
+    """A range sum's term bound, lowered once: a closure to the index values worth visiting.
 
-    None when another name is unbound or negative there.
+    The closure (env, zfold, lo, hi, order) gives the values of lo..hi at
+    which the term's floor is at most the order; at the others the term
+    truncates to zero. The nonnegative values come first, then the negative
+    ones, read along the mirrored ray j = -t; each part comes in the order in
+    which its floor rises from end to end (``range_values``). None when a
+    part's floor is unproven.
     """
-    out: dict = {}
-    for m, c in floor.items():
-        k = 0
-        for v, e in m:
-            if v == name:
-                k = e
-                continue
-            x = env.get(v)
-            if x is None or x < 0:
+    rises = lower_floor(body, ({index: RAY_T},), scale)
+    falls = lower_floor(body, ({index: mneg(RAY_T)},), scale)
+
+    def values(env, zfold, lo: int, hi: int, order: int):
+        parts = []
+        if hi >= max(lo, 0):
+            p = rises(env, zfold)[0]
+            if p is None:
                 return None
-            c *= x ** e
-        out[k] = out.get(k, 0) + c
-    return [out.get(k, 0) for k in range(max(out, default=0) + 1)]
+            parts += range_values(p, max(lo, 0), hi, order)
+        if lo < 0 and max(1, -hi) <= -lo:
+            p = falls(env, zfold)[0]
+            if p is None:
+                return None
+            parts += (range(-r.start, -r.stop, -r.step)
+                      for r in range_values(p, max(1, -hi), -lo, order))
+        return chain.from_iterable(parts)
+
+    return values
 
 
 def _over(p, order: int) -> list:
     """d * (p - order) for ray coefficients p: integer coefficients, the sign of p - order."""
-    d = math.lcm(*(Fraction(c).denominator for c in p))
+    d = math.lcm(*(c.denominator for c in p))
     q = [int(c * d) for c in p]
     q[0] -= order * d
     return q
@@ -530,41 +654,45 @@ def _past_roots(q) -> int:
     return 2 + (max(map(abs, q[:-1])) // abs(q[-1]) if len(q) > 1 else 0)
 
 
-def range_values(floor, name: str, env: dict, lo: int, hi: int, order: int):
-    """The values lo..hi of name at which the floor is at most the order.
+def _runs(q, a: int, b: int) -> list:
+    """The maximal runs (first, last) of integers of [a, b] at which q <= 0, ascending.
 
-    floor is a ``free_floor``; at the other values the term truncates to
-    zero. The values come in the order in which the floor rises from end to
-    end. None when the floor does not apply: lo < 0, or ``floor_along``
-    gives none.
+    q is given as ray coefficients. Between its turns (``_turns``) q is
+    monotone, so on each stretch those integers form a prefix or a suffix,
+    whose end is found by bisection: the cost does not grow with b - a.
     """
-    p = None if lo < 0 else floor_along(floor, name, env)
-    if p is None:
-        return None
+    runs: list = []
+    cuts = _turns(q, a, b)
+    for lo, hi in zip(cuts, cuts[1:] or cuts):
+        at_lo, at_hi = ray_value(q, lo) <= 0, ray_value(q, hi) <= 0
+        if not (at_lo or at_hi):
+            continue
+        first, last = lo, hi
+        if at_lo != at_hi:
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                lo, hi = (mid, hi) if (ray_value(q, mid) <= 0) == at_lo else (lo, mid)
+            first, last = (first, lo) if at_lo else (hi, last)
+        if runs and first <= runs[-1][1] + 1:
+            runs[-1] = (runs[-1][0], max(runs[-1][1], last))
+        else:
+            runs.append((first, last))
+    return runs
+
+
+def range_values(p, a: int, b: int, order: int) -> list:
+    """The integers of [a, b] at which ray coefficients p are at most the order, as ranges.
+
+    They come in the order in which p rises from end to end: from a up, or
+    from b down when p(b) < p(a) (``_runs``).
+    """
+    if b < a:
+        return []
     q = _over(p, order)
-    values = range(lo, hi + 1)
-    if ray_value(q, hi) < ray_value(q, lo):
-        values = reversed(values)
-    return [v for v in values if ray_value(q, v) <= 0]
-
-
-def ray_floor(body, subs, env: dict, scale: int, zfold, inner=(), bound=None):
-    """Lower bound, as ray coefficients, on the lowest q-exponent of a sum's term.
-
-    Each substitution in subs puts the ray variable (``RAY_T`` or its
-    negative) and the ``inner`` names into the body, and the bound is the
-    minimum over them; each inner name is relaxed over [0, bound]. None when
-    no bound is proven.
-    """
-    floor = None
-    for sub in subs:
-        lo, _ = term_bounds(body, sub, env, scale, zfold)
-        if lo is None:
-            return None
-        floor = lo if floor is None else mmin(floor, lo)
-    for name in inner:
-        floor = relax(floor, name, bound)
-    return ray_coeffs(floor)
+    runs = _runs(q, a, b)
+    if ray_value(q, b) < ray_value(q, a):
+        return [range(y, x - 1, -1) for x, y in reversed(runs)]
+    return [range(x, y + 1) for x, y in runs]
 
 
 def last_index(p, start: int, order: int, cap: int):
@@ -574,28 +702,18 @@ def last_index(p, start: int, order: int, cap: int):
     lowest q-exponent of the term at ray index t from below.
     The result is the largest t >= start with p(t) <= order (start - 1 when
     there is none): every later term truncates to zero. Past Cauchy's bound
-    on the roots of p - order, p > order; up to there p is monotone between
-    its turns (``_turns``), and the last t of each stretch with p(t) <=
-    order is found by bisection. None when p has degree 0 or a leading
-    coefficient <= 0, and when that t lies past cap: a lower bound at or
-    below the order past the cap does not prove a term is nonzero there, so
-    such a sum is left to the caller's empty-run rule.
+    on the roots of p - order, p > order; up to there the values with
+    p(t) <= order are found between the turns of p (``_runs``). None when p
+    has degree 0 or a leading coefficient <= 0, and when that t lies past
+    cap: a lower bound at or below the order past the cap does not prove a
+    term is nonzero there, so such a sum is left to the caller's empty-run
+    rule.
     """
     if len(p) < 2 or p[-1] <= 0:
         return None
     q = _over(p, order)
-    top = max(start, _past_roots(q))
-    last = start - 1
-    cuts = _turns(q, start, top)
-    for lo, hi in zip(cuts, cuts[1:] or cuts):
-        # On [lo, hi] q is monotone: find its last integer with q <= 0.
-        if ray_value(q, hi) <= 0:
-            last = max(last, hi)
-        elif ray_value(q, lo) <= 0:
-            while hi - lo > 1:
-                mid = (lo + hi) // 2
-                lo, hi = (mid, hi) if ray_value(q, mid) <= 0 else (lo, mid)
-            last = max(last, lo)
+    runs = _runs(q, start, max(start, _past_roots(q)))
+    last = runs[-1][1] if runs else start - 1
     return None if last > cap else last
 
 

@@ -1,11 +1,14 @@
 """Independent reference computations used to freeze expected test values.
 
 Arithmetic here runs on flat {(qexp, zexp): Fraction} dicts with explicit
-loops. Nothing imports the package under test, so these results are an
-independent check on it, not a restatement of it.
+loops. Nothing but the term-bound reference at the end imports the package,
+and that imports only the parser's node classes to read syntax trees, so
+these results are an independent check on it, not a restatement of it.
 """
 
 from fractions import Fraction
+
+from baileyforge.dsl import nodes as N
 
 # Term-list arithmetic. Keys are (qexp, zexp) with qexp in scaled units.
 
@@ -217,3 +220,354 @@ def fmt(tl):
     """Render a term dict as sorted python-literal text for freezing."""
     items = sorted(tl.items())
     return "{" + ", ".join(f"({q}, {z}): F({c})" for (q, z), c in items) + "}"
+
+
+# -- term-bound reference ------------------------------------------------------
+#
+# A port of the package's lowest-exponent bounds as they stood before they
+# were lowered once per plan: every call walks the syntax tree against the
+# bindings, with polynomials as {monomial: Fraction} dicts whose monomials are
+# sorted ((name, power), ...) tuples. The one change from that code is the
+# range sum with a negative lower end, split at 0 with j = -j' mirrored over
+# [1, -lo]. Tests compare the lowered bounds against it.
+
+REF_RAY = "@t"
+
+
+def ref_const(v):
+    v = Fraction(v)
+    return {(): v} if v else {}
+
+
+def ref_var(name):
+    return {((name, 1),): Fraction(1)}
+
+
+def _ref_put(out, m, c):
+    s = out.get(m, 0) + c
+    if s:
+        out[m] = s
+    else:
+        out.pop(m, None)
+
+
+def ref_add(a, b):
+    out = dict(a)
+    for m, c in b.items():
+        _ref_put(out, m, c)
+    return out
+
+
+def ref_neg(a):
+    return {m: -c for m, c in a.items()}
+
+
+def ref_mul(a, b):
+    out = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            powers = dict(m1)
+            for v, k in m2:
+                powers[v] = powers.get(v, 0) + k
+            _ref_put(out, tuple(sorted(powers.items())), c1 * c2)
+    return out
+
+
+def _ref_pow(a, k):
+    out = ref_const(1)
+    for _ in range(k):
+        out = ref_mul(out, a)
+    return out
+
+
+def _ref_min(a, b):
+    out = {}
+    for m in a.keys() | b.keys():
+        _ref_put(out, m, min(a.get(m, 0), b.get(m, 0)))
+    return out
+
+
+def _ref_relax(p, name, bound):
+    out = {}
+    for m, c in p.items():
+        k = dict(m).get(name, 0)
+        if not k:
+            _ref_put(out, m, c)
+        elif c < 0:
+            rest = {tuple(x for x in m if x[0] != name): c}
+            for mm, cc in ref_mul(rest, _ref_pow(bound, k)).items():
+                _ref_put(out, mm, cc)
+    return out
+
+
+def _ref_mpoly(e, sub, env):
+    if isinstance(e, N.IntLit):
+        return ref_const(e.value)
+    if isinstance(e, N.IVar):
+        if e.name in sub:
+            return sub[e.name]
+        if e.name in env:
+            return ref_const(env[e.name])
+        return None
+    if isinstance(e, (N.IAdd, N.ISub, N.IMul)):
+        a, b = _ref_mpoly(e.left, sub, env), _ref_mpoly(e.right, sub, env)
+        if a is None or b is None:
+            return None
+        if isinstance(e, N.IAdd):
+            return ref_add(a, b)
+        if isinstance(e, N.ISub):
+            return ref_add(a, ref_neg(b))
+        return ref_mul(a, b)
+    a = _ref_mpoly(e.base if isinstance(e, N.IPow) else e.arg, sub, env)
+    if a is None:
+        return None
+    if isinstance(e, N.INeg):
+        return ref_neg(a)
+    if isinstance(e, N.IPow):
+        return _ref_pow(a, e.power)
+    return ref_mul(ref_mul(a, ref_add(a, ref_const(-1))), ref_const(Fraction(1, 2)))
+
+
+def _ref_int(e, env):
+    """int_eval: KeyError for an unbound name."""
+    if isinstance(e, N.IntLit):
+        return e.value
+    if isinstance(e, N.IVar):
+        return env[e.name]
+    if isinstance(e, N.IAdd):
+        return _ref_int(e.left, env) + _ref_int(e.right, env)
+    if isinstance(e, N.ISub):
+        return _ref_int(e.left, env) - _ref_int(e.right, env)
+    if isinstance(e, N.IMul):
+        return _ref_int(e.left, env) * _ref_int(e.right, env)
+    if isinstance(e, N.INeg):
+        return -_ref_int(e.arg, env)
+    if isinstance(e, N.IPow):
+        return _ref_int(e.base, env) ** e.power
+    v = _ref_int(e.arg, env)
+    return v * (v - 1) // 2
+
+
+class _RefUnknown(Exception):
+    """A product base that is no single monomial, or a zero divisor in one."""
+
+
+def _ref_base(b, scale, env):
+    """(coeff, zexp, qexp) of a product base read structurally; KeyError for an unbound name."""
+    if isinstance(b, N.Rational):
+        return Fraction(b.value), 0, 0
+    if isinstance(b, N.NumPoly):
+        return Fraction(_ref_int(b.poly, env)), 0, 0
+    if isinstance(b, N.QPow):
+        return Fraction(1), 0, scale if b.exp is None else _ref_int(b.exp, env)
+    if isinstance(b, N.ZPow):
+        return Fraction(1), 1 if b.exp is None else _ref_int(b.exp, env), 0
+    if isinstance(b, N.Neg):
+        c, ze, qe = _ref_base(b.arg, scale, env)
+        return -c, ze, qe
+    if isinstance(b, (N.Mul, N.Div)):
+        (c1, z1, q1), (c2, z2, q2) = _ref_base(b.left, scale, env), _ref_base(b.right, scale, env)
+        if isinstance(b, N.Mul):
+            return c1 * c2, z1 + z2, q1 + q2
+        if not c2:
+            raise _RefUnknown
+        return c1 / c2, z1 - z2, q1 - q2
+    if isinstance(b, N.Pow):
+        p = _ref_int(b.exp, env)
+        c, ze, qe = _ref_base(b.base, scale, env)
+        if not c:
+            if p < 0:
+                raise _RefUnknown
+            return (Fraction(1), 0, 0) if p == 0 else (Fraction(0), 0, 0)
+        return c ** p, ze * p, qe * p
+    raise _RefUnknown
+
+
+_REF_UNKNOWN = (None, None)
+
+
+def _ref_plus(a, b):
+    return None if a is None or b is None else ref_add(a, b)
+
+
+def _ref_minus(a, b):
+    return None if a is None or b is None else ref_add(a, ref_neg(b))
+
+
+def _ref_times(a, k):
+    return None if a is None else ref_mul(a, ref_const(k))
+
+
+def _ref_product(expr, sub, env, scale, zfold):
+    fixed = {k: v for k, v in env.items() if k not in sub}
+    try:
+        step = _ref_int(expr.step, fixed)
+        triples = [_ref_base(b, scale, fixed) for b in expr.bases]
+    except KeyError:
+        return _ref_moving(expr, sub, env, scale, zfold)
+    except _RefUnknown:
+        return _REF_UNKNOWN
+    if step < 1:
+        return _REF_UNKNOWN
+    length = None
+    constant = True
+    if isinstance(expr, N.Poch) and expr.length is not None:
+        lp = _ref_mpoly(expr.length, sub, env)
+        constant = lp is not None and lp.keys() <= {()}
+        if constant:
+            length = int(lp.get((), 0))
+    lift = 0
+    vanishes = False
+    for c, ze, qe in triples:
+        if not c:
+            continue
+        if ze and zfold is None:
+            eff, folded = qe, None
+        elif ze:
+            eff = qe + ze * zfold[1]
+            folded = -c if zfold[0] == -1 and ze % 2 else c
+        else:
+            eff, folded = qe, c
+        k = 0
+        while eff + k * step < 0 and (length is None or k < length):
+            lift -= eff + k * step
+            k += 1
+        if (folded == 1 and eff <= 0 and eff % step == 0
+                and (length is None or -eff // step < length)):
+            vanishes = True
+    if vanishes:
+        return ref_const(-lift), None
+    return ref_const(-lift), (ref_const(-lift) if constant else {})
+
+
+def _ref_moving(expr, sub, env, scale, zfold):
+    if not isinstance(expr, N.Poch) or len(expr.bases) != 1 or expr.length is None:
+        return _REF_UNKNOWN
+    b = expr.bases[0]
+    lo, up = ref_term_bounds(b, sub, env, scale, zfold)
+    if lo is None or _ref_mpoly(expr.length, sub, env) != ref_const(1):
+        return _REF_UNKNOWN
+    rises, falls = (all(sign * c >= 0 for c in lo.values()) for sign in (1, -1))
+    nonzero = (rises or falls) and lo.get((), 0) != 0
+    if lo != up or not (nonzero or _ref_coeff(b) not in (None, 1)):
+        return _ref_min({}, lo), None
+    return _ref_min({}, lo), (lo if falls else {})
+
+
+def _ref_coeff(e):
+    if isinstance(e, N.Rational):
+        return e.value or None
+    if isinstance(e, N.QPow):
+        return Fraction(1)
+    if isinstance(e, N.Neg):
+        c = _ref_coeff(e.arg)
+        return None if c is None else -c
+    if isinstance(e, (N.Mul, N.Div)):
+        c1, c2 = _ref_coeff(e.left), _ref_coeff(e.right)
+        if c1 is None or c2 is None:
+            return None
+        return c1 * c2 if isinstance(e, N.Mul) else c1 / c2
+    return None
+
+
+def ref_term_bounds(expr, sub, env, scale, zfold):
+    """(lower, upper) bounds on the lowest q-exponent of expr, walked afresh on every call."""
+    if isinstance(expr, N.Rational):
+        return {}, ({} if expr.value else None)
+    if isinstance(expr, (N.NumPoly, N.QBinom)):
+        return {}, None
+    if isinstance(expr, N.QPow):
+        e = ref_const(scale) if expr.exp is None else _ref_mpoly(expr.exp, sub, env)
+        return e, e
+    if isinstance(expr, N.ZPow):
+        if zfold is None:
+            return {}, {}
+        e = ref_const(1) if expr.exp is None else _ref_mpoly(expr.exp, sub, env)
+        e = _ref_times(e, zfold[1])
+        return e, e
+    if isinstance(expr, N.Neg):
+        return ref_term_bounds(expr.arg, sub, env, scale, zfold)
+    if isinstance(expr, (N.Mul, N.Div)):
+        alo, aup = ref_term_bounds(expr.left, sub, env, scale, zfold)
+        blo, bup = ref_term_bounds(expr.right, sub, env, scale, zfold)
+        if isinstance(expr, N.Mul):
+            return _ref_plus(alo, blo), _ref_plus(aup, bup)
+        return _ref_minus(alo, bup), _ref_minus(aup, blo)
+    if isinstance(expr, (N.Add, N.Sub)):
+        if None not in (_ref_coeff(expr.left), _ref_coeff(expr.right)):
+            # m1 +- m2 is m1 * (-+m2/m1; q)_1.
+            base = N.Div(left=expr.right, right=expr.left)
+            one = N.IntLit(value=1)
+            poch = N.Poch(bases=(N.Neg(arg=base) if isinstance(expr, N.Add) else base,),
+                          step=one, length=one)
+            return ref_term_bounds(N.Mul(left=expr.left, right=poch), sub, env, scale, zfold)
+        alo, _ = ref_term_bounds(expr.left, sub, env, scale, zfold)
+        blo, _ = ref_term_bounds(expr.right, sub, env, scale, zfold)
+        return (None if alo is None or blo is None else _ref_min(alo, blo)), None
+    if isinstance(expr, N.Pow):
+        e = _ref_mpoly(expr.exp, sub, env)
+        if e is None:
+            return _REF_UNKNOWN
+        if e.keys() <= {()}:
+            k = int(e.get((), 0))
+            if k == 0:
+                return {}, {}
+            lo, up = ref_term_bounds(expr.base, sub, env, scale, zfold)
+            if k > 0:
+                return _ref_times(lo, k), _ref_times(up, k)
+            return _ref_times(up, k), _ref_times(lo, k)
+        lo, up = ref_term_bounds(expr.base, sub, env, scale, zfold)
+        if lo is None or lo != up:
+            return _REF_UNKNOWN
+        x = ref_mul(e, lo)
+        return x, x
+    if isinstance(expr, (N.Poch, N.Theta)):
+        return _ref_product(expr, sub, env, scale, zfold)
+    if isinstance(expr, N.RangeSum):
+        lo_p = _ref_mpoly(expr.lo, sub, env)
+        hi_p = _ref_mpoly(expr.hi, sub, env)
+        if lo_p is None or hi_p is None or any(c < 0 for c in hi_p.values()):
+            return _REF_UNKNOWN
+        j = ref_var(expr.index)
+        parts = [(j, hi_p)]
+        if not (lo_p.keys() <= {()} and lo_p.get((), 0) >= 0):
+            if any(c > 0 for c in lo_p.values()):
+                return _REF_UNKNOWN
+            parts.append((ref_neg(j), ref_neg(lo_p)))
+        out = None
+        for value, width in parts:
+            inner = dict(sub)
+            inner[expr.index] = value
+            lo, _ = ref_term_bounds(expr.body, inner, env, scale, zfold)
+            if lo is None:
+                return _REF_UNKNOWN
+            lo = _ref_relax(lo, expr.index, width)
+            out = lo if out is None else _ref_min(out, lo)
+        return out, None
+    return _REF_UNKNOWN
+
+
+def ref_ray_coeffs(p):
+    if p is None:
+        return None
+    out = [Fraction(0)]
+    for m, c in p.items():
+        if len(m) > 1 or (m and m[0][0] != REF_RAY):
+            return None
+        k = m[0][1] if m else 0
+        out.extend([Fraction(0)] * (k + 1 - len(out)))
+        out[k] = c
+    return out
+
+
+def ref_ray_floor(body, subs, env, scale, zfold, inner=(), bound=None):
+    """Minimum over subs of the body's lower bound, inner names relaxed over [0, bound]."""
+    floor = None
+    for sub in subs:
+        lo, _ = ref_term_bounds(body, sub, env, scale, zfold)
+        if lo is None:
+            return None
+        floor = lo if floor is None else _ref_min(floor, lo)
+    for name in inner:
+        floor = _ref_relax(floor, name, bound)
+    return ref_ray_coeffs(floor)

@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, reject, settings, strategies as st
 
 import baileyforge.dsl.evaluator
+import baileyforge.dsl.growth
+import baileyforge.dsl.validator
 import baileyforge.oracle
 import baileyforge.series
 import oracles
@@ -26,12 +28,18 @@ from baileyforge.dsl import (
     pretty_print_expr,
     validate,
 )
+from baileyforge.dsl.evaluator import bindings_env
 from baileyforge.dsl.growth import (
+    RAY_T,
     dips_past,
-    floor_along,
-    free_floor,
     last_index,
+    lower_bounds,
+    lower_floor,
+    mconst,
+    mmul,
+    mneg,
     mvar,
+    range_values,
     ray_value,
     term_bounds,
 )
@@ -640,12 +648,12 @@ class TestTermsFromTheLast:
         ("q^(3*n - 2*j) / poch(q; q, j)", {"n": 4}, [12, -2]),
         ("poch(z, q^(4) / z; q^(4), j) * q^(2*j) / (1 + q^(4*j))", {}, [0, 2]),
         ("q^((j - 3)^2)", {}, [9, -6, 1]),
-        # A negative name voids the bound, which holds for names >= 0.
-        ("q^(3*n - 2*j)", {"n": -1}, None),
+        # A bound name is a constant of either sign.
+        ("q^(3*n - 2*j)", {"n": -1}, [-3, -2]),
     ])
     def test_floor_along(self, body, env, want):
-        floor = free_floor(parse_expr(body), 1, None)
-        assert floor_along(floor, "j", env) == want
+        floor = lower_floor(parse_expr(body), ({"j": RAY_T},), 1)
+        assert floor(env, None) == (want, True)
 
     def test_range_terms_above_the_order_are_skipped(self, monkeypatch):
         # by hand: q^(3n - 2j) <= 6 needs j >= (3n - 6)/2, so row n = 4 reads
@@ -895,6 +903,233 @@ class TestSummationLimits:
     def test_oracle_sees_the_late_terms(self, tmp_path):
         report = self.verify_source(tmp_path, self.LATE, use_oracle=True)
         assert report.status == "pass", report.detail
+
+
+# Generated bodies for the bound tests. n is the ray index and k an inner
+# index wherever a shape binds them, a and b are parameters (b sometimes
+# unbound), and j is a range index or, outside a range sum, an unbound name.
+_INAMES = ("n", "k", "a", "b", "j")
+_IEXPRS = st.recursive(
+    st.one_of(st.integers(-3, 4).map(str), st.sampled_from(_INAMES)),
+    lambda c: st.one_of(
+        st.builds(lambda x, y, op: f"({x}) {op} ({y})", c, c, st.sampled_from("+-*")),
+        st.builds(lambda x: f"({x})^2", c),
+        st.builds(lambda x: f"binom({x}, 2)", c),
+        st.builds(lambda x: f"-({x})", c),
+    ),
+    max_leaves=3,
+)
+_BOUND_BASES = st.builds(
+    lambda form, e: form.format(e=e),
+    st.sampled_from(["q^({e})", "-q^({e})", "2*q^({e})", "z*q^({e})", "q^({e})/z",
+                     "z^({e})", "(2*q^({e}))^(a)", "q^({e}) * q^(n)", "q", "z", "0"]),
+    _IEXPRS,
+)
+_BOUND_LENGTHS = st.one_of(st.none(), _IEXPRS, st.sampled_from(["n", "1", "a", "n - k"]))
+_BOUND_PRODUCTS = st.builds(
+    lambda bases, step, length, theta: (
+        f"theta({', '.join(bases)}; q^({step}))" if theta or length is None
+        else f"poch({', '.join(bases)}; q^({step}), {length})"),
+    st.lists(_BOUND_BASES, min_size=1, max_size=2),
+    st.one_of(st.sampled_from(["1", "2", "a", "a + 1"]), _IEXPRS),
+    _BOUND_LENGTHS, st.booleans(),
+)
+_BOUND_LEAVES = st.one_of(
+    _IEXPRS.map(lambda e: f"q^({e})"),
+    _IEXPRS.map(lambda e: f"z^({e})"),
+    st.sampled_from(["q", "z", "2", "0", "-1/2"]),
+    _IEXPRS.map(lambda e: f"num({e})"),
+    st.builds(lambda x, y: f"qbinom({x}, {y})", _IEXPRS, _IEXPRS),
+    _BOUND_PRODUCTS,
+    # Two-monomial factors.
+    st.builds(lambda c, x, op, y: f"({c}*q^({x}) {op} q^({y}))",
+              st.sampled_from(["1", "2", "-1"]), _IEXPRS, st.sampled_from("+-"), _IEXPRS),
+    _IEXPRS.map(lambda e: f"(1 - q^({e}))"),
+)
+_BOUND_BODIES = st.recursive(
+    _BOUND_LEAVES,
+    lambda c: st.one_of(
+        st.builds(lambda x, y: f"({x}) * ({y})", c, c),
+        st.builds(lambda x, y: f"({x}) / ({y})", c, c),
+        st.builds(lambda x, y, op: f"({x}) {op} ({y})", c, c, st.sampled_from("+-")),
+        st.builds(lambda x: f"-({x})", c),
+        # A power that may move with the ray index.
+        st.builds(lambda x, e: f"({x})^({e})", c, _IEXPRS),
+        st.builds(lambda lo, hi, x: f"sum(j in {lo}..{hi}, {x})",
+                  st.sampled_from(["0", "1", "-n", "-a", "-2", "a", "n - 3", "-n - k"]),
+                  st.sampled_from(["n", "a", "3", "-1", "n + a", "k"]), c),
+    ),
+    max_leaves=4,
+)
+_HALF = mmul(RAY_T, mconst(F(1, 2)))
+_SHAPES = [
+    # (subs, inner, bound) as the evaluator lowers them: one ray, both rays
+    # of a two-sided sum, a chain with an inner index, a Hecke row.
+    (({"n": RAY_T},), (), None),
+    (({"n": mneg(RAY_T)},), (), None),
+    (({"n": RAY_T, "k": mvar("k")},), ("k",), RAY_T),
+    (({"n": RAY_T, "k": mvar("k")}, {"n": RAY_T, "k": mneg(mvar("k"))}), ("k",), _HALF),
+]
+_BOUND_ENVS = st.fixed_dictionaries(
+    {"a": st.integers(-2, 3)}, optional={"b": st.integers(-1, 2), "n": st.integers(0, 3)})
+_ZFOLDS = st.one_of(st.none(), st.tuples(st.sampled_from([1, -1]), st.integers(-2, 2)))
+
+
+class TestLoweredBounds:
+    """Each sum's bound is lowered once with its plan and matches the walked reference."""
+
+    @pytest.mark.parametrize("src,last", [
+        # by hand: every row j in -n..n starts at q^(n^2), which is <= 20 up to n = 4.
+        ("sum(n >= 0, q^(n^2) * sum(j in -n..n, q^(j^2)))", 4),
+        # The generic side of test_hecke_recognized_equals_generic: along j = -j'
+        # the exponent n^2 - binom(-j', 2) is at least n^2/2 - n/2, <= 20 up to n = 6.
+        ("sum(n >= 0, sum(j in -n..n, (-1)^(j) * z^(j) * q^(n*n - binom(j,2))))", 6),
+    ])
+    def test_negative_range_end_is_certified(self, monkeypatch, src, last):
+        one_sided = baileyforge.dsl.evaluator._one_sided
+        lasts = []
+
+        def spy(st, emit, start, direction, last, acc):
+            lasts.append(last)
+            return one_sided(st, emit, start, direction, last, acc)
+
+        monkeypatch.setattr(baileyforge.dsl.evaluator, "_one_sided", spy)
+        expr = parse_expr(src)
+        assert as_dict(evaluate_expr(expr, order=20)) == expand_expr(expr, scale=1, order=20)
+        assert lasts == [last]
+
+    @pytest.mark.parametrize("src,want", [
+        # by hand: j^2 + j >= 0 for j >= 0, and along j = -j' it is j'^2 - j' >= -n.
+        ("sum(j in -n..n, q^(j^2 + j))", {(("n", 1),): -1}),
+        # n*j >= 0 for j >= 0, and -n*j' >= -3n for j' <= 3.
+        ("sum(j in -3..n, q^(n*j))", {(("n", 1),): -3}),
+        # n - j over 0..n is at least 0, and n + j' is n.
+        ("sum(j in -2..n, q^(n - j))", {}),
+        # A lower end that rises with n, or an upper one below 0, is not split.
+        ("sum(j in n..3, q^(j))", None),
+        ("sum(j in -n..-1, q^(j^2))", None),
+    ])
+    def test_range_sum_bounds(self, src, want):
+        assert term_bounds(parse_expr(src), {"n": mvar("n")}, {}, 1, None) == (want, None)
+
+    def test_one_lowering_serves_every_zfold(self):
+        # by hand: z = q^(-3) puts its first factor at 1 - q^(-1), lowest
+        # exponent -1, and its second at 1 - q^0, so it may vanish; z = -q
+        # folds it to 1 + q^3, so the bound n is exact.
+        floor = lower_floor(parse_expr("poch(z*q^(2); q, n) * q^(n)"), ({"n": RAY_T},), 1)
+        assert floor({}, (1, -3)) == ([-1, 1], False)
+        assert floor({}, (-1, 1)) == ([0, 1], True)
+        assert floor({}, (1, -3)) == ([-1, 1], False)
+
+    @pytest.mark.parametrize("src,want", [
+        ("sum(j in 0..1000000000000, q^(j))", {(k, 0): 1 for k in range(6)}),
+        # Both halves of the window, each 10^12 wide: j^2 <= 5 at j = 0, +-1, +-2.
+        ("sum(j in -1000000000000..1000000000000, q^(j^2))", {(0, 0): 1, (1, 0): 2, (4, 0): 2}),
+    ])
+    def test_wide_range_is_not_scanned(self, monkeypatch, src, want):
+        calls = []
+        value = baileyforge.dsl.growth.ray_value
+
+        def counted(p, t):
+            calls.append(t)
+            return value(p, t)
+
+        monkeypatch.setattr(baileyforge.dsl.growth, "ray_value", counted)
+        assert as_dict(evaluate_expr(parse_expr(src), order=5)) == want
+        assert len(calls) < 300
+
+    @settings(max_examples=300, deadline=None)
+    @given(p=st.lists(st.integers(-30, 30), min_size=1, max_size=4),
+           a=st.integers(-5, 40), width=st.integers(-1, 60), order=st.integers(-3, 12))
+    def test_range_values_match_a_scan(self, p, a, width, order):
+        # The values at which p <= order, from a up, or from b down when p(b) < p(a).
+        b = a + width
+        values = range(a, b + 1)
+        if ray_value(p, b) < ray_value(p, a):
+            values = reversed(values)
+        want = [v for v in values if ray_value(p, v) <= order]
+        got = [v for r in range_values([F(c) for c in p], a, b, order) for v in r]
+        assert got == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(body=_BOUND_BODIES, shape=st.sampled_from(_SHAPES),
+           envs=st.lists(_BOUND_ENVS, min_size=1, max_size=3),
+           zfolds=st.lists(_ZFOLDS, min_size=2, max_size=3, unique=True))
+    def test_lowered_bounds_match_the_reference(self, body, shape, envs, zfolds):
+        # One lowering serves every binding and z fold.
+        expr = parse_expr(body)
+        subs, inner, bound = shape
+        floor = lower_floor(expr, subs, 1, inner, bound)
+        bounds = [lower_bounds(expr, sub, 1) for sub in subs]
+        for env in envs:
+            for zfold in zfolds:
+                want = oracles.ref_ray_floor(expr, subs, env, 1, zfold, inner, bound)
+                got, exact = floor(env, zfold)
+                assert got == want, body
+                ref = [oracles.ref_term_bounds(expr, sub, env, 1, zfold) for sub in subs]
+                assert [f(env, zfold) for f in bounds] == ref, body
+                lo, up = ref[0]
+                assert exact == (want is not None and len(subs) == 1 and not inner and lo == up)
+
+    def test_catalog_floors_match_the_reference(self, monkeypatch):
+        # Every floor the evaluator asks for on a catalog side, at the default
+        # bindings and at the validator's probe bindings, with the indices of
+        # enclosing sums bound as the sums run.
+        lower = baileyforge.dsl.growth.lower_floor
+        checked = []
+
+        def checking(body, subs, scale, inner=(), bound=None):
+            floor = lower(body, subs, scale, inner, bound)
+
+            def run(env, zfold):
+                got = floor(env, zfold)
+                want = oracles.ref_ray_floor(body, subs, env, scale, zfold, inner, bound)
+                assert got[0] == want, (current, body)
+                checked.append(want is not None)
+                return got
+
+            return run
+
+        monkeypatch.setattr(baileyforge.dsl.growth, "lower_floor", checking)
+        monkeypatch.setattr(R, "_SPEC_CACHE", {})
+        for entry in R.REGISTRY.values():
+            if entry.route != "dsl":
+                continue
+            spec = R.load_spec(entry)
+            for env in [dict(entry.default_params)] + baileyforge.dsl.validator._probe_envs(spec):
+                try:
+                    bindings_env(spec, env)
+                except SpecError:
+                    continue
+                for side in ("lhs", "rhs"):
+                    current = (entry.name, env, side)
+                    evaluate(spec, env, side, order=6)
+        assert sum(checked) > 100
+
+    def test_bound_is_lowered_once_per_plan(self, monkeypatch):
+        # rr_mod3m_minus has one sum: its bound is lowered with the plan, and
+        # a sweep of 35 points lowers no more than one of 2 points.
+        lower = baileyforge.dsl.growth.lower_bounds
+        counts = []
+
+        def counted(*args):
+            counts[-1] += 1
+            return lower(*args)
+
+        monkeypatch.setattr(baileyforge.dsl.growth, "lower_bounds", counted)
+        floors = []
+        lower_floor_ = baileyforge.dsl.growth.lower_floor
+        monkeypatch.setattr(baileyforge.dsl.growth, "lower_floor",
+                            lambda *args: floors.append(args[0]) or lower_floor_(*args))
+        for grid, points in (("m=1..1,a=0..m", 2), ("m=1..7,a=0..m", 35)):
+            monkeypatch.setattr(R, "_SPEC_CACHE", {})
+            monkeypatch.setattr(R, "_FINDINGS_CACHE", {})
+            counts.append(0)
+            floors.clear()
+            reports = R.sweep_entry("rr_mod3m_minus", grid)
+            assert [r.status for r in reports] == ["pass"] * points
+            assert len(floors) == 1
+        assert counts[0] == counts[1]
 
 
 # -- generated specs ---------------------------------------------------------
