@@ -286,7 +286,8 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("target", help="catalog entry name")
     s.add_argument("--grid", required=True, help='grid, e.g. "m=1..13,a=0..m"')
     s.add_argument("--order", type=order)
-    s.add_argument("--jobs", type=int, default=1, help="concurrent worker processes")
+    s.add_argument("--jobs", type=_int_at_least(1), default=1,
+                   help="concurrent worker processes, at most one per grid point and CPU")
     s.add_argument("--format", choices=("text", "json"), default="text")
     s.add_argument("--oracle", action="store_true")
 

@@ -6,10 +6,16 @@ for n < 0) tied by the defining convolution
 
     beta_n = sum_{j=-n..n} alpha_j / ((Q;Q)_{n-j} (Q;Q)_{n+j}),   Q = q^r.
 
-Transforms produce new pairs from old (square-weight chain step, two-limit
-chain step, and two halving lattice walks); evaluators turn a pair into the
-two sides of a summation identity. Sums alternating toward a nonzero
-coefficientwise limit are evaluated in the Abel sense:
+Transforms produce new pairs from old (the two-limit chain step and two
+halving lattice walks); evaluators turn a pair into the two sides of a
+summation identity. Both rest on one bilateral Bailey lemma whose two limits
+x and y are its parameters: each may be a monomial +-q^e or INFINITE. The
+square-weight chain step is the two-limit step at x = y = INFINITE, and the
+single-sum forms V1, V2, V4 and V5 are the two-limit evaluator at x =
+INFINITE and y = INFINITE, -Q^(1/2), -Q and -1. Only V3, whose limits
++-Q^(1/2) are not representable at odd dilation, has a path of its own.
+Sums alternating toward a nonzero coefficientwise limit are evaluated in
+the Abel sense:
 
     sum (-1)^n c_n := c_inf/2 + sum_{n>=0} (-1)^n (c_n - c_inf),
 
@@ -34,6 +40,7 @@ from typing import Callable
 from .errors import BudgetError, NegativeFloorError, TerminationError
 from .series import (
     EvalContext,
+    Monomial,
     QSeries,
     _Sum,
     _stepped,
@@ -101,6 +108,11 @@ class BilateralPair:
     for n >= 0 as a product form, the ``_times`` arguments (num, den, lead)
     that build it from 1; beta_n / beta_(n-1) is read from it
     (``series._ratio``). Pairs whose beta is a convolution have none.
+
+    A pair keeps no record of how it was built: the transforms are the
+    two-limit chain step at chosen limits (x = y = INFINITE gives the
+    square-weight step) and the two lattice walks, and a pair reached two
+    ways is the same pair.
     """
 
     ctx: EvalContext
@@ -109,7 +121,6 @@ class BilateralPair:
     beta: Callable[[int], QSeries]
     alpha_floor: Callable[[int], int]
     beta_limit: Callable[[], QSeries] | None = None
-    label: str = ""
     beta_form: Callable[[int], tuple] | None = None
 
 
@@ -236,8 +247,7 @@ def key_pair(ctx: EvalContext, dilation: int | None = None) -> BilateralPair:
         return _times(one(ctx), [(zbases, r, None)], [((1, 0, r), r, None)])
 
     return BilateralPair(
-        ctx, r, _memo_seq(alpha), _memo_seq(_stepped(ctx, form)), floor, _memo_thunk(limit),
-        "key", form,
+        ctx, r, _memo_seq(alpha), _memo_seq(_stepped(ctx, form)), floor, _memo_thunk(limit), form,
     )
 
 
@@ -263,7 +273,6 @@ def closed_form_djk_pair(ctx: EvalContext, dilation: int | None = None) -> Bilat
 
     return BilateralPair(
         ctx, u, _memo_seq(alpha), _memo_seq(lambda n: _convolve(ctx, term, n, 2 * u)), floor,
-        None, "closed-djk",
     )
 
 
@@ -285,7 +294,6 @@ def closed_form_jouhet_pair(ctx: EvalContext, dilation: int | None = None) -> Bi
 
     return BilateralPair(
         ctx, u, _memo_seq(alpha), _memo_seq(lambda n: _convolve(ctx, term, n, 2 * u, u)), floor,
-        None, "closed-jouhet",
     )
 
 
@@ -433,21 +441,26 @@ class _Weights:
             den.append((kernel, r, None))
         return _times(s, num, den)
 
-    def abel_sign(self):
-        """-1 when the beta side is alternating with a unit power part (Q/xy = -1)."""
-        return -1 if self.kernel() == (-1, 0, 0) else None
 
-
-def _abel_beta_side(pair: BilateralPair, x, y, budget) -> QSeries:
-    """Abel value of sum_n (x, y; Q)_n (-1)^n beta_n for the zero-growth setting."""
-    ctx, r = pair.ctx, pair.dilation
+def _abel_beta_side(pair: BilateralPair, bases, step: int, budget) -> QSeries:
+    """Abel value of sum_n (-1)^n (bases; q^step)_n beta_n; bases is one base or a tuple."""
     if pair.beta_limit is None:
         raise TerminationError("alternating zero-growth sum needs a pair with a beta limit")
+    term = _weighted(pair, lambda n: ([(bases, step, n)], (), (1, 0, 0)))
+    lim = _times(pair.beta_limit(), [(bases, step, None)])
+    return _abel_alternating(pair.ctx, term, lim, budget)
 
-    bases = ((x.sign, 0, x.qexp), (y.sign, 0, y.qexp))
-    term = _weighted(pair, lambda n: ([(bases, r, n)], (), (1, 0, 0)))
-    lim = _times(pair.beta_limit(), [(bases, r, None)])
-    return _abel_alternating(ctx, term, lim, budget)
+
+def _beta_side(pair: BilateralPair, w: _Weights, term, budget) -> QSeries:
+    """sum_n beta_n times the beta weight, where term(n) = beta_n W(n).
+
+    At Q/xy = -1 the beta side alternates toward a nonzero limit and is
+    Abel-summed over (x, y; Q)_n beta_n instead.
+    """
+    if w.kernel() == (-1, 0, 0):
+        bases = ((w.x.sign, 0, w.x.qexp), (w.y.sign, 0, w.y.qexp))
+        return _abel_beta_side(pair, bases, w.r, budget)
+    return _index_sum(pair.ctx, term, w.beta_weight_min, budget=budget)
 
 
 def bms_general_eval(pair: BilateralPair, x, y):
@@ -458,16 +471,10 @@ def bms_general_eval(pair: BilateralPair, x, y):
     zero-growth setting is evaluated in the Abel sense and needs the pair's
     beta limit.
     """
-    ctx = pair.ctx
     w = _Weights(pair.dilation, x, y)
     budget = _Budget()
-
-    if w.abel_sign() is not None:
-        lhs = _abel_beta_side(pair, x, y, budget)
-    else:
-        lhs = _index_sum(ctx, _weighted(pair, w.form), w.beta_weight_min, budget=budget)
-
-    asum = _index_sum(ctx, lambda n: w.apply(pair.alpha(n), n, alpha=True),
+    lhs = _beta_side(pair, w, _weighted(pair, w.form), budget)
+    asum = _index_sum(pair.ctx, lambda n: w.apply(pair.alpha(n), n, alpha=True),
                       lambda n: w.alpha_weight_min(n) + pair.alpha_floor(n),
                       bilateral=True, budget=budget)
     return lhs, w.prefactor(asum)
@@ -479,120 +486,44 @@ def bms_general_eval(pair: BilateralPair, x, y):
 def weak_lemma_eval(pair: BilateralPair, variant: str):
     """Both sides of the five collected single-sum forms V1..V5.
 
-    V1: square weights; V2: half-square weights with the odd-shift product
-    (even dilation only); V3: alternating step-2 product, Abel on the beta
-    side, printed factor 2 on the left; V4: triangular weights with the
-    shifted product; V5: shifted-triangular weights with the unshifted
-    product and split poles on the right.
+    V1, V2, V4 and V5 are the two-limit evaluator at x = INFINITE and
+    y = INFINITE (square weights), -Q^(1/2) (half-square weights, even
+    dilation only), -Q (triangular weights) and -1 (shifted-triangular
+    weights, split poles on the right). V3 is twice the setting x, y =
+    Q^(1/2), -Q^(1/2): the alternating step-2 product, Abel-summed on the
+    beta side. Its limits are not monomials at odd dilation, so it is
+    summed here directly.
     """
     ctx, r = pair.ctx, pair.dilation
-    budget = _Budget()
-    euler = ((1, 0, r), r, None)
-
-    # Each weight is a product form: weight(n) gives it as ``_times`` arguments.
-    def beta_sum(weight, weight_min):
-        return _index_sum(ctx, _weighted(pair, weight), weight_min, budget=budget)
-
-    def alpha_sum(weight, weight_min):
-        return _index_sum(ctx, lambda n: _times(pair.alpha(n), *weight(n)),
-                          lambda n: weight_min(n) + pair.alpha_floor(n),
-                          bilateral=True, budget=budget)
-
-    if variant == "V1":
-
-        def square(n):
-            return (), (), (1, 0, r * n * n)
-
-        lhs = beta_sum(square, lambda n: r * n * n)
-        rhs = _times(alpha_sum(square, lambda n: r * n * n), den=[euler])
-        return lhs, rhs
-
-    if variant == "V2":
-        if r % 2:
-            raise ValueError("V2 needs an even dilation (half-step exponents)")
-        h = r // 2
-
-        def wb(n):
-            return [((-1, 0, h), r, n)], (), (1, 0, h * n * n)
-
-        def wa(n):
-            return (), (), (1, 0, h * n * n)
-
-        lhs = beta_sum(wb, lambda n: h * n * n)
-        rhs = _times(alpha_sum(wa, lambda n: h * n * n), [((-1, 0, h), r, None)], [euler])
-        return lhs, rhs
-
     if variant == "V3":
-        if pair.beta_limit is None:
-            raise TerminationError("V3 needs a pair with a beta limit")
+        budget = _Budget()
         odd = ((1, 0, r), 2 * r)
-        term = _weighted(pair, lambda n: ([odd + (n,)], (), (1, 0, 0)))
-        lim = _times(pair.beta_limit(), [odd + (None,)])
-        lhs = _abel_alternating(ctx, term, lim, budget) * 2
-        asum = alpha_sum(lambda n: ((), (), (-1 if n % 2 else 1, 0, 0)), lambda n: 0)
-        rhs = _times(asum, [odd + (None,)], [((1, 0, 2 * r), 2 * r, None)])
-        return lhs, rhs
-
-    if variant == "V4":
-
-        def wb(n):
-            return [((-1, 0, r), r, n)], (), (1, 0, r * n * (n - 1) // 2)
-
-        def wa(n):
-            return [((-1, 0, r * n), 1, 1)], (), (1, 0, r * n * (n - 1) // 2)
-
-        def wa_min(n):
-            return r * n * (n - 1) // 2 + min(0, r * n)
-
-        lhs = beta_sum(wb, lambda n: r * n * (n - 1) // 2)
-        rhs = _times(alpha_sum(wa, wa_min), [((-1, 0, r), r, None)], [euler])
-        return lhs, rhs
-
-    if variant == "V5":
-
-        def wb(n):
-            return [((-1, 0, 0), r, n)], (), (1, 0, r * n * (n + 1) // 2)
-
-        def wa(n):
-            return (), [((-1, 0, r * n), 1, 1)], (1, 0, r * n * (n + 1) // 2)
-
-        def wa_min(n):
-            return r * n * (n + 1) // 2 + (-r * n if n < 0 else 0)
-
-        lhs = beta_sum(wb, lambda n: r * n * (n + 1) // 2)
-        rhs = _times(alpha_sum(wa, wa_min), [((-1, 0, r), r, None)], [euler], (2, 0, 0))
-        return lhs, rhs
-
-    raise ValueError(f"unknown variant {variant!r}")
+        lhs = _abel_beta_side(pair, *odd, budget) * 2
+        asum = _index_sum(ctx, lambda n: _times(pair.alpha(n), lead=(-1 if n % 2 else 1, 0, 0)),
+                          pair.alpha_floor, bilateral=True, budget=budget)
+        return lhs, _times(asum, [odd + (None,)], [((1, 0, 2 * r), 2 * r, None)])
+    if variant == "V2" and r % 2:
+        raise ValueError("V2 needs an even dilation (half-step exponents)")
+    limits = {"V1": INFINITE, "V2": Monomial(-1, r // 2), "V4": Monomial(-1, r),
+              "V5": Monomial(-1, 0)}
+    if variant not in limits:
+        raise ValueError(f"unknown variant {variant!r}")
+    return bms_general_eval(pair, INFINITE, limits[variant])
 
 
 # -- transforms -------------------------------------------------------------
 
 
 def chain_step(pair: BilateralPair) -> BilateralPair:
-    """Square-weight chain step: alpha'_n = Q^(n^2) alpha_n."""
-    ctx, r = pair.ctx, pair.dilation
+    """Square-weight chain step alpha'_n = Q^(n^2) alpha_n.
 
-    def alpha(n: int) -> QSeries:
-        return _times(pair.alpha(n), lead=(1, 0, r * n * n))
-
-    term = _memo_seq(_weighted(pair, lambda j: ((), (), (1, 0, r * j * j))))
-
-    def floor(n: int) -> int:
-        return r * n * n + pair.alpha_floor(n)
-
-    def limit() -> QSeries:
-        acc = _index_sum(ctx, term, lambda v: r * v * v, budget=_Budget())
-        return _times(acc, den=[((1, 0, r), r, None)])
-
-    return BilateralPair(
-        ctx, r, _memo_seq(alpha), _memo_seq(lambda n: _convolve(ctx, term, n, r)), floor,
-        _memo_thunk(limit), f"chain({pair.label})",
-    )
+    It is the two-limit step at x = y = INFINITE, whose weights fold to Q^(n^2).
+    """
+    return general_chain_step(pair, INFINITE, INFINITE)
 
 
 def general_chain_step(pair: BilateralPair, x, y) -> BilateralPair:
-    """Two-limit chain step; reduces to chain_step when both limits are infinite.
+    """Two-limit chain step at (x, y); chain_step is the step at x = y = INFINITE.
 
     With both limits finite the kernel base is Q/xy = +-q^kappa. kappa < 0
     raises NegativeFloorError: the beta weights then fall like q^(kappa*n),
@@ -622,19 +553,12 @@ def general_chain_step(pair: BilateralPair, x, y) -> BilateralPair:
         return w.alpha_weight_min(n) + pair.alpha_floor(n)
 
     def limit() -> QSeries:
-        budget = _Budget()
-        if w.abel_sign() is not None:
-            core = _abel_beta_side(pair, x, y, budget)
-        else:
-            core = _index_sum(ctx, term, w.beta_weight_min, budget=budget)
+        core = _beta_side(pair, w, term, _Budget())
         num = [] if kernel is None else [(kernel, r, None)]
         den = [((1, 0, r), r, None)] + [lim + (None,) for lim in limits]
         return _times(core, num, den)
 
-    return BilateralPair(
-        ctx, r, _memo_seq(alpha), _memo_seq(beta), floor, _memo_thunk(limit),
-        f"gchain({pair.label})",
-    )
+    return BilateralPair(ctx, r, _memo_seq(alpha), _memo_seq(beta), floor, _memo_thunk(limit))
 
 
 def lattice_djk(pair: BilateralPair) -> BilateralPair:
@@ -661,7 +585,7 @@ def lattice_djk(pair: BilateralPair) -> BilateralPair:
 
     return BilateralPair(
         ctx, s, _memo_seq(alpha), _memo_seq(lambda n: _convolve(ctx, term, n, 2 * s)), floor,
-        _memo_thunk(limit), f"djk({pair.label})",
+        _memo_thunk(limit),
     )
 
 
@@ -682,7 +606,7 @@ def lattice_jouhet(pair: BilateralPair) -> BilateralPair:
 
     return BilateralPair(
         ctx, s, pair.alpha, _memo_seq(lambda n: _convolve(ctx, term, n, 2 * s, s)),
-        pair.alpha_floor, _memo_thunk(limit), f"jouhet({pair.label})",
+        pair.alpha_floor, _memo_thunk(limit),
     )
 
 

@@ -13,7 +13,7 @@ from .dsl.validator import validate
 from .engine import iterated_lattice_eval, key_pair, weak_lemma_eval
 from .errors import SeriesError, SpecError
 from .oracle import brute_force_expand
-from .series import EvalContext, Monomial, first_mismatch
+from .series import EvalContext, Monomial, _dict_mismatch, first_mismatch
 
 IDENTITY_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "identities")
 
@@ -291,15 +291,6 @@ def _mismatch_dict(scale: int, qe: int, ze: int, ca, cb) -> dict:
     }
 
 
-def _dict_mismatch(da: dict, db: dict):
-    for key in sorted(set(da) | set(db)):
-        ca = da.get(key, Fraction(0))
-        cb = db.get(key, Fraction(0))
-        if ca != cb:
-            return key[0], key[1], ca, cb
-    return None
-
-
 # -- verification ------------------------------------------------------------
 
 
@@ -461,10 +452,12 @@ def sweep_entry(name: str, grid: str, order: int | None = None, jobs: int = 1,
                 use_oracle: bool = False, max_terms: int | None = None) -> list:
     """Verify a catalog entry across a parameter grid, optionally in parallel.
 
-    Reports come back in grid order regardless of completion order.
+    Reports come back in grid order regardless of completion order. The pool
+    never outgrows the grid or the machine's CPU count.
     """
     bindings = expand_grid(parse_grid(grid))
-    if jobs <= 1 or len(bindings) <= 1:
+    jobs = min(jobs, len(bindings), os.cpu_count() or 1)
+    if jobs <= 1:
         return [verify_entry(name, b, order, use_oracle, max_terms) for b in bindings]
     # Imported here: the process pool's machinery costs every other run set-up time.
     from concurrent.futures import ProcessPoolExecutor

@@ -826,8 +826,12 @@ def first_mismatch(a: QSeries, b: QSeries):
         raise ContextMismatchError(f"contexts differ: {a.ctx} vs {b.ctx}")
     if a == b:
         return None
-    ta = {(qe, ze): c for qe, ze, c in a.terms()}
-    tb = {(qe, ze): c for qe, ze, c in b.terms()}
+    return _dict_mismatch({(qe, ze): c for qe, ze, c in a.terms()},
+                          {(qe, ze): c for qe, ze, c in b.terms()})
+
+
+def _dict_mismatch(ta: dict, tb: dict):
+    """Lowest differing (qexp, zexp, coeff_a, coeff_b) of two {(qexp, zexp): coeff} tables."""
     for key in sorted(ta.keys() | tb.keys()):
         ca = ta.get(key, _ZERO)
         cb = tb.get(key, _ZERO)

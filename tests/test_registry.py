@@ -1,5 +1,6 @@
 """Catalog registry tests: coverage manifest, routing, reports, sweeps."""
 
+import concurrent.futures
 import glob
 import hashlib
 import json
@@ -164,7 +165,8 @@ def test_json_report_keeps_error_detail(capsys):
     (["sweep", "rr_mod3m_plus", "--grid", "m=1..2,a=0..m", "--order", "-1"], "--order"),
     (["expand", "q", "--order", "-1"], "--order"),
     (["expand", "q", "--scale", "0"], "--scale"),
-], ids=["verify-order", "sweep-order", "expand-order", "expand-scale"])
+    (["sweep", "rr_mod3m_plus", "--grid", "m=1..2,a=0..m", "--jobs", "0"], "--jobs"),
+], ids=["verify-order", "sweep-order", "expand-order", "expand-scale", "sweep-jobs"])
 def test_bad_numbers_are_usage_errors(argv, flag, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -305,6 +307,39 @@ def test_sweep_serial_and_parallel_agree():
         assert sd == pd
         assert sd["status"] == "pass"
     assert [s.params for s in serial] == R.expand_grid(R.parse_grid("m=1..2,a=0..m"))
+
+
+@pytest.mark.parametrize("jobs,cpus,size", [
+    (10 ** 6, 64, 5),   # never more workers than grid points
+    (10 ** 6, 3, 3),    # nor than CPUs
+    (4, 64, 4),
+    (2, 1, None),       # one CPU: no pool at all
+])
+def test_sweep_pool_is_clamped(monkeypatch, jobs, cpus, size):
+    sizes = []
+
+    class InlinePool:
+        """Records max_workers and runs each task at once, starting no process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            fut = concurrent.futures.Future()
+            fut.set_result(fn(*args))
+            return fut
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    reports = R.sweep_entry("rr_mod3m_plus", "m=1..2,a=0..m", jobs=jobs)
+    assert [r.status for r in reports] == ["pass"] * 5
+    assert sizes == ([] if size is None else [size])
 
 
 def test_registry_import_leaves_the_process_pool_out():
