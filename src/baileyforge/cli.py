@@ -9,11 +9,13 @@ import sys
 from fractions import Fraction
 
 from . import registry
-from .dsl import bindings_env, evaluate, evaluate_expr, parse_expr, parse_file, validate
+from .dsl import (
+    bindings_env, context_for, evaluate, evaluate_expr, parse_expr, parse_file, validate,
+)
 from .dsl.nodes import Appell, BilateralSum, ChainSum, Div, Hecke, Mul, Neg, RangeSum
 from .errors import SeriesError, SpecError
 from .oracle import brute_force_expand, expand_expr
-from .series import Monomial, render_terms
+from .series import render_terms
 
 PASS, FAIL, ERROR = 0, 1, 2
 
@@ -30,6 +32,8 @@ def _parse_params(text: str | None) -> dict:
         name = name.strip()
         if not name or not eq:
             raise SpecError(f"parameter {part!r} is not name=integer")
+        if name in out:
+            raise SpecError(f"parameter {name!r} is given twice")
         try:
             out[name] = int(val.strip())
         except ValueError:
@@ -183,17 +187,13 @@ def _expand_spec(spec, entry, args, params) -> int:
     env = bindings_env(spec, merged)
     order = args.order if args.order is not None else spec.order
     if args.raw_sum:
-        from .dsl.nodes import int_eval
         core = _core_sum(spec.lhs if args.side == "lhs" else spec.rhs)
-        z_interp = None
-        zfold = None
-        if spec.zbind is not None:
-            z_interp = Monomial(spec.zbind.sign, int_eval(spec.zbind.qexp, env))
-            zfold = (z_interp.sign, z_interp.qexp)
+        zi = context_for(spec, env, order).z_interp
         if args.oracle:
+            zfold = None if zi is None else (zi.sign, zi.qexp)
             table = expand_expr(core, spec.scale, order, zfold, env)
             return _emit_table(_table_items(table), spec.scale, order, args.format)
-        s = evaluate_expr(core, spec.scale, order, z_interp, env)
+        s = evaluate_expr(core, spec.scale, order, zi, env)
         return _emit_table(_series_items(s), spec.scale, order, args.format)
     if args.oracle:
         table = brute_force_expand(spec, args.side, merged, order=order)

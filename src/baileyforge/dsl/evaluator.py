@@ -16,22 +16,24 @@ reached fails nowhere, and every error is raised where the term that causes
 it is evaluated.
 
 Within one evaluation a product reaches each term from its last one where
-its window does not grow and that is cheaper, applying only the factors
-that changed (``_from_last``), and a range sum skips the terms above the
-order and visits the others as their lower bound rises (``_range_sum``).
+its window does not grow and that is cheaper, applying only the factors that
+changed (``series._from_last``, shared with the engine), and a range sum skips
+the terms above the order and visits the others as their lower bound rises.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from ..engine import _Budget
 from ..errors import PoleError, SpecError, TerminationError
 from ..series import (
     EvalContext,
     Monomial,
     QSeries,
+    _Budget,
     _Sum,
+    _from_last,
+    _runs,
     binomials,
     hard_cap,
     monomial,
@@ -352,103 +354,13 @@ def _product(node, scale: int):
         if vanishes or (saw_zero and not lift):
             return zero(ctx)
         if not general:
-            return _from_last(st, run, reads, monomial(ctx, scalar, fused_z, fused_q))
+            return _from_last(ctx, st.lasts, run, reads, monomial(ctx, scalar, fused_z, fused_q),
+                              st.read)
         out = _combine(evaluated, monomial(wst.ctx, scalar, fused_z, fused_q))
-        runs = _runs(st, [(args, p) for args, p in reads if abs(p) == 1])
+        runs = _runs(st.read, [(args, p) for args, p in reads if abs(p) == 1])
         return retruncate(times_binomials(out, *runs), ctx)
 
     return run
-
-
-# The cost model of ``_from_last``, in coefficient updates. A term built
-# anew applies each of its factors once over its window of n exponents. One
-# reached from an earlier term applies each factor that changed as if twice,
-# since it works on the last term's full window, copies and trims that
-# window at about the cost of two passes, and pairs the reads at the cost of
-# _PAIRING updates.
-_PAIRING = 200
-
-
-def _from_last(st: _St, plan, reads: list, head: QSeries) -> QSeries:
-    """head times the runs of reads (args, power +-1), from the plan's last term where cheaper.
-
-    The plan's last term in this evaluation (``_St.lasts``) is kept with its
-    head and reads. When the new head's exponent is no lower, the new term
-    lies in a window no larger, so it is the last term times the ratio of
-    the heads and the factors that changed (``_delta``), exact at the order.
-    Otherwise, and where the cost model above says that does not pay, the
-    term is built from its head; a term too small to pay is not kept.
-    """
-    ctx = st.ctx
-    if head.is_zero():
-        return head
-    hq = head.min_exponent()
-    ((hz, (hc,)),) = head._c.items()
-    n = ctx.order - hq + 1
-    # The factors the term built anew applies, within its window.
-    full = 0
-    for args, _ in reads:
-        full += len(args[0]) * (n if args[2] is None else min(args[2], n))
-    if (full - 2) * n <= _PAIRING:
-        return times_binomials(head, *_runs(st, reads))
-    last = st.lasts.get(plan)
-    delta = None
-    if last is not None and last[0] == ctx.order and last[2][2] <= hq:
-        delta = _delta(st, last[1], reads, n, full)
-    if delta is None:
-        out = times_binomials(head, *_runs(st, reads))
-    else:
-        lc, lz, lq = last[2]
-        ratio = 1 if hc == lc else Fraction(hc) / lc
-        out = times_binomials(last[3], *delta, (ratio, hz - lz, hq - lq))
-    st.lasts[plan] = (ctx.order, reads, (hc, hz, hq), out)
-    return out
-
-
-def _runs(st: _St, reads) -> tuple:
-    """The numerator and divisor runs of reads (args, power)."""
-    num: list = []
-    den: list = []
-    for args, p in reads:
-        (num if p > 0 else den).extend(st.read(args)[1])
-    return num, den
-
-
-def _delta(st: _St, old: list, new: list, n: int, full: int):
-    """Runs (num, den) that take the product of the reads old to that of new, or None.
-
-    Reads in the same place with the same bases, step and power differ by
-    their lengths: a product grown from length m to l gains
-    (base*q^(m*step); q^step)_(l-m), one shrunk loses the same factors.
-    Any other change takes the old read out (power -p) and puts the new one
-    in. A factor that leaves the numerator becomes a divisor, which needs a
-    positive q-exponent. None when one does not have it, when the reads do
-    not pair up, or when the change does not pay against full, the factors
-    of the new product within the window of n exponents: factors are
-    counted from the reads' arguments, len(bases) per unit of length.
-    """
-    if len(old) != len(new):
-        return None
-    moved = 0
-    changes: list = []
-    for (a, p), (b, pb) in zip(old, new):
-        if a == b and p == pb:
-            continue
-        if a[0] == b[0] and a[1] == b[1] and p == pb and a[2] is not None and b[2] is not None:
-            (bases, step, m), length = a, b[2]
-            k = step * min(m, length)
-            shifted = tuple((c, ze, qe + k) for c, ze, qe in bases)
-            changes.append(((shifted, step, abs(length - m)), p if length > m else -p))
-        else:
-            changes += [(a, -p), (b, pb)]
-    for args, _ in changes:
-        moved += len(args[0]) * (n if args[2] is None else min(args[2], n))
-    if (full - 2 * moved - 2) * n <= _PAIRING:
-        return None
-    num, den = _runs(st, changes)
-    if any(run[2] <= 0 for run in den):
-        return None
-    return num, den
 
 
 def _runs_series(args, numerator: bool):

@@ -24,24 +24,25 @@ which needs the pair to carry its coefficientwise beta limit.
 The main pair's beta_n is hypergeometric: beta_n / beta_(n-1) is a product
 of four binomials. So are the weights every evaluator and transform puts on
 it. Both are written as product forms (``series._times`` arguments as
-functions of n), and each weighted term beta_n W(n) is reached from its
-predecessor by the factors that change (``_weighted``, ``series._stepped``):
-one kernel call with a few factors per term, where a term built from
-scratch applies O(n) factors.
+functions of n), and each weighted term beta_n W(n) is reached from the
+last one held by the factors that changed, under the rule the DSL
+evaluator's products use (``_weighted``, ``series._stepped``,
+``series._from_last``): one kernel call with a few factors per term, where
+a term built from scratch applies O(n) factors.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .errors import BudgetError, NegativeFloorError, TerminationError
+from .errors import NegativeFloorError, TerminationError
 from .series import (
     EvalContext,
     Monomial,
     QSeries,
+    _Budget,
     _Sum,
     _stepped,
     _times,
@@ -79,24 +80,6 @@ class _InfiniteLimit:
 INFINITE = _InfiniteLimit()
 
 
-def term_budget() -> int:
-    return int(os.environ.get("BAILEY_FORGE_MAX_TERMS", "500000"))
-
-
-class _Budget:
-    """Caps total summation-term evaluations for one evaluation call."""
-
-    __slots__ = ("left",)
-
-    def __init__(self, limit: int | None = None):
-        self.left = term_budget() if limit is None else limit
-
-    def spend(self, n: int = 1):
-        self.left -= n
-        if self.left < 0:
-            raise BudgetError("term budget exhausted (BAILEY_FORGE_MAX_TERMS)")
-
-
 @dataclass
 class BilateralPair:
     """Bilateral pair with termination metadata.
@@ -106,8 +89,8 @@ class BilateralPair:
     nonnegative minimal exponent. beta_limit, when present, returns the
     coefficientwise limit of beta_n. beta_form, when present, gives beta_n
     for n >= 0 as a product form, the ``_times`` arguments (num, den, lead)
-    that build it from 1; beta_n / beta_(n-1) is read from it
-    (``series._ratio``). Pairs whose beta is a convolution have none.
+    that build it from 1; each beta_n is reached from the last one held
+    (``series._stepped``). Pairs whose beta is a convolution have none.
 
     A pair keeps no record of how it was built: the transforms are the
     two-limit chain step at chosen limits (x = y = INFINITE gives the

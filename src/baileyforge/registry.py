@@ -412,6 +412,8 @@ def parse_grid(grid: str) -> list:
         lo_s, dots, hi_s = rng.partition("..")
         if not name or not eq or not dots:
             raise SpecError(f"grid axis {part!r} is not name=lo..hi")
+        if name in seen:
+            raise SpecError(f"grid axis {name!r} is given twice")
         axes.append((name, _grid_bound(lo_s.strip(), seen), _grid_bound(hi_s.strip(), seen)))
         seen.add(name)
     if not axes:
@@ -453,9 +455,12 @@ def sweep_entry(name: str, grid: str, order: int | None = None, jobs: int = 1,
     """Verify a catalog entry across a parameter grid, optionally in parallel.
 
     Reports come back in grid order regardless of completion order. The pool
-    never outgrows the grid or the machine's CPU count.
+    never outgrows the grid or the machine's CPU count. A grid that selects
+    no binding raises SpecError, since it would verify nothing.
     """
     bindings = expand_grid(parse_grid(grid))
+    if not bindings:
+        raise SpecError(f"parameter grid {grid!r} selects no binding")
     jobs = min(jobs, len(bindings), os.cpu_count() or 1)
     if jobs <= 1:
         return [verify_entry(name, b, order, use_oracle, max_terms) for b in bindings]

@@ -24,6 +24,7 @@ z-column once, whenever a series is made.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import groupby
@@ -31,6 +32,7 @@ from math import isqrt, lcm
 from operator import add, sub
 
 from .errors import (
+    BudgetError,
     ContextMismatchError,
     DivergentProductError,
     NonUnitLeadingError,
@@ -105,6 +107,24 @@ class EvalContext:
 def hard_cap(ctx: EvalContext) -> int:
     """Universal bound on summation index magnitude."""
     return 4 * (ctx.order + 1)
+
+
+def term_budget() -> int:
+    return int(os.environ.get("BAILEY_FORGE_MAX_TERMS", "500000"))
+
+
+class _Budget:
+    """Caps total summation-term evaluations for one evaluation call."""
+
+    __slots__ = ("left",)
+
+    def __init__(self, limit: int | None = None):
+        self.left = term_budget() if limit is None else limit
+
+    def spend(self, n: int = 1):
+        self.left -= n
+        if self.left < 0:
+            raise BudgetError("term budget exhausted (BAILEY_FORGE_MAX_TERMS)")
 
 
 def _lead(col: list) -> int:
@@ -689,10 +709,13 @@ def qbinomial(ctx: EvalContext, n: int, k: int) -> QSeries:
 
 # -- product forms -----------------------------------------------------------
 #
-# A product form is (num, den, lead): Pochhammer products (base, step,
-# length) as ``binomials`` reads them, over and under a folded monomial lead
-# = (coeff, zexp, qexp). As functions of an index, forms describe
-# hypergeometric terms, each reached from the one before (``_stepped``).
+# A hypergeometric term is a head monomial times Pochhammer reads (bases,
+# step, length), as ``binomials`` reads them, to the powers +-1. Term n is an
+# earlier term times the factors that changed (Gasper and Rahman, Basic
+# Hypergeometric Series, 1.2). ``_from_last`` is the one rule that reaches a
+# term so, for the DSL evaluator's products and the engine's product forms
+# (``_stepped``) alike. A product form is (num, den, lead): Pochhammer
+# products over and under a folded monomial lead = (coeff, zexp, qexp).
 
 
 def _read(ctx: EvalContext, num=(), den=(), lead=(1, 0, 0)):
@@ -731,59 +754,115 @@ def _times(s: QSeries, num=(), den=(), lead=(1, 0, 0)) -> QSeries:
     return times_binomials(s, nruns, druns, lead)
 
 
-def _shift(base, k: int):
-    """base * q^k for one base triple or a tuple of them."""
-    if isinstance(base[0], tuple):
-        return tuple((c, ze, qe + k) for c, ze, qe in base)
-    c, ze, qe = base
-    return c, ze, qe + k
+# The cost model of ``_from_last``, in coefficient updates. A term built
+# anew applies each of its factors once over its window of n exponents. One
+# reached from an earlier term applies each factor that changed as if twice,
+# since it works on the last term's full window, copies and trims that
+# window at about the cost of two passes, and pairs the reads at the cost of
+# _PAIRING updates.
+_PAIRING = 200
 
 
-def _ratio(prev, cur):
-    """cur / prev for two product forms with the same products in the same places.
+def _from_last(ctx: EvalContext, lasts: dict, key, reads: list, head: QSeries, read) -> QSeries:
+    """head times the runs of reads (args, power +-1), from the last term under key where cheaper.
 
-    A form is (num, den, lead) as ``_times`` reads it, every product of
-    finite length. A product grown from length m to l contributes
-    (base*q^(m*step); q^step)_(l-m) on its own side, and one shrunk from m
-    to l the product (base*q^(l*step); q^step)_(m-l) on the other side.
+    read(args) gives the ``binomials`` read (lead, runs) of args. The last
+    term under key in lasts is kept with its order, head and reads. When
+    the new head's exponent is no lower, the new term lies in a window no
+    larger, so it is the last term times the ratio of the heads and the
+    factors that changed (``_delta``), exact at the order. Otherwise, and
+    where the cost model above says that does not pay, the term is built
+    from its head; a term too small to pay is not kept.
     """
+    if head.is_zero():
+        return head
+    hq = head.min_exponent()
+    ((hz, (hc,)),) = head._c.items()
+    n = ctx.order - hq + 1
+    # The factors the term built anew applies, within its window.
+    full = 0
+    for args, _ in reads:
+        full += len(args[0]) * (n if args[2] is None else min(args[2], n))
+    if (full - 2) * n <= _PAIRING:
+        return times_binomials(head, *_runs(read, reads))
+    last = lasts.get(key)
+    delta = None
+    if last is not None and last[0] == ctx.order and last[2][2] <= hq:
+        delta = _delta(read, last[1], reads, n, full)
+    if delta is None:
+        out = times_binomials(head, *_runs(read, reads))
+    else:
+        lc, lz, lq = last[2]
+        ratio = 1 if hc == lc else Fraction(hc) / lc
+        out = times_binomials(last[3], *delta, (ratio, hz - lz, hq - lq))
+    lasts[key] = (ctx.order, reads, (hc, hz, hq), out)
+    return out
+
+
+def _runs(read, reads) -> tuple:
+    """The numerator and divisor runs of reads (args, power)."""
     num: list = []
     den: list = []
-    for old, new, own, other in ((prev[0], cur[0], num, den), (prev[1], cur[1], den, num)):
-        for (base, step, m), (_, _, length) in zip(old, new):
-            if length != m:
-                side = own if length > m else other
-                side.append((_shift(base, step * min(m, length)), step, abs(length - m)))
-    (pc, pz, pq), (cc, cz, cq) = prev[2], cur[2]
-    return num, den, (Fraction(cc) / pc, cz - pz, cq - pq)
+    for args, p in reads:
+        (num if p > 0 else den).extend(read(args)[1])
+    return num, den
+
+
+def _delta(read, old: list, new: list, n: int, full: int):
+    """Runs (num, den) that take the product of the reads old to that of new, or None.
+
+    Reads in the same place with the same bases, step and power differ by
+    their lengths: a product grown from length m to l gains
+    (base*q^(m*step); q^step)_(l-m), one shrunk loses the same factors.
+    Any other change takes the old read out (power -p) and puts the new one
+    in. A factor that leaves the numerator becomes a divisor, which needs a
+    positive q-exponent. None when one does not have it, when the reads do
+    not pair up, or when the change does not pay against full, the factors
+    of the new product within the window of n exponents: factors are
+    counted from the reads' arguments, len(bases) per unit of length.
+    """
+    if len(old) != len(new):
+        return None
+    moved = 0
+    changes: list = []
+    for (a, p), (b, pb) in zip(old, new):
+        if a == b and p == pb:
+            continue
+        if a[0] == b[0] and a[1] == b[1] and p == pb and a[2] is not None and b[2] is not None:
+            (bases, step, m), length = a, b[2]
+            k = step * min(m, length)
+            shifted = tuple((c, ze, qe + k) for c, ze, qe in bases)
+            changes.append(((shifted, step, abs(length - m)), p if length > m else -p))
+        else:
+            changes += [(a, -p), (b, pb)]
+    for args, _ in changes:
+        moved += len(args[0]) * (n if args[2] is None else min(args[2], n))
+    if (full - 2 * moved - 2) * n <= _PAIRING:
+        return None
+    num, den = _runs(read, changes)
+    if any(run[2] <= 0 for run in den):
+        return None
+    return num, den
 
 
 def _stepped(ctx: EvalContext, form):
-    """n -> the product form(n) applied to 1, each term reached from the one before.
+    """n -> the product form(n) applied to 1, reached from the last term held (``_from_last``).
 
-    The step form(n) / form(n-1) (``_ratio``) applied to the term at n - 1
-    as truncated is exact at the order when its joined lead exponent is
-    >= 0. Otherwise, and for the first index asked or one below the last,
-    the term is built from 1, which is exact whatever the lead. Only the
-    last term is held, so a caller that reads the sequence more than once
-    memoises it; the terms are built by iteration, never by recursion.
-    Terms at n < 0 are zero.
+    Each product (base, step, length) of the form is a read of power +1 in
+    num and -1 in den, under the form's joined lead (``_read``) as head.
+    Only the last term is held, so a caller that reads a term twice
+    memoises it. Terms at n < 0 are zero.
     """
-    last: list = []
+    lasts: dict = {}
 
     def term(n: int) -> QSeries:
         if n < 0:
             return zero(ctx)
-        if not last or n < last[0]:
-            last[:] = [n, _times(one(ctx), *form(n))]
-        while last[0] < n:
-            k = last[0] + 1
-            lead, nruns, druns = _read(ctx, *_ratio(form(k - 1), form(k)))
-            if lead[2] >= 0:
-                last[:] = [k, times_binomials(last[1], nruns, druns, lead)]
-            else:
-                last[:] = [k, _times(one(ctx), *form(k))]
-        return last[1]
+        num, den, lead = form(n)
+        reads = [((base if isinstance(base[0], tuple) else (base,), step, length), p)
+                 for side, p in ((num, 1), (den, -1)) for base, step, length in side]
+        head = monomial(ctx, *_read(ctx, num, den, lead)[0])
+        return _from_last(ctx, lasts, None, reads, head, lambda args: binomials(ctx, *args))
 
     return term
 

@@ -638,7 +638,7 @@ class TestTermsFromTheLast:
         got = evaluate_expr(expr, order=100)
         stepped = sum(seen)
         seen.clear()
-        monkeypatch.setattr(baileyforge.dsl.evaluator, "_delta", lambda *args: None)
+        monkeypatch.setattr(baileyforge.series, "_delta", lambda *args: None)
         assert as_dict(evaluate_expr(expr, order=100)) == as_dict(got)
         assert stepped == 3 + 6 + 9 + 3 * 6
         assert sum(seen) == 3 * sum(range(1, 10))

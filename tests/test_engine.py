@@ -38,6 +38,7 @@ import baileyforge.series
 from baileyforge.series import (
     EvalContext,
     Monomial,
+    _stepped,
     monomial,
     one,
     poch_finite,
@@ -593,6 +594,35 @@ def _ref_beta(ctx, r, n):
     return retruncate(num * poch_finite(lifted, (1, 0, r), r, 2 * n).invert(), ctx)
 
 
+def _joined(f, g):
+    """The product form f(n) g(n), as ``_weighted`` joins beta_n and a weight."""
+
+    def form(n):
+        (fn, fd, (fc, fz, fq)), (gn, gd, (gc, gz, gq)) = f(n), g(n)
+        return [*fn, *gn], [*fd, *gd], (fc * gc, fz + gz, fq + gq)
+
+    return form
+
+
+def _any_order_forms(ctx):
+    """Product forms the engine steps: beta_n, weights, and beta_n times a weight."""
+    r = ctx.scale
+    beta = key_pair(ctx).beta_form
+    weights = _Weights(r, Monomial(1, 1), Monomial(-1, 0))
+    below = _Weights(r, Monomial(-1, -r), INFINITE)
+    alpha = _Weights(r, Monomial(-1, 0), Monomial(-1, -1))
+    return {
+        "beta": beta,
+        # A divisor 1 + Q^(2n+1) whose base moves with n is taken out whole.
+        "beta-moving": _joined(beta, lambda n: ((), [((-1, 0, r * (2 * n + 1)), r, 1)], (1, 0, 0))),
+        "weights": weights.form,
+        "beta-weights": _joined(beta, weights.form),
+        "beta-weights-below": _joined(beta, below.form),
+        "beta-squares": _joined(beta, _Weights(r, INFINITE, INFINITE).form),
+        "alpha-weights": lambda n: alpha.form(n, True),
+    }
+
+
 def _weight_forms(r):
     """The product forms the engine puts on beta_n, at dilation r."""
     h = r // 2 or 1
@@ -674,8 +704,27 @@ class TestSteppedTerms:
         assert _table(multisum_lhs("AG2", 2, ctx, stepped)) == _table(
             multisum_lhs("AG2", 2, ctx, plain))
 
+    @pytest.mark.parametrize("ctx", [EvalContext(1, 24), EvalContext(2, 30, Monomial(-1, 2))],
+                             ids=["formal", "folded"])
+    @pytest.mark.parametrize("name", sorted(_any_order_forms(EvalContext(1, 24))))
+    @settings(max_examples=25, deadline=None)
+    @given(moves=st.lists(st.one_of(st.integers(-3, 4), st.integers(-30, 30)),
+                          min_size=1, max_size=12))
+    def test_terms_in_any_order(self, ctx, name, moves):
+        # Jumps, repeats and steps back reach a term from whichever term is
+        # held: by the factors it gains or loses, by taking a read out whole,
+        # or from 1.
+        form = _any_order_forms(ctx)[name]
+        term = _stepped(ctx, form)
+        n = 0
+        for d in moves:
+            n = max(0, min(30, n + d))
+            assert _table(term(n)) == _table(_times(one(ctx), *form(n))), n
+
     def test_beta_applies_a_linear_number_of_factors(self, monkeypatch):
         # Each step applies 4 factors; built from scratch, beta_n applies 4n.
+        # The cost model builds beta_1 and beta_2 from 1 (4 + 8 factors, where
+        # stepping would take 4 + 4), and beta_3 on step from beta_2.
         factors = baileyforge.series._factors
         seen = []
 
@@ -693,11 +742,12 @@ class TestSteppedTerms:
                 pair.beta(n)
             return sum(seen)
 
-        assert applied(20) == 4 * 20
-        assert applied(40) == 4 * 40
+        assert applied(20) == 4 * 20 + 4
+        assert applied(40) == 4 * 40 + 4
 
     def test_far_beta_needs_no_recursion(self):
-        # beta_0 first, so beta_300 is reached by 300 steps.
+        # beta_0 first; it is too small to be kept, so beta_300 is built
+        # from 1, by one kernel call and not by recursion.
         ctx = EvalContext(1, 400, Monomial(-1, 1))
         pair = key_pair(ctx)
         pair.beta(0)

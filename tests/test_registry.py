@@ -216,6 +216,28 @@ def test_oracle_raises_powers_by_squaring(monkeypatch, capsys):
     assert capsys.readouterr().out == fast
 
 
+RAW_SUM_SPEC = """identity raw_theta {
+  param a in 0..4
+  scale 1
+  order 8
+  z = -q^(a)
+  lhs 2 * sum(n >= 0, z^(n) * q^(n*n))
+  rhs 2
+}
+"""
+
+
+@pytest.mark.parametrize("route", [[], ["--oracle"]], ids=["fast", "oracle"])
+def test_raw_sum_binds_z(route, tmp_path, capsys):
+    # by hand: z = -q^2 makes the sum without its factor 2
+    # sum (-1)^n q^(n^2 + 2n) = 1 - q^3 + q^8 - ...
+    path = tmp_path / "raw.idn"
+    path.write_text(RAW_SUM_SPEC)
+    argv = ["expand", str(path), "--raw-sum", "--params", "a=2", "--order", "8"]
+    assert main(argv + route) == 0
+    assert capsys.readouterr().out == "q^0: 1\nq^3: -1\nq^8: 1\n"
+
+
 # expand text of appell_double_half (scale 2, formal z), recorded before the
 # command line and series.render shared one formatter.
 EXPAND_RHS_ORDER_8 = """\
@@ -357,3 +379,25 @@ def test_parallel_sweep_from_the_command_line(capsys):
                  "--format", "json"]) == 0
     reports = json.loads(capsys.readouterr().out)
     assert [r["status"] for r in reports] == ["pass"] * 4
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["sweep", "rr_mod3m_plus", "--grid", "m=5..1", "--format", "json"],
+     "parameter grid 'm=5..1' selects no binding"),
+    (["sweep", "rr_mod3m_plus", "--grid", "m=5..1"], "parameter grid 'm=5..1' selects no binding"),
+    (["sweep", "rr_mod3m_plus", "--grid", "m=1..2,m=1..1,a=0..0"], "grid axis 'm' is given twice"),
+    (["verify", "rr_mod3m_plus", "--params", "m=1,m=2"], "parameter 'm' is given twice"),
+], ids=["empty-grid-json", "empty-grid-text", "grid-axis-twice", "param-twice"])
+def test_empty_grids_and_repeated_names_are_errors(argv, message, capsys):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.strip() == f"error: {message}"
+
+
+def test_dependent_axis_may_be_empty_for_some_values():
+    # a = 3..m is empty for m < 3, and m = 3..7 give 1 + 2 + 3 + 4 + 5 points.
+    reports = R.sweep_entry("rr_mod3m_plus", "m=1..7,a=3..m")
+    assert [(r.params["m"], r.params["a"]) for r in reports][:3] == [(3, 3), (4, 3), (4, 4)]
+    assert len(reports) == 15
+    assert {r.status for r in reports} == {"pass"}
