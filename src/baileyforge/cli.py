@@ -212,6 +212,9 @@ def _cmd_expand(args) -> int:
                 print("error: engine-backed entries have no spec to re-route",
                       file=sys.stderr)
                 return ERROR
+            if params:
+                print("error: entry takes no parameters", file=sys.stderr)
+                return ERROR
             order = args.order if args.order is not None else entry.engine_order
             lhs, rhs = entry.engine_check(order)
             s = lhs if args.side == "lhs" else rhs

@@ -14,6 +14,10 @@ square-weight chain step is the two-limit step at x = y = INFINITE, and the
 single-sum forms V1, V2, V4 and V5 are the two-limit evaluator at x =
 INFINITE and y = INFINITE, -Q^(1/2), -Q and -1. Only V3, whose limits
 +-Q^(1/2) are not representable at odd dilation, has a path of its own.
+The k-fold chain multisums are the beta side of a pair after k - 1
+transforms: ``chain_step`` (AG1), the two-limit step at (INFINITE,
+-Q^(1/2)) (AG2), or one lattice walk (LAT1, LAT2) per step, with Q set by
+the chained pair's dilation (``multisum_lhs``).
 Sums alternating toward a nonzero coefficientwise limit are evaluated in
 the Abel sense:
 
@@ -692,123 +696,56 @@ def aw_lemma_eval(pair: BilateralPair, which: str):
     return lhs, rhs
 
 
-# -- literal multisums ------------------------------------------------------
+# -- chain multisums --------------------------------------------------------
 
 
 def multisum_lhs(kind: str, k: int, ctx: EvalContext, pair: BilateralPair | None = None,
                  x=INFINITE, y=INFINITE) -> QSeries:
-    """Literal bucketed enumeration of the k-fold chain multisums.
+    """The k-fold chain multisums, as the beta side of the chained pair.
 
-    Kinds: "AG1" (square weights at base q), "AG2" (square weights at base
-    q^2 with the odd-shift product on the inner index), "LAT1"/"LAT2" (the
-    two k-fold lattice multisums with two-limit outer weights). The inner
-    index carries the main pair's beta at the matching dilation unless a
-    pair is given explicitly.
+    Each kind applies its transform k - 1 times to the inner pair, then sums
+    the beta side once at the two-limit weights (x, y), with Q = q^r at the
+    chained pair's dilation r. Unrolled, this is the sum over n_1 >= ... >=
+    n_k >= 0 with one transform's kernel between adjacent indices and
+    beta_(n_k) on the inner one.
 
-    Structure: indices n_1 >= ... >= n_k >= 0; level i carries a weight
-    W_i(n_i), each adjacent pair a kernel q^(shift*delta) / (Q; Q)_delta at
-    delta = n_i - n_(i+1), and the inner index a beta factor. Evaluated by
-    dynamic programming from the outside in; each level's sum over
-    n_i >= n_(i+1) is a Bailey sum in Horner form.
+    - "AG1": ``chain_step`` at r = scale, weights Q^(n_i^2).
+    - "AG2": ``general_chain_step`` at (INFINITE, -Q^(1/2)) at r = 2 scale,
+      weights Q^(n_i^2 / 2) and (-Q^(1/2); Q)_(n_k) on the inner index.
+    - "LAT1"/"LAT2" (k >= 2): ``lattice_djk`` / ``lattice_jouhet`` from
+      r = scale 2^(k-1) down to scale, then the weights at (x, y).
+
+    The inner pair is the main pair at that dilation unless one is given;
+    a given pair's dilation sets Q. Only the lattice kinds take limits. A
+    setting whose weights do not grow raises ``TerminationError`` at the
+    cap: the sum is literal, with no Abel value.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    d = ctx.scale
-    budget = _Budget()
-    cap = hard_cap(ctx)
-
-    # weight(i, n) is W_i(n) as ``_times`` arguments; kernel(i) is the
-    # (step, shift) of the kernel below level i.
     if kind in ("AG1", "AG2"):
-        base = d if kind == "AG1" else 2 * d
+        if x is not INFINITE or y is not INFINITE:
+            raise ValueError(f"{kind} multisums take no limits")
         if pair is None:
-            pair = key_pair(ctx, base)
+            pair = key_pair(ctx, ctx.scale if kind == "AG1" else 2 * ctx.scale)
+        r = pair.dilation
+        if kind == "AG1":
+            step = chain_step
+        elif r % 2:
+            raise ValueError("AG2 needs an even dilation (half-step exponents)")
+        else:
+            y = Monomial(-1, r // 2)
 
-        def weight(i, n):
-            num = [((-1, 0, d), 2 * d, n)] if kind == "AG2" and i == k else []
-            return num, (), (1, 0, d * n * n)
-
-        def weight_min(i, n):
-            return d * n * n
-
-        def kernel(i):
-            return base, 0
-
+            def step(p):
+                return general_chain_step(p, x, y)
     elif kind in ("LAT1", "LAT2"):
         if k < 2:
             raise ValueError("lattice multisums need k >= 2")
-        u = d
         if pair is None:
-            pair = key_pair(ctx, u * 2 ** (k - 1))
-        w2 = _Weights(u, x, y)
-
-        def weight(i, n):
-            if i == 1:
-                return w2.form(n)
-            p = 2 ** (i - 2) * u
-            if kind == "LAT1":
-                return [((-1, 0, 0), p, 2 * n)], (), (1, 0, p * n)
-            return [((-1, 0, p), p, 2 * n)], (), (1, 0, 0)
-
-        def weight_min(i, n):
-            if i == 1:
-                return w2.beta_weight_min(n)
-            return 2 ** (i - 2) * u * n if kind == "LAT1" else 0
-
-        def kernel(i):
-            p = 2 ** (i - 1) * u
-            return 2 * p, (p if kind == "LAT2" else 0)
-
+            pair = key_pair(ctx, ctx.scale * 2 ** (k - 1))
+        step = lattice_djk if kind == "LAT1" else lattice_jouhet
     else:
         raise ValueError(f"unknown multisum kind {kind!r}")
-
-    # B_i(v) lower-bounds the minimal exponent of the partial sum S_i(v);
-    # kernels and couplings have nonnegative minimal exponents, so only the
-    # weights and the previous level's bound contribute.
-    bound_prev: list[int] | None = None
-    series_prev: dict[int, QSeries] | None = None
-
-    for i in range(1, k):
-        totals = [
-            weight_min(i, n) + (bound_prev[n] if bound_prev is not None else 0)
-            for n in range(cap + 1)
-        ]
-        if totals[cap] <= ctx.order:
-            raise TerminationError("chain level does not leave the window by the cap")
-        suffix = totals[:]
-        for v in range(cap - 1, -1, -1):
-            suffix[v] = min(suffix[v], suffix[v + 1])
-        live = [n for n in range(cap + 1) if totals[n] <= ctx.order]
-        terms = {
-            n: _times(one(ctx) if series_prev is None else series_prev[n], *weight(i, n))
-            for n in live
-        }
-        step, shift = kernel(i)
-        empty = zero(ctx)
-        new_series: dict[int, QSeries] = {}
-        for v in range(cap + 1):
-            if suffix[v] > ctx.order:
-                break
-            budget.spend(sum(1 for n in live if n >= v))
-            row = [terms.get(n, empty) for n in range(v, live[-1] + 1)]
-            new_series[v] = _bailey_sum(row, step, shift)
-        series_prev = new_series
-        bound_prev = suffix
-
-    inner_totals = [
-        weight_min(k, n) + (bound_prev[n] if bound_prev is not None else 0)
-        for n in range(cap + 1)
-    ]
-    if inner_totals[cap] <= ctx.order:
-        raise TerminationError("inner level does not leave the window by the cap")
-    inner = _weighted(pair, lambda n: weight(k, n))
-    acc = zero(ctx)
-    for n in range(cap + 1):
-        if inner_totals[n] > ctx.order:
-            continue
-        budget.spend()
-        t = inner(n)
-        if series_prev is not None:
-            t = t * series_prev[n]
-        acc = acc + t
-    return acc
+    for _ in range(k - 1):
+        pair = step(pair)
+    w = _Weights(pair.dilation, x, y)
+    return _index_sum(ctx, _weighted(pair, w.form), w.beta_weight_min, budget=_Budget())

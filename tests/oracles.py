@@ -171,16 +171,112 @@ def key_alpha(n):
     return tl_mono((-1) ** (n % 2), n, n * (n - 1) // 2)
 
 
-def key_beta(n, order):
-    """Main bilateral pair beta: (z, q/z; q)_n / (q; q)_2n."""
+def key_beta(n, order, r=1):
+    """Main bilateral pair beta at dilation r: (z, Q/z; Q)_n / (Q; Q)_2n, Q = q^r."""
     if n < 0:
         return {}
     num = tl_mul(
-        tl_poch((1, 1, 0), 1, n, order),
-        tl_poch((1, -1, 1), 1, n, order),
+        tl_poch((1, 1, 0), r, n, order),
+        tl_poch((1, -1, r), r, n, order),
         order,
     )
-    return tl_mul(num, tl_inv(tl_poch((1, 0, 1), 1, 2 * n, order), order), order)
+    return tl_mul(num, tl_inv(tl_poch((1, 0, r), r, 2 * n, order), order), order)
+
+
+def two_limit_weight(x, y, r, n, order):
+    """(x, y; Q)_n (Q/xy)^n with Q = q^r, for n >= 0.
+
+    A limit is None (infinite) or (sign, a) for sign * q^a. An infinite
+    limit enters as lim (x; Q)_n x^-n = (-1)^n Q^binom(n, 2).
+    """
+    qexp, sign, out = r * n, 1, tl_one()
+    for p in (x, y):
+        if p is None:
+            qexp += r * n * (n - 1) // 2
+            sign *= (-1) ** n
+        else:
+            c, a = p
+            out = tl_mul(out, tl_poch((c, 0, a), r, n, order), order)
+            qexp -= a * n
+            sign *= c ** n
+    assert qexp >= 0, "weights falling with n are out of scope"
+    return tl_mul(tl_mono(sign, 0, qexp), out, order)
+
+
+def _chains(top, k):
+    """Every n_1 >= ... >= n_k >= 0 with n_1 <= top."""
+    if k == 0:
+        yield ()
+        return
+    for n in range(top + 1):
+        for rest in _chains(n, k - 1):
+            yield (n,) + rest
+
+
+def literal_multisum(kind, k, order, x=None, y=None):
+    """The k-fold chain multisum at scale 1 and formal z, term by term.
+
+    It is the sum over n_1 >= ... >= n_k >= 0 of
+        W_1(n_1) ... W_k(n_k) K_1(n_1 - n_2) ... K_(k-1)(n_(k-1) - n_k) beta_(n_k),
+    with beta the main pair's at dilation R:
+      AG1:  W_i(n) = q^(n^2), K_i(m) = 1 / (q; q)_m, R = 1.
+      AG2:  W_i(n) = q^(n^2) times (-q; q^2)_n on the inner index,
+            K_i(m) = 1 / (q^2; q^2)_m, R = 2.
+      LAT1: W_1 = two_limit_weight(x, y) at Q = q; with s = 2^(i-1),
+            W_(i+1)(n) = (-1; q^s)_2n q^(sn), K_i(m) = 1 / (q^2s; q^2s)_m;
+            R = 2^(k-1).
+      LAT2: as LAT1 with W_(i+1)(n) = (-q^s; q^s)_2n and
+            K_i(m) = q^(sm) / (q^2s; q^2s)_m.
+    Every factor has lowest exponent >= 0, and W_1's lowest exponent grows
+    with n_1 in every setting used here, so n_1 runs until W_1 leaves the
+    order.
+    """
+    memo = {}
+
+    def cached(key, make):
+        if key not in memo:
+            memo[key] = make()
+        return memo[key]
+
+    def weight(i, n):
+        if kind in ("AG1", "AG2"):
+            odd = tl_poch((-1, 0, 1), 2, n if kind == "AG2" and i == k else 0, order)
+            return tl_mul(tl_mono(1, 0, n * n), odd, order)
+        if i == 1:
+            return two_limit_weight(x, y, 1, n, order)
+        s = 2 ** (i - 2)
+        if kind == "LAT1":
+            return tl_mul(tl_poch((-1, 0, 0), s, 2 * n, order), tl_mono(1, 0, s * n), order)
+        return tl_poch((-1, 0, s), s, 2 * n, order)
+
+    def kernel(i, m):
+        if kind in ("AG1", "AG2"):
+            step, shift = (1 if kind == "AG1" else 2), 0
+        else:
+            s = 2 ** (i - 1)
+            step, shift = 2 * s, (s if kind == "LAT2" else 0)
+        den = tl_inv(tl_poch((1, 0, step), step, m, order), order)
+        return tl_mul(den, tl_mono(1, 0, shift * m), order)
+
+    dilation = {"AG1": 1, "AG2": 2}.get(kind, 2 ** (k - 1))
+    total = {}
+    n1 = 0
+    while True:
+        outer = cached(("w", 1, n1), lambda: weight(1, n1))
+        if not outer:
+            break
+        for rest in _chains(n1, k - 1):
+            ns = (n1,) + rest
+            t = outer
+            for i in range(1, k):
+                m, n = ns[i - 1] - ns[i], ns[i]
+                t = tl_mul(t, cached(("k", i, m), lambda: kernel(i, m)), order)
+                t = tl_mul(t, cached(("w", i + 1, n), lambda: weight(i + 1, n)), order)
+            if t:
+                beta = cached(("b", ns[-1]), lambda: key_beta(ns[-1], order, dilation))
+                total = tl_add(total, tl_mul(t, beta, order))
+        n1 += 1
+    return total
 
 
 def weak_v1_sides(order):

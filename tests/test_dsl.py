@@ -762,15 +762,25 @@ class TestSummationLimits:
         want = any(ray_value(p, t) <= order for t in range(cap + 1, cap + 200))
         assert dips_past(p, cap, order) == want
 
-    def test_loose_bound_past_the_cap_keeps_the_empty_run_rule(self):
+    def test_divisor_below_q0_keeps_the_bound_exact(self, monkeypatch):
         # by hand: q^(n - 40) / (1 - q^(-40)) = -q^n / (1 - q^40), so the sum
-        # is -(1 + q + ... + q^6) at order 6 though the bound n - 40 reaches
-        # the order only at n = 46, past the cap 28.
+        # is -(1 + q + ... + q^6) at order 6. The divisor's lowest exponent is
+        # exactly -40, so the term's bound is n, not n - 40, and the sum stops
+        # at the certified last index 6, well inside the cap 28.
         spec = parse("identity neg { scale 1 order 6 "
                      "lhs sum(n >= 0, q^(n - 40) / poch(q^(-40); q, 1)) "
                      "rhs -1 / (poch(q; q, 1) * poch(q^(40); q, 1)) }")
         assert validate(spec) == []
+        one_sided = baileyforge.dsl.evaluator._one_sided
+        lasts = []
+
+        def recorded(st, emit, start, direction, last, acc):
+            lasts.append(last)
+            return one_sided(st, emit, start, direction, last, acc)
+
+        monkeypatch.setattr(baileyforge.dsl.evaluator, "_one_sided", recorded)
         assert as_dict(evaluate(spec, {}, "lhs")) == {(k, 0): -1 for k in range(7)}
+        assert lasts == [6]
 
     @pytest.mark.parametrize("src,want", [
         # 1 - q^(-40) has lowest exponent exactly -40, so its inverse 40.

@@ -400,6 +400,34 @@ class TestMultisum:
         with pytest.raises(ValueError):
             multisum_lhs("XYZ", 2, CTX)
 
+    @pytest.mark.parametrize("kind,k,limits", [
+        *[(kind, k, "infinite") for kind in ("AG1", "AG2") for k in (1, 2, 3)],
+        *[(kind, k, limits) for kind in ("LAT1", "LAT2") for k in (2, 3)
+          for limits in ("infinite", "finite")],
+    ])
+    def test_matches_the_literal_sum(self, kind, k, limits):
+        # The finite setting is x = y = -1, whose weights (-1; q)_n^2 q^n grow linearly.
+        ctx = EvalContext(1, 16)
+        if limits == "finite":
+            got = multisum_lhs(kind, k, ctx, x=Monomial(-1, 0), y=Monomial(-1, 0))
+            want = oracles.literal_multisum(kind, k, 16, (-1, 0), (-1, 0))
+        else:
+            got = multisum_lhs(kind, k, ctx)
+            want = oracles.literal_multisum(kind, k, 16)
+        assert as_dict(got) == oracle_dict(want, 16)
+
+    @pytest.mark.parametrize("kind", ["AG1", "AG2"])
+    def test_ag_kinds_take_no_limits(self, kind):
+        with pytest.raises(ValueError, match="no limits"):
+            multisum_lhs(kind, 2, CTX, x=Monomial(-1, 0), y=Monomial(1, 3))
+
+    @pytest.mark.parametrize("kind,k,r", [("AG2", 1, 3), ("AG2", 2, 1), ("LAT1", 2, 1),
+                                          ("LAT2", 2, 3), ("LAT1", 3, 2)])
+    def test_odd_dilation_pairs_rejected(self, kind, k, r):
+        # A half-step exponent needs an even dilation at every step.
+        with pytest.raises(ValueError, match="even dilation"):
+            multisum_lhs(kind, k, CTX, key_pair(CTX, r))
+
 
 class TestIteratedIdentities:
     def test_first_walk_settings_balance(self):

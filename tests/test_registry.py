@@ -216,6 +216,16 @@ def test_oracle_raises_powers_by_squaring(monkeypatch, capsys):
     assert capsys.readouterr().out == fast
 
 
+def test_engine_entry_expand_refuses_params(capsys):
+    # verify refuses parameters on an engine entry; expand must too.
+    assert main(["verify", "alt_theta_formal", "--params", "m=3"]) == 2
+    assert "entry takes no parameters" in capsys.readouterr().out
+    assert main(["expand", "alt_theta_formal", "--params", "m=3", "--order", "4"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.strip() == "error: entry takes no parameters"
+
+
 RAW_SUM_SPEC = """identity raw_theta {
   param a in 0..4
   scale 1
