@@ -18,6 +18,7 @@ from .oracle import brute_force_expand, expand_expr
 from .series import render_terms
 
 PASS, FAIL, ERROR = 0, 1, 2
+SIGPIPE_EXIT = 128 + 13   # a closed output pipe, as the shell reports SIGPIPE
 
 
 # -- shared helpers ----------------------------------------------------------
@@ -316,7 +317,14 @@ def main(argv=None) -> int:
     handler = {"verify": _cmd_verify, "sweep": _cmd_sweep,
                "expand": _cmd_expand, "list": _cmd_list}[args.command]
     try:
-        return handler(args)
+        code = handler(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader stopped early (`| head`): end as SIGPIPE would, quietly.
+        # Pointing stdout at devnull keeps the flush at shutdown from failing.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return SIGPIPE_EXIT
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return ERROR

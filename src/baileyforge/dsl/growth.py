@@ -314,6 +314,23 @@ def _times(a, k):
     return None if a is None else mmul(a, mconst(k))
 
 
+def _on_first_use(lower, *args):
+    """The closure lower(*args) gives, lowered when it is first called.
+
+    For parts of a bound that most runs never reach; lowering reads no
+    binding and raises nothing, so lowering late changes no result.
+    """
+    lowered = None
+
+    def run(env, zfold):
+        nonlocal lowered
+        if lowered is None:
+            lowered = lower(*args)
+        return lowered(env, zfold)
+
+    return run
+
+
 def _lower_int(e, sub: dict):
     """An integer expression as a closure from the bindings to its polynomial in sub's variables.
 
@@ -351,7 +368,9 @@ def _lower_product(expr, sub: dict, scale: int):
     length_of = None
     if isinstance(expr, Poch) and expr.length is not None:
         length_of = _lower_int(expr.length, sub)
-    moving = _lower_moving(expr, sub, scale, length_of)
+    moving = _unknown
+    if length_of is not None and len(expr.bases) == 1:
+        moving = _on_first_use(_lower_moving, expr.bases[0], sub, scale, length_of)
 
     def product(env, zfold):
         fixed = env
@@ -404,13 +423,11 @@ def _lower_product(expr, sub: dict, scale: int):
     return product
 
 
-def _lower_moving(expr, sub: dict, scale: int, length_of):
+def _lower_moving(b, sub: dict, scale: int, length_of):
     # A length-one product 1 - b whose base moves with the sum. If b has
     # exponent e, the factor has lowest exponent min(0, e), exact where e
-    # keeps one sign; it vanishes only where e = 0 and b = 1.
-    if not isinstance(expr, Poch) or len(expr.bases) != 1 or length_of is None:
-        return _unknown
-    b = expr.bases[0]
+    # keeps one sign; it vanishes only where e = 0 and b = 1. Lowered only
+    # where a base or step reads a name the bindings lack.
     base = lower_bounds(b, sub, scale)
     unit = _coeff(b) in (None, 1)
 
@@ -461,7 +478,7 @@ def _lower_range(expr: RangeSum, sub: dict, scale: int):
     lo_of, hi_of = _lower_int(expr.lo, sub), _lower_int(expr.hi, sub)
     j = mvar(expr.index)
     up = lower_bounds(expr.body, {**sub, expr.index: j}, scale)
-    down = lower_bounds(expr.body, {**sub, expr.index: mneg(j)}, scale)
+    down = _on_first_use(lower_bounds, expr.body, {**sub, expr.index: mneg(j)}, scale)
 
     def range_sum(env, zfold):
         lo_p, hi_p = lo_of(env), hi_of(env)
@@ -621,7 +638,7 @@ def lower_range(body, index: str, scale: int):
     part's floor is unproven.
     """
     rises = lower_floor(body, ({index: RAY_T},), scale)
-    falls = lower_floor(body, ({index: mneg(RAY_T)},), scale)
+    falls = _on_first_use(lower_floor, body, ({index: mneg(RAY_T)},), scale)
 
     def values(env, zfold, lo: int, hi: int, order: int):
         parts = []

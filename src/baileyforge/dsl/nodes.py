@@ -1,11 +1,23 @@
-"""AST for the identity language: node types and the canonical printer."""
+"""AST for the identity language: node types and the canonical printer.
+
+Every node class derives from ``Node``. It reads the class's annotated
+fields and their defaults once, when the class is created (PEP 487); a
+subclass's fields follow those of its bases. All node classes share one
+constructor, equality, hash and repr, and refuse assignment: nothing is
+generated or compiled per class. Two nodes are equal only when they are of
+the same class with equal fields, and a node hashes as the tuple of those
+fields. ``span``, the node's place in the source text, takes no part in
+equality, hashing or repr; nor does ``IdentitySpec.plans``, a fresh dict per
+spec that holds each side's compiled plan.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 __all__ = [
+    "Node",
     "Span",
     "IntExpr",
     "IntLit",
@@ -46,66 +58,110 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Span:
+class Node:
+    """Base of the node classes: immutable, and compared, hashed and shown by its fields.
+
+    ``_fields`` names the constructor's arguments in order, ``_defaults``
+    holds the defaults of those that have one, and ``_keys`` names the
+    fields that equality, hashing and repr read: all but ``span``.
+    """
+
+    _fields = ()
+    _defaults = {}
+    _keys = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        own = cls.__dict__.get("__annotations__", {})
+        cls._fields = cls._fields + tuple(name for name in own if name not in cls._fields)
+        cls._defaults = {name: getattr(cls, name) for name in cls._fields if hasattr(cls, name)}
+        cls._keys = tuple(name for name in cls._fields if name != "span")
+
+    def __init__(self, *args, **kwargs):
+        fields, defaults, put = self._fields, self._defaults, object.__setattr__
+        if args:
+            if len(args) > len(fields):
+                raise TypeError(f"{type(self).__name__}() takes {len(fields)} arguments")
+            for name, value in zip(fields, args):
+                if name in kwargs:
+                    raise TypeError(f"{type(self).__name__}() got two values for {name!r}")
+                kwargs[name] = value
+        try:
+            for name in fields:
+                put(self, name, kwargs.pop(name) if name in kwargs else defaults[name])
+        except KeyError:
+            raise TypeError(f"{type(self).__name__}() missing argument {name!r}") from None
+        if kwargs:
+            raise TypeError(f"{type(self).__name__}() got unexpected arguments {sorted(kwargs)}")
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._keys])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._keys)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Span(Node):
     """Half-open codepoint range [start, end) into the source text."""
 
     start: int
     end: int
 
 
-def _span_field():
-    return field(default=None, compare=False, repr=False)
-
-
 # -- integer exponent polynomials -------------------------------------------
 
 
-@dataclass(frozen=True)
-class IntExpr:
-    span: Span | None = _span_field()
+class IntExpr(Node):
+    span: Span | None = None
 
 
-@dataclass(frozen=True)
 class IntLit(IntExpr):
     value: int = 0
 
 
-@dataclass(frozen=True)
 class IVar(IntExpr):
     name: str = ""
 
 
-@dataclass(frozen=True)
 class IAdd(IntExpr):
     left: IntExpr = None
     right: IntExpr = None
 
 
-@dataclass(frozen=True)
 class ISub(IntExpr):
     left: IntExpr = None
     right: IntExpr = None
 
 
-@dataclass(frozen=True)
 class IMul(IntExpr):
     left: IntExpr = None
     right: IntExpr = None
 
 
-@dataclass(frozen=True)
 class INeg(IntExpr):
     arg: IntExpr = None
 
 
-@dataclass(frozen=True)
 class IPow(IntExpr):
     base: IntExpr = None
     power: int = 2
 
 
-@dataclass(frozen=True)
 class IBinom(IntExpr):
     # binom(arg, 2) = arg*(arg-1)/2, always an integer.
     arg: IntExpr = None
@@ -114,73 +170,61 @@ class IBinom(IntExpr):
 # -- series expressions ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Expr:
-    span: Span | None = _span_field()
+class Expr(Node):
+    span: Span | None = None
 
 
-@dataclass(frozen=True)
 class Rational(Expr):
     """Nonnegative integer literal; fractions are written with '/'."""
 
     value: Fraction = Fraction(0)
 
 
-@dataclass(frozen=True)
 class QPow(Expr):
     """q^(exp) in scaled units; exp None is bare q, one natural power."""
 
     exp: IntExpr | None = None
 
 
-@dataclass(frozen=True)
 class ZPow(Expr):
     exp: IntExpr | None = None
 
 
-@dataclass(frozen=True)
 class Pow(Expr):
     base: Expr = None
     exp: IntExpr = None
 
 
-@dataclass(frozen=True)
 class Neg(Expr):
     arg: Expr = None
 
 
-@dataclass(frozen=True)
 class Add(Expr):
     left: Expr = None
     right: Expr = None
 
 
-@dataclass(frozen=True)
 class Sub(Expr):
     left: Expr = None
     right: Expr = None
 
 
-@dataclass(frozen=True)
 class Mul(Expr):
     left: Expr = None
     right: Expr = None
 
 
-@dataclass(frozen=True)
 class Div(Expr):
     left: Expr = None
     right: Expr = None
 
 
-@dataclass(frozen=True)
 class NumPoly(Expr):
     """Integer polynomial value used as a plain coefficient, num(E)."""
 
     poly: IntExpr = None
 
 
-@dataclass(frozen=True)
 class Poch(Expr):
     """poch(b1, ..., bk; step[, length]); infinite product when length is None."""
 
@@ -189,7 +233,6 @@ class Poch(Expr):
     length: IntExpr | None = None
 
 
-@dataclass(frozen=True)
 class Theta(Expr):
     """theta(b1, ..., bk; step), the product of infinite factors."""
 
@@ -197,13 +240,11 @@ class Theta(Expr):
     step: IntExpr = None
 
 
-@dataclass(frozen=True)
 class QBinom(Expr):
     top: IntExpr = None
     bottom: IntExpr = None
 
 
-@dataclass(frozen=True)
 class ChainSum(Expr):
     """sum(n1>=n2>=...>=nk>=0, body)."""
 
@@ -211,7 +252,6 @@ class ChainSum(Expr):
     body: Expr = None
 
 
-@dataclass(frozen=True)
 class BilateralSum(Expr):
     """sum(n in Z, body)."""
 
@@ -219,7 +259,6 @@ class BilateralSum(Expr):
     body: Expr = None
 
 
-@dataclass(frozen=True)
 class RangeSum(Expr):
     """sum(j in lo..hi, body) over a finite integer window."""
 
@@ -229,7 +268,6 @@ class RangeSum(Expr):
     body: Expr = None
 
 
-@dataclass(frozen=True)
 class Appell(Expr):
     """appell(n, numerator, den): bilateral sum of numerator / (1 + q^(den))."""
 
@@ -238,7 +276,6 @@ class Appell(Expr):
     den: IntExpr = None
 
 
-@dataclass(frozen=True)
 class Hecke(Expr):
     """hecke(n, j, region, body[, den]): rows n >= 0, j over the region."""
 
@@ -252,27 +289,24 @@ class Hecke(Expr):
 # -- identity container ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ParamDecl:
+class ParamDecl(Node):
     """Declared integer parameter; hi may name an earlier parameter."""
 
     name: str
     lo: int
     hi: object
-    span: Span | None = _span_field()
+    span: Span | None = None
 
 
-@dataclass(frozen=True)
-class ZBind:
+class ZBind(Node):
     """Monomial binding z = sign * q^(qexp) in scaled units."""
 
     sign: int
     qexp: IntExpr
-    span: Span | None = _span_field()
+    span: Span | None = None
 
 
-@dataclass(frozen=True)
-class IdentitySpec:
+class IdentitySpec(Node):
     """One identity; ``plans`` holds each side's evaluation plan once it is compiled."""
 
     name: str
@@ -282,8 +316,11 @@ class IdentitySpec:
     zbind: ZBind | None
     lhs: Expr
     rhs: Expr
-    span: Span | None = _span_field()
-    plans: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    span: Span | None = None
+
+    @cached_property
+    def plans(self) -> dict:
+        return {}
 
 
 # -- integer expression evaluation ------------------------------------------

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import re
-from dataclasses import fields
 from fractions import Fraction
 
 from ..errors import DslSyntaxError
@@ -173,8 +172,8 @@ class _Parser:
                 line, col = _linecol(self.text, start)
                 raise DslSyntaxError(f"expression nested deeper than {MAX_DEPTH} levels",
                                      line, col, (start, max(end, start + 1)))
-            for f in fields(node):
-                value = getattr(node, f.name)
+            for name in node._fields:
+                value = getattr(node, name)
                 for child in value if isinstance(value, tuple) else (value,):
                     if isinstance(child, (Expr, IntExpr)):
                         stack.append((child, depth + 1))

@@ -718,27 +718,27 @@ def qbinomial(ctx: EvalContext, n: int, k: int) -> QSeries:
 # products over and under a folded monomial lead = (coeff, zexp, qexp).
 
 
-def _read(ctx: EvalContext, num=(), den=(), lead=(1, 0, 0)):
-    """(joined lead, numerator runs, divisor runs) of lead * prod(num) / prod(den).
+def _read(lead, reads, read):
+    """(joined lead, numerator runs, divisor runs) of lead times the products of reads.
 
-    num and den hold Pochhammer products (base, step, length) as
-    ``binomials`` reads them (length None: the infinite product), and lead =
-    (coeff, zexp, qexp) is a folded monomial; each product's own monomial
-    joins lead.
+    reads holds Pochhammer products (base, step, length) to the powers +-1,
+    as pairs (args, power), and read(args) gives their ``binomials`` read
+    (length None: the infinite product). lead = (coeff, zexp, qexp) is a
+    folded monomial; each product's own monomial joins it.
     """
     c, ze, qe = lead
     nruns: list = []
     druns: list = []
-    for base, step, length in num:
-        (bc, bz, bq), runs = binomials(ctx, base, step, length)
-        c, ze, qe = c * bc, ze + bz, qe + bq
-        nruns += runs
-    for base, step, length in den:
-        (bc, bz, bq), runs = binomials(ctx, base, step, length)
-        if not bc:
-            raise NonUnitLeadingError("cannot invert the zero series")
-        c, ze, qe = Fraction(c) / bc, ze - bz, qe - bq
-        druns += runs
+    for args, p in reads:
+        (bc, bz, bq), runs = read(args)
+        if p > 0:
+            c, ze, qe = c * bc, ze + bz, qe + bq
+            nruns += runs
+        else:
+            if not bc:
+                raise NonUnitLeadingError("cannot invert the zero series")
+            c, ze, qe = Fraction(c) / bc, ze - bz, qe - bq
+            druns += runs
     return (c, ze, qe), nruns, druns
 
 
@@ -750,7 +750,8 @@ def _times(s: QSeries, num=(), den=(), lead=(1, 0, 0)) -> QSeries:
     joined lead exponent is >= 0 or s is a monomial; otherwise it is the
     exact product of s as truncated.
     """
-    lead, nruns, druns = _read(s.ctx, num, den, lead)
+    reads = [(args, p) for side, p in ((num, 1), (den, -1)) for args in side]
+    lead, nruns, druns = _read(lead, reads, lambda args: binomials(s.ctx, *args))
     return times_binomials(s, nruns, druns, lead)
 
 
@@ -850,8 +851,9 @@ def _stepped(ctx: EvalContext, form):
 
     Each product (base, step, length) of the form is a read of power +1 in
     num and -1 in den, under the form's joined lead (``_read``) as head.
-    Only the last term is held, so a caller that reads a term twice
-    memoises it. Terms at n < 0 are zero.
+    The head and ``_from_last`` share one read of each product. Only the
+    last term is held, so a caller that reads a term twice memoises it.
+    Terms at n < 0 are zero.
     """
     lasts: dict = {}
 
@@ -861,8 +863,13 @@ def _stepped(ctx: EvalContext, form):
         num, den, lead = form(n)
         reads = [((base if isinstance(base[0], tuple) else (base,), step, length), p)
                  for side, p in ((num, 1), (den, -1)) for base, step, length in side]
-        head = monomial(ctx, *_read(ctx, num, den, lead)[0])
-        return _from_last(ctx, lasts, None, reads, head, lambda args: binomials(ctx, *args))
+        got = {args: binomials(ctx, *args) for args, _ in reads}
+
+        def read(args):
+            return got[args] if args in got else binomials(ctx, *args)
+
+        head = monomial(ctx, *_read(lead, reads, read)[0])
+        return _from_last(ctx, lasts, None, reads, head, read)
 
     return term
 

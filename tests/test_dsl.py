@@ -1,7 +1,9 @@
 """Identity language tests: parsing, validation, evaluation, oracle agreement."""
 
 import glob
+import hashlib
 import os
+import pickle
 import time
 from fractions import Fraction as F
 
@@ -15,6 +17,7 @@ import baileyforge.oracle
 import baileyforge.series
 import oracles
 from baileyforge import registry as R
+from baileyforge.dsl import nodes as N
 from baileyforge.dsl import (
     BilateralSum,
     IdentitySpec,
@@ -1304,3 +1307,172 @@ class TestGeneratedSpecs:
         except ZDegreeError:
             reject()    # the z-degree guard is a resource limit the oracle does not keep
         assert as_dict(got) == expand_expr(expr, scale=1, order=order, zfold=zfold), text
+
+    @settings(max_examples=100, deadline=None)
+    @given(text=_EXPRESSIONS)
+    def test_nodes_compare_by_their_fields(self, text):
+        # A leading space moves every span and changes nothing else.
+        expr, moved = parse_expr(text), parse_expr(" " + text)
+        assert expr.span != moved.span
+        assert expr == moved and hash(expr) == hash(moved) and repr(expr) == repr(moved)
+        back = pickle.loads(pickle.dumps(expr))
+        assert back == expr and back.span == expr.span and repr(back) == repr(expr)
+
+
+def _node_samples():
+    """One instance of every node class, with a span wherever the class has one."""
+    sp = N.Span(0, 1)
+    n, two, one = N.IVar(name="n", span=sp), N.IntLit(value=2, span=sp), N.IntLit(value=1)
+    q, z = N.QPow(exp=None, span=sp), N.ZPow(exp=n)
+    param = N.ParamDecl(name="m", lo=1, hi="k", span=sp)
+    zbind = N.ZBind(sign=-1, qexp=one, span=sp)
+    return [
+        sp, N.IntExpr(span=sp), n, two,
+        N.IAdd(left=n, right=two), N.ISub(left=n, right=two), N.IMul(left=two, right=n),
+        N.INeg(arg=n), N.IPow(base=n, power=3), N.IBinom(arg=n),
+        N.Expr(span=sp), N.Rational(value=F(1, 2)), q, z, N.Pow(base=q, exp=n),
+        N.Neg(arg=q), N.Add(left=q, right=z), N.Sub(left=q, right=z), N.Mul(left=q, right=z),
+        N.Div(left=q, right=z), N.NumPoly(poly=n), N.Poch(bases=(q, z), step=one, length=n),
+        N.Theta(bases=(z,), step=one), N.QBinom(top=n, bottom=one),
+        N.ChainSum(indices=("n", "m"), body=q), N.BilateralSum(index="n", body=q),
+        N.RangeSum(index="j", lo=N.INeg(arg=n), hi=n, body=q),
+        N.Appell(index="n", num=q, den=n),
+        N.Hecke(outer="n", inner="j", region="half", body=q, den=None),
+        param, zbind,
+        N.IdentitySpec(name="x", params=(param,), scale=2, order=10, zbind=zbind, lhs=q, rhs=z,
+                       span=sp),
+    ]
+
+
+# The text each node class showed as a frozen dataclass.
+_NODE_REPRS = {
+    "Span": "Span(start=0, end=1)",
+    "IntExpr": "IntExpr()",
+    "IVar": "IVar(name='n')",
+    "IntLit": "IntLit(value=2)",
+    "IAdd": "IAdd(left=IVar(name='n'), right=IntLit(value=2))",
+    "ISub": "ISub(left=IVar(name='n'), right=IntLit(value=2))",
+    "IMul": "IMul(left=IntLit(value=2), right=IVar(name='n'))",
+    "INeg": "INeg(arg=IVar(name='n'))",
+    "IPow": "IPow(base=IVar(name='n'), power=3)",
+    "IBinom": "IBinom(arg=IVar(name='n'))",
+    "Expr": "Expr()",
+    "Rational": "Rational(value=Fraction(1, 2))",
+    "QPow": "QPow(exp=None)",
+    "ZPow": "ZPow(exp=IVar(name='n'))",
+    "Pow": "Pow(base=QPow(exp=None), exp=IVar(name='n'))",
+    "Neg": "Neg(arg=QPow(exp=None))",
+    "Add": "Add(left=QPow(exp=None), right=ZPow(exp=IVar(name='n')))",
+    "Sub": "Sub(left=QPow(exp=None), right=ZPow(exp=IVar(name='n')))",
+    "Mul": "Mul(left=QPow(exp=None), right=ZPow(exp=IVar(name='n')))",
+    "Div": "Div(left=QPow(exp=None), right=ZPow(exp=IVar(name='n')))",
+    "NumPoly": "NumPoly(poly=IVar(name='n'))",
+    "Poch": "Poch(bases=(QPow(exp=None), ZPow(exp=IVar(name='n'))), step=IntLit(value=1), "
+            "length=IVar(name='n'))",
+    "Theta": "Theta(bases=(ZPow(exp=IVar(name='n')),), step=IntLit(value=1))",
+    "QBinom": "QBinom(top=IVar(name='n'), bottom=IntLit(value=1))",
+    "ChainSum": "ChainSum(indices=('n', 'm'), body=QPow(exp=None))",
+    "BilateralSum": "BilateralSum(index='n', body=QPow(exp=None))",
+    "RangeSum": "RangeSum(index='j', lo=INeg(arg=IVar(name='n')), hi=IVar(name='n'), "
+                "body=QPow(exp=None))",
+    "Appell": "Appell(index='n', num=QPow(exp=None), den=IVar(name='n'))",
+    "Hecke": "Hecke(outer='n', inner='j', region='half', body=QPow(exp=None), den=None)",
+    "ParamDecl": "ParamDecl(name='m', lo=1, hi='k')",
+    "ZBind": "ZBind(sign=-1, qexp=IntLit(value=1))",
+    "IdentitySpec": "IdentitySpec(name='x', params=(ParamDecl(name='m', lo=1, hi='k'),), scale=2, "
+                    "order=10, zbind=ZBind(sign=-1, qexp=IntLit(value=1)), lhs=QPow(exp=None), "
+                    "rhs=ZPow(exp=IVar(name='n')))",
+}
+
+
+def _node_fields(node) -> dict:
+    """The node's fields by name, in the order the constructor takes them."""
+    return {k: v for k, v in vars(node).items() if k != "plans"}
+
+
+class TestNodeSemantics:
+    """Every node class is immutable and compared, hashed and shown by its fields but span."""
+
+    def test_every_node_class_is_sampled(self):
+        classes = {c for c in vars(N).values()
+                   if isinstance(c, type) and issubclass(c, N.Node) and c is not N.Node}
+        assert {type(x) for x in _node_samples()} == classes
+        assert len(classes) == 32 and set(_NODE_REPRS) == {c.__name__ for c in classes}
+
+    @pytest.mark.parametrize("node", _node_samples(), ids=lambda x: type(x).__name__)
+    def test_equality_hash_and_repr(self, node):
+        fields = _node_fields(node)
+        compared = tuple(v for k, v in fields.items() if k != "span")
+        assert repr(node) == _NODE_REPRS[type(node).__name__]
+        assert hash(node) == hash(compared)
+        twin = type(node)(**fields)
+        assert twin == node and hash(twin) == hash(node) and not twin != node
+        if "span" in fields:
+            moved = type(node)(**{**fields, "span": N.Span(5, 9)})
+            assert moved == node and hash(moved) == hash(node) and repr(moved) == repr(node)
+        # Equal fields in another class are not equal.
+        for other in _node_samples():
+            if type(other) is not type(node):
+                assert other != node and node != other
+        assert node != compared and node != None  # noqa: E711
+        if compared:
+            name = [k for k in fields if k != "span"][-1]
+            changed = type(node)(**{**fields, name: "other"})
+            assert changed != node
+
+    @pytest.mark.parametrize("node", _node_samples(), ids=lambda x: type(x).__name__)
+    def test_construction_and_immutability(self, node):
+        cls, fields = type(node), _node_fields(node)
+        assert cls(*fields.values()) == node        # positional, in field order
+        with pytest.raises(TypeError):
+            cls(**fields, unknown=1)
+        with pytest.raises(TypeError):
+            cls(*fields.values(), 1)
+        first = next(iter(fields))
+        with pytest.raises(TypeError):
+            cls(fields[first], **{first: fields[first]})
+        for name in fields:
+            with pytest.raises(AttributeError):
+                setattr(node, name, 1)
+            with pytest.raises(AttributeError):
+                delattr(node, name)
+        assert _node_fields(node) == fields
+        back = pickle.loads(pickle.dumps(node))
+        assert type(back) is cls and back == node and _node_fields(back) == fields
+
+    def test_span_comes_first_and_required_fields_are_required(self):
+        sp = N.Span(2, 3)
+        assert N.IntLit(sp, 5) == N.IntLit(value=5) and N.IntLit(sp, 5).span == sp
+        assert N.IntLit().value == 0 and N.Hecke().region == "full"
+        assert N.ParamDecl("m", 1, 3, sp).span == sp
+        for cls, given in ((N.Span, {"start": 0}), (N.ParamDecl, {"name": "m", "lo": 0}),
+                           (N.ZBind, {"sign": 1}), (N.IdentitySpec, {"name": "x"})):
+            with pytest.raises(TypeError):
+                cls(**given)
+
+    def test_plans_are_fresh_per_spec_and_not_compared(self):
+        text = "identity a { scale 1 order 5 lhs q rhs q }"
+        (a,), (b,) = parse_file(text), parse_file(text)
+        assert a.plans == {} and a.plans is a.plans and a.plans is not b.plans
+        evaluate(a, {}, "lhs")
+        assert set(a.plans) == {"lhs"} and b.plans == {}
+        assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+        back = pickle.loads(pickle.dumps(b))
+        assert back == b and back.plans == {} and back.plans is not b.plans
+        with pytest.raises(TypeError):
+            IdentitySpec(a.name, a.params, a.scale, a.order, a.zbind, a.lhs, a.rhs, plans={})
+
+    def test_catalog_reprs_are_unchanged(self):
+        specs = [R.load_spec(e) for e in R.REGISTRY.values() if e.route == "dsl"]
+        assert repr(R.load_spec(R.REGISTRY["qbinom_theorem"])) == (
+            "IdentitySpec(name='qbinom_theorem', params=(ParamDecl(name='nn', lo=0, hi=12),), "
+            "scale=1, order=145, zbind=None, lhs=Poch(bases=(ZPow(exp=None),), "
+            "step=IntLit(value=1), length=IVar(name='nn')), rhs=RangeSum(index='j', "
+            "lo=IntLit(value=0), hi=IVar(name='nn'), body=Mul(left=Mul(left=Mul("
+            "left=QBinom(top=IVar(name='nn'), bottom=IVar(name='j')), right=Pow(base=Neg("
+            "arg=Rational(value=Fraction(1, 1))), exp=IVar(name='j'))), right=QPow("
+            "exp=IBinom(arg=IVar(name='j')))), right=ZPow(exp=IVar(name='j')))))")
+        # Every DSL catalog spec, as the frozen dataclasses showed it.
+        digest = hashlib.sha256("\n".join(map(repr, specs)).encode()).hexdigest()
+        assert len(specs) == 70
+        assert digest == "d0b3a77a70cbcfda00edafc3b99fdf61f0942584cd84c27218db9451cca507fd"

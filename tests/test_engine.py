@@ -773,6 +773,21 @@ class TestSteppedTerms:
         assert applied(20) == 4 * 20 + 4
         assert applied(40) == 4 * 40 + 4
 
+    def test_each_product_is_read_once_per_term(self, monkeypatch):
+        # The head's lead and the term's runs share one read of each
+        # product; the other reads are of the factors a step changes. When
+        # the head read each product a second time, there were 329.
+        binomials = baileyforge.series.binomials
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return binomials(*args, **kwargs)
+
+        monkeypatch.setattr(baileyforge.series, "binomials", counted)
+        weak_lemma_eval(key_pair(EvalContext(1, 50)), "V3")    # alt_theta_formal
+        assert len(calls) == 317
+
     def test_far_beta_needs_no_recursion(self):
         # beta_0 first; it is too small to be kept, so beta_300 is built
         # from 1, by one kernel call and not by recursion.

@@ -197,6 +197,34 @@ def test_unexpected_exception_exits_2(monkeypatch, capsys):
     assert capsys.readouterr().err.strip() == "error: KeyError: 'lost'"
 
 
+def _list_json(stdout):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(R.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.Popen([sys.executable, "-m", "baileyforge.cli", "list", "--format", "json"],
+                            stdout=stdout, stderr=subprocess.PIPE, env=env)
+
+
+def test_closed_pipe_exits_141_quietly():
+    # The reader is gone before the first write, as `| head` leaves it once it has read enough.
+    read, write = os.pipe()
+    os.close(read)
+    proc = _list_json(write)
+    os.close(write)
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (141, b"")
+
+
+def test_pipe_closed_after_one_byte_ends_quietly():
+    # Whether the rest of the output still fit in the pipe decides 0 or 141.
+    proc = _list_json(subprocess.PIPE)
+    assert proc.stdout.read(1) == b"{"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.wait(timeout=60)
+    assert proc.returncode in (0, 141)
+    assert err == b""
+
+
 def test_oracle_raises_powers_by_squaring(monkeypatch, capsys):
     expr = "(1 + q)^(100000000)"
     assert main(["expand", expr, "--order", "3"]) == 0
