@@ -6,10 +6,10 @@ below and, for a term that never vanishes, from above. A bound is lowered
 once against its substitution, the names a sum binds: exponents are
 expanded with the parameters kept as variables of their own, and product
 bases, steps and lengths become closures. A run substitutes the parameters'
-values, keeps the integer lift and vanishing checks of products, and
-combines the resulting small numeric polynomials. Along one ray a
-polynomial is read as its coefficient list (``ray_coeffs``). Two users
-share this one derivation:
+values, reads a product's lowest exponent by the series' one rule
+(``_poch_floor``), keeps its vanishing check, and combines the resulting
+small numeric polynomials. Along one ray a polynomial is read as its
+coefficient list (``ray_coeffs``). Two users share this one derivation:
 
 * the evaluator lowers each sum's bound with its plan (``lower_floor``,
   ``lower_range``) and turns it into a certified last index
@@ -35,7 +35,7 @@ from fractions import Fraction
 from itertools import chain
 
 from ..errors import PoleError, SeriesError, SpecError
-from ..series import _exact
+from ..series import _exact, _poch_floor
 from .nodes import (
     Add,
     Div,
@@ -395,7 +395,7 @@ def _lower_product(expr, sub: dict, scale: int):
             constant = lp is not None and _is_const(lp)
             if constant:
                 length = int(lp.get((), 0))
-        lift = 0
+        low = 0
         vanishes = False
         for c, ze, qe in triples:
             if not c:
@@ -407,18 +407,15 @@ def _lower_product(expr, sub: dict, scale: int):
                 folded = -c if zfold[0] == -1 and ze % 2 else c
             else:
                 eff, folded = qe, c
-            k = 0
-            while eff + k * step < 0 and (length is None or k < length):
-                lift -= eff + k * step
-                k += 1
+            low += _poch_floor(eff, step, length)
             # A factor 1 - q^0 at some t < length makes the whole product vanish.
             if (folded == 1 and eff <= 0 and eff % step == 0
                     and (length is None or -eff // step < length)):
                 vanishes = True
         if vanishes:
-            return mconst(-lift), None
-        # A nonvanishing product of fixed length has lowest exponent exactly -lift.
-        return mconst(-lift), (mconst(-lift) if constant else {})
+            return mconst(low), None
+        # A nonvanishing product of fixed length has lowest exponent exactly low.
+        return mconst(low), (mconst(low) if constant else {})
 
     return product
 

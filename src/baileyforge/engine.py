@@ -33,6 +33,14 @@ last one held by the factors that changed, under the rule the DSL
 evaluator's products use (``_weighted``, ``series._stepped``,
 ``series._from_last``): one kernel call with a few factors per term, where
 a term built from scratch applies O(n) factors.
+
+Every bound on the indices a sum visits is read from the form it bounds,
+by the one rule ``series._form_floor``. Each pair's alpha is a product
+form, so its alpha_floor is that form's lowest exponent; a transform's
+alpha is the base pair's times a weight form, and its floor the base
+pair's plus the weight's (``_alpha_side``). beta_n has no negative
+exponent, so a beta side sum_n beta_n W(n) is bounded by W(n)'s floor
+(``_beta_sum``).
 """
 
 from __future__ import annotations
@@ -48,10 +56,11 @@ from .series import (
     QSeries,
     _Budget,
     _Sum,
+    _fold,
+    _form_floor,
     _stepped,
     _times,
     hard_cap,
-    monomial,
     one,
     zero,
 )
@@ -88,10 +97,11 @@ INFINITE = _InfiniteLimit()
 class BilateralPair:
     """Bilateral pair with termination metadata.
 
-    alpha_floor(n) must lower-bound the minimal retained q-exponent of
-    alpha(n) (z interpretation already folded in); beta(n) must have
-    nonnegative minimal exponent. beta_limit, when present, returns the
-    coefficientwise limit of beta_n. beta_form, when present, gives beta_n
+    alpha_floor(n) lower-bounds the lowest q-exponent of alpha(n), z folded
+    under ctx; the constructors and transforms read it from the product
+    form alpha(n) is built from (``_alpha_side``), where it is exact.
+    beta(n) must have nonnegative minimal exponent. beta_limit, when
+    present, returns the coefficientwise limit of beta_n. beta_form, when present, gives beta_n
     for n >= 0 as a product form, the ``_times`` arguments (num, den, lead)
     that build it from 1; each beta_n is reached from the last one held
     (``series._stepped``). Pairs whose beta is a convolution have none.
@@ -133,11 +143,6 @@ def _memo_thunk(fn):
     return wrapped
 
 
-def _zfold(ctx: EvalContext) -> int:
-    zi = ctx.z_interp
-    return zi.qexp if zi is not None else 0
-
-
 def _weighted(pair: "BilateralPair", form):
     """n -> beta_n W(n) for n >= 0, where W(n) is the product form(n).
 
@@ -154,6 +159,36 @@ def _weighted(pair: "BilateralPair", form):
         return [*bnum, *wnum], [*bden, *wden], (bc * wc, bz + wz, bq + wq)
 
     return _stepped(pair.ctx, joined)
+
+
+def _alpha_side(ctx: EvalContext, form, base: "BilateralPair | None" = None):
+    """(alpha, floor): n -> alpha_n W(n) for the product form W(n) = form(n), and its floor.
+
+    alpha_n is the base pair's alpha, or 1 for a pair written as a form.
+    The floor is the base pair's alpha_floor (0 for 1) plus the lowest
+    exponent of W(n) (``_form_floor``). Nothing is memoised.
+    """
+    def alpha(n: int) -> QSeries:
+        num, den, lead = form(n)
+        return _times(one(ctx) if base is None else base.alpha(n), num, den, _fold(ctx, *lead))
+
+    def floor(n: int) -> int:
+        return (0 if base is None else base.alpha_floor(n)) + _form_floor(ctx, *form(n))
+
+    return alpha, floor
+
+
+def _beta_sum(pair: "BilateralPair", form, budget, term=None) -> QSeries:
+    """sum_{n>=0} beta_n W(n) for the product form W(n) = form(n), bounded by W(n)'s floor.
+
+    beta_n has no negative exponent, so the lowest exponent of W(n)
+    (``_form_floor``) bounds the term. term(n) = beta_n W(n) defaults to
+    ``_weighted``'s; a caller that shares its terms passes them memoised.
+    """
+    ctx = pair.ctx
+    if term is None:
+        term = _weighted(pair, form)
+    return _index_sum(ctx, term, lambda n: _form_floor(ctx, *form(n)), budget=budget)
 
 
 def _signed(num: list, den: list, base, step: int, n: int) -> None:
@@ -195,40 +230,18 @@ def _convolve(ctx: EvalContext, a, n: int, step: int, shift: int = 0, kernel=Non
     return _bailey_sum([a(j) for j in range(n, -1, -1)], step, shift, kernel)
 
 
-def poch_signed_min(qe: int, step: int, n: int) -> int:
-    """Exact minimal q-exponent of (q^qe; q^step)_n at an index of either sign.
-
-    For n >= 0 the factors below q^0 are the first t = min(n, ceil(-qe/step));
-    for n < 0 the divisors 1 - q^(qe - t*step) below q^0 are those with
-    t > qe/step, t <= -n. Each is an arithmetic sum.
-    """
-    if n >= 0:
-        t = min(n, max(0, -(qe // step)))
-        return t * qe + step * t * (t - 1) // 2
-    m = -n
-    lo = max(1, qe // step + 1)
-    t = max(0, m - lo + 1)
-    return step * (lo + m) * t // 2 - t * qe
-
-
 # -- pair constructors ------------------------------------------------------
 
 
 def key_pair(ctx: EvalContext, dilation: int | None = None) -> BilateralPair:
     """The main pair: alpha_n = (-1)^n z^n Q^binom(n,2), beta_n = (z, Q/z; Q)_n / (Q; Q)_2n."""
     r = ctx.scale if dilation is None else dilation
-    a = _zfold(ctx)
     zbases = ((1, 1, 0), (1, -1, r))
-
-    def alpha(n: int) -> QSeries:
-        return monomial(ctx, (-1) ** (n % 2), n, r * n * (n - 1) // 2)
+    alpha, floor = _alpha_side(ctx, lambda n: ((), (), ((-1) ** (n % 2), n, r * n * (n - 1) // 2)))
 
     # beta_n / beta_(n-1) = (1 - zQ^(n-1))(1 - Q^n/z) / ((1 - Q^(2n-1))(1 - Q^(2n))).
     def form(n: int):
         return [(zbases, r, n)], [((1, 0, r), r, 2 * n)], (1, 0, 0)
-
-    def floor(n: int) -> int:
-        return r * n * (n - 1) // 2 + n * a
 
     def limit() -> QSeries:
         return _times(one(ctx), [(zbases, r, None)], [((1, 0, r), r, None)])
@@ -241,22 +254,14 @@ def key_pair(ctx: EvalContext, dilation: int | None = None) -> BilateralPair:
 def closed_form_djk_pair(ctx: EvalContext, dilation: int | None = None) -> BilateralPair:
     """Closed form of the halving lattice walk that rescales alpha."""
     u = ctx.scale if dilation is None else dilation
-    a = _zfold(ctx)
-
-    def alpha(n: int) -> QSeries:
-        num = monomial(ctx, 2 * (-1) ** (n % 2), n, u * n * n)
-        return _times(num, den=[((-1, 0, 2 * u * n), 1, 1)])
+    alpha, floor = _alpha_side(
+        ctx, lambda n: ((), [((-1, 0, 2 * u * n), 1, 1)], (2 * (-1) ** (n % 2), n, u * n * n)),
+    )
 
     @_memo_seq
     def term(j: int) -> QSeries:
         num = [((-1, 0, 0), u, 2 * j), (((1, 1, 0), (1, -1, 2 * u)), 2 * u, j)]
         return _times(one(ctx), num, [((1, 0, 2 * u), 2 * u, 2 * j)], (1, 0, u * j))
-
-    def floor(n: int) -> int:
-        e = u * n * n + n * a
-        if n < 0:
-            e += 2 * u * (-n)
-        return e
 
     return BilateralPair(
         ctx, u, _memo_seq(alpha), _memo_seq(lambda n: _convolve(ctx, term, n, 2 * u)), floor,
@@ -266,18 +271,12 @@ def closed_form_djk_pair(ctx: EvalContext, dilation: int | None = None) -> Bilat
 def closed_form_jouhet_pair(ctx: EvalContext, dilation: int | None = None) -> BilateralPair:
     """Closed form of the halving lattice walk that keeps alpha fixed."""
     u = ctx.scale if dilation is None else dilation
-    a = _zfold(ctx)
-
-    def alpha(n: int) -> QSeries:
-        return monomial(ctx, (-1) ** (n % 2), n, u * n * (n - 1))
+    alpha, floor = _alpha_side(ctx, lambda n: ((), (), ((-1) ** (n % 2), n, u * n * (n - 1))))
 
     @_memo_seq
     def term(j: int) -> QSeries:
         num = [(((1, 1, 0), (1, -1, 2 * u)), 2 * u, j)]
         return _times(one(ctx), num, [((1, 0, u), u, 2 * j)])
-
-    def floor(n: int) -> int:
-        return u * n * (n - 1) + n * a
 
     return BilateralPair(
         ctx, u, _memo_seq(alpha), _memo_seq(lambda n: _convolve(ctx, term, n, 2 * u, u)), floor,
@@ -366,7 +365,7 @@ class _Weights:
 
     The beta weight is (x, y; Q)_n (Q/xy)^n with infinite limits folded in
     by the rule (x; Q)_n x^(-n) -> (-1)^n Q^binom(n,2); the alpha weight
-    divides it by (Q/x, Q/y; Q)_n. Minimal-exponent companions are exact.
+    divides it by (Q/x, Q/y; Q)_n.
     """
 
     r: int
@@ -390,27 +389,6 @@ class _Weights:
             if (p is INFINITE or p.sign == -1) and n % 2:
                 sign = -sign
         return num, den, (sign, 0, qshift)
-
-    def apply(self, s: QSeries, n: int, alpha: bool = False) -> QSeries:
-        """s times the beta weight at n, or with alpha the alpha weight, in one pass."""
-        return _times(s, *self.form(n, alpha))
-
-    def beta_weight_min(self, n: int) -> int:
-        r = self.r
-        e = r * n
-        for p in (self.x, self.y):
-            if p is INFINITE:
-                e += r * n * (n - 1) // 2
-            else:
-                e += poch_signed_min(p.qexp, r, n) - p.qexp * n
-        return e
-
-    def alpha_weight_min(self, n: int) -> int:
-        e = self.beta_weight_min(n)
-        for p in (self.x, self.y):
-            if p is not INFINITE:
-                e -= poch_signed_min(self.r - p.qexp, self.r, n)
-        return e
 
     def kernel(self):
         """The base Q/xy of the two-limit kernel, or None with an infinite limit."""
@@ -438,8 +416,8 @@ def _abel_beta_side(pair: BilateralPair, bases, step: int, budget) -> QSeries:
     return _abel_alternating(pair.ctx, term, lim, budget)
 
 
-def _beta_side(pair: BilateralPair, w: _Weights, term, budget) -> QSeries:
-    """sum_n beta_n times the beta weight, where term(n) = beta_n W(n).
+def _beta_side(pair: BilateralPair, w: _Weights, budget, term=None) -> QSeries:
+    """sum_n beta_n times the beta weight (``_beta_sum``), over the terms term(n) when given.
 
     At Q/xy = -1 the beta side alternates toward a nonzero limit and is
     Abel-summed over (x, y; Q)_n beta_n instead.
@@ -447,8 +425,7 @@ def _beta_side(pair: BilateralPair, w: _Weights, term, budget) -> QSeries:
     if w.kernel() == (-1, 0, 0):
         bases = ((w.x.sign, 0, w.x.qexp), (w.y.sign, 0, w.y.qexp))
         return _abel_beta_side(pair, bases, w.r, budget)
-    return _index_sum(pair.ctx, term, w.beta_weight_min, budget=budget)
-
+    return _beta_sum(pair, w.form, budget, term)
 
 def bms_general_eval(pair: BilateralPair, x, y):
     """Both sides of the two-limit bilateral summation at (x, y).
@@ -460,10 +437,9 @@ def bms_general_eval(pair: BilateralPair, x, y):
     """
     w = _Weights(pair.dilation, x, y)
     budget = _Budget()
-    lhs = _beta_side(pair, w, _weighted(pair, w.form), budget)
-    asum = _index_sum(pair.ctx, lambda n: w.apply(pair.alpha(n), n, alpha=True),
-                      lambda n: w.alpha_weight_min(n) + pair.alpha_floor(n),
-                      bilateral=True, budget=budget)
+    lhs = _beta_side(pair, w, budget)
+    alpha = _alpha_side(pair.ctx, lambda n: w.form(n, alpha=True), pair)
+    asum = _index_sum(pair.ctx, *alpha, bilateral=True, budget=budget)
     return lhs, w.prefactor(asum)
 
 
@@ -486,8 +462,8 @@ def weak_lemma_eval(pair: BilateralPair, variant: str):
         budget = _Budget()
         odd = ((1, 0, r), 2 * r)
         lhs = _abel_beta_side(pair, *odd, budget) * 2
-        asum = _index_sum(ctx, lambda n: _times(pair.alpha(n), lead=(-1 if n % 2 else 1, 0, 0)),
-                          pair.alpha_floor, bilateral=True, budget=budget)
+        signs = _alpha_side(ctx, lambda n: ((), (), (-1 if n % 2 else 1, 0, 0)), pair)
+        asum = _index_sum(ctx, *signs, bilateral=True, budget=budget)
         return lhs, _times(asum, [odd + (None,)], [((1, 0, 2 * r), 2 * r, None)])
     if variant == "V2" and r % 2:
         raise ValueError("V2 needs an even dilation (half-step exponents)")
@@ -526,21 +502,15 @@ def general_chain_step(pair: BilateralPair, x, y) -> BilateralPair:
             "negative, so the transformed beta is not exact at the order"
         )
     limits = [((p.sign, 0, r - p.qexp), r) for p in (x, y) if p is not INFINITE]
-
-    def alpha(n: int) -> QSeries:
-        return w.apply(pair.alpha(n), n, alpha=True)
-
+    alpha, floor = _alpha_side(ctx, lambda n: w.form(n, alpha=True), pair)
     term = _memo_seq(_weighted(pair, w.form))
 
     def beta(n: int) -> QSeries:
         acc = _convolve(ctx, term, n, r, kernel=kernel)
         return _times(acc, den=[lim + (n,) for lim in limits]) if n >= 0 else acc
 
-    def floor(n: int) -> int:
-        return w.alpha_weight_min(n) + pair.alpha_floor(n)
-
     def limit() -> QSeries:
-        core = _beta_side(pair, w, term, _Budget())
+        core = _beta_side(pair, w, _Budget(), term)
         num = [] if kernel is None else [(kernel, r, None)]
         den = [((1, 0, r), r, None)] + [lim + (None,) for lim in limits]
         return _times(core, num, den)
@@ -554,20 +524,17 @@ def lattice_djk(pair: BilateralPair) -> BilateralPair:
     if pair.dilation % 2:
         raise ValueError("lattice walk needs an even dilation")
     s = pair.dilation // 2
+    alpha, floor = _alpha_side(
+        ctx, lambda n: ((), [((-1, 0, 2 * s * n), 1, 1)], (2, 0, s * n)), pair,
+    )
 
-    def alpha(n: int) -> QSeries:
-        return _times(pair.alpha(n), den=[((-1, 0, 2 * s * n), 1, 1)], lead=(2, 0, s * n))
+    def form(j: int):
+        return [((-1, 0, 0), s, 2 * j)], (), (1, 0, s * j)
 
-    term = _memo_seq(_weighted(pair, lambda j: ([((-1, 0, 0), s, 2 * j)], (), (1, 0, s * j))))
-
-    def floor(n: int) -> int:
-        e = s * n + pair.alpha_floor(n)
-        if n < 0:
-            e += -2 * s * n
-        return e
+    term = _memo_seq(_weighted(pair, form))
 
     def limit() -> QSeries:
-        acc = _index_sum(ctx, term, lambda v: s * v, budget=_Budget())
+        acc = _beta_sum(pair, form, _Budget(), term)
         return _times(acc, den=[((1, 0, 2 * s), 2 * s, None)])
 
     return BilateralPair(
@@ -673,21 +640,24 @@ def aw_lemma_eval(pair: BilateralPair, which: str):
     else:
         raise ValueError("which must be 'I' or 'II'")
 
-    lhs = _index_sum(ctx, _weighted(pair, lweight), lambda v: u * v, budget=budget)
+    lhs = _beta_sum(pair, lweight, budget)
+    # Each row reads the floors of up to 2n + 1 alphas: read each once.
+    floor = {j: pair.alpha_floor(j) for j in range(-cap, cap + 1)}
 
     def row_bound(n):
-        return min(outer(n) + inner_qexp(j) + pair.alpha_floor(j) for j in jrange(n))
+        return min(outer(n) + inner_qexp(j) + floor[j] for j in jrange(n))
 
-    rhs = zero(ctx)
+    acc = _Sum()
     for n in _indices(row_bound, ctx.order, cap, bilateral=False, budget=budget):
         for j in jrange(n):
             # outer + inner >= 0 for |j| within the row, so the fused
             # shift is exact even when each part overflows the order.
             shift = outer(n) + inner_qexp(j)
-            if shift + pair.alpha_floor(j) > ctx.order:
+            if shift + floor[j] > ctx.order:
                 continue
             budget.spend()
-            rhs = rhs + _times(pair.alpha(j), lead=(1, 0, shift))
+            acc.add(_times(pair.alpha(j), lead=(1, 0, shift)))
+    rhs = acc.series(ctx)
 
     for side, name in ((lhs, "left"), (rhs, "right")):
         m = side.min_exponent()
@@ -747,5 +717,4 @@ def multisum_lhs(kind: str, k: int, ctx: EvalContext, pair: BilateralPair | None
         raise ValueError(f"unknown multisum kind {kind!r}")
     for _ in range(k - 1):
         pair = step(pair)
-    w = _Weights(pair.dilation, x, y)
-    return _index_sum(ctx, _weighted(pair, w.form), w.beta_weight_min, budget=_Budget())
+    return _beta_sum(pair, _Weights(pair.dilation, x, y).form, _Budget())

@@ -415,7 +415,10 @@ def _chain(node: ChainSum, st: _State) -> _Ex:
 def _drive(expr, order: int, scale: int, zfold, env: dict) -> dict:
     w = order
     for _ in range(6):
-        out = _eval(expr, _State(w, scale, zfold, dict(env)))
+        try:
+            out = _eval(expr, _State(w, scale, zfold, dict(env)))
+        except KeyError as e:
+            raise SpecError(f"unbound identifier {e.args[0]!r}") from e
         if out.hi is None or out.hi >= order:
             return {k: c for k, c in out.t.items() if c and k[0] <= order}
         w += order - out.hi

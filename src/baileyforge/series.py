@@ -716,6 +716,8 @@ def qbinomial(ctx: EvalContext, n: int, k: int) -> QSeries:
 # term so, for the DSL evaluator's products and the engine's product forms
 # (``_stepped``) alike. A product form is (num, den, lead): Pochhammer
 # products over and under a folded monomial lead = (coeff, zexp, qexp).
+# ``_form_floor`` is the one rule for a form's lowest q-exponent, which
+# bounds the indices a sum of forms visits.
 
 
 def _read(lead, reads, read):
@@ -753,6 +755,40 @@ def _times(s: QSeries, num=(), den=(), lead=(1, 0, 0)) -> QSeries:
     reads = [(args, p) for side, p in ((num, 1), (den, -1)) for args in side]
     lead, nruns, druns = _read(lead, reads, lambda args: binomials(s.ctx, *args))
     return times_binomials(s, nruns, druns, lead)
+
+
+def _poch_floor(e: int, step: int, length) -> int:
+    """sum_{t<length} min(0, e + t*step): the lowest q-exponent of (b*q^e; q^step)_length.
+
+    Each factor 1 - b*q^(e + t*step) below q^0 starts at its own exponent
+    (``binomials``), the others at q^0. length None is the infinite product;
+    a length <= 0 gives 0.
+    """
+    t = -(e // step) if e < 0 else 0
+    if length is not None and length < t:
+        t = max(length, 0)
+    return t * e + step * t * (t - 1) // 2
+
+
+def _form_floor(ctx: EvalContext, num=(), den=(), lead=(1, 0, 0)) -> int:
+    """The lowest q-exponent of lead * prod(num) / prod(den), as ``_times`` reads the form.
+
+    Exact unless the form vanishes. z is folded under ctx (a formal z is a
+    variable of its own, so a factor with z starts at its q-exponent), a
+    base with coefficient 0 is the factor 1, and each divisor subtracts the
+    floor of its product (``_poch_floor``).
+    """
+    zi = ctx.z_interp
+    fold = 0 if zi is None else zi.qexp
+    e = lead[2] + lead[1] * fold
+    for side, sign in ((num, 1), (den, -1)):
+        for bases, step, length in side:
+            if not isinstance(bases[0], (tuple, list)):
+                bases = (bases,)
+            for c, ze, qe in bases:
+                if c:
+                    e += sign * _poch_floor(qe + ze * fold, step, length)
+    return e
 
 
 # The cost model of ``_from_last``, in coefficient updates. A term built

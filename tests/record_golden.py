@@ -3,8 +3,8 @@
 Each entry is evaluated at its shipped order (the order rule of a family at
 its default parameters, the engine order of an engine entry) and the row is
 printed in the ``GOLDEN`` table's layout, with the term budget each side of
-a DSL entry spends. Record on a known-good commit, before the change the
-digests are meant to pin:
+a DSL entry spends, or the units an engine entry's check spends. Record on
+a known-good commit, before the change the digests are meant to pin:
 
     PYTHONPATH=src python3 tests/record_golden.py [name ...]
 """
@@ -18,7 +18,7 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from baileyforge.dsl.evaluator import bindings_env, evaluate  # noqa: E402
 from baileyforge.errors import BudgetError  # noqa: E402
 from baileyforge.registry import REGISTRY, load_spec  # noqa: E402
-from test_golden import sides, table_digest  # noqa: E402
+from test_golden import engine_spent, sides, table_digest  # noqa: E402
 
 
 def shipped(entry):
@@ -56,10 +56,11 @@ def main(names):
         entry = REGISTRY[name]
         params, order = shipped(entry)
         lhs, rhs = sides(name, params, order)
-        units = None
         if entry.route == "dsl":
             spec = load_spec(entry)
             units = tuple(spent(spec, params, side, order) for side in ("lhs", "rhs"))
+        else:
+            units = engine_spent(name, order)
         print(f'    ("{name}", {json.dumps(params)}, {order},\n'
               f'     "{table_digest(lhs)}",\n'
               f'     "{table_digest(rhs)}", {units}),')

@@ -4,7 +4,7 @@ import dataclasses
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import oracles
 from baileyforge.dsl.evaluator import evaluate
@@ -14,6 +14,7 @@ from baileyforge.engine import (
     _abel_alternating,
     _Budget,
     _bailey_sum,
+    _signed,
     _times,
     _weighted,
     bms_general_eval,
@@ -28,17 +29,25 @@ from baileyforge.engine import (
     lattice_djk,
     lattice_jouhet,
     multisum_lhs,
-    poch_signed_min,
     verify_pair_definition,
     weak_lemma_eval,
 )
-from baileyforge.errors import NegativeFloorError, TerminationError
+from baileyforge.errors import (
+    NegativeFloorError,
+    NonUnitLeadingError,
+    TerminationError,
+    ZDegreeError,
+)
 from baileyforge.registry import REGISTRY, load_spec
 import baileyforge.series
 from baileyforge.series import (
     EvalContext,
     Monomial,
+    _fold,
+    _form_floor,
+    _poch_floor,
     _stepped,
+    binomials,
     monomial,
     one,
     poch_finite,
@@ -466,12 +475,6 @@ class TestIteratedIdentities:
 # -- the in-place helpers ----------------------------------------------------
 
 
-def _poch_signed_min_by_terms(qe, step, n):
-    if n >= 0:
-        return sum(min(0, qe + t * step) for t in range(n))
-    return -sum(min(0, qe - t * step) for t in range(1, -n + 1))
-
-
 def _signed_poch(ctx, base, step, n):
     """(base; q^step)_n as a series: 1 / (base q^(n step); q^step)_(-n) for n < 0."""
     if n >= 0:
@@ -495,14 +498,53 @@ _term_rows = st.lists(
 )
 
 
+# Contexts for the floor of a product form: formal, and z folded above and
+# below q^0.
+_FLOOR_CTXS = [EvalContext(1, 0), EvalContext(2, 0),
+               EvalContext(1, 0, Monomial(-1, 1)), EvalContext(1, 0, Monomial(1, -2))]
+_floor_lead = st.tuples(st.sampled_from([1, -1, 2, -2]), st.integers(-1, 1), st.integers(-12, 12))
+# A base with coefficient 0 is the factor 1.
+_floor_bases = st.tuples(st.sampled_from([1, -1, 2, -2, 0]), st.integers(-1, 1), st.integers(-12, 12))
+# A product (bases; q^step)_n: n < 0 goes through _signed, one base at a time.
+_floor_products = st.tuples(st.lists(_floor_bases, min_size=1, max_size=2),
+                            st.integers(1, 4), st.integers(-5, 5))
+
+
 class TestHelpers:
-    @given(
-        st.integers(min_value=-20, max_value=20),
-        st.integers(min_value=1, max_value=6),
-        st.integers(min_value=-15, max_value=15),
-    )
-    def test_poch_signed_min_closed_form(self, qe, step, n):
-        assert poch_signed_min(qe, step, n) == _poch_signed_min_by_terms(qe, step, n)
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(range(len(_FLOOR_CTXS))), st.lists(_floor_products, max_size=2),
+           st.lists(_floor_products, max_size=2), _floor_lead)
+    def test_form_floor_is_the_lowest_exponent(self, ci, nums, dens, lead):
+        ctx = _FLOOR_CTXS[ci]
+        num: list = []
+        den: list = []
+        for side, other, products in ((num, den, nums), (den, num, dens)):
+            for bases, step, n in products:
+                if n >= 0:
+                    side.append((tuple(bases), step, n))
+                else:
+                    for base in bases:
+                        _signed(side, other, base, step, n)
+        floor = _form_floor(ctx, num, den, lead)
+        # The product runs at the order of the floor, or of q^0 below it: a
+        # floor too high or too low shows as another lowest exponent or as
+        # no term at all. A higher order would only add terms, and a formal
+        # z soon passes the z-degree guard there.
+        lifted = EvalContext(ctx.scale, max(floor, 0), ctx.z_interp)
+        # A numerator with a factor 1 - q^0 vanishes, as binomials reads it.
+        assume(all(binomials(lifted, *args)[0][0] for args in num))
+        try:
+            product = _times(one(lifted), num, den, _fold(lifted, *lead))
+        except NonUnitLeadingError:
+            assume(False)       # a divisor with no positive q-exponent is not a unit
+        except ZDegreeError:
+            assume(False)       # outside the z-degree guard region at this order
+        assert product.min_exponent() == floor
+
+    @given(st.integers(-30, 30), st.integers(1, 6), st.one_of(st.none(), st.integers(-3, 15)))
+    def test_poch_floor_sums_the_factors_below_q0(self, e, step, length):
+        stop = length if length is not None else max(0, -e) + 1
+        assert _poch_floor(e, step, length) == sum(min(0, e + t * step) for t in range(stop))
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -581,7 +623,7 @@ class TestHelpers:
             s = one(ctx) + monomial(ctx, 2, 0, 1) - monomial(ctx, F(1, 3), 0, 3)
             s_lifted = one(lifted) + monomial(lifted, 2, 0, 1) - monomial(lifted, F(1, 3), 0, 3)
             ref = ref * monomial(lifted, sign, 0, qshift) * s_lifted
-            assert _table(w.apply(s, n, alpha)) == _table(retruncate(ref, ctx)), n
+            assert _table(_times(s, *w.form(n, alpha))) == _table(retruncate(ref, ctx)), n
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     @pytest.mark.parametrize("kind,name", [("AG1", "ag_multisum_k"), ("AG2", "ag_even_multisum_k")])

@@ -11,6 +11,8 @@ The rest pin every catalog entry at its shipped order and default parameters;
 Each row also pins the term budget each side of a DSL entry spends: the side
 evaluates within exactly that many units and raises ``BudgetError`` with one
 fewer, so an evaluator can neither skip nor add a budgeted summation term.
+An engine entry's row pins the units its check spends over all its budgets
+(``_Budget.spend``), so the engine's index sets can neither shrink nor grow.
 """
 
 import hashlib
@@ -21,6 +23,7 @@ import pytest
 from baileyforge.dsl.evaluator import evaluate
 from baileyforge.errors import BudgetError
 from baileyforge.registry import REGISTRY, load_spec
+from baileyforge.series import _Budget
 
 
 def table_digest(s) -> str:
@@ -42,7 +45,7 @@ def sides(name, params, order, units=(None, None)):
 
 
 # (name, params, order, lhs digest, rhs digest, (lhs units, rhs units) of the
-# term budget; None for an engine entry)
+# term budget; for an engine entry, the units its check spends)
 GOLDEN = [
     ("qbinom_theorem", {"nn": 8}, 65,
      "cb23ce968f8d8baf979c91c2f47e4196e93f8b54f994e42c95dc47058cd1e6d4",
@@ -52,7 +55,7 @@ GOLDEN = [
      "ddffaf01b1af4f3ce1c84c8c2688a20eb6189bce49aefae8756472ec19fc8924", (0, 0)),
     ("alt_theta_formal", {}, 26,
      "4a3f252a89475629dc57b382ced4b49eadd75d0828b269d614bdc483148de315",
-     "4a3f252a89475629dc57b382ced4b49eadd75d0828b269d614bdc483148de315", None),
+     "4a3f252a89475629dc57b382ced4b49eadd75d0828b269d614bdc483148de315", 44),
     ("rr_mod3m_plus", {"m": 3, "a": 1}, 36,
      "e5d789173c5e8a161a802de5ddc06affa9ca7922bf70ff040bf66cc89ec2f447",
      "e5d789173c5e8a161a802de5ddc06affa9ca7922bf70ff040bf66cc89ec2f447", (8, 0)),
@@ -89,7 +92,7 @@ GOLDEN = [
      "c0c0b0b2fca2fbbe65a6787e22ae32c9b231fb576f03e2d28943a9851e41412a", (16, 0)),
     ("alt_theta_formal", {}, 50,
      "13bc2bbe17b02b4262a9045da8c23e719a88037518c4da216a4e24a1f43f89bc",
-     "13bc2bbe17b02b4262a9045da8c23e719a88037518c4da216a4e24a1f43f89bc", None),
+     "13bc2bbe17b02b4262a9045da8c23e719a88037518c4da216a4e24a1f43f89bc", 74),
     ("tri_mod2_pair_formal", {}, 50,
      "09666678e4dad16d7c3d99753e64a990d08d528dac1c98cdf70937bac52c96f9",
      "09666678e4dad16d7c3d99753e64a990d08d528dac1c98cdf70937bac52c96f9", (22, 0)),
@@ -224,7 +227,7 @@ GOLDEN = [
      "e84db24b7e34363f895dee0b89e01692530d02bd1ec696a93f3d58af0da87a41", (54, 10)),
     ("appell_double_alt", {}, 80,
      "1ef2583a7ecaa28b6121009dbe42144f186dc8ab68f75acdf6c9d164bb1e64dc",
-     "1ef2583a7ecaa28b6121009dbe42144f186dc8ab68f75acdf6c9d164bb1e64dc", None),
+     "1ef2583a7ecaa28b6121009dbe42144f186dc8ab68f75acdf6c9d164bb1e64dc", 96),
     ("euler_bridge", {}, 40,
      "f5b16fce26fb6236c43bc8f8946541a36a0d43f37e38d0327ee6fdac41c62c37",
      "f5b16fce26fb6236c43bc8f8946541a36a0d43f37e38d0327ee6fdac41c62c37", (35, 12)),
@@ -239,7 +242,7 @@ GOLDEN = [
      "124d0e12dec0241d4f69e6e9938efdedae80de6bd09d07c1091d01063f9ecdcc", (65, 0)),
     ("lat_alt_theta", {}, 80,
      "9ffb324ec6c766a7d1a98197bae46b790d1bb2e81248a151ccb8374858648f00",
-     "9ffb324ec6c766a7d1a98197bae46b790d1bb2e81248a151ccb8374858648f00", None),
+     "9ffb324ec6c766a7d1a98197bae46b790d1bb2e81248a151ccb8374858648f00", 56),
     ("lat_mod6_inst", {}, 40,
      "fbec580cb10991e685259cdd1689d48b35667759e2a47e05e570157a9e5445a8",
      "fbec580cb10991e685259cdd1689d48b35667759e2a47e05e570157a9e5445a8", (12, 0)),
@@ -294,11 +297,36 @@ def _ids(rows):
 
 @pytest.mark.parametrize("name,params,order,lhs_digest,rhs_digest,units", GOLDEN, ids=_ids(GOLDEN))
 def test_side_digests(name, params, order, lhs_digest, rhs_digest, units):
-    lhs, rhs = sides(name, params, order, units or (None, None))
+    lhs, rhs = sides(name, params, order, units)
     assert (table_digest(lhs), table_digest(rhs)) == (lhs_digest, rhs_digest)
 
 
-BUDGETED = [row for row in GOLDEN if row[5] is not None and any(row[5])]
+def engine_spent(name, order) -> int:
+    """The term-budget units an engine entry's check spends, over every budget it opens."""
+    spent = [0]
+    spend = _Budget.spend
+
+    def counted(budget, n=1):
+        spent[0] += n
+        spend(budget, n)
+
+    _Budget.spend = counted
+    try:
+        REGISTRY[name].engine_check(order)
+    finally:
+        _Budget.spend = spend
+    return spent[0]
+
+
+ENGINE = [row for row in GOLDEN if isinstance(row[5], int)]
+
+
+@pytest.mark.parametrize("name,order,units", [(r[0], r[2], r[5]) for r in ENGINE], ids=_ids(ENGINE))
+def test_engine_term_spend_is_pinned(name, order, units):
+    assert engine_spent(name, order) == units
+
+
+BUDGETED = [row for row in GOLDEN if isinstance(row[5], tuple) and any(row[5])]
 
 
 @pytest.mark.parametrize("name,params,order,units", [(r[0], r[1], r[2], r[5]) for r in BUDGETED],

@@ -197,6 +197,13 @@ def test_unexpected_exception_exits_2(monkeypatch, capsys):
     assert capsys.readouterr().err.strip() == "error: KeyError: 'lost'"
 
 
+@pytest.mark.parametrize("route", [[], ["--oracle"]], ids=["evaluator", "oracle"])
+def test_unbound_name_is_one_clear_error(route, capsys):
+    # A SpecError, not the catch-all: no exception name, no message wrapped twice.
+    assert main(["expand", "q^(n)", *route]) == 2
+    assert capsys.readouterr().err.strip() == "error: unbound identifier 'n'"
+
+
 def _list_json(stdout):
     src = os.path.dirname(os.path.dirname(os.path.abspath(R.__file__)))
     env = {**os.environ, "PYTHONPATH": src}
