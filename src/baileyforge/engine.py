@@ -333,12 +333,11 @@ def _index_sum(ctx: EvalContext, f, bound, *, bilateral=False, budget) -> QSerie
 def _abel_alternating(ctx, term, term_limit, budget) -> QSeries:
     """Abel value of sum_{n>=0} (-1)^n term(n) with term(n) -> term_limit.
 
-    Twice the value, term_limit + sum_n 2(-1)^n (term(n) - term_limit), is
-    added up in one running sum in place, in integers for integral terms, and
-    halved once at the end.
+    The value, term_limit / 2 + sum_n (-1)^n (term(n) - term_limit), is
+    added up in one running sum in place.
     """
     acc = _Sum()
-    acc.add(term_limit)
+    acc.add(term_limit * Fraction(1, 2))
     zeros = 0
     n = 0
     cap = hard_cap(ctx)
@@ -351,9 +350,9 @@ def _abel_alternating(ctx, term, term_limit, budget) -> QSeries:
             zeros += 1
         else:
             zeros = 0
-            acc.add(diff * (-2 if n % 2 else 2))
+            acc.add(diff, -1 if n % 2 else 1)
         n += 1
-    return acc.series(ctx) * Fraction(1, 2)
+    return acc.series(ctx)
 
 
 # -- two-limit weight machinery ---------------------------------------------

@@ -313,8 +313,8 @@ def _verify_spec(spec, entry, params, order, use_oracle, max_terms, t0) -> Repor
         findings = _validated(spec, entry)
         if findings:
             detail = "; ".join(f"{f.code}: {f.message}" for f in findings)
-            return Report(spec.name, merged, spec.scale, 0, "error", None,
-                          _ms(t0), path, detail)
+            return Report(spec.name, merged, spec.scale, order if order is not None else spec.order,
+                          "error", None, _ms(t0), path, detail)
         env = bindings_env(spec, merged)
         eff = order
         if eff is None and entry is not None and entry.order_rule is not None:
@@ -339,13 +339,13 @@ def _verify_spec(spec, entry, params, order, use_oracle, max_terms, t0) -> Repor
 
 
 def _verify_builtin(entry, params, order, use_oracle, t0) -> Report:
+    eff = entry.engine_order if order is None else order
     if params:
-        return Report(entry.name, dict(params), entry.engine_scale, 0, "error", None,
+        return Report(entry.name, dict(params), entry.engine_scale, eff, "error", None,
                       _ms(t0), "builtin-engine", "entry takes no parameters")
     if use_oracle:
-        return Report(entry.name, {}, entry.engine_scale, 0, "error", None,
+        return Report(entry.name, {}, entry.engine_scale, eff, "error", None,
                       _ms(t0), "builtin-engine", "oracle route needs a spec file")
-    eff = entry.engine_order if order is None else order
     try:
         lhs, rhs = entry.engine_check(eff)
         diff = first_mismatch(lhs, rhs)

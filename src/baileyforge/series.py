@@ -2,19 +2,18 @@
 
 A series lives in variables q and z. q-exponents are integers in scaled
 units: under a context with scale d, the stored exponent e means q^(e/d).
-z-exponents are plain integers. Coefficients are exact rationals: a
-coefficient is a Python int when it is integral and a fractions.Fraction
-otherwise, never a float (a float input raises TypeError). Integral series
-therefore run on native integer arithmetic; int and Fraction compare and
-hash alike, so the mix is invisible to equality and to printed output.
-Series are compared up to the context order: all terms with scaled
-q-exponent <= order are retained, everything above is dropped.
+z-exponents are plain integers. Coefficients are exact rationals, never
+floats (a float input raises TypeError). Series are compared up to the
+context order: all terms with scaled q-exponent <= order are retained,
+everything above is dropped.
 
-A series is stored as the kernel works on it: one dense list of
-coefficients per z-exponent, over a common lowest q-exponent (``QSeries``).
-The kernel (``times_binomials``) copies the columns onto its window and
-runs its passes on them, ring operations and sums (``_Sum``) add columns
-entrywise, and no operation converts the table to another layout.
+A series is stored as the kernel works on it: one dense list of int
+entries per z-exponent over a common lowest q-exponent, and one positive
+denominator (``QSeries``). Every operation works on ints only: the kernel
+(``times_binomials``) copies the columns onto its window and runs its
+passes on them, ring operations and sums (``_Sum``) add columns
+entrywise, and no operation converts the table to another layout. A
+coefficient reads back as an int when integral, else a fractions.Fraction.
 
 Resource guard: a retained term with z-exponent e must satisfy
 d*binom(|e|,2) <= order. Every series built from the supported identity
@@ -28,7 +27,7 @@ import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import groupby
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 from operator import add, sub
 
 from .errors import (
@@ -40,8 +39,6 @@ from .errors import (
 )
 
 Rational = Fraction
-_ZERO = 0
-_INT = {int}
 
 __all__ = [
     "Rational",
@@ -157,37 +154,38 @@ def _check_keys(ctx: EvalContext, lo: int, cols: dict) -> None:
 class QSeries:
     """Immutable truncated Laurent series over a fixed context.
 
-    The table is one dense list of coefficients per z-exponent over a
-    common lowest q-exponent: ``_c[z][i]`` is the coefficient of
-    z^z * q^(_lo + i). It is canonical: no column is empty or ends in a
-    zero, some column starts with a nonzero, and none reaches past the
-    order, so equality compares the lists and ``_lo`` is the valuation.
-    ``_int`` says that every coefficient is an int.
+    The table is one dense list of int entries per z-exponent over a
+    common lowest q-exponent and one denominator ``_d`` >= 1: z^z * q^(_lo + i)
+    has the coefficient ``_c[z][i] / _d``. It is canonical: no column is
+    empty or ends in a zero, some column starts with a nonzero, none
+    reaches past the order, and ``_d`` is coprime to the entries, so
+    equality compares the lists and ``_lo`` is the valuation.
     """
 
-    __slots__ = ("ctx", "_lo", "_c", "_int")
+    __slots__ = ("ctx", "_lo", "_c", "_d")
 
     def __init__(self, ctx: EvalContext, data: dict | None = None):
         """The series sum data[qe][ze] * z^ze * q^qe; terms above the order are dropped."""
-        terms = [(qe, ze, _exact(c)) for qe, zd in (data or {}).items() if qe <= ctx.order
+        terms = [(qe, ze, _pair(c)) for qe, zd in (data or {}).items() if qe <= ctx.order
                  for ze, c in zd.items()]
-        terms = [t for t in terms if t[2]]
+        terms = [t for t in terms if t[2][0]]
         lo = min((qe for qe, _, _ in terms), default=0)
+        d = lcm(1, *(r for _, _, (_, r) in terms))
         cols: dict = {}
-        for qe, ze, c in terms:
+        for qe, ze, (p, r) in terms:
             col = cols.setdefault(ze, [])
             i = qe - lo
             if len(col) <= i:
                 col += [0] * (i + 1 - len(col))
-            col[i] = c
-        self._set(ctx, lo, cols, False)
+            col[i] = p * (d // r)
+        self._set(ctx, lo, cols, d)
 
-    def _set(self, ctx: EvalContext, lo: int, cols: dict, ints: bool) -> "QSeries":
-        """Hold the columns cols over lo, made canonical in place; they become the series' own.
+    def _set(self, ctx: EvalContext, lo: int, cols: dict, d: int) -> "QSeries":
+        """Hold the int columns cols over lo and the denominator d >= 1, made canonical in place.
 
-        Columns are cut at the order and trimmed, empty ones dropped, and lo
-        moves up to the lowest nonzero exponent. Unless ints says that every
-        coefficient is an int, integral Fractions become ints here.
+        The columns become the series' own. They are cut at the order and
+        trimmed, empty ones dropped, and lo moves up to the lowest nonzero
+        exponent. Unless d is 1, one gcd over the entries reduces it.
         """
         n = ctx.order - lo + 1
         if n <= 0:
@@ -197,8 +195,6 @@ class QSeries:
         for z, col in list(cols.items()):
             if len(col) > n:
                 del col[n:]
-            if not ints and not _INT.issuperset(map(type, col)):
-                col[:] = [v if type(v) is int or v.denominator != 1 else v.numerator for v in col]
             if col and not col[-1]:
                 del col[len(col) - _lead(col[::-1]):]
             if not col:
@@ -207,8 +203,9 @@ class QSeries:
                 k = 0
             elif k:
                 k = min(k, _lead(col))
-        if not ints:
-            ints = all(_INT.issuperset(map(type, col)) for col in cols.values())
+        g = 1 if d == 1 else gcd(d, *(gcd(*col) for col in cols.values()))
+        if g != 1:
+            cols, d = {z: [v // g for v in col] for z, col in cols.items()}, d // g
         if cols and k:
             for col in cols.values():
                 del col[:k]
@@ -217,7 +214,7 @@ class QSeries:
         self.ctx = ctx
         self._lo = lo if cols else 0
         self._c = cols
-        self._int = ints
+        self._d = d
         return self
 
     # -- inspection ---------------------------------------------------------
@@ -225,16 +222,17 @@ class QSeries:
     def terms(self):
         """Yield (qexp, zexp, coeff) in ascending (qexp, zexp) order."""
         cols = [(z, self._c[z]) for z in sorted(self._c)]
+        d = self._d
         for i in range(max(map(len, self._c.values()), default=0)):
             for z, col in cols:
                 if i < len(col) and col[i]:
-                    yield self._lo + i, z, col[i]
+                    yield self._lo + i, z, _value(col[i], d)
 
     def coefficient(self, qexp: int, zexp: int = 0) -> int | Fraction:
         """Coefficient of z^zexp q^(qexp/scale): an int when integral, else a Fraction."""
         col = self._c.get(zexp)
         i = qexp - self._lo
-        return col[i] if col is not None and 0 <= i < len(col) else _ZERO
+        return _value(col[i], self._d) if col is not None and 0 <= i < len(col) else 0
 
     def min_exponent(self):
         """Smallest scaled q-exponent with a nonzero term, or None."""
@@ -246,7 +244,7 @@ class QSeries:
     def __eq__(self, other):
         if not isinstance(other, QSeries):
             return NotImplemented
-        return self.ctx == other.ctx and self._lo == other._lo and self._c == other._c
+        return (self.ctx, self._lo, self._d, self._c) == (other.ctx, other._lo, other._d, other._c)
 
     __hash__ = None
 
@@ -292,11 +290,11 @@ class QSeries:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = _exact(other)
-            if not c:
+            p, r = _pair(other)
+            if not p:
                 return zero(self.ctx)
-            return _new(self.ctx, self._lo, {z: [v * c for v in col] for z, col in self._c.items()},
-                        self._int and type(c) is int)
+            return _new(self.ctx, self._lo, {z: [v * p for v in col] for z, col in self._c.items()},
+                        self._d * r)
         other = self._comp(other)
         if other is NotImplemented:
             return other
@@ -320,10 +318,12 @@ class QSeries:
     def invert(self) -> "QSeries":
         """Multiplicative inverse; needs a single-monomial lowest slice.
 
-        With self = mc * z^mz * q^m * (1 + u), where u has only positive
-        q-exponents, 1/(1 + u) = sum_n b_n q^n with b_0 = 1 and
+        With self = mc * z^mz * q^m * (1 + u) / _d, where u has only
+        positive q-exponents, 1/(1 + u) = sum_n b_n q^n with b_0 = 1 and
         b_n = -sum_{k=1..n} u_k b_{n-k}, each b_n a Laurent polynomial in z,
-        kept as the columns of b. Terms up to n = order + m are needed.
+        up to n = top = order + m. mc * u has int entries, so the columns
+        kept, B_n = mc^top * b_n, divide exactly by mc at each step, and
+        the inverse is _d * B / mc^(top + 1).
         """
         cols = self._c
         if not cols:
@@ -335,15 +335,14 @@ class QSeries:
                 f"lowest q-slice (exponent {m}) is not a single monomial in z"
             )
         ((mz, mc),) = lead
-        inv = _exact(1 / Fraction(mc))
         top = self.ctx.order + m
         if top < 0:
             return zero(self.ctx)
-        # The terms u_k * z^zu of u, k = 1..top, by rising k.
-        u = sorted((k, z - mz, col[k] * inv) for z, col in cols.items()
+        # The terms mc * u_k * z^zu of mc * u, k = 1..top, by rising k.
+        u = sorted((k, z - mz, col[k]) for z, col in cols.items()
                    for k in range(1, min(top + 1, len(col))) if col[k])
-        # The columns of b, each b_0 .. b_top.
-        b = {0: [1] + [0] * top}
+        # The columns of B, each B_0 .. B_top.
+        b = {0: [mc ** top] + [0] * top}
         for n in range(1, top + 1):
             row: dict = {}
             for k, zu, cu in u:
@@ -355,14 +354,15 @@ class QSeries:
                         row[zb + zu] = row.get(zb + zu, 0) - cu * v
             for z, v in row.items():
                 if v:
-                    b.setdefault(z, [0] * (top + 1))[n] = v
-        return _new(self.ctx, -m, {z - mz: [v * inv for v in col] for z, col in b.items()},
-                    self._int and type(inv) is int)
+                    b.setdefault(z, [0] * (top + 1))[n] = v // mc
+        scale = self._d if mc > 0 or top % 2 else -self._d
+        return _new(self.ctx, -m, {z - mz: [v * scale for v in col] for z, col in b.items()},
+                    abs(mc) ** (top + 1))
 
 
-def _new(ctx: EvalContext, lo: int, cols: dict, ints: bool = True) -> QSeries:
-    """The series of the columns cols over lo (``QSeries._set``)."""
-    return QSeries.__new__(QSeries)._set(ctx, lo, cols, ints)
+def _new(ctx: EvalContext, lo: int, cols: dict, d: int = 1) -> QSeries:
+    """The series of the int columns cols over lo and the denominator d (``QSeries._set``)."""
+    return QSeries.__new__(QSeries)._set(ctx, lo, cols, d)
 
 
 def _exact(c) -> int | Fraction:
@@ -380,25 +380,42 @@ def _exact(c) -> int | Fraction:
     return c.numerator if c.denominator == 1 else c
 
 
+def _pair(c) -> tuple:
+    """The exact coefficient c (``_exact``) as (numerator, denominator >= 1) in lowest terms."""
+    c = c if type(c) is int else _exact(c)
+    return c.numerator, c.denominator
+
+
+def _value(v: int, d: int) -> int | Fraction:
+    """The coefficient v / d: an int when integral, else a Fraction."""
+    return v if d == 1 else _exact(Fraction(v, d))
+
+
 class _Sum:
     """A running sum of series of one context, added up in place in the column layout.
 
-    ``series`` hands the columns to its result, so a sum is read once.
+    ``series`` hands the columns, over the lcm of the denominators added,
+    to its result, so a sum is read once.
     """
 
-    __slots__ = ("lo", "cols", "ints")
+    __slots__ = ("lo", "cols", "d")
 
     def __init__(self):
         self.lo = 0
         self.cols: dict = {}
-        self.ints = True
+        self.d = 1
 
     def add(self, s: QSeries, sign: int = 1) -> None:
         """Add s, or -s when sign is -1."""
         if not s._c:
             return
-        self.ints = self.ints and s._int
         cols = self.cols
+        den = self.d if s._d == self.d else lcm(self.d, s._d)
+        if den != self.d:
+            for col in cols.values():
+                col[:] = [v * (den // self.d) for v in col]
+            self.d = den
+        k = den // s._d  # takes s's entries over the sum's denominator
         d = s._lo - self.lo
         if d < 0 and cols:
             pad = [0] * -d
@@ -408,6 +425,8 @@ class _Sum:
             self.lo, d = s._lo, 0
         op = add if sign > 0 else sub
         for z, col in s._c.items():
+            if k != 1:
+                col = [v * k for v in col]
             t = cols.get(z)
             if t is None:
                 cols[z] = [0] * d + (col if sign > 0 else [-v for v in col])
@@ -418,7 +437,7 @@ class _Sum:
             t[d:m] = map(op, t[d:m], col)
 
     def series(self, ctx: EvalContext) -> QSeries:
-        return _new(ctx, self.lo, self.cols, self.ints)
+        return _new(ctx, self.lo, self.cols, self.d)
 
 
 def _mul_raw(a: QSeries, b: QSeries) -> QSeries:
@@ -442,7 +461,7 @@ def _mul_raw(a: QSeries, b: QSeries) -> QSeries:
                             if j >= lim:
                                 break
                             col[i + j] += x * y
-    return _new(ctx, lo, out, a._int and b._int)
+    return _new(ctx, lo, out, a._d * b._d)
 
 
 # -- builders ---------------------------------------------------------------
@@ -458,11 +477,11 @@ def one(ctx: EvalContext) -> QSeries:
 
 def monomial(ctx: EvalContext, coeff, zexp: int = 0, qexp: int = 0) -> QSeries:
     """Build coeff * z^zexp * q^(qexp/scale), folding z under a monomial context."""
-    c = _exact(coeff)
-    if not c:
+    p, r = _pair(coeff)
+    if not p:
         return zero(ctx)
-    c, zexp, qexp = _fold(ctx, c, zexp, qexp)
-    return _new(ctx, qexp, {zexp: [c]}, type(c) is int)
+    p, zexp, qexp = _fold(ctx, p, zexp, qexp)
+    return _new(ctx, qexp, {zexp: [p]}, r)
 
 
 def _fold(ctx: EvalContext, c, ze: int, qe: int):
@@ -534,13 +553,19 @@ def binomials(ctx: EvalContext, base, step: int, length, *, strict: bool = False
     return (lc, lz, lq), runs
 
 
-def _factors(runs, n: int) -> list:
-    """The factors (c, a, e) of runs with e < n."""
-    out = []
+def _factors(runs, n: int, divide: bool) -> tuple:
+    """The factors (u, w, a, e) of runs with e < n, each c read as u/w, and the scale they need.
+
+    It is w per numerator factor and w^((n-1)//e) per divisor run from q^e, the most it chains.
+    """
+    out, scale = [], 1
     for c, a, e, d, count in runs:
-        stop = n if count is None else min(n, e + count * d)
-        out.extend([(c, a, x) for x in range(e, stop, d)])
-    return out
+        u, w = _pair(c)
+        xs = range(e, n if count is None else min(n, e + count * d), d)
+        out.extend([(u, w, a, x) for x in xs])
+        if w != 1:
+            scale *= w ** ((n - 1) // e if divide else len(xs))
+    return out, scale
 
 
 def times_binomials(s: QSeries, num=(), den=(), lead=(1, 0, 0)) -> QSeries:
@@ -557,11 +582,9 @@ def times_binomials(s: QSeries, num=(), den=(), lead=(1, 0, 0)) -> QSeries:
     whatever the valuation of s, so no factor lifts the order, needs a
     series of its own or reaches ``QSeries.invert``. The shift by lead is
     exact when its exponent is >= 0 or s is a monomial. A divisor needs
-    e > 0: 1 - c*z^a with no q-power is not a unit.
-
-    The passes run on ints when the factors' coefficients are ints: a lead
-    or a table with fractions (one whose ``_int`` is unset) is scaled to
-    ints, and the scale is divided out once at the end.
+    e > 0: 1 - c*z^a with no q-power is not a unit. The passes run on ints:
+    a coefficient c = u/w scales the window once (``_factors``), so every
+    step divides by w exactly.
     """
     ctx = s.ctx
     for _, a, e, _, _ in den:
@@ -570,74 +593,67 @@ def times_binomials(s: QSeries, num=(), den=(), lead=(1, 0, 0)) -> QSeries:
                 f"divisor 1 - c*z^{a}*q^{e} has no positive q-exponent"
             )
     lc, lz, lq = lead
-    lc = _exact(lc)
-    if not s._c or not lc:
+    p, r = _pair(lc)
+    if not s._c or not p:
         return zero(ctx)
     lo = s._lo + lq
     n = ctx.order - lo + 1
     if n <= 0:
         return zero(ctx)
-    # A lead p/r and a table whose denominators have lcm l become the
-    # multiplier p*l and the scale r*l.
-    mult, scale = lc, 1
-    if type(lc) is not int or not s._int:
-        dens = 1 if s._int else lcm(1, *(v.denominator for col in s._c.values() for v in col
-                                          if type(v) is not int))
-        lc = Fraction(lc)
-        mult, scale = lc.numerator * dens, lc.denominator * dens
+    fnum, snum = _factors(num, n, False)
+    fden, sden = _factors(den, n, True)
+    mult = p * snum * sden
     # Each column is copied onto the window, q-exponents lo .. lo + n - 1.
     cols: dict = {}
     for z, col in s._c.items():
         col = col[:n]
         if mult != 1:
-            col = [v * mult if type(v) is int else (v * mult).numerator for v in col]
+            col = [v * mult for v in col]
         col += [0] * (n - len(col))
         cols[z + lz] = col
-    fnum = _factors(num, n)
-    fden = _factors(den, n)
-    qnum = [f for f in fnum if not f[1]]
-    qden = [f for f in fden if not f[1]]
+    qnum = [f for f in fnum if not f[2]]
+    qden = [f for f in fden if not f[2]]
     if qnum or qden:
         for col in cols.values():
             _column_passes(col, qnum, qden)
-    for c, a, e in fnum:
+    for u, w, a, e in fnum:
         if a:
-            _z_pass(cols, n, c, a, e, False)
-    for c, a, e in fden:
+            _z_pass(cols, n, u, w, a, e, False)
+    for u, w, a, e in fden:
         if a:
-            _z_pass(cols, n, c, a, e, True)
-    # Factors with rational coefficients may leave integral Fractions.
-    ints = all(type(r[0]) is int for r in num) and all(type(r[0]) is int for r in den)
-    if scale != 1:
-        for col in cols.values():
-            col[:] = [Fraction(v, scale) if v else 0 for v in col]
-        ints = False
-    return _new(ctx, lo, cols, ints)
+            _z_pass(cols, n, u, w, a, e, True)
+    return _new(ctx, lo, cols, s._d * r * snum * sden)
 
 
 def _column_passes(a: list, num, den) -> None:
     """Apply pure-q factors to one column, in place, from its first nonzero entry f on."""
     n = len(a)
     f = _lead(a)
-    for c, _, e in num:
-        a[f + e:] = _minus(a[f + e:], a[f:], c)
-    for c, _, e in den:
-        for i in range(f + e, n):
-            v = a[i - e]
-            if v:
-                a[i] += c * v
+    for u, w, _, e in num:
+        a[f + e:] = _minus(a[f + e:], a[f:], u, w)
+    for u, w, _, e in den:
+        if w == 1:
+            for i in range(f + e, n):
+                v = a[i - e]
+                if v:
+                    a[i] += u * v
+        else:
+            for i in range(f + e, n):
+                v = a[i - e]
+                if v:
+                    a[i] += u * v // w
 
 
-def _z_pass(cols: dict, n: int, c, a: int, e: int, divide: bool) -> None:
-    """Apply 1 - c*z^a*q^e, or with divide its inverse (e > 0), to the columns in place.
+def _z_pass(cols: dict, n: int, u: int, w: int, a: int, e: int, divide: bool) -> None:
+    """Apply 1 - (u/w)*z^a*q^e, or with divide its inverse (e > 0), to the columns in place.
 
     The factor takes column z, shifted up by e, into column z + a, from the
     first nonzero entry f of column z on, and a column whose f + e lies past
-    the window gives nothing. The factor subtracts c times the old column z,
-    so the columns are visited against the direction of a, each read before
-    it is written, whatever e. The divisor adds c times the new column z,
-    chained along a, so the columns are visited along a; a column the
-    divisor makes is continued at once, since only column z feeds z + a.
+    the window gives nothing. The factor subtracts u/w times the old column
+    z, so the columns are visited against the direction of a, each read
+    before it is written, whatever e. The divisor adds u/w times the new
+    column z, chained along a, so the columns are visited along a; a column
+    the divisor makes is continued at once, since only column z feeds z + a.
     """
     for z in sorted(cols, reverse=(a > 0) != divide):
         while True:
@@ -649,19 +665,21 @@ def _z_pass(cols: dict, n: int, c, a: int, e: int, divide: bool) -> None:
             made = col is None
             if made:
                 col = cols[z + a] = [0] * n
-            col[f + e:] = _minus(col[f + e:], src[f:], -c if divide else c)
+            col[f + e:] = _minus(col[f + e:], src[f:], -u if divide else u, w)
             if not (divide and made):
                 break
             z += a
 
 
-def _minus(x: list, y: list, c):
-    """x - c*y entrywise, over the length of x; c = +-1 runs at C speed."""
-    if c == 1:
+def _minus(x: list, y: list, u: int, w: int):
+    """x - (u/w)*y entrywise, over the length of x (w divides u*y); u/w = +-1 runs at C speed."""
+    if w != 1:
+        return [s - u * v // w if v else s for s, v in zip(x, y)]
+    if u == 1:
         return map(sub, x, y)
-    if c == -1:
+    if u == -1:
         return map(add, x, y)
-    return [u - c * v if v else u for u, v in zip(x, y)]
+    return [s - u * v if v else s for s, v in zip(x, y)]
 
 
 def poch_finite(ctx: EvalContext, base, step: int, length: int) -> QSeries:
@@ -815,6 +833,7 @@ def _from_last(ctx: EvalContext, lasts: dict, key, reads: list, head: QSeries, r
         return head
     hq = head.min_exponent()
     ((hz, (hc,)),) = head._c.items()
+    hc = _value(hc, head._d)
     n = ctx.order - hq + 1
     # The factors the term built anew applies, within its window.
     full = 0
@@ -922,7 +941,7 @@ def retruncate(s: QSeries, ctx: EvalContext) -> QSeries:
     if (ctx.scale, ctx.z_interp) != (s.ctx.scale, s.ctx.z_interp) or ctx.order > s.ctx.order:
         raise ContextMismatchError(f"cannot retruncate a series at {s.ctx} to {ctx}")
     n = max(0, ctx.order - s._lo + 1)
-    return _new(ctx, s._lo, {z: col[:n] for z, col in s._c.items()}, s._int)
+    return _new(ctx, s._lo, {z: col[:n] for z, col in s._c.items()}, s._d)
 
 
 def dilate(s: QSeries, m: int) -> QSeries:
@@ -936,7 +955,7 @@ def dilate(s: QSeries, m: int) -> QSeries:
         if col:
             out[z] = [0] * (m * len(col) - m + 1)
             out[z][::m] = col
-    return _new(s.ctx, s._lo * m, out, s._int)
+    return _new(s.ctx, s._lo * m, out, s._d)
 
 
 # -- comparison and display -------------------------------------------------
@@ -955,8 +974,8 @@ def first_mismatch(a: QSeries, b: QSeries):
 def _dict_mismatch(ta: dict, tb: dict):
     """Lowest differing (qexp, zexp, coeff_a, coeff_b) of two {(qexp, zexp): coeff} tables."""
     for key in sorted(ta.keys() | tb.keys()):
-        ca = ta.get(key, _ZERO)
-        cb = tb.get(key, _ZERO)
+        ca = ta.get(key, 0)
+        cb = tb.get(key, 0)
         if ca != cb:
             return (*key, ca, cb)
     return None

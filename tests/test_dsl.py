@@ -632,9 +632,9 @@ class TestTermsFromTheLast:
         factors = baileyforge.series._factors
         seen = []
 
-        def counted(runs, n):
-            out = factors(runs, n)
-            seen.append(len(out))
+        def counted(runs, n, divide):
+            out = factors(runs, n, divide)
+            seen.append(len(out[0]))
             return out
 
         monkeypatch.setattr(baileyforge.series, "_factors", counted)
@@ -912,7 +912,7 @@ class TestSummationLimits:
                     evaluate(spec, dict(entry.default_params), side, order=order)
         assert uncertified == []
 
-    @pytest.mark.xfail(strict=True, reason="the oracle keeps the empty-run rule (ROADMAP item 4)")
+    @pytest.mark.xfail(strict=True, reason="the oracle keeps the empty-run rule (ROADMAP item 1)")
     def test_oracle_sees_the_late_terms(self, tmp_path):
         report = self.verify_source(tmp_path, self.LATE, use_oracle=True)
         assert report.status == "pass", report.detail

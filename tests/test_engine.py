@@ -798,9 +798,9 @@ class TestSteppedTerms:
         factors = baileyforge.series._factors
         seen = []
 
-        def counted(runs, n):
-            out = factors(runs, n)
-            seen.append(len(out))
+        def counted(runs, n, divide):
+            out = factors(runs, n, divide)
+            seen.append(len(out[0]))
             return out
 
         monkeypatch.setattr(baileyforge.series, "_factors", counted)

@@ -226,7 +226,8 @@ def test_pipe_closed_after_one_byte_ends_quietly():
     proc = _list_json(subprocess.PIPE)
     assert proc.stdout.read(1) == b"{"
     proc.stdout.close()
-    err = proc.stderr.read()
+    with proc.stderr:
+        err = proc.stderr.read()
     proc.wait(timeout=60)
     assert proc.returncode in (0, 141)
     assert err == b""
@@ -259,6 +260,19 @@ def test_engine_entry_expand_refuses_params(capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.strip() == "error: entry takes no parameters"
+
+
+@pytest.mark.parametrize("argv,detail", [
+    (["--params", "m=3"], "entry takes no parameters"),
+    (["--oracle"], "oracle route needs a spec file"),
+], ids=["params", "oracle"])
+def test_engine_entry_refusal_reports_its_order(argv, detail, capsys):
+    # A refused run reports the order it would have run at, not 0.
+    engine_order = R.REGISTRY["alt_theta_formal"].engine_order
+    for order, want in (([], engine_order), (["--order", "12"], 12)):
+        assert main(["verify", "alt_theta_formal", *argv, *order, "--format", "json"]) == 2
+        (report,) = json.loads(capsys.readouterr().out)
+        assert (report["status"], report["detail"], report["order"]) == ("error", detail, want)
 
 
 RAW_SUM_SPEC = """identity raw_theta {

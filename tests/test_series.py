@@ -24,6 +24,7 @@ from baileyforge import (
     render,
     zero,
 )
+from baileyforge import oracle
 from baileyforge.dsl import evaluate_expr, parse_expr
 from baileyforge.series import (
     _fold,
@@ -451,9 +452,19 @@ class TestMultiBaseProducts:
         got = _built(lambda: poch(bases))
         want = _built(singles)
         if want is None:
-            # The reference builds every base; the product stops at a
-            # vanishing factor 1 - q^0 before later bases leave the z region.
-            assert got is None or got.is_zero()
+            # The reference builds every base, and one alone left the z
+            # region (only formal z can, so every exponent here is >= 0). The
+            # product of all of them stays in it where the offending terms
+            # cancel or a factor 1 - q^0 vanishes: read it from term lists.
+            tl = oracles.tl_one()
+            for b in bases:
+                f = (oracles.tl_poch_inf(b, step, ctx.order) if infinite
+                     else oracles.tl_poch(b, step, length, ctx.order))
+                tl = oracles.tl_mul(tl, f, ctx.order)
+            if _over_cap(tl, ctx):
+                assert got is None
+            else:
+                _agrees(got, tl)
             return
         assert got is not None
         assert retruncate(got, ctx) == retruncate(want, ctx)
@@ -496,7 +507,7 @@ class TestMultiBaseProducts:
 
 
 # Factors (c, a, e) of 1 - c*z^a*q^e for the in-place kernel.
-_kernel_coeffs = st.sampled_from([1, -1, 2, -2, F(1, 2)])
+_kernel_coeffs = st.sampled_from([1, -1, 2, -2, F(1, 2), F(-2, 3), F(3, 2)])
 _kernel_num = st.tuples(_kernel_coeffs, st.integers(-2, 2), st.integers(0, 6))
 _kernel_den = st.tuples(_kernel_coeffs, st.integers(-2, 2), st.integers(1, 6))
 _kernel_terms = st.lists(
@@ -583,6 +594,14 @@ class TestTimesBinomials:
     def test_divisor_without_a_q_power_is_not_a_unit(self):
         with pytest.raises(NonUnitLeadingError):
             times_binomials(one(CTX20), (), [(1, 1, 0, 1, 1)])
+
+    @pytest.mark.parametrize("src", ["1/poch(q/3, 2*q/5; q)",
+                                     "poch(2*q/3, -q^(2)/5; q^(2), 4)/poch(q/2; q)"])
+    def test_rational_divisors_over_a_long_window(self, src):
+        # The divisors 1 - q/3, 1 - 2q/5 and 1 - q/2 chain about 100 times
+        # in the window, each step dividing by their denominators.
+        expr = parse_expr(src)
+        assert todict(evaluate_expr(expr, order=100)) == oracle.expand_expr(expr, order=100)
 
 
 # Product bases (coeff, zexp, qexp) reaching below q^0.
@@ -883,6 +902,9 @@ class TestColumnLayoutAgainstTermLists:
         _agrees(a - b, oracles.tl_add(ta, oracles.tl_scale(tb, -1)))
         _agrees(-a, oracles.tl_scale(ta, -1))
         _agrees(a * c, oracles.tl_scale(ta, c))
+        # A table left unreduced would read the same terms but compare unequal.
+        assert (a * c) * (1 / F(c)) == a
+        assert a * c == _series(ctx, oracles.tl_scale(ta, c))
         _agrees(c * a + b * 0, oracles.tl_scale(ta, c))
         prod = oracles.tl_mul(ta, tb, ctx.order)
         if _over_cap(prod, ctx):
