@@ -19,6 +19,11 @@ Within one evaluation a product reaches each term from its last one where
 its window does not grow and that is cheaper, applying only the factors that
 changed (``series._from_last``, shared with the engine), and a range sum skips
 the terms above the order and visits the others as their lower bound rises.
+A range sum nested in another sum also holds one row: its products' terms by
+the inner index, from its last run. A product there tries its term at the
+same inner index one outer step back first, where often only one factor
+changed, and then its last term. A range sum at the top level runs once, and
+holds no row.
 """
 
 from __future__ import annotations
@@ -79,23 +84,30 @@ class _St:
     A sum binds its indices in a frame of its own (``binding``). reads
     memoises ``binomials`` by its arguments and the working order, whose z
     guard depends on it, for the whole evaluation. lasts holds, per product
-    plan, the last term it built from Pochhammer reads (``_from_last``).
+    plan, the last term it built from Pochhammer reads (``_from_last``), and
+    per range sum nested in another sum, its row: the terms its products
+    held, by the inner index, in its last run. In the frame such a sum binds
+    its index in, row is the row's entry at that index: each product of the
+    body finds there its term at the index one outer step back, and holds
+    its new term there. It is None in every other frame.
     """
 
-    __slots__ = ("ctx", "env", "budget", "reads", "lasts")
+    __slots__ = ("ctx", "env", "budget", "reads", "lasts", "row")
 
-    def __init__(self, ctx: EvalContext, env: dict, budget: _Budget, reads: dict, lasts: dict):
+    def __init__(self, ctx: EvalContext, env: dict, budget: _Budget, reads: dict, lasts: dict,
+                 row: dict | None = None):
         self.ctx = ctx
         self.env = env
         self.budget = budget
         self.reads = reads
         self.lasts = lasts
+        self.row = row
 
     def lifted(self, lift: int) -> "_St":
         if lift <= 0:
             return self
         ctx = EvalContext(self.ctx.scale, self.ctx.order + lift, self.ctx.z_interp)
-        return _St(ctx, self.env, self.budget, self.reads, self.lasts)
+        return _St(ctx, self.env, self.budget, self.reads, self.lasts, self.row)
 
     def binding(self) -> "_St":
         """A frame over a copy of the bindings, for a sum to bind its indices in."""
@@ -117,7 +129,7 @@ _LEAF, _SIGN, _RAT, _POW = range(4)
 _Q, _Z, _POCH, _GENERAL = range(4)
 
 
-def _product_items(node, power: int, items: list, scale: int) -> None:
+def _product_items(node, power: int, items: list, scale: int, in_sum: bool) -> None:
     """The factors of a product, in order, with their powers.
 
     A power whose exponent reads a name stays one item, resolved at run time;
@@ -125,29 +137,29 @@ def _product_items(node, power: int, items: list, scale: int) -> None:
     length-one Pochhammer factor (``growth.two_monomials``).
     """
     if isinstance(node, Mul):
-        _product_items(node.left, power, items, scale)
-        _product_items(node.right, power, items, scale)
+        _product_items(node.left, power, items, scale, in_sum)
+        _product_items(node.right, power, items, scale, in_sum)
     elif isinstance(node, Div):
-        _product_items(node.left, power, items, scale)
-        _product_items(node.right, -power, items, scale)
+        _product_items(node.left, power, items, scale, in_sum)
+        _product_items(node.right, -power, items, scale, in_sum)
     elif isinstance(node, Neg):
         items.append((_SIGN, power))
-        _product_items(node.arg, power, items, scale)
+        _product_items(node.arg, power, items, scale, in_sum)
     elif isinstance(node, Rational):
         items.append((_RAT, node.value, power))
     elif (two := growth.two_monomials(node)) is not None:
-        _product_items(two, power, items, scale)
+        _product_items(two, power, items, scale, in_sum)
     elif isinstance(node, Pow):
         if int_vars(node.exp):
             base: list = []
-            _product_items(node.base, 1, base, scale)
+            _product_items(node.base, 1, base, scale, in_sum)
             items.append((_POW, int_closure(node.exp), base, power))
         else:
             e = int_eval(node.exp, {})
             if e:
-                _product_items(node.base, power * e, items, scale)
+                _product_items(node.base, power * e, items, scale, in_sum)
     else:
-        items.append((_LEAF, _factor(node, scale), power))
+        items.append((_LEAF, _factor(node, scale, in_sum), power))
 
 
 def _resolve(items: list, mult: int, env, leaves: list):
@@ -172,7 +184,7 @@ def _resolve(items: list, mult: int, env, leaves: list):
     return scalar
 
 
-def _factor(node, scale: int):
+def _factor(node, scale: int, in_sum: bool):
     """(kind, data) of one factor of a product."""
     if isinstance(node, QPow):
         return _Q, (int_closure(node.exp) if node.exp is not None else (lambda env: scale))
@@ -180,7 +192,7 @@ def _factor(node, scale: int):
         return _Z, (int_closure(node.exp) if node.exp is not None else (lambda env: 1))
     if isinstance(node, (Poch, Theta)):
         return _POCH, _poch(node, scale)
-    return _GENERAL, _compile(node, scale)
+    return _GENERAL, _compile(node, scale, in_sum)
 
 
 def _poch(node, scale: int):
@@ -247,7 +259,7 @@ def _combine(series_factors, head: QSeries) -> QSeries:
     return out
 
 
-def _product(node, scale: int):
+def _product(node, scale: int, in_sum: bool):
     """A product of factors to integer powers, lowered onto the series layer.
 
     Plain q- and z-powers, scalars and the lead monomials of Pochhammer and
@@ -262,7 +274,7 @@ def _product(node, scale: int):
     ``_from_last`` may reach from the product's last term.
     """
     items: list = []
-    _product_items(node, 1, items, scale)
+    _product_items(node, 1, items, scale, in_sum)
     static = None
     if all(item[0] != _POW for item in items):
         leaves: list = []
@@ -355,7 +367,7 @@ def _product(node, scale: int):
             return zero(ctx)
         if not general:
             return _from_last(ctx, st.lasts, run, reads, monomial(ctx, scalar, fused_z, fused_q),
-                              st.read)
+                              st.read, st.row)
         out = _combine(evaluated, monomial(wst.ctx, scalar, fused_z, fused_q))
         runs = _runs(st.read, [(args, p) for args, p in reads if abs(p) == 1])
         return retruncate(times_binomials(out, *runs), ctx)
@@ -474,7 +486,7 @@ def _one_sided(st: _St, emit, start: int, direction: int, last, acc: _Sum) -> No
 
 def _chain_sum(node: ChainSum, scale: int):
     idxs = node.indices
-    body = _compile(node.body, scale)
+    body = _compile(node.body, scale, True)
     # Inner indices run over the box 0 <= n_i <= n_1.
     sub = {i: growth.mvar(i) for i in idxs[1:]}
     sub[idxs[0]] = RAY_T
@@ -508,7 +520,7 @@ def _chain_sum(node: ChainSum, scale: int):
 
 def _over_z(index: str, body, scale: int):
     """A sum over index in Z of body, one ray from 0 up and one from -1 down."""
-    term = _compile(body, scale)
+    term = _compile(body, scale, True)
     rays = [_Ray(body, ({index: t},), scale, start)
             for start, t in ((0, RAY_T), (1, growth.mneg(RAY_T)))]
 
@@ -528,8 +540,8 @@ def _over_z(index: str, body, scale: int):
     return run
 
 
-def _range_sum(node: RangeSum, scale: int):
-    body = _compile(node.body, scale)
+def _range_sum(node: RangeSum, scale: int, in_sum: bool):
+    body = _compile(node.body, scale, True)
     lo_of, hi_of = int_closure(node.lo), int_closure(node.hi)
     # The term's lower bound (``growth.lower_range``) skips the terms above
     # the order, and the others come in the order in which it rises, so that
@@ -543,8 +555,16 @@ def _range_sum(node: RangeSum, scale: int):
         values = worth(st.env, _zfold(st.ctx), lo, hi, st.ctx.order)
         inner = st.binding()
         acc = _Sum()
+        if in_sum:
+            # The terms the products held at each index in the last run are
+            # stepped from at the same index (``_from_last``); this run's row
+            # replaces that one, so the sum holds one row, as wide as its range.
+            prev = st.lasts.get(run, {})
+            st.lasts[run] = row = {}
         for v in range(lo, hi + 1) if values is None else values:
             inner.env[node.index] = v
+            if in_sum:
+                inner.row = row[v] = prev.get(v) or {}
             acc.add(body(inner))
         return acc.series(st.ctx)
 
@@ -559,7 +579,7 @@ def _pole_split(body, den):
 
 def _hecke(node: Hecke, scale: int):
     body = _pole_split(node.body, node.den)
-    term = _compile(body, scale)
+    term = _compile(body, scale, True)
     half = node.region == "half"
     # Row n sums j over [-n, n] (full) or [-n/2, n/2] (half): bound the term
     # at j = +j' and j = -j' with j' relaxed over that half-width.
@@ -591,7 +611,7 @@ def _hecke(node: Hecke, scale: int):
 # -- lowering ----------------------------------------------------------------
 
 
-def _add(node, scale: int):
+def _add(node, scale: int, in_sum: bool):
     """A chain of + and - as its signed terms, added into one running sum in place."""
     terms: list = []
 
@@ -603,7 +623,7 @@ def _add(node, scale: int):
             collect(n.left, sign)
             collect(n.right, -sign)
         else:
-            terms.append((sign, _compile(n, scale)))
+            terms.append((sign, _compile(n, scale, in_sum)))
 
     collect(node, 1)
 
@@ -616,8 +636,12 @@ def _add(node, scale: int):
     return run
 
 
-def _compile(node, scale: int):
-    """Lower an expression node to a plan: a closure from a frame to its series."""
+def _compile(node, scale: int, in_sum: bool = False):
+    """Lower an expression node to a plan: a closure from a frame to its series.
+
+    in_sum says that the node lies in the body of a sum, where a range sum
+    holds a row of its products' terms (``_range_sum``).
+    """
     if isinstance(node, Rational):
         value = node.value
         return lambda st: monomial(st.ctx, value)
@@ -631,9 +655,9 @@ def _compile(node, scale: int):
         v = int_closure(node.poly)
         return lambda st: monomial(st.ctx, v(st.env))
     if isinstance(node, (Add, Sub)):
-        return _add(node, scale)
+        return _add(node, scale, in_sum)
     if isinstance(node, (Mul, Div, Pow, Neg, Poch, Theta)):
-        return _product(node, scale)
+        return _product(node, scale, in_sum)
     if isinstance(node, QBinom):
         top, bottom = int_closure(node.top), int_closure(node.bottom)
         return lambda st: qbinomial(st.ctx, top(st.env), bottom(st.env))
@@ -642,7 +666,7 @@ def _compile(node, scale: int):
     if isinstance(node, BilateralSum):
         return _over_z(node.index, node.body, scale)
     if isinstance(node, RangeSum):
-        return _range_sum(node, scale)
+        return _range_sum(node, scale, in_sum)
     if isinstance(node, Appell):
         return _over_z(node.index, _pole_split(node.num, node.den), scale)
     if isinstance(node, Hecke):

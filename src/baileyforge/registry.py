@@ -309,6 +309,7 @@ def _verify_spec(spec, entry, params, order, use_oracle, max_terms, t0) -> Repor
     merged = dict(entry.default_params) if entry is not None else {}
     merged.update(params or {})
     path = "oracle" if use_oracle else "dsl"
+    eff = order
     try:
         findings = _validated(spec, entry)
         if findings:
@@ -316,7 +317,6 @@ def _verify_spec(spec, entry, params, order, use_oracle, max_terms, t0) -> Repor
             return Report(spec.name, merged, spec.scale, order if order is not None else spec.order,
                           "error", None, _ms(t0), path, detail)
         env = bindings_env(spec, merged)
-        eff = order
         if eff is None and entry is not None and entry.order_rule is not None:
             eff = entry.order_rule(env)
         if eff is None:
@@ -329,7 +329,8 @@ def _verify_spec(spec, entry, params, order, use_oracle, max_terms, t0) -> Repor
             rhs = evaluate(spec, merged, "rhs", order=eff, max_terms=max_terms)
             diff = first_mismatch(lhs, rhs)
     except SeriesError as e:
-        return Report(spec.name, merged, spec.scale, order if order is not None else spec.order,
+        # The order the run was refused at: the order rule's, once it has run.
+        return Report(spec.name, merged, spec.scale, spec.order if eff is None else eff,
                       "error", None, _ms(t0), path, str(e))
     if diff is None:
         return Report(spec.name, merged, spec.scale, eff, "pass", None, _ms(t0), path)

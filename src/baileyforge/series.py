@@ -560,9 +560,12 @@ def _factors(runs, n: int, divide: bool) -> tuple:
     """
     out, scale = [], 1
     for c, a, e, d, count in runs:
-        u, w = _pair(c)
         xs = range(e, n if count is None else min(n, e + count * d), d)
-        out.extend([(u, w, a, x) for x in xs])
+        if type(c) is int:
+            out += [(c, 1, a, x) for x in xs]
+            continue
+        u, w = _pair(c)
+        out += [(u, w, a, x) for x in xs]
         if w != 1:
             scale *= w ** ((n - 1) // e if divide else len(xs))
     return out, scale
@@ -812,22 +815,30 @@ def _form_floor(ctx: EvalContext, num=(), den=(), lead=(1, 0, 0)) -> int:
 # The cost model of ``_from_last``, in coefficient updates. A term built
 # anew applies each of its factors once over its window of n exponents. One
 # reached from an earlier term applies each factor that changed as if twice,
-# since it works on the last term's full window, copies and trims that
+# since it works on the earlier term's full window, copies and trims that
 # window at about the cost of two passes, and pairs the reads at the cost of
-# _PAIRING updates.
+# _PAIRING updates. The earlier term is the row term (the same inner index
+# one outer step back) where a row holds one that the guards admit and the
+# step from it pays, else the last term; the reads are paired once for each
+# of the two that is tried.
 _PAIRING = 200
 
 
-def _from_last(ctx: EvalContext, lasts: dict, key, reads: list, head: QSeries, read) -> QSeries:
-    """head times the runs of reads (args, power +-1), from the last term under key where cheaper.
+def _from_last(ctx: EvalContext, lasts: dict, key, reads: list, head: QSeries, read,
+               row: dict | None = None) -> QSeries:
+    """head times the runs of reads (args, power +-1), from an earlier term under key where cheaper.
 
     read(args) gives the ``binomials`` read (lead, runs) of args. The last
-    term under key in lasts is kept with its order, head and reads. When
-    the new head's exponent is no lower, the new term lies in a window no
-    larger, so it is the last term times the ratio of the heads and the
-    factors that changed (``_delta``), exact at the order. Otherwise, and
-    where the cost model above says that does not pay, the term is built
-    from its head; a term too small to pay is not kept.
+    term under key in lasts is kept with its order, head and reads, and so
+    is the term under key in row when a row is given: in a range sum nested
+    in another sum, the row holds the term at the same inner index one
+    outer step back, where often one factor changed. That term is tried
+    first, then the last term. When the new head's exponent is no lower
+    than an earlier term's, the new term lies in a window no larger, so it
+    is that term times the ratio of the heads and the factors that changed
+    (``_delta``), exact at the order. Otherwise, and where the cost model
+    above says that does not pay, the term is built from its head; a term
+    too small to pay is not kept.
     """
     if head.is_zero():
         return head
@@ -843,7 +854,13 @@ def _from_last(ctx: EvalContext, lasts: dict, key, reads: list, head: QSeries, r
         return times_binomials(head, *_runs(read, reads))
     last = lasts.get(key)
     delta = None
-    if last is not None and last[0] == ctx.order and last[2][2] <= hq:
+    if row is not None:
+        held = row.get(key)
+        if held is not None and held is not last and held[0] == ctx.order and held[2][2] <= hq:
+            delta = _delta(read, held[1], reads, n, full)
+            if delta is not None:
+                last = held
+    if delta is None and last is not None and last[0] == ctx.order and last[2][2] <= hq:
         delta = _delta(read, last[1], reads, n, full)
     if delta is None:
         out = times_binomials(head, *_runs(read, reads))
@@ -851,7 +868,9 @@ def _from_last(ctx: EvalContext, lasts: dict, key, reads: list, head: QSeries, r
         lc, lz, lq = last[2]
         ratio = 1 if hc == lc else Fraction(hc) / lc
         out = times_binomials(last[3], *delta, (ratio, hz - lz, hq - lq))
-    lasts[key] = (ctx.order, reads, (hc, hz, hq), out)
+    lasts[key] = kept = (ctx.order, reads, (hc, hz, hq), out)
+    if row is not None:
+        row[key] = kept
     return out
 
 

@@ -6,9 +6,10 @@ import os
 import pickle
 import time
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
-from hypothesis import given, reject, settings, strategies as st
+from hypothesis import assume, given, reject, settings, strategies as st
 
 import baileyforge.dsl.evaluator
 import baileyforge.dsl.growth
@@ -590,8 +591,19 @@ class TestProductLowering:
         assert [f.code for f in validate(spec)] == ["non-unit-denominator"]
 
 
+# Products of a nested range sum's term: lengths in n - j, 2*j and j, and
+# bases with z (at most one such product) or pure q-powers.
+_ROW_LENGTHS = st.sampled_from(["n - j", "2*j", "j"])
+_ROW_Z_BASES = st.sampled_from(["z", "-z", "q^({s}) / z", "z, q^({s}) / z"])
+_ROW_Q_BASES = st.sampled_from(["q^({s})", "-q^({s})"])
+
+
 class TestTermsFromTheLast:
-    """A product in a sum is reached from its last term where its window does not grow."""
+    """A product in a sum is reached from its last term where its window does not grow.
+
+    In a range sum nested in another sum it is first reached from its term
+    at the same inner index one outer step back (the row).
+    """
 
     LAT2 = ("sum(n >= 0, poch(q; q, 2*n) * sum(j in 0..n, poch(z, q^(4) / z; q^(4), j)"
             " * q^(3*n - 2*j) / (poch(q^(4); q^(4), n - j) * poch(q^(2); q^(2), 2*j))))")
@@ -645,6 +657,106 @@ class TestTermsFromTheLast:
         assert as_dict(evaluate_expr(expr, order=100)) == as_dict(got)
         assert stepped == 3 + 6 + 9 + 3 * 6
         assert sum(seen) == 3 * sum(range(1, 10))
+
+    def test_rows_apply_fewer_factors(self, monkeypatch):
+        # From (n - 1, j) to (n, j) only the divisor (q^4; q^4)_(n - j) gains
+        # a factor, where the step from (n, j + 1) changes five. Stepping
+        # from the last term alone applied 3162 factors to this side.
+        spec = R.load_spec(R.REGISTRY["hecke_odd_counts"])
+        spec.plans.clear()
+        factors = baileyforge.series._factors
+        seen = []
+
+        def counted(runs, n, divide):
+            out = factors(runs, n, divide)
+            seen.append(len(out[0]))
+            return out
+
+        monkeypatch.setattr(baileyforge.series, "_factors", counted)
+        evaluate(spec, {}, "lhs")
+        assert (len(seen), sum(seen)) == (1020, 2527)
+
+    @staticmethod
+    def held(src, order):
+        """What one evaluation of src holds for its products to step from."""
+        ev = baileyforge.dsl.evaluator
+        st = ev._St(EvalContext(1, order), {}, baileyforge.series._Budget(), {}, {})
+        ev._compile(parse_expr(src), 1)(st)
+        return st.lasts
+
+    def test_top_level_range_holds_one_term_per_plan(self):
+        src = "sum(j in 0..9, poch(-q; q, j) * q^(j) / (poch(q; q, 9 - j) * poch(q; q, 2*j)))"
+        (last,) = self.held(src, 40).values()
+        assert type(last) is tuple
+
+    def test_nested_range_holds_one_row_as_wide_as_its_range(self):
+        # The last run is n = 8, over j = 8..10: the rows of earlier runs,
+        # j = 0..9, are gone, and each index holds the one product's term.
+        src = ("sum(n in 0..8, sum(j in n..n + 2, poch(-q; q, j) * q^(j)"
+               " / (poch(q; q, j - n) * poch(q; q, 2*j))))")
+        held = self.held(src, 60)
+        rows = [v for v in held.values() if type(v) is dict]
+        assert len(held) == 2 and len(rows) == 1
+        assert sorted(rows[0]) == [8, 9, 10]
+        assert all(len(terms) == 1 for terms in rows[0].values())
+
+    def test_row_term_above_the_new_head_is_refused(self, monkeypatch):
+        # The head q^(3j - n) falls from (n - 1, j) to (n, j), so no row term
+        # may be stepped from: the term comes from the last one, (n, j - 1),
+        # or is built anew.
+        # Every term is at least q^(2n), so n <= 12 reach the order 24.
+        term = "poch(-q; q, j) * q^(3*j - n) / (poch(q; q, j - n) * poch(q; q, 2*j))"
+        expr = parse_expr(f"sum(n >= 0, sum(j in n..2*n, {term}))")
+        by_term = parse_expr(term)
+        want = evaluate_expr(parse_expr("0"), order=24)
+        for n in range(13):
+            for j in range(n, 2 * n + 1):
+                want = want + evaluate_expr(by_term, order=24, env={"n": n, "j": j})
+        from_last = baileyforge.dsl.evaluator._from_last
+        above = []
+
+        def spy(ctx, lasts, key, reads, head, read, row=None):
+            held = row.get(key) if row is not None else None
+            if held is not None and held[2][2] > head.min_exponent():
+                above.append(held)
+            return from_last(ctx, lasts, key, reads, head, read, row)
+
+        monkeypatch.setattr(baileyforge.dsl.evaluator, "_from_last", spy)
+        # Stepping as it is, wherever the guards allow it, and off.
+        for pairing in (baileyforge.series._PAIRING, -10**9, 10**9):
+            monkeypatch.setattr(baileyforge.series, "_PAIRING", pairing)
+            assert as_dict(evaluate_expr(expr, order=24)) == as_dict(want), pairing
+        assert above
+
+    @settings(max_examples=60, deadline=None)
+    @given(a=st.integers(0, 2), d=st.integers(-2, 2), e=st.integers(0, 2),
+           outer=st.booleans(), zpoch=st.none() | st.tuples(_ROW_Z_BASES, _ROW_LENGTHS, st.integers(1, 3)),
+           pochs=st.lists(st.tuples(_ROW_Q_BASES, _ROW_LENGTHS, st.integers(1, 3), st.booleans()),
+                          min_size=1, max_size=3),
+           zfold=st.none() | st.tuples(st.sampled_from([1, -1]), st.integers(-1, 2)),
+           order=st.integers(8, 14))
+    def test_row_steps_match_the_oracle(self, a, d, e, outer, zpoch, pochs, zfold, order):
+        # Nested range sums whose products step from the row and from the
+        # last term, checked against the oracle with stepping as it is, off,
+        # and wherever the guards allow it. The inner head c*n + d*j >= 0 keeps
+        # formal z inside its guard; one z product at most does too. A term
+        # is at least q^((a + e)*n - 2), so the outer sum ends.
+        assume(a + e > 0)
+        c = max(0, -d) + e
+        body = f"q^({c}*n + {d}*j)"
+        if zpoch is not None:
+            bases, length, step = zpoch
+            body += f" * poch({bases.format(s=step)}; q^({step}), {length})"
+        for bases, length, step, over in pochs:
+            body += f" {'/' if over else '*'} poch({bases.format(s=step)}; q^({step}), {length})"
+        src = (f"sum(n >= 0, {'poch(q; q, 2*n) * ' if outer else ''}q^({a}*n)"
+               f" * sum(j in 0..n, {body}))")
+        expr = parse_expr(src)
+        want = expand_expr(expr, scale=1, order=order, zfold=zfold)
+        zi = None if zfold is None else Monomial(*zfold)
+        for pairing in (baileyforge.series._PAIRING, 10**9, -10**9):
+            with mock.patch.object(baileyforge.series, "_PAIRING", pairing):
+                assert as_dict(evaluate_expr(expr, order=order, z_interp=zi)) == want, pairing
 
     @pytest.mark.parametrize("body,env,want", [
         # by hand: the exponents 3n - 2j and (j - 3)^2 bound the terms.

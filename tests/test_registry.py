@@ -107,6 +107,14 @@ def test_family_defaults_and_order_rule():
     assert r.order == 30 and r.status == "pass"
 
 
+def test_refused_run_reports_the_rule_order():
+    # A run under an order rule that runs out of budget reports the order the
+    # rule gave (12*m = 24), not the spec's shipped order 156.
+    r = R.verify_entry("rr_mod3m_plus", {"m": 2, "a": 1}, max_terms=5)
+    assert (r.status, r.order) == ("error", 24)
+    assert "term budget exhausted" in r.detail
+
+
 def test_scale2_family_defaults():
     r = R.verify_entry("rr_mod2m_half_plus", {"m": 2, "a": 1})
     assert r.scale == 2 and r.order == 32 and r.status == "pass"
