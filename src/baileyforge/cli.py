@@ -13,6 +13,7 @@ from .dsl import (
     bindings_env, context_for, evaluate, evaluate_expr, parse_expr, parse_file, validate,
 )
 from .dsl.nodes import Appell, BilateralSum, ChainSum, Div, Hecke, Mul, Neg, RangeSum
+from .dsl.validator import describe
 from .errors import SeriesError, SpecError
 from .oracle import brute_force_expand, expand_expr
 from .series import render_terms
@@ -182,8 +183,8 @@ def _expand_spec(spec, entry, args, params) -> int:
     merged.update(params)
     findings = validate(spec)
     if findings:
-        for f in findings:
-            print(f"error: {f.code}: {f.message}", file=sys.stderr)
+        for line in describe(findings):
+            print(f"error: {line}", file=sys.stderr)
         return ERROR
     env = bindings_env(spec, merged)
     order = args.order if args.order is not None else spec.order

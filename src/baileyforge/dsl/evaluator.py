@@ -5,10 +5,18 @@ closures over an evaluation frame (``_St``). Integer expressions become
 closures over the bindings, a product becomes its flattened factor list
 with the index-free parts (scalars, constant product bases) resolved, and a
 sum becomes a loop that adds every term into one running sum in place,
-column by column (``series._Sum``). A sum's bound on its term's lowest
-exponent is lowered with it (``growth.lower_floor``, ``_Ray``), so a run
-substitutes the parameters' values and a query that repeats the last one
-reuses its last index. The plan is kept on the spec
+column by column (``series._Sum``). Every sum visits its indices by one
+rule (``_Ray.indices``): along each of its rays, the bound on its term's
+lowest exponent (``growth.lower_floor``, lowered on first use) picks the
+indices at which it is at most the order, in the order in which it rises
+(``growth.range_values``). A two-sided or Appell sum has a ray up from 0
+and one down from -1, a range sum the same two rays cut to its range, and a
+chain or Hecke sum one ray along its outer index. A ray without an end
+stops where its bound passes the order for good; it is refused with
+``TerminationError`` when its bound is unproven or does not grow, or when
+it reaches the order past hard_cap. A run substitutes the parameters'
+values, and a query that repeats the last one reuses its answer. Every
+summed term spends one unit of the term budget. The plan is kept on the spec
 (``IdentitySpec.plans``), so every evaluation of a parsed spec, each sweep
 point and the validator's probe among them, reuses it. Lowering reads no
 binding and raises nothing: a name or a bad value in a branch that is never
@@ -17,13 +25,12 @@ it is evaluated.
 
 Within one evaluation a product reaches each term from its last one where
 its window does not grow and that is cheaper, applying only the factors that
-changed (``series._from_last``, shared with the engine), and a range sum skips
-the terms above the order and visits the others as their lower bound rises.
-A range sum nested in another sum also holds one row: its products' terms by
-the inner index, from its last run. A product there tries its term at the
-same inner index one outer step back first, where often only one factor
-changed, and then its last term. A range sum at the top level runs once, and
-holds no row.
+changed (``series._from_last``, shared with the engine); the rising order of
+a sum's terms keeps that window from growing. A range sum nested in another
+sum also holds one row: its products' terms by the inner index, from its
+last run. A product there tries its term at the same inner index one outer
+step back first, where often only one factor changed, and then its last
+term. A range sum at the top level runs once, and holds no row.
 """
 
 from __future__ import annotations
@@ -74,8 +81,6 @@ from .nodes import (
     int_eval,
     int_vars,
 )
-
-_EMPTY_RUN = 8
 
 
 class _St:
@@ -406,19 +411,48 @@ def _divisor_above(f, st: _St) -> QSeries:
 
 
 class _Ray:
-    """A sum's term bound along one ray, lowered with its plan, and its last answer.
+    """A sum's term bound along one ray, lowered on first use, and its last answer.
 
-    floor is the ``growth.lower_floor`` closure; memo keeps the last query
-    (floor, exactness, order, cap) with its last index, so a repeated query
-    costs a comparison.
+    lower holds the ``growth.lower_floor`` arguments until the first query,
+    floor the closure they give; memo keeps the last query (floor, order, a,
+    b) with its answer, so a repeated query costs a comparison.
     """
 
-    __slots__ = ("floor", "start", "memo")
+    __slots__ = ("lower", "floor", "memo")
 
-    def __init__(self, body, subs, scale: int, start: int = 0, inner=(), bound=None):
-        self.floor = growth.lower_floor(body, subs, scale, inner, bound)
-        self.start = start
+    def __init__(self, body, subs, scale: int, inner=(), bound=None):
+        self.lower = (body, subs, scale, inner, bound)
+        self.floor = None
         self.memo = (None, None)
+
+    def indices(self, st: _St, a: int, b: int | None = None):
+        """The ray indices t >= a, up to b, worth visiting, as ranges in the order the floor rises.
+
+        At every other index the term truncates to zero at the working order
+        (``growth.range_values``), so the sum stops at a certified last
+        index. Without b the ray ends where its floor passes the order for
+        good; such a ray is refused when its floor is unproven or does not
+        grow, or when it reaches the order past hard_cap. A ray with an end
+        and an unproven floor visits every index up to it.
+        """
+        if b is not None and b < a:
+            return ()
+        if self.floor is None:
+            self.floor = growth.lower_floor(*self.lower)
+        floor = self.floor(st.env, _zfold(st.ctx))
+        order = st.ctx.order
+        query = (floor, order, a, b)
+        if self.memo[0] == query:
+            return self.memo[1]
+        if b is None and not growth.grows_forward(floor):
+            why = "is unproven" if floor is None else "does not grow"
+            raise TerminationError(f"sum has no certified last index: its term bound {why}")
+        out = (range(a, b + 1),) if floor is None else growth.range_values(floor, a, b, order)
+        if b is None and out and max(out[0][0], out[-1][-1]) > hard_cap(st.ctx):
+            raise TerminationError("sum has no certified last index:"
+                                   " its term bound reaches the order past the index cap")
+        self.memo = (query, out)
+        return out
 
 
 def _zfold(ctx: EvalContext):
@@ -426,62 +460,16 @@ def _zfold(ctx: EvalContext):
     return None if zi is None else (zi.sign, zi.qexp)
 
 
-def _last(st: _St, ray: _Ray):
-    """Certified last ray index of a sum, or None.
+def _one_sided(st: _St, emit, ranges, direction: int, acc: _Sum) -> None:
+    """Add emit(direction * t) into acc for every t of ranges, in order.
 
-    The sum's term at ray index t is bounded below by the ray's floor. An
-    exact floor (one substitution, no inner name, lower == upper) is every
-    term's lowest exponent: one at or below the order past hard_cap proves a
-    term there, and the result is an index past hard_cap.
+    ranges are a ray's indices worth visiting (``_Ray.indices``). Each term
+    spends one unit of the budget.
     """
-    floor, exact = ray.floor(st.env, _zfold(st.ctx))
-    if floor is None:
-        return None
-    order = st.ctx.order
-    cap = hard_cap(st.ctx)
-    query = (floor, exact, order, cap)
-    if ray.memo[0] == query:
-        return ray.memo[1]
-    last = growth.last_index(floor, ray.start, order, cap)
-    if last is None and exact and growth.dips_past(floor, cap, order):
-        last = cap + 1
-    ray.memo = (query, last)
-    return last
-
-
-def _one_sided(st: _St, emit, start: int, direction: int, last, acc: _Sum) -> None:
-    """Add emit(n) into acc for n = start, start + direction, ... along one ray.
-
-    emit(n) gives the term as a series. A certified last index
-    (``_last``) stops the sum at |n| = last, since every later term
-    truncates to zero; one past hard_cap raises at once. A sum without one
-    keeps the empty-run rule: it stops after _EMPTY_RUN zero terms in a row
-    once |n| >= 2 * _EMPTY_RUN, and raises when |n| passes hard_cap first.
-    Each term spends one unit of the budget.
-    """
-    cap = hard_cap(st.ctx)
-    if last is not None:
-        if last > cap:
-            raise TerminationError("sum exceeded its index cap without settling")
-        for t in range(abs(start), last + 1):
+    for r in ranges:
+        for t in r:
             st.budget.spend()
             acc.add(emit(direction * t))
-        return
-    empties = 0
-    n = start
-    while True:
-        if abs(n) > cap:
-            raise TerminationError("sum exceeded its index cap without settling")
-        st.budget.spend()
-        term = emit(n)
-        acc.add(term)
-        if term.is_zero():
-            empties += 1
-            if empties >= _EMPTY_RUN and abs(n) >= 2 * _EMPTY_RUN:
-                break
-        else:
-            empties = 0
-        n += direction
 
 
 def _chain_sum(node: ChainSum, scale: int):
@@ -490,7 +478,7 @@ def _chain_sum(node: ChainSum, scale: int):
     # Inner indices run over the box 0 <= n_i <= n_1.
     sub = {i: growth.mvar(i) for i in idxs[1:]}
     sub[idxs[0]] = RAY_T
-    ray = _Ray(node.body, (sub,), scale, 0, idxs[1:], RAY_T)
+    ray = _Ray(node.body, (sub,), scale, idxs[1:], RAY_T)
 
     def run(st: _St) -> QSeries:
         inner = st.binding()
@@ -512,7 +500,7 @@ def _chain_sum(node: ChainSum, scale: int):
             return acc.series(st.ctx)
 
         acc = _Sum()
-        _one_sided(st, emit, 0, 1, _last(st, ray), acc)
+        _one_sided(st, emit, ray.indices(st, 0), 1, acc)
         return acc.series(st.ctx)
 
     return run
@@ -521,8 +509,7 @@ def _chain_sum(node: ChainSum, scale: int):
 def _over_z(index: str, body, scale: int):
     """A sum over index in Z of body, one ray from 0 up and one from -1 down."""
     term = _compile(body, scale, True)
-    rays = [_Ray(body, ({index: t},), scale, start)
-            for start, t in ((0, RAY_T), (1, growth.mneg(RAY_T)))]
+    up, down = (_Ray(body, ({index: t},), scale) for t in (RAY_T, growth.mneg(RAY_T)))
 
     def run(st: _St) -> QSeries:
         inner = st.binding()
@@ -532,9 +519,8 @@ def _over_z(index: str, body, scale: int):
             return term(inner)
 
         acc = _Sum()
-        for ray in rays:
-            start = ray.start
-            _one_sided(st, emit, -start, -1 if start else 1, _last(st, ray), acc)
+        _one_sided(st, emit, up.indices(st, 0), 1, acc)
+        _one_sided(st, emit, down.indices(st, 1), -1, acc)
         return acc.series(st.ctx)
 
     return run
@@ -543,29 +529,32 @@ def _over_z(index: str, body, scale: int):
 def _range_sum(node: RangeSum, scale: int, in_sum: bool):
     body = _compile(node.body, scale, True)
     lo_of, hi_of = int_closure(node.lo), int_closure(node.hi)
-    # The term's lower bound (``growth.lower_range``) skips the terms above
-    # the order, and the others come in the order in which it rises, so that
-    # a product's window does not grow from one term to the next
-    # (``_from_last``).
-    worth = growth.lower_range(node.body, node.index, scale)
+    # The two rays of a two-sided sum: j = t over [max(lo, 0), hi] and, below
+    # 0, j = -t over [max(1, -hi), -lo]. Each skips the terms above the order
+    # and visits the others as its floor rises, so that a product's window
+    # does not grow from one term to the next (``_from_last``).
+    up, down = (_Ray(node.body, ({node.index: t},), scale) for t in (RAY_T, growth.mneg(RAY_T)))
 
     def run(st: _St) -> QSeries:
         lo = lo_of(st.env)
         hi = hi_of(st.env)
-        values = worth(st.env, _zfold(st.ctx), lo, hi, st.ctx.order)
         inner = st.binding()
-        acc = _Sum()
         if in_sum:
             # The terms the products held at each index in the last run are
             # stepped from at the same index (``_from_last``); this run's row
             # replaces that one, so the sum holds one row, as wide as its range.
             prev = st.lasts.get(run, {})
             st.lasts[run] = row = {}
-        for v in range(lo, hi + 1) if values is None else values:
+
+        def emit(v: int) -> QSeries:
             inner.env[node.index] = v
             if in_sum:
                 inner.row = row[v] = prev.get(v) or {}
-            acc.add(body(inner))
+            return body(inner)
+
+        acc = _Sum()
+        _one_sided(st, emit, up.indices(st, max(lo, 0), hi), 1, acc)
+        _one_sided(st, emit, down.indices(st, max(1, -hi), -lo), -1, acc)
         return acc.series(st.ctx)
 
     return run
@@ -586,7 +575,7 @@ def _hecke(node: Hecke, scale: int):
     width = growth.mmul(RAY_T, growth.mconst(Fraction(1, 2))) if half else RAY_T
     jv = growth.mvar(node.inner)
     subs = ({node.outer: RAY_T, node.inner: jv}, {node.outer: RAY_T, node.inner: growth.mneg(jv)})
-    ray = _Ray(body, subs, scale, 0, (node.inner,), width)
+    ray = _Ray(body, subs, scale, (node.inner,), width)
 
     def run(st: _St) -> QSeries:
         inner = st.binding()
@@ -597,12 +586,13 @@ def _hecke(node: Hecke, scale: int):
             m = n // 2 if half else n
             row = _Sum()
             for j in range(-m, m + 1):
+                st.budget.spend()
                 env[node.inner] = j
                 row.add(term(inner))
             return row.series(st.ctx)
 
         acc = _Sum()
-        _one_sided(st, emit_row, 0, 1, _last(st, ray), acc)
+        _one_sided(st, emit_row, ray.indices(st, 0), 1, acc)
         return acc.series(st.ctx)
 
     return run

@@ -11,12 +11,12 @@ values, reads a product's lowest exponent by the series' one rule
 small numeric polynomials. Along one ray a polynomial is read as its
 coefficient list (``ray_coeffs``). Two users share this one derivation:
 
-* the evaluator lowers each sum's bound with its plan (``lower_floor``,
-  ``lower_range``) and turns it into a certified last index
-  (``last_index``): every term past it truncates to zero at the working
-  order, so the sum stops there. A sum whose terms admit no such bound
-  keeps the evaluator's empty-run rule. A range sum skips the terms above
-  the order and visits the others as the bound rises (``range_values``);
+* the evaluator lowers each sum's bound along each of its rays once
+  (``lower_floor``) and visits only the indices at which the bound is
+  at most the working order, as the bound rises (``range_values``): every
+  other term truncates to zero. A ray without an upper end ends where the
+  bound passes the order for good; one whose bound is unproven or does not
+  grow has no certified last index, and the evaluator refuses it;
 * the validator reports a sum whose upper bound does not grow along a ray,
   since its terms then never clear the window (``term_bounds``,
   ``grows_both_ways``, ``grows_forward``).
@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import chain
 
 from ..errors import PoleError, SeriesError, SpecError
 from ..series import _exact, _poch_floor
@@ -597,62 +596,28 @@ def term_bounds(expr, sub: dict, env: dict, scale: int, zfold):
 
 
 def lower_floor(body, subs, scale: int, inner=(), bound=None):
-    """A sum's term bound, lowered once: a closure (env, zfold) -> (floor, exact).
+    """A sum's term bound, lowered once: a closure (env, zfold) -> floor.
 
     floor bounds the lowest q-exponent of the sum's term from below, as ray
     coefficients. Each substitution in subs puts the ray variable (``RAY_T``
     or its negative) and the ``inner`` names into the body, and the bound is
     the minimum over them; each inner name is relaxed over [0, bound]. floor
-    is None when no bound is proven. exact says that with one substitution
-    and no inner name the bound is also an upper bound: then it is every
-    term's lowest exponent.
+    is None when no bound is proven.
     """
     bounds = [lower_bounds(body, sub, scale) for sub in subs]
-    single = len(subs) == 1 and not inner
 
     def floor(env, zfold):
         out = None
         for f in bounds:
-            lo, up = f(env, zfold)
+            lo = f(env, zfold)[0]
             if lo is None:
-                return None, False
+                return None
             out = lo if out is None else mmin(out, lo)
         for name in inner:
             out = relax(out, name, bound)
-        return ray_coeffs(out), single and lo == up
+        return ray_coeffs(out)
 
     return floor
-
-
-def lower_range(body, index: str, scale: int):
-    """A range sum's term bound, lowered once: a closure to the index values worth visiting.
-
-    The closure (env, zfold, lo, hi, order) gives the values of lo..hi at
-    which the term's floor is at most the order; at the others the term
-    truncates to zero. The nonnegative values come first, then the negative
-    ones, read along the mirrored ray j = -t; each part comes in the order in
-    which its floor rises from end to end (``range_values``). None when a
-    part's floor is unproven.
-    """
-    rises = lower_floor(body, ({index: RAY_T},), scale)
-    falls = _on_first_use(lower_floor, body, ({index: mneg(RAY_T)},), scale)
-
-    def values(env, zfold, lo: int, hi: int, order: int):
-        parts = []
-        if hi >= max(lo, 0):
-            p = rises(env, zfold)[0]
-            if p is None:
-                return None
-            parts += range_values(p, max(lo, 0), hi, order)
-        if lo < 0 and max(1, -hi) <= -lo:
-            p = falls(env, zfold)[0]
-            if p is None:
-                return None
-            parts += (range(-r.start, -r.stop, -r.step)
-                      for r in range_values(p, max(1, -hi), -lo, order))
-        return chain.from_iterable(parts)
-
-    return values
 
 
 def _over(p, order: int) -> list:
@@ -694,41 +659,23 @@ def _runs(q, a: int, b: int) -> list:
     return runs
 
 
-def range_values(p, a: int, b: int, order: int) -> list:
+def range_values(p, a: int, b, order: int) -> list:
     """The integers of [a, b] at which ray coefficients p are at most the order, as ranges.
 
     They come in the order in which p rises from end to end: from a up, or
-    from b down when p(b) < p(a) (``_runs``).
+    from b down when p(b) < p(a) (``_runs``). b None stands for the end of
+    the ray, for a p that grows (``grows_forward``): past Cauchy's bound on
+    the roots of p - order (``_past_roots``), p stays above the order.
     """
+    q = _over(p, order)
+    if b is None:
+        b = max(a, _past_roots(q))
     if b < a:
         return []
-    q = _over(p, order)
     runs = _runs(q, a, b)
     if ray_value(q, b) < ray_value(q, a):
         return [range(y, x - 1, -1) for x, y in reversed(runs)]
     return [range(x, y + 1) for x, y in runs]
-
-
-def last_index(p, start: int, order: int, cap: int):
-    """Certified last index of a sum along a ray, or None.
-
-    p(t), given as ray coefficients without trailing zeros, bounds the
-    lowest q-exponent of the term at ray index t from below.
-    The result is the largest t >= start with p(t) <= order (start - 1 when
-    there is none): every later term truncates to zero. Past Cauchy's bound
-    on the roots of p - order, p > order; up to there the values with
-    p(t) <= order are found between the turns of p (``_runs``). None when p
-    has degree 0 or a leading coefficient <= 0, and when that t lies past
-    cap: a lower bound at or below the order past the cap does not prove a
-    term is nonzero there, so such a sum is left to the caller's empty-run
-    rule.
-    """
-    if len(p) < 2 or p[-1] <= 0:
-        return None
-    q = _over(p, order)
-    runs = _runs(q, start, max(start, _past_roots(q)))
-    last = runs[-1][1] if runs else start - 1
-    return None if last > cap else last
 
 
 def _turns(p, a: int, b: int) -> list:
@@ -752,13 +699,3 @@ def _turns(p, a: int, b: int) -> list:
             out.update((lo, hi))
     return sorted(out)
 
-
-def dips_past(p, cap: int, order: int) -> bool:
-    """True when p(t) <= order at an integer t > cap.
-
-    p is given as ray coefficients. Past Cauchy's bound on the roots of
-    p - order, p - order has the sign of its leading coefficient; up to
-    there it is least at one of its turns (``_turns``).
-    """
-    q = _over(p, order)
-    return any(ray_value(q, t) <= 0 for t in _turns(q, cap + 1, max(cap + 1, _past_roots(q))))

@@ -75,6 +75,11 @@ class Finding:
     span: Span | None = None
 
 
+def describe(findings) -> list:
+    """Each distinct finding once, as ``code: message``, in the order first found."""
+    return list(dict.fromkeys(f"{f.code}: {f.message}" for f in findings))
+
+
 def _ivars(e, out):
     """Collect (name, span) for every identifier in an integer expression."""
     if isinstance(e, IVar):

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 from .dsl.evaluator import bindings_env, evaluate
 from .dsl.parser import parse_file
-from .dsl.validator import validate
+from .dsl.validator import describe, validate
 from .engine import iterated_lattice_eval, key_pair, weak_lemma_eval
 from .errors import SeriesError, SpecError
 from .oracle import brute_force_expand
@@ -313,7 +313,7 @@ def _verify_spec(spec, entry, params, order, use_oracle, max_terms, t0) -> Repor
     try:
         findings = _validated(spec, entry)
         if findings:
-            detail = "; ".join(f"{f.code}: {f.message}" for f in findings)
+            detail = "; ".join(describe(findings))
             return Report(spec.name, merged, spec.scale, order if order is not None else spec.order,
                           "error", None, _ms(t0), path, detail)
         env = bindings_env(spec, merged)

@@ -49,10 +49,10 @@ def sides(name, params, order, units=(None, None)):
 GOLDEN = [
     ("qbinom_theorem", {"nn": 8}, 65,
      "cb23ce968f8d8baf979c91c2f47e4196e93f8b54f994e42c95dc47058cd1e6d4",
-     "cb23ce968f8d8baf979c91c2f47e4196e93f8b54f994e42c95dc47058cd1e6d4", (0, 0)),
+     "cb23ce968f8d8baf979c91c2f47e4196e93f8b54f994e42c95dc47058cd1e6d4", (0, 9)),
     ("finite_key_form", {"nn": 8}, 65,
      "ddffaf01b1af4f3ce1c84c8c2688a20eb6189bce49aefae8756472ec19fc8924",
-     "ddffaf01b1af4f3ce1c84c8c2688a20eb6189bce49aefae8756472ec19fc8924", (0, 0)),
+     "ddffaf01b1af4f3ce1c84c8c2688a20eb6189bce49aefae8756472ec19fc8924", (0, 17)),
     ("alt_theta_formal", {}, 26,
      "4a3f252a89475629dc57b382ced4b49eadd75d0828b269d614bdc483148de315",
      "4a3f252a89475629dc57b382ced4b49eadd75d0828b269d614bdc483148de315", 44),
@@ -69,18 +69,18 @@ GOLDEN = [
      "be361a9bb3f41290d9a0e213f716c4aece075fa5d5ee212e7ab99a2b797f25b8", (54, 10)),
     ("hecke_half_formal", {}, 50,
      "f92a17d04f3e94de5b880625412e353b847f18e16fe0e3f0d64bff29cfd42f9e",
-     "f92a17d04f3e94de5b880625412e353b847f18e16fe0e3f0d64bff29cfd42f9e", (102, 15)),
+     "f92a17d04f3e94de5b880625412e353b847f18e16fe0e3f0d64bff29cfd42f9e", (102, 128)),
     ("hecke_full_lat1_z1", {}, 50,
      "dac91b92a8cbcb6f241938a123e11cd1096ed265fbbd8d9494c6883fcd25172c",
-     "dac91b92a8cbcb6f241938a123e11cd1096ed265fbbd8d9494c6883fcd25172c", (102, 14)),
+     "dac91b92a8cbcb6f241938a123e11cd1096ed265fbbd8d9494c6883fcd25172c", (102, 35)),
     # Every other catalog entry at its shipped order and default parameters,
     # engine entries included, recorded with tests/record_golden.py.
     ("finite_key_form", {"nn": 12}, 145,
      "f90f4dbe812050d45f9298cd7f2ce49f0ea5528d586c9878720150c659323c24",
-     "f90f4dbe812050d45f9298cd7f2ce49f0ea5528d586c9878720150c659323c24", (0, 0)),
+     "f90f4dbe812050d45f9298cd7f2ce49f0ea5528d586c9878720150c659323c24", (0, 25)),
     ("qbinom_theorem", {"nn": 12}, 145,
      "a62c459cc33b745a64a15fa87bc8cd379db61b3f9c8d4a6d5c6bfb4b25748ec8",
-     "a62c459cc33b745a64a15fa87bc8cd379db61b3f9c8d4a6d5c6bfb4b25748ec8", (0, 0)),
+     "a62c459cc33b745a64a15fa87bc8cd379db61b3f9c8d4a6d5c6bfb4b25748ec8", (0, 13)),
     ("jtp_check", {}, 50,
      "7b7d08d91b0cdaf561ca7915c25da1e9cef85e87bd4f77c711557c85e5106bb9",
      "7b7d08d91b0cdaf561ca7915c25da1e9cef85e87bd4f77c711557c85e5106bb9", (0, 20)),
@@ -248,40 +248,40 @@ GOLDEN = [
      "fbec580cb10991e685259cdd1689d48b35667759e2a47e05e570157a9e5445a8", (12, 0)),
     ("hecke_full_formal", {}, 50,
      "4ca407c77db904367711dccd0d67af59f0e2205895eb681a836fec540a44decf",
-     "4ca407c77db904367711dccd0d67af59f0e2205895eb681a836fec540a44decf", (102, 8)),
+     "4ca407c77db904367711dccd0d67af59f0e2205895eb681a836fec540a44decf", (102, 72)),
     ("hecke_triangular_counts", {}, 50,
      "506c3651094c3a36f7a51bdb37b56721a8bf5463473e93e14889d4162b6b17a8",
      "506c3651094c3a36f7a51bdb37b56721a8bf5463473e93e14889d4162b6b17a8", (102, 14)),
     ("hecke_half_plus_inst", {}, 50,
      "9aec0ec0ed84bfe1e221205a3f880e421224133801e50e6e6a70d6535cc31fa7",
-     "9aec0ec0ed84bfe1e221205a3f880e421224133801e50e6e6a70d6535cc31fa7", (102, 14)),
+     "9aec0ec0ed84bfe1e221205a3f880e421224133801e50e6e6a70d6535cc31fa7", (102, 112)),
     ("hecke_half_minus_inst", {}, 50,
      "13715b1442978fdd039fcbf071b52b7ae5e8741b8e6b2b37829d98afb90d93a3",
-     "13715b1442978fdd039fcbf071b52b7ae5e8741b8e6b2b37829d98afb90d93a3", (102, 14)),
+     "13715b1442978fdd039fcbf071b52b7ae5e8741b8e6b2b37829d98afb90d93a3", (102, 112)),
     ("hecke_odd_counts", {}, 50,
      "03c909afdf68249f8bf9cf6e186de3a68b61297964ad22f1f21891cc3e3ba4cd",
-     "03c909afdf68249f8bf9cf6e186de3a68b61297964ad22f1f21891cc3e3ba4cd", (102, 10)),
+     "03c909afdf68249f8bf9cf6e186de3a68b61297964ad22f1f21891cc3e3ba4cd", (561, 10)),
     ("hecke_full_lat1", {}, 50,
      "078b4b91cf0726d6da71f37c0c1c030ef2ab6185242098c09d9dc65cebb82157",
-     "078b4b91cf0726d6da71f37c0c1c030ef2ab6185242098c09d9dc65cebb82157", (102, 7)),
+     "078b4b91cf0726d6da71f37c0c1c030ef2ab6185242098c09d9dc65cebb82157", (1103, 56)),
     ("hecke_half_lat1", {}, 50,
      "1cda5b2914757895c8b29069c1484c0879f75632f2fa95c2dee44e5f48089ef9",
-     "1cda5b2914757895c8b29069c1484c0879f75632f2fa95c2dee44e5f48089ef9", (102, 10)),
+     "1cda5b2914757895c8b29069c1484c0879f75632f2fa95c2dee44e5f48089ef9", (1103, 60)),
     ("hecke_half_lat1_z1", {}, 50,
      "da4d5a3d688460c89d8423f2ce3030391d815339648b9c012be9ade648c9dead",
-     "da4d5a3d688460c89d8423f2ce3030391d815339648b9c012be9ade648c9dead", (102, 10)),
+     "da4d5a3d688460c89d8423f2ce3030391d815339648b9c012be9ade648c9dead", (102, 60)),
     ("hecke_full_lat2", {}, 50,
      "1337b061e0bbadb3e5025e59f928a01ae0f52da7acebefaf797f2a3ab0437618",
-     "1337b061e0bbadb3e5025e59f928a01ae0f52da7acebefaf797f2a3ab0437618", (102, 8)),
+     "1337b061e0bbadb3e5025e59f928a01ae0f52da7acebefaf797f2a3ab0437618", (561, 72)),
     ("hecke_half_lat2", {}, 50,
      "f40fbd61d9da3680e2c5433ad71d19b96420e4b35f8ea4c6a523735861e986d4",
-     "f40fbd61d9da3680e2c5433ad71d19b96420e4b35f8ea4c6a523735861e986d4", (102, 11)),
+     "f40fbd61d9da3680e2c5433ad71d19b96420e4b35f8ea4c6a523735861e986d4", (561, 72)),
     ("hecke_full_lat2_z1", {}, 50,
      "34d9f1575b70df20b2f945dd7978bc2fabbdc3521f1fbacf25045f0ddd76e810",
-     "34d9f1575b70df20b2f945dd7978bc2fabbdc3521f1fbacf25045f0ddd76e810", (34, 8)),
+     "34d9f1575b70df20b2f945dd7978bc2fabbdc3521f1fbacf25045f0ddd76e810", (34, 72)),
     ("hecke_half_lat2_z1", {}, 50,
      "02e1e823b2e28bb5e3c766da8121abbfba0ff1cae0b69b3c3c174f0327041af8",
-     "02e1e823b2e28bb5e3c766da8121abbfba0ff1cae0b69b3c3c174f0327041af8", (34, 11)),
+     "02e1e823b2e28bb5e3c766da8121abbfba0ff1cae0b69b3c3c174f0327041af8", (34, 72)),
 ]
 
 

@@ -168,6 +168,26 @@ def test_json_report_keeps_error_detail(capsys):
     assert list(row)[-1] == "detail"
 
 
+def test_repeated_finding_is_reported_once(tmp_path, capsys):
+    # Both sides name the same unknown identifier: one finding each, one line.
+    path = tmp_path / "inf.idn"
+    path.write_text("identity inf { scale 1 order 6 "
+                    "lhs sum(n >= 0, q^(n*infinity)) rhs sum(n >= 0, q^(infinity)) }")
+    (r,) = R.verify_file(str(path))
+    assert r.detail == "unknown-name: unknown identifier 'infinity'"
+    assert main(["expand", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: unknown-name: unknown identifier 'infinity'\n")
+
+
+def test_uncertified_sum_is_refused_on_the_command_line(capsys):
+    # True at order 6, but the divisor leaves the term's floor unproven.
+    assert main(["expand", "sum(n >= 0, q^((n - 20)^2) / (1 - q^(n^2 - 2)))", "--order", "6"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: sum has no certified last index: its term bound is unproven\n"
+
+
 @pytest.mark.parametrize("argv,flag", [
     (["verify", "jtp_check", "--order", "-1"], "--order"),
     (["sweep", "rr_mod3m_plus", "--grid", "m=1..2,a=0..m", "--order", "-1"], "--order"),
