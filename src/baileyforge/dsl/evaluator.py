@@ -12,16 +12,17 @@ indices at which it is at most the order, in the order in which it rises
 (``growth.range_values``). A two-sided or Appell sum has a ray up from 0
 and one down from -1, a range sum the same two rays cut to its range, and a
 chain or Hecke sum one ray along its outer index. A ray without an end
-stops where its bound passes the order for good; it is refused with
-``TerminationError`` when its bound is unproven or does not grow, or when
-it reaches the order past hard_cap. A run substitutes the parameters'
-values, and a query that repeats the last one reuses its answer. Every
-summed term spends one unit of the term budget. The plan is kept on the spec
-(``IdentitySpec.plans``), so every evaluation of a parsed spec, each sweep
-point and the validator's probe among them, reuses it. Lowering reads no
-binding and raises nothing: a name or a bad value in a branch that is never
-reached fails nowhere, and every error is raised where the term that causes
-it is evaluated.
+stops where its bound passes the order for good; it is refused, with a
+``TerminationError`` that carries the sum and the reason, when its bound is
+unproven or does not grow, or when it reaches the order past hard_cap. The
+validator's probe reads its termination findings from that refusal. A run
+substitutes the parameters' values, and a query that repeats the last one
+reuses its answer. Every summed term spends one unit of the term budget. The
+plan is kept on the spec (``IdentitySpec.plans``), so every evaluation of a
+parsed spec, each sweep point and the validator's probe among them, reuses
+it. Lowering reads no binding and raises nothing: a name or a bad value in a
+branch that is never reached fails nowhere, and every error is raised where
+the term that causes it is evaluated.
 
 Within one evaluation a product reaches each term from its last one where
 its window does not grow and that is cheaper, applying only the factors that
@@ -410,20 +411,36 @@ def _divisor_above(f, st: _St) -> QSeries:
 # -- summation loops ---------------------------------------------------------
 
 
+NO_GROWTH = "does not grow"  # a refusal's reason, read by the validator
+
+
 class _Ray:
     """A sum's term bound along one ray, lowered on first use, and its last answer.
 
     lower holds the ``growth.lower_floor`` arguments until the first query,
     floor the closure they give; memo keeps the last query (floor, order, a,
-    b) with its answer, so a repeated query costs a comparison.
+    b) with its answer, so a repeated query costs a comparison. node is the
+    sum a refusal names; a range sum's rays end, are never refused, and
+    name none.
     """
 
-    __slots__ = ("lower", "floor", "memo")
+    __slots__ = ("lower", "floor", "memo", "node")
 
-    def __init__(self, body, subs, scale: int, inner=(), bound=None):
+    def __init__(self, body, subs, scale: int, inner=(), bound=None, *, node=None):
         self.lower = (body, subs, scale, inner, bound)
         self.floor = None
         self.memo = (None, None)
+        self.node = node
+
+    def refuse(self, why: str) -> TerminationError:
+        """The refusal of this ray: its term bound ``why``, named by its sum's indices."""
+        node, where = self.node, ""
+        if node is not None:
+            names = node.indices if isinstance(node, ChainSum) else (
+                (node.outer, node.inner) if isinstance(node, Hecke) else (node.index,))
+            where = f" (in the sum over {', '.join(names)})"
+        return TerminationError(f"sum has no certified last index: its term bound {why}{where}",
+                                node, why)
 
     def indices(self, st: _St, a: int, b: int | None = None):
         """The ray indices t >= a, up to b, worth visiting, as ranges in the order the floor rises.
@@ -445,12 +462,10 @@ class _Ray:
         if self.memo[0] == query:
             return self.memo[1]
         if b is None and not growth.grows_forward(floor):
-            why = "is unproven" if floor is None else "does not grow"
-            raise TerminationError(f"sum has no certified last index: its term bound {why}")
+            raise self.refuse("is unproven" if floor is None else NO_GROWTH)
         out = (range(a, b + 1),) if floor is None else growth.range_values(floor, a, b, order)
         if b is None and out and max(out[0][0], out[-1][-1]) > hard_cap(st.ctx):
-            raise TerminationError("sum has no certified last index:"
-                                   " its term bound reaches the order past the index cap")
+            raise self.refuse("reaches the order past the index cap")
         self.memo = (query, out)
         return out
 
@@ -478,7 +493,7 @@ def _chain_sum(node: ChainSum, scale: int):
     # Inner indices run over the box 0 <= n_i <= n_1.
     sub = {i: growth.mvar(i) for i in idxs[1:]}
     sub[idxs[0]] = RAY_T
-    ray = _Ray(node.body, (sub,), scale, idxs[1:], RAY_T)
+    ray = _Ray(node.body, (sub,), scale, idxs[1:], RAY_T, node=node)
 
     def run(st: _St) -> QSeries:
         inner = st.binding()
@@ -506,10 +521,11 @@ def _chain_sum(node: ChainSum, scale: int):
     return run
 
 
-def _over_z(index: str, body, scale: int):
-    """A sum over index in Z of body, one ray from 0 up and one from -1 down."""
+def _over_z(node, body, scale: int):
+    """A sum over node's index in Z of body, rays up from 0 and down from -1, both certified first."""
+    index = node.index
     term = _compile(body, scale, True)
-    up, down = (_Ray(body, ({index: t},), scale) for t in (RAY_T, growth.mneg(RAY_T)))
+    up, down = (_Ray(body, ({index: t},), scale, node=node) for t in (RAY_T, growth.mneg(RAY_T)))
 
     def run(st: _St) -> QSeries:
         inner = st.binding()
@@ -518,9 +534,10 @@ def _over_z(index: str, body, scale: int):
             inner.env[index] = n
             return term(inner)
 
+        ups, downs = up.indices(st, 0), down.indices(st, 1)
         acc = _Sum()
-        _one_sided(st, emit, up.indices(st, 0), 1, acc)
-        _one_sided(st, emit, down.indices(st, 1), -1, acc)
+        _one_sided(st, emit, ups, 1, acc)
+        _one_sided(st, emit, downs, -1, acc)
         return acc.series(st.ctx)
 
     return run
@@ -575,7 +592,7 @@ def _hecke(node: Hecke, scale: int):
     width = growth.mmul(RAY_T, growth.mconst(Fraction(1, 2))) if half else RAY_T
     jv = growth.mvar(node.inner)
     subs = ({node.outer: RAY_T, node.inner: jv}, {node.outer: RAY_T, node.inner: growth.mneg(jv)})
-    ray = _Ray(body, subs, scale, (node.inner,), width)
+    ray = _Ray(body, subs, scale, (node.inner,), width, node=node)
 
     def run(st: _St) -> QSeries:
         inner = st.binding()
@@ -654,11 +671,11 @@ def _compile(node, scale: int, in_sum: bool = False):
     if isinstance(node, ChainSum):
         return _chain_sum(node, scale)
     if isinstance(node, BilateralSum):
-        return _over_z(node.index, node.body, scale)
+        return _over_z(node, node.body, scale)
     if isinstance(node, RangeSum):
         return _range_sum(node, scale, in_sum)
     if isinstance(node, Appell):
-        return _over_z(node.index, _pole_split(node.num, node.den), scale)
+        return _over_z(node, _pole_split(node.num, node.den), scale)
     if isinstance(node, Hecke):
         return _hecke(node, scale)
     kind = type(node).__name__

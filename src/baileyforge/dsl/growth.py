@@ -9,23 +9,19 @@ bases, steps and lengths become closures. A run substitutes the parameters'
 values, reads a product's lowest exponent by the series' one rule
 (``_poch_floor``), keeps its vanishing check, and combines the resulting
 small numeric polynomials. Along one ray a polynomial is read as its
-coefficient list (``ray_coeffs``). Two users share this one derivation:
-
-* the evaluator lowers each sum's bound along each of its rays once
-  (``lower_floor``) and visits only the indices at which the bound is
-  at most the working order, as the bound rises (``range_values``): every
-  other term truncates to zero. A ray without an upper end ends where the
-  bound passes the order for good; one whose bound is unproven or does not
-  grow has no certified last index, and the evaluator refuses it;
-* the validator reports a sum whose upper bound does not grow along a ray,
-  since its terms then never clear the window (``term_bounds``,
-  ``grows_both_ways``, ``grows_forward``).
+coefficient list (``ray_coeffs``). The evaluator lowers each sum's bound
+along each of its rays once (``lower_floor``) and visits only the indices
+at which the bound is at most the working order, as the bound rises
+(``range_values``): every other term truncates to zero. A ray without an
+upper end ends where the bound passes the order for good; one whose bound
+is unproven or does not grow (``grows_forward``) has no certified last
+index, and the evaluator refuses it, which the validator reports.
 
 All arithmetic is exact (``Fraction``/``int``). Every polynomial variable is
 nonnegative: the ray index t of a sum (the backward ray of a two-sided sum
 substitutes n = -t with t >= 1), inner chain indices, the magnitude of a
-range index (below 0 a range sum substitutes j = -j') and of a Hecke row's
-inner index. Parameters and outer indices are constants of any sign.
+range index (below 0 a range sum substitutes j = -j') or its offset from a
+rising lower end, and the magnitude of a Hecke row's inner index. Parameters and outer indices are constants of any sign.
 """
 
 from __future__ import annotations
@@ -64,9 +60,10 @@ from .nodes import (
 # Polynomials in several variables are dicts {monomial: int or Fraction}; a
 # monomial is a sorted tuple of (name, power) pairs and () is the constant
 # monomial. No polynomial is changed once built, so an operation may return
-# an operand. RAY names the ray variable t, a name no identifier can spell.
+# an operand. RAY names the ray variable t and OFFSET the offset j' of a
+# range index from a rising lower end, j = lo + j': names no identifier spells.
 
-RAY = "@t"
+RAY, OFFSET = "@t", "@j"
 
 
 def mconst(v) -> dict:
@@ -156,6 +153,16 @@ def relax(p: dict, name: str, bound: dict) -> dict:
     return out
 
 
+def substitute(p: dict, name: str, value: dict) -> dict:
+    """p with the variable ``name`` replaced by the polynomial value."""
+    out: dict = {}
+    for m, c in p.items():
+        rest = {tuple(x for x in m if x[0] != name): c}
+        for mm, cc in mmul(rest, mpow(value, dict(m).get(name, 0))).items():
+            _put(out, mm, cc)
+    return out
+
+
 def mpoly(e, sub: dict) -> dict:
     """Polynomial of an integer expression; sub maps each of its names to a polynomial."""
     if isinstance(e, IntLit):
@@ -201,14 +208,6 @@ def ray_value(p, t):
     for c in reversed(p):
         v = v * t + c
     return v
-
-
-def grows_both_ways(p) -> bool:
-    """True when ray coefficients p tend to +infinity in both ray directions.
-
-    That is when p has even positive degree and a positive leading coefficient.
-    """
-    return p is not None and len(p) % 2 == 1 and len(p) > 1 and p[-1] > 0
 
 
 def grows_forward(p) -> bool:
@@ -470,7 +469,9 @@ def two_monomials(node):
 def _lower_range(expr: RangeSum, sub: dict, scale: int):
     # The window splits at 0: j = j' over [0, hi] and, below 0, j = -j' over
     # [1, -lo]; each part relaxes j' over [0, its width], and the bound is
-    # the lower of the two.
+    # the lower of the two. A lower end that rises with an enclosing index
+    # (nonnegative coefficients) is not split: the bound at j, substituted
+    # j = lo + j', relaxes j' over [0, hi - lo].
     lo_of, hi_of = _lower_int(expr.lo, sub), _lower_int(expr.hi, sub)
     j = mvar(expr.index)
     up = lower_bounds(expr.body, {**sub, expr.index: j}, scale)
@@ -480,6 +481,12 @@ def _lower_range(expr: RangeSum, sub: dict, scale: int):
         lo_p, hi_p = lo_of(env), hi_of(env)
         if lo_p is None or hi_p is None or any(c < 0 for c in hi_p.values()):
             return _UNKNOWN
+        if not _is_const(lo_p) and all(c >= 0 for c in lo_p.values()):
+            lo, width = up(env, zfold)[0], madd(hi_p, mneg(lo_p))
+            if lo is None or any(c < 0 for c in width.values()):
+                return _UNKNOWN
+            lo = substitute(lo, expr.index, madd(lo_p, mvar(OFFSET)))
+            return relax(lo, OFFSET, width), None
         parts = [(up, hi_p)]
         if not (_is_const(lo_p) and lo_p.get((), 0) >= 0):
             if any(c > 0 for c in lo_p.values()):
@@ -588,11 +595,6 @@ def lower_bounds(expr, sub: dict, scale: int):
     if isinstance(expr, RangeSum):
         return _lower_range(expr, sub, scale)
     return _unknown
-
-
-def term_bounds(expr, sub: dict, env: dict, scale: int, zfold):
-    """``lower_bounds`` of expr, lowered and called once."""
-    return lower_bounds(expr, sub, scale)(env, zfold)
 
 
 def lower_floor(body, subs, scale: int, inner=(), bound=None):

@@ -1,10 +1,12 @@
-"""Static validation of identity specs: scope, ranges, shape, termination.
+"""Validation of identity specs: static checks of names and ranges, then a probe.
 
-After the static checks, a probe evaluates both sides with the fast
-evaluator at order 6, at the lowest and the highest parameter bindings, and
-turns a non-settling sum, a non-unit denominator, a pole or a malformed
-product into a located finding. The probe never runs the brute-force oracle;
-the oracle is reached only through ``--oracle`` and the tests.
+The probe evaluates both sides with the fast evaluator at order 6, at the
+lowest and the highest parameter bindings, and turns a refused sum, a
+non-unit denominator, a pole or a malformed product into a located finding.
+A refused sum is located at itself and, when its term bound does not grow,
+reported by its kind (``_NO_GROWTH``). The probe never runs the
+brute-force oracle; the oracle is reached only through ``--oracle`` and
+the tests.
 """
 
 from __future__ import annotations
@@ -19,9 +21,7 @@ from ..errors import (
     TerminationError,
     ZDegreeError,
 )
-from . import growth
-from .evaluator import bindings_env, evaluate
-from .growth import RAY_T, mconst, mmul, mneg
+from .evaluator import NO_GROWTH, bindings_env, evaluate
 from .nodes import (
     Add,
     Appell,
@@ -36,7 +36,6 @@ from .nodes import (
     IPow,
     ISub,
     IdentitySpec,
-    IntLit,
     IVar,
     Mul,
     Neg,
@@ -51,7 +50,6 @@ from .nodes import (
     Sub,
     Theta,
     ZPow,
-    int_eval,
 )
 
 _PROBE_ORDER = 6
@@ -64,6 +62,14 @@ _PROBE_CODES = (
     (SpecError, "bad-shape"),
 )
 _PROBE_FINDINGS = tuple(cls for cls, _ in _PROBE_CODES)
+
+# A sum whose term bound does not grow along a ray never clears the window.
+_NO_GROWTH = {
+    BilateralSum: ("bilateral-no-growth", "two-sided sum needs a positive quadratic exponent to settle"),
+    Appell: ("appell-no-growth", "two-sided sum needs a positive quadratic exponent to settle"),
+    ChainSum: ("chain-no-growth", "sum over descending indices needs exponent growth along its rays"),
+    Hecke: ("hecke-no-growth", "row exponents must grow along every edge of the region"),
+}
 
 
 @dataclass(frozen=True)
@@ -111,17 +117,7 @@ def _enter(index, node, scope, findings):
     return scope | {index}
 
 
-def _exponent(body, sub, env, zfold, scale):
-    """Upper bound, as ray coefficients, on the lowest q-exponent of body.
-
-    None unless body provably never vanishes. A bound that does not grow
-    along a ray means the sum's terms never clear the window.
-    """
-    _, upper = growth.term_bounds(body, sub, env, scale, zfold)
-    return growth.ray_coeffs(upper)
-
-
-def _walk(expr, scope, findings, zfold, env, scale):
+def _walk(expr, scope, findings):
     if expr is None or isinstance(expr, Rational):
         return
     if isinstance(expr, (QPow, ZPow)):
@@ -132,18 +128,18 @@ def _walk(expr, scope, findings, zfold, env, scale):
         return
     if isinstance(expr, Pow):
         _check_int(expr.exp, scope, findings)
-        _walk(expr.base, scope, findings, zfold, env, scale)
+        _walk(expr.base, scope, findings)
         return
     if isinstance(expr, Neg):
-        _walk(expr.arg, scope, findings, zfold, env, scale)
+        _walk(expr.arg, scope, findings)
         return
     if isinstance(expr, (Add, Sub, Mul, Div)):
-        _walk(expr.left, scope, findings, zfold, env, scale)
-        _walk(expr.right, scope, findings, zfold, env, scale)
+        _walk(expr.left, scope, findings)
+        _walk(expr.right, scope, findings)
         return
     if isinstance(expr, (Poch, Theta)):
         for b in expr.bases:
-            _walk(b, scope, findings, zfold, env, scale)
+            _walk(b, scope, findings)
         _check_int(expr.step, scope, findings)
         if isinstance(expr, Poch) and expr.length is not None:
             _check_int(expr.length, scope, findings)
@@ -160,79 +156,45 @@ def _walk(expr, scope, findings, zfold, env, scale):
                 findings.append(Finding("duplicate-index", f"index {idx!r} repeats", expr.span))
             seen.add(idx)
             inner = _enter(idx, expr, inner, findings)
-        _walk(expr.body, inner, findings, zfold, env, scale)
-        _certify_chain(expr, findings, zfold, env, scale)
+        _walk(expr.body, inner, findings)
         return
     if isinstance(expr, BilateralSum):
         inner = _enter(expr.index, expr, scope, findings)
-        _walk(expr.body, inner, findings, zfold, env, scale)
-        p = _exponent(expr.body, {expr.index: RAY_T}, env, zfold, scale)
-        if p is not None and not growth.grows_both_ways(p):
-            findings.append(Finding(
-                "bilateral-no-growth",
-                "two-sided sum needs a positive quadratic exponent to settle",
-                expr.span,
-            ))
+        _walk(expr.body, inner, findings)
         return
     if isinstance(expr, RangeSum):
         _check_int(expr.lo, scope, findings)
         _check_int(expr.hi, scope, findings)
         inner = _enter(expr.index, expr, scope, findings)
-        _walk(expr.body, inner, findings, zfold, env, scale)
+        _walk(expr.body, inner, findings)
         return
     if isinstance(expr, Appell):
         inner = _enter(expr.index, expr, scope, findings)
-        _walk(expr.num, inner, findings, zfold, env, scale)
+        _walk(expr.num, inner, findings)
         _check_int(expr.den, inner, findings)
-        p = _exponent(expr.num, {expr.index: RAY_T}, env, zfold, scale)
-        if p is not None and not growth.grows_both_ways(p):
-            findings.append(Finding(
-                "appell-no-growth",
-                "two-sided sum needs a positive quadratic exponent to settle",
-                expr.span,
-            ))
         return
     if isinstance(expr, Hecke):
         if expr.outer == expr.inner:
             findings.append(Finding("duplicate-index", "outer and inner indices coincide", expr.span))
         inner = _enter(expr.outer, expr, scope, findings)
         inner = _enter(expr.inner, expr, inner, findings)
-        _walk(expr.body, inner, findings, zfold, env, scale)
+        _walk(expr.body, inner, findings)
         if expr.den is not None:
             _check_int(expr.den, inner, findings)
-        # For the half region walk rows n = 2t so the edge j = t stays integral.
-        outer_t = mmul(RAY_T, mconst(2)) if expr.region == "half" else RAY_T
-        for jray in (mconst(0), RAY_T, mneg(RAY_T)):
-            p = _exponent(expr.body, {expr.outer: outer_t, expr.inner: jray}, env, zfold, scale)
-            if p is not None and not growth.grows_forward(p):
-                findings.append(Finding(
-                    "hecke-no-growth",
-                    "row exponents must grow along every edge of the region",
-                    expr.span,
-                ))
-                break
         return
     findings.append(Finding("bad-shape", f"unsupported expression {type(expr).__name__}", getattr(expr, "span", None)))
 
 
-def _certify_chain(expr: ChainSum, findings, zfold, env, scale):
-    k = len(expr.indices)
-    rays = [{idx: RAY_T for idx in expr.indices}]
-    if k > 1:
-        first = {expr.indices[0]: RAY_T}
-        first.update({idx: mconst(0) for idx in expr.indices[1:]})
-        rays.append(first)
-    for sub in rays:
-        p = _exponent(expr.body, sub, env, zfold, scale)
-        if p is None:
-            return
-        if not growth.grows_forward(p):
-            findings.append(Finding(
-                "chain-no-growth",
-                "sum over descending indices needs exponent growth along its rays",
-                expr.span,
-            ))
-            return
+def _probe_finding(e, side: str, spec: IdentitySpec) -> Finding:
+    """The finding of an error the probe raised, placed at the refused sum or else at the side."""
+    node = e.node if isinstance(e, TerminationError) else None
+    if node is not None and e.why == NO_GROWTH:
+        code, message = _NO_GROWTH[type(node)]
+        return Finding(code, message, node.span)
+    code = next(c for cls, c in _PROBE_CODES if isinstance(e, cls))
+    if node is None:
+        node = spec.lhs if side == "lhs" else spec.rhs
+    return Finding(code, f"{side} probe: {e}", node.span)
 
 
 def _probe_envs(spec: IdentitySpec):
@@ -263,16 +225,12 @@ def validate(spec: IdentitySpec) -> list:
     if findings:
         return findings
 
-    envs = _probe_envs(spec)
-    zfold = None
-    if spec.zbind is not None:
-        zfold = (spec.zbind.sign, int_eval(spec.zbind.qexp, envs[0]))
     for side in (spec.lhs, spec.rhs):
-        _walk(side, scope, findings, zfold, envs[0], spec.scale)
+        _walk(side, scope, findings)
     if findings:
         return findings
 
-    for env in envs:
+    for env in _probe_envs(spec):
         try:
             bindings_env(spec, env)
         except SpecError:
@@ -288,10 +246,7 @@ def validate(spec: IdentitySpec) -> list:
                 # The real evaluation enforces both at the spec's own order.
                 continue
             except _PROBE_FINDINGS as e:
-                code = next(c for cls, c in _PROBE_CODES if isinstance(e, cls))
-                findings.append(Finding(
-                    code, f"{side} probe: {e}",
-                    (spec.lhs if side == "lhs" else spec.rhs).span))
+                findings.append(_probe_finding(e, side, spec))
         if findings:
             break
     return findings

@@ -22,7 +22,17 @@ class DivergentProductError(SeriesError):
 
 
 class TerminationError(SeriesError):
-    """A summation loop could not be certified to stop within its cap."""
+    """A summation loop could not be certified to stop within its cap.
+
+    node is the refused sum and why the reason its term bound gave, when the
+    DSL evaluator refused a ray: "is unproven", "does not grow" or "reaches
+    the order past the index cap".
+    """
+
+    def __init__(self, message: str, node=None, why: str | None = None):
+        super().__init__(message)
+        self.node = node
+        self.why = why
 
 
 class BudgetError(TerminationError):

@@ -323,9 +323,11 @@ def fmt(tl):
 # A port of the package's lowest-exponent bounds as they stood before they
 # were lowered once per plan: every call walks the syntax tree against the
 # bindings, with polynomials as {monomial: Fraction} dicts whose monomials are
-# sorted ((name, power), ...) tuples. The one change from that code is the
-# range sum with a negative lower end, split at 0 with j = -j' mirrored over
-# [1, -lo]. Tests compare the lowered bounds against it.
+# sorted ((name, power), ...) tuples. The changes from that code are the
+# range sums: one with a negative lower end is split at 0 with j = -j'
+# mirrored over [1, -lo], and one whose lower end rises with an enclosing
+# index takes its bound at j with j = lo + j' put in, j' relaxed over
+# [0, hi - lo]. Tests compare the lowered bounds against it.
 
 REF_RAY = "@t"
 
@@ -625,6 +627,18 @@ def ref_term_bounds(expr, sub, env, scale, zfold):
         if lo_p is None or hi_p is None or any(c < 0 for c in hi_p.values()):
             return _REF_UNKNOWN
         j = ref_var(expr.index)
+        if not lo_p.keys() <= {()} and all(c >= 0 for c in lo_p.values()):
+            width = ref_add(hi_p, ref_neg(lo_p))
+            lo, _ = ref_term_bounds(expr.body, {**sub, expr.index: j}, env, scale, zfold)
+            if lo is None or any(c < 0 for c in width.values()):
+                return _REF_UNKNOWN
+            shifted = {}
+            for m, c in lo.items():
+                k = dict(m).get(expr.index, 0)
+                rest = {tuple(x for x in m if x[0] != expr.index): c}
+                for mm, cc in ref_mul(rest, _ref_pow(ref_add(lo_p, ref_var("@j")), k)).items():
+                    _ref_put(shifted, mm, cc)
+            return _ref_relax(shifted, "@j", width), None
         parts = [(j, hi_p)]
         if not (lo_p.keys() <= {()} and lo_p.get((), 0) >= 0):
             if any(c > 0 for c in lo_p.values()):

@@ -44,7 +44,6 @@ from baileyforge.dsl.growth import (
     mvar,
     range_values,
     ray_value,
-    term_bounds,
 )
 from baileyforge.errors import (
     BudgetError,
@@ -246,14 +245,44 @@ class TestValidator:
         assert codes == {"bilateral-no-growth"}
 
     def test_probe_catches_non_settling_sum(self):
-        # Each term keeps content at q^(-n), so no window is ever cleared.
-        codes = self.finding_codes("""
-        identity x { scale 1 order 6
-          lhs sum(n >= 0, q^(2*n) * poch(q^(-2*n); q, 1))
-          rhs 1
-        }
-        """)
-        assert "sum-not-settling" in codes
+        # The divisor leaves the term's floor unproven; the finding is placed
+        # at the refused sum, not at the whole side.
+        src = ("identity x { scale 1 order 6 "
+               "lhs 1 + sum(n >= 0, q^(2*n) / (1 - q^(n^2 - 2))) rhs 1 }")
+        (finding,) = validate(parse(src))
+        assert finding.code == "sum-not-settling"
+        assert src[finding.span.start:finding.span.end] == "sum(n >= 0, q^(2*n) / (1 - q^(n^2 - 2)))"
+        assert finding.message.endswith("is unproven (in the sum over n)")
+        # Each term is q^(2n) - 1: its floor 0 does not grow.
+        codes = self.finding_codes(
+            "identity x { scale 1 order 6 lhs sum(n >= 0, q^(2*n) * poch(q^(-2*n); q, 1)) rhs 1 }")
+        assert codes == {"chain-no-growth"}
+
+    # Each sum kind around a body q^(a*n^2 + b*n), with the coefficients
+    # (of t, of t^2) of its whole term's exponent along each ray. Along n = -t
+    # an Appell term's divisor 1 + q^(-t) has lowest exponent -t.
+    GROWTH_KINDS = {
+        "bilateral-no-growth": ("sum(n in Z, q^({e}))", lambda a, b: [(b, a), (-b, a)]),
+        "appell-no-growth": ("appell(n, q^({e}), n)", lambda a, b: [(b, a), (1 - b, a)]),
+        "chain-no-growth": ("sum(n >= 0, q^({e}))", lambda a, b: [(b, a)]),
+        "hecke-no-growth": ("hecke(n, j, full, q^({e}))", lambda a, b: [(b, a)]),
+    }
+
+    @settings(max_examples=80, deadline=None)
+    @given(kind=st.sampled_from(sorted(GROWTH_KINDS)), a=st.integers(-2, 2), b=st.integers(-4, 4))
+    def test_no_growth_exactly_where_a_ray_does_not_grow(self, kind, a, b):
+        # The probe's refusal gives the finding, at the sum's span; a sum
+        # that grows along every ray settles at order 6 with no finding.
+        form, rays = self.GROWTH_KINDS[kind]
+        total = form.format(e=f"{a}*n^2 + {b}*n")
+        src = f"identity x {{ scale 1 order 6 lhs 1 + {total} rhs 1 }}"
+        grows = all(c2 > 0 or (c2 == 0 and c1 > 0) for c1, c2 in rays(a, b))
+        finds = validate(parse(src))
+        if grows:
+            assert finds == []
+        else:
+            assert [f.code for f in finds] == [kind]
+            assert src[finds[0].span.start:finds[0].span.end] == total
 
     def test_probe_catches_non_unit_denominator(self):
         codes = self.finding_codes(
@@ -283,7 +312,7 @@ class TestValidatorProbe:
 
     # Specimens whose findings come from the probe, not the static checks.
     PROBED = [
-        "identity x { scale 1 order 6 lhs sum(n >= 0, q^(2*n) * poch(q^(-2*n); q, 1)) rhs 1 }",
+        "identity x { scale 1 order 6 lhs sum(n >= 0, q^(2*n) / (1 - q^(n^2 - 2))) rhs 1 }",
         "identity x { scale 1 order 6 lhs 1 / (1 + z) rhs 1 }",
         "identity x { scale 1 order 6 lhs 1 / poch(q^(0); q, 1) rhs 1 }",
         "identity x { scale 1 order 6 lhs poch(1 + q; q, 2) rhs 1 }",
@@ -314,6 +343,33 @@ class TestValidatorProbe:
         assert validate(spec) == []
         with pytest.raises(TerminationError, match="budget"):
             evaluate(spec, {"m": 1, "a": 0}, "lhs")
+
+    @pytest.mark.parametrize("lhs,rhs", [
+        # A divergent sum that is never evaluated: in an empty range, or
+        # under a power 0, which drops its base unread.
+        ("sum(m in 1..0, sum(n in Z, q^(n)))", "0"),
+        ("(sum(n in Z, q^(n)))^(0)", "1"),
+    ], ids=["empty-range", "zero-power"])
+    def test_unreached_divergent_sum_is_no_finding(self, tmp_path, lhs, rhs):
+        src = f"identity dead {{ scale 1 order 6 lhs {lhs} rhs {rhs} }}"
+        assert validate(parse(src)) == []
+        path = tmp_path / "dead.idn"
+        path.write_text(src)
+        (report,) = R.verify_file(str(path))
+        assert report.status == "pass", report.detail
+
+    def test_z_degree_past_the_probe_cap_hides_a_divergent_sum(self, tmp_path):
+        # z^(10) breaks the z guard at the probe's order before the sum is
+        # reached, so the probe is inconclusive and finds nothing; the run at
+        # the spec's own order still ends as an error.
+        src = "identity hid { scale 1 order 6 lhs z^(10) + sum(n in Z, q^(n)) rhs 1 }"
+        assert validate(parse(src)) == []
+        path = tmp_path / "hid.idn"
+        path.write_text(src)
+        (report,) = R.verify_file(str(path))
+        assert report.status == "error"
+        assert "no-growth" not in report.detail
+        assert cli_main(["verify", str(path)]) == 2
 
     def test_bound_outside_a_dependent_range_is_not_probed(self):
         # At m = 1 the range of a is empty, so the low bounds bind nothing.
@@ -703,11 +759,10 @@ class TestTermsFromTheLast:
         # The head q^(3j - n) falls from (n - 1, j) to (n, j), so no row term
         # may be stepped from: the term comes from the last one, (n, j - 1),
         # or is built anew.
-        # Every term is at least q^(2n), so n <= 12 reach the order 24. The
-        # outer sum is a range: the inner lower end n rises with n, so no
-        # floor is proven and an unbounded outer sum would be refused.
+        # Every term is at least q^(2n) (j = n + j' with j' >= 0), so the
+        # outer sum stops at n = 12 for the order 24.
         term = "poch(-q; q, j) * q^(3*j - n) / (poch(q; q, j - n) * poch(q; q, 2*j))"
-        expr = parse_expr(f"sum(n in 0..12, sum(j in n..2*n, {term}))")
+        expr = parse_expr(f"sum(n >= 0, sum(j in n..2*n, {term}))")
         by_term = parse_expr(term)
         want = evaluate_expr(parse_expr("0"), order=24)
         for n in range(13):
@@ -843,6 +898,16 @@ class TestSummationLimits:
         got = self.visited(p, start)
         assert (None if got is None else max(got, default=start - 1)) == want
 
+    def test_two_sided_sum_is_refused_before_its_terms(self):
+        # The ray up from 0 grows, but its term z^5 q^5 would break the z
+        # guard at order 6; the ray down does not grow, and both rays are
+        # certified before any term is built.
+        with pytest.raises(TerminationError) as refused:
+            evaluate_expr(parse_expr("sum(n in Z, z^(n) * q^(n))"), order=6)
+        assert str(refused.value) == ("sum has no certified last index:"
+                                      " its term bound does not grow (in the sum over n)")
+        assert isinstance(refused.value.node, BilateralSum)
+
     def test_vertex_past_the_cap_spends_no_term(self):
         # by hand: (n - 40)^2 + 10 > 6 for every n, so the last index is -1
         # and the sum is 0 without a term, within a budget of none.
@@ -942,7 +1007,7 @@ class TestSummationLimits:
         ("1 / (1 + q^(n - 3))", ({}, {(): 3})),
     ])
     def test_divisor_bound_of_a_product(self, src, want):
-        assert term_bounds(parse_expr(src), {"n": mvar("n")}, {}, 1, None) == want
+        assert lower_bounds(parse_expr(src), {"n": mvar("n")}, 1)({}, None) == want
 
     def test_divisor_above_the_order_keeps_its_precision(self):
         # The divisor's valuation 10 lies above the order 6 and above the
@@ -1139,7 +1204,7 @@ _BOUND_BODIES = st.recursive(
         # A power that may move with the ray index.
         st.builds(lambda x, e: f"({x})^({e})", c, _IEXPRS),
         st.builds(lambda lo, hi, x: f"sum(j in {lo}..{hi}, {x})",
-                  st.sampled_from(["0", "1", "-n", "-a", "-2", "a", "n - 3", "-n - k"]),
+                  st.sampled_from(["0", "1", "-n", "-a", "-2", "a", "n - 3", "-n - k", "n", "n + k"]),
                   st.sampled_from(["n", "a", "3", "-1", "n + a", "k"]), c),
     ),
     max_leaves=4,
@@ -1191,12 +1256,22 @@ class TestLoweredBounds:
         ("sum(j in -3..n, q^(n*j))", {(("n", 1),): -3}),
         # n - j over 0..n is at least 0, and n + j' is n.
         ("sum(j in -2..n, q^(n - j))", {}),
-        # A lower end that rises with n, or an upper one below 0, is not split.
+        # by hand: a lower end that rises with n is not split; j = n + j'
+        # puts in j' >= 0, so the bound is n.
+        ("sum(j in n..2*n, q^(j))", {(("n", 1),): 1}),
+        # A range that may end below a rising lower end (3 - n), or an upper
+        # end below 0, has no bound.
         ("sum(j in n..3, q^(j))", None),
         ("sum(j in -n..-1, q^(j^2))", None),
     ])
     def test_range_sum_bounds(self, src, want):
-        assert term_bounds(parse_expr(src), {"n": mvar("n")}, {}, 1, None) == (want, None)
+        assert lower_bounds(parse_expr(src), {"n": mvar("n")}, 1)({}, None) == (want, None)
+
+    def test_rising_lower_end_is_certified(self):
+        # by hand: row n is q^n + ... + q^(2n), so q^k lies in the rows
+        # k/2 <= n <= k; every term of row n is at least q^n.
+        expr = parse_expr("sum(n >= 0, sum(j in n..2*n, q^(j)))")
+        assert as_dict(evaluate_expr(expr, order=6)) == {(k, 0): k // 2 + 1 for k in range(7)}
 
     def test_one_lowering_serves_every_zfold(self):
         # by hand: z = q^(-3) puts its first factor at 1 - q^(-1), lowest

@@ -185,7 +185,8 @@ def test_uncertified_sum_is_refused_on_the_command_line(capsys):
     assert main(["expand", "sum(n >= 0, q^((n - 20)^2) / (1 - q^(n^2 - 2)))", "--order", "6"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: sum has no certified last index: its term bound is unproven\n"
+    assert captured.err == ("error: sum has no certified last index: its term bound is unproven"
+                            " (in the sum over n)\n")
 
 
 @pytest.mark.parametrize("argv,flag", [
