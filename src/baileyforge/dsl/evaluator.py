@@ -32,6 +32,15 @@ sum also holds one row: its products' terms by the inner index, from its
 last run. A product there tries its term at the same inner index one outer
 step back first, where often only one factor changed, and then its last
 term. A range sum at the top level runs once, and holds no row.
+
+A sum whose term is head(n) * runs(n) * X(n), with X(n) one general factor
+such as a nested sum, adds its terms in Horner form (Gasper and Rahman,
+Basic Hypergeometric Series, 1.2): the ray's loop (``_one_sided``) holds
+each X(n), evaluated where it is visited, with its head and reads, and once
+the ray is done ``_horner`` goes from the last term down, applying to the
+partial sum only the head ratio and the factors that changed from one term
+to the next. A term with a formal z in its head or reads, the only kind
+whose product may raise, is built at its own index.
 """
 
 from __future__ import annotations
@@ -45,6 +54,8 @@ from ..series import (
     QSeries,
     _Budget,
     _Sum,
+    _delta,
+    _fold,
     _from_last,
     _runs,
     binomials,
@@ -255,17 +266,19 @@ def _unit_lead(ctx: EvalContext, triples) -> bool:
     return True
 
 
+def _power(s: QSeries, p: int) -> QSeries:
+    piece = s ** abs(p)
+    return piece.invert() if p < 0 else piece
+
+
 def _combine(series_factors, head: QSeries) -> QSeries:
     out = head
     for s, p in series_factors:
-        piece = s ** abs(p)
-        if p < 0:
-            piece = piece.invert()
-        out = out * piece
+        out = out * _power(s, p)
     return out
 
 
-def _product(node, scale: int, in_sum: bool):
+def _product(node, scale: int, in_sum: bool, parts: bool = False):
     """A product of factors to integer powers, lowered onto the series layer.
 
     Plain q- and z-powers, scalars and the lead monomials of Pochhammer and
@@ -277,7 +290,13 @@ def _product(node, scale: int, in_sum: bool):
     factors decide the early exit above the order and the working-order lift.
     A factor whose lead is 1 (``_unit_lead``) is read only after that exit.
     A product without general factors is its head times its runs, which
-    ``_from_last`` may reach from the product's last term.
+    ``_from_last`` may reach from the product's last term. With parts, a
+    product with one general factor X that needs no lift hands back its
+    parts instead of itself: its folded head (coeff, zexp, qexp), its reads
+    to the powers +-1 and X. The sum it is a term of adds them in Horner
+    form (``_horner``). A product with a formal z in its head or reads is
+    built as without parts (``_held``), so its error is raised at its own
+    index.
     """
     items: list = []
     _product_items(node, 1, items, scale, in_sum)
@@ -374,11 +393,35 @@ def _product(node, scale: int, in_sum: bool):
         if not general:
             return _from_last(ctx, st.lasts, run, reads, monomial(ctx, scalar, fused_z, fused_q),
                               st.read, st.row)
-        out = _combine(evaluated, monomial(wst.ctx, scalar, fused_z, fused_q))
-        runs = _runs(st.read, [(args, p) for args, p in reads if abs(p) == 1])
-        return retruncate(times_binomials(out, *runs), ctx)
+        reads = [(args, p) for args, p in reads if abs(p) == 1]
+        if parts and not lift and len(general) == 1:
+            x = _power(*evaluated[0])
+            held = _held(st, _fold(ctx, scalar, fused_z, fused_q), reads, x)
+            if held is not None:
+                return held
+            out = monomial(ctx, scalar, fused_z, fused_q) * x
+        else:
+            out = _combine(evaluated, monomial(wst.ctx, scalar, fused_z, fused_q))
+        return retruncate(times_binomials(out, *_runs(st.read, reads)), ctx)
 
     return run
+
+
+def _held(st: _St, head: tuple, reads: list, x: QSeries):
+    """The parts (head, reads, x) of the term head * runs * x, or None when it is built at its own index.
+
+    head = (coeff, zexp, qexp) is folded, with qexp >= 0. Only under a formal
+    z, with z in the head or the reads, may the product raise (a divisor
+    1 - c*z^a, a z-column past the guard); such a term is not held, and
+    neither is one with a zero head. So every held head has zexp 0 and
+    every run of a held read has a positive q-exponent.
+    """
+    if not head[0]:
+        return None
+    if st.ctx.z_interp is None and (
+            head[1] or any(c and ze for args, _ in reads for c, ze, _ in args[0])):
+        return None
+    return head, reads, x
 
 
 def _runs_series(args, numerator: bool):
@@ -479,17 +522,56 @@ def _one_sided(st: _St, emit, ranges, direction: int, acc: _Sum) -> None:
     """Add emit(direction * t) into acc for every t of ranges, in order.
 
     ranges are a ray's indices worth visiting (``_Ray.indices``). Each term
-    spends one unit of the budget.
+    spends one unit of the budget. A term that emit hands back as parts
+    (``_product``) is held, in visiting order, and the held terms are added
+    in Horner form once the ray is done (``_horner``).
     """
+    held = []
     for r in ranges:
         for t in r:
             st.budget.spend()
-            acc.add(emit(direction * t))
+            term = emit(direction * t)
+            if type(term) is tuple:
+                held.append(term)
+            else:
+                acc.add(term)
+    if held:
+        _horner(st, held, acc)
+
+
+def _horner(st: _St, held: list, acc: _Sum) -> None:
+    """Add the terms head * runs * x of held, parts in visiting order, into acc in Horner form.
+
+    From the last term down, H <- x_k + R_k * H, where R_k takes term k's
+    head and runs to term k + 1's: the ratio of the heads times the factors
+    that changed (``series._delta``), one kernel call on H. The first term's
+    head and runs are applied to H at the end. Every head is at or above
+    q^0, so H_k is exact up to q^(order - h_k), h_k its head's q-exponent,
+    whichever way the heads move (a shift down drops only what the shift up
+    by h_k pushes past the order), and the last head applied makes the sum
+    exact at the order. No R_k can raise: held terms carry no formal z
+    (``_held``). A step is refused when the reads do not pair up (``_delta``
+    gives None); then term k + 1's head and runs are applied to H, which is
+    added, and H starts again from x_k.
+    """
+    read = st.read
+    head, reads, h = held[-1]
+    for k in range(len(held) - 2, -1, -1):
+        prev, prev_reads, x = held[k]
+        step = _delta(read, prev_reads, reads)
+        if step is None:
+            acc.add(times_binomials(h, *_runs(read, reads), head))
+            h = x
+        else:
+            ratio = 1 if head[0] == prev[0] else Fraction(head[0]) / prev[0]
+            h = x + times_binomials(h, *step, (ratio, 0, head[2] - prev[2]))
+        head, reads = prev, prev_reads
+    acc.add(times_binomials(h, *_runs(read, reads), head))
 
 
 def _chain_sum(node: ChainSum, scale: int):
     idxs = node.indices
-    body = _compile(node.body, scale, True)
+    body = _term(node.body, scale) if len(idxs) == 1 else _compile(node.body, scale, True)
     # Inner indices run over the box 0 <= n_i <= n_1.
     sub = {i: growth.mvar(i) for i in idxs[1:]}
     sub[idxs[0]] = RAY_T
@@ -508,8 +590,12 @@ def _chain_sum(node: ChainSum, scale: int):
                 env[idxs[i]] = v
                 level(i + 1, v, acc)
 
-        def emit(v: int) -> QSeries:
+        def emit(v: int):
             env[idxs[0]] = v
+            if len(idxs) == 1:
+                # The leaf's unit, as at the last level of a longer chain.
+                st.budget.spend()
+                return body(inner)
             acc = _Sum()
             level(1, v, acc)
             return acc.series(st.ctx)
@@ -524,13 +610,13 @@ def _chain_sum(node: ChainSum, scale: int):
 def _over_z(node, body, scale: int):
     """A sum over node's index in Z of body, rays up from 0 and down from -1, both certified first."""
     index = node.index
-    term = _compile(body, scale, True)
+    term = _term(body, scale)
     up, down = (_Ray(body, ({index: t},), scale, node=node) for t in (RAY_T, growth.mneg(RAY_T)))
 
     def run(st: _St) -> QSeries:
         inner = st.binding()
 
-        def emit(n: int) -> QSeries:
+        def emit(n: int):
             inner.env[index] = n
             return term(inner)
 
@@ -544,7 +630,7 @@ def _over_z(node, body, scale: int):
 
 
 def _range_sum(node: RangeSum, scale: int, in_sum: bool):
-    body = _compile(node.body, scale, True)
+    body = _term(node.body, scale)
     lo_of, hi_of = int_closure(node.lo), int_closure(node.hi)
     # The two rays of a two-sided sum: j = t over [max(lo, 0), hi] and, below
     # 0, j = -t over [max(1, -hi), -lo]. Each skips the terms above the order
@@ -563,7 +649,7 @@ def _range_sum(node: RangeSum, scale: int, in_sum: bool):
             prev = st.lasts.get(run, {})
             st.lasts[run] = row = {}
 
-        def emit(v: int) -> QSeries:
+        def emit(v: int):
             inner.env[node.index] = v
             if in_sum:
                 inner.row = row[v] = prev.get(v) or {}
@@ -616,6 +702,13 @@ def _hecke(node: Hecke, scale: int):
 
 
 # -- lowering ----------------------------------------------------------------
+
+
+def _term(node, scale: int):
+    """A sum's body lowered for ``_one_sided``: a product there may hand back its parts."""
+    if isinstance(node, (Mul, Div, Pow, Neg)):
+        return _product(node, scale, True, True)
+    return _compile(node, scale, True)
 
 
 def _add(node, scale: int, in_sum: bool):

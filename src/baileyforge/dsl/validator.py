@@ -65,8 +65,8 @@ _PROBE_FINDINGS = tuple(cls for cls, _ in _PROBE_CODES)
 
 # A sum whose term bound does not grow along a ray never clears the window.
 _NO_GROWTH = {
-    BilateralSum: ("bilateral-no-growth", "two-sided sum needs a positive quadratic exponent to settle"),
-    Appell: ("appell-no-growth", "two-sided sum needs a positive quadratic exponent to settle"),
+    BilateralSum: ("bilateral-no-growth", "two-sided sum needs its term exponent to grow along both rays"),
+    Appell: ("appell-no-growth", "Appell-Lerch term, its divisor included, needs exponent growth along both rays"),
     ChainSum: ("chain-no-growth", "sum over descending indices needs exponent growth along its rays"),
     Hecke: ("hecke-no-growth", "row exponents must grow along every edge of the region"),
 }

@@ -883,7 +883,7 @@ def _runs(read, reads) -> tuple:
     return num, den
 
 
-def _delta(read, old: list, new: list, n: int, full: int):
+def _delta(read, old: list, new: list, n: int | None = None, full: int = 0):
     """Runs (num, den) that take the product of the reads old to that of new, or None.
 
     Reads in the same place with the same bases, step and power differ by
@@ -894,7 +894,8 @@ def _delta(read, old: list, new: list, n: int, full: int):
     positive q-exponent. None when one does not have it, when the reads do
     not pair up, or when the change does not pay against full, the factors
     of the new product within the window of n exponents: factors are
-    counted from the reads' arguments, len(bases) per unit of length.
+    counted from the reads' arguments, len(bases) per unit of length. With
+    n None the change is not costed.
     """
     if len(old) != len(new):
         return None
@@ -910,10 +911,11 @@ def _delta(read, old: list, new: list, n: int, full: int):
             changes.append(((shifted, step, abs(length - m)), p if length > m else -p))
         else:
             changes += [(a, -p), (b, pb)]
-    for args, _ in changes:
-        moved += len(args[0]) * (n if args[2] is None else min(args[2], n))
-    if (full - 2 * moved - 2) * n <= _PAIRING:
-        return None
+    if n is not None:
+        for args, _ in changes:
+            moved += len(args[0]) * (n if args[2] is None else min(args[2], n))
+        if (full - 2 * moved - 2) * n <= _PAIRING:
+            return None
     num, den = _runs(read, changes)
     if any(run[2] <= 0 for run in den):
         return None

@@ -713,11 +713,10 @@ class TestTermsFromTheLast:
         assert stepped == 3 + 6 + 9 + 3 * 6
         assert sum(seen) == 3 * sum(range(1, 10))
 
-    def test_rows_apply_fewer_factors(self, monkeypatch):
-        # From (n - 1, j) to (n, j) only the divisor (q^4; q^4)_(n - j) gains
-        # a factor, where the step from (n, j + 1) changes five. Stepping
-        # from the last term alone applied 3162 factors to this side.
-        spec = R.load_spec(R.REGISTRY["hecke_odd_counts"])
+    @staticmethod
+    def factors_applied(monkeypatch, name: str) -> tuple:
+        """(kernel calls, factors applied) of one evaluation of the catalog entry's lhs."""
+        spec = R.load_spec(R.REGISTRY[name])
         spec.plans.clear()
         factors = baileyforge.series._factors
         seen = []
@@ -729,7 +728,20 @@ class TestTermsFromTheLast:
 
         monkeypatch.setattr(baileyforge.series, "_factors", counted)
         evaluate(spec, {}, "lhs")
-        assert (len(seen), sum(seen)) == (1020, 2527)
+        return len(seen), sum(seen)
+
+    def test_rows_apply_fewer_factors(self, monkeypatch):
+        # From (n - 1, j) to (n, j) only the divisor (q^4; q^4)_(n - j) gains
+        # a factor, where the step from (n, j + 1) changes five. Stepping
+        # from the last term alone applied 3162 factors to this side, and
+        # 2527 while each outer term applied poch(q; q, 2*n) anew.
+        assert self.factors_applied(monkeypatch, "hecke_odd_counts") == (1020, 1727)
+
+    def test_outer_sum_in_horner_form_applies_fewer_factors(self, monkeypatch):
+        # The outer sum adds poch(q; q, 2*n) * X(n) in Horner form: each step
+        # applies the two factors that changed, where each term applied its
+        # 2n anew (2538 factors in as many kernel calls).
+        assert self.factors_applied(monkeypatch, "hecke_half_lat2") == (1020, 1738)
 
     @staticmethod
     def held(src, order):
@@ -840,6 +852,141 @@ class TestTermsFromTheLast:
         expr = parse_expr("sum(j in 0..4, q^(12 - 2*j) / poch(q; q, j))")
         assert as_dict(evaluate_expr(expr, order=6)) == expand_expr(expr, scale=1, order=6)
         assert seen == [4, 3]
+
+
+_FOLD_INNERS = [
+    # The inner sums of the hecke_*_lat2 and hecke_odd_counts entries.
+    "poch(z, q^(4) / z; q^(4), j) * q^(3*n - 2*j) / (poch(q^(4); q^(4), n - j) * poch(q^(2); q^(2), 2*j))",
+    "poch(-q^(2), -q^(2); q^(4), j) * q^(3*n - 2*j) / (poch(q^(4); q^(4), n - j) * poch(q^(2); q^(2), 2*j))",
+    # The inner sum of the hecke_*_lat1 entries, whose head does not read n.
+    "poch(z, q^(4) / z; q^(4), j) * q^(2*j)"
+    " / ((1 + q^(4*j)) * poch(q^(4); q^(4), n - j) * poch(q^(2); q^(2), 2*j))",
+]
+
+
+class TestHornerFold:
+    """A sum of terms head * runs * X, X a nested sum, is added in Horner form over its index.
+
+    A falling head and a refused step are checked on their own shapes, and
+    every error is raised where the term built at its own index raises it.
+    """
+
+    @staticmethod
+    def spied(monkeypatch, fold=True):
+        """Record what each fold holds and how many steps it refuses; without fold, hold nothing."""
+        ev = baileyforge.dsl.evaluator
+        horner, delta, held = ev._horner, ev._delta, ev._held
+        seen = {"held": [], "refused": 0, "at": []}
+
+        def spy_horner(st, parts, acc):
+            seen["held"].append(list(parts))
+            return horner(st, parts, acc)
+
+        def spy_delta(*args):
+            step = delta(*args)
+            seen["refused"] += step is None
+            return step
+
+        def spy_held(st, head, reads, x):
+            seen["at"].append(dict(st.env))
+            return held(st, head, reads, x) if fold else None
+
+        monkeypatch.setattr(ev, "_horner", spy_horner)
+        monkeypatch.setattr(ev, "_delta", spy_delta)
+        monkeypatch.setattr(ev, "_held", spy_held)
+        return seen
+
+    @pytest.mark.parametrize("src,order,refuses", [
+        # The term's floor 10 - j rises as j falls, so j runs 4..0 and the
+        # head q^(j) falls at every step: each step folds, shifting H down.
+        ("sum(j in 0..4, q^(j) * poch(q; q, j) * sum(i in 0..1, q^(10 - 2*j + i)))", 12, False),
+        # The power 1 - n drops its base at n = 1, so the reads do not pair.
+        ("sum(n in 0..2, (1 - q^(n + 1))^(1 - n) * sum(j in 0..n, q^(j)))", 10, True),
+    ])
+    def test_steps_match_the_oracle(self, monkeypatch, src, order, refuses):
+        seen = self.spied(monkeypatch)
+        expr = parse_expr(src)
+        assert as_dict(evaluate_expr(expr, order=order)) == expand_expr(expr, scale=1, order=order)
+        assert seen["held"], "the fold did not run"
+        assert bool(seen["refused"]) == refuses
+        if not refuses:
+            heads = [head[2] for held in seen["held"] for head, _, _ in held]
+            assert heads == sorted(heads, reverse=True) and heads[0] > heads[-1]
+
+    @settings(max_examples=40, deadline=None)
+    @given(outer=st.lists(st.tuples(st.sampled_from(["q", "-q", "q^(2)"]), st.integers(1, 2),
+                                    st.sampled_from(["n", "2*n"])), min_size=1, max_size=2),
+           a=st.integers(0, 2), pole=st.none() | st.tuples(st.integers(1, 2), st.integers(-1, 1)),
+           zhead=st.booleans(), inner=st.sampled_from(_FOLD_INNERS),
+           zfold=st.none() | st.tuples(st.sampled_from([1, -1]), st.integers(-1, 2)),
+           order=st.integers(8, 14))
+    def test_fold_matches_the_oracle(self, outer, a, pole, zhead, inner, zfold, order):
+        # sum(n >= 0, [z^(n) *] q^(a*n) * poch(...) [* poch(...)] [/ (1 + q^(c*n + d))]
+        # * sum(j in 0..n, inner)), with the fold and with every term built
+        # at its own index: the same value, or the same error. Unless z is
+        # q^-1 or -q^-1, no term needs a lift, so the fold runs, but for a
+        # formal z in the head, which keeps each term at its own index.
+        head = ("z^(n) * " if zhead else "") + f"q^({a}*n)"
+        pochs = "".join(f" * poch({b}; q^({s}), {length})" for b, s, length in outer)
+        den = "" if pole is None else f" / (1 + q^({pole[0]}*n + {pole[1]}))"
+        expr = parse_expr(f"sum(n >= 0, {head}{pochs}{den} * sum(j in 0..n, {inner}))")
+        zi = None if zfold is None else Monomial(*zfold)
+        results, held = [], []
+        for fold in (True, False):
+            with pytest.MonkeyPatch.context() as mp:
+                seen = self.spied(mp, fold)
+                try:
+                    results.append(as_dict(evaluate_expr(expr, order=order, z_interp=zi)))
+                except (ZDegreeError, TerminationError) as e:
+                    results.append((type(e), str(e)))
+                held.append(seen["held"])
+        assert results[0] == results[1]
+        assert not held[1]
+        if type(results[0]) is dict:
+            assert held[0] or (zfold is None and zhead) or (zfold is not None and zfold[1] < 0), \
+                "the fold did not run"
+            assert results[0] == expand_expr(expr, scale=1, order=order, zfold=zfold)
+
+    def test_divisor_errors_stay_at_their_term(self):
+        # 1 - z^n has no positive q-exponent, at n = 1 and at n = 2: the
+        # error is the one of n = 1, where each term built at its own index
+        # raises first.
+        expr = parse_expr("sum(n in 1..2, sum(j in 0..1, q^(j)) / poch(z^(n); q, 1))")
+        with pytest.raises(NonUnitLeadingError, match=r"z\^1\*q\^0"):
+            evaluate_expr(expr, order=8)
+
+    def test_z_guard_errors_stay_at_their_term(self, monkeypatch):
+        # z^3 * X(n) passes the guard cap 4 at n = 2. The formal z in the
+        # head keeps every term at its own index, with the fold or without.
+        expr = parse_expr("sum(n in 0..3, z^(3) * poch(q; q, n) * sum(j in 0..n, z^(j) * q^(j)))")
+        errors = []
+        for fold in (True, False):
+            with pytest.MonkeyPatch.context() as mp:
+                seen = self.spied(mp, fold)
+                with pytest.raises(ZDegreeError) as e:
+                    evaluate_expr(expr, order=8)
+                errors.append(str(e.value))
+                assert [env["n"] for env in seen["at"]] == [0, 1, 2]
+        assert errors[0] == errors[1]
+        assert errors[0] == "z-exponent 5 at q-exponent 2 exceeds guard cap 4 (scale 1, order 8)"
+
+    def test_budget_runs_out_at_the_same_index(self, monkeypatch):
+        # Each index spends the units it spends when its term is built at its
+        # own index, so every budget runs out at the same term or suffices.
+        expr = parse_expr(TestTermsFromTheLast.LAT2)
+        outcomes = {True: [], False: []}
+        for fold in (True, False):
+            with pytest.MonkeyPatch.context() as mp:
+                seen = self.spied(mp, fold)
+                for max_terms in range(0, 200):
+                    seen["at"].clear()
+                    try:
+                        got = as_dict(evaluate_expr(expr, order=10, max_terms=max_terms))
+                    except BudgetError:
+                        got = None
+                    outcomes[fold].append((max_terms, [env.get("n") for env in seen["at"]], got))
+        assert outcomes[True] == outcomes[False]
+        assert outcomes[True][0][2] is None and outcomes[True][-1][2] is not None
 
 
 class TestSummationLimits:
