@@ -178,29 +178,43 @@ def _core_sum(expr):
     raise SpecError("no unique outermost sum to expose with --raw-sum")
 
 
+def _refuse(findings) -> int:
+    for line in describe(findings):
+        print(f"error: {line}", file=sys.stderr)
+    return ERROR
+
+
 def _expand_spec(spec, entry, args, params) -> int:
     merged = dict(entry.default_params) if entry is not None else {}
     merged.update(params)
     findings = validate(spec)
     if findings:
-        for line in describe(findings):
-            print(f"error: {line}", file=sys.stderr)
-        return ERROR
+        return _refuse(findings)
     env = bindings_env(spec, merged)
     order = args.order if args.order is not None else spec.order
     if args.raw_sum:
         core = _core_sum(spec.lhs if args.side == "lhs" else spec.rhs)
         zi = context_for(spec, env, order).z_interp
-        if args.oracle:
+
+        def run(side):
+            return evaluate_expr(core, spec.scale, order, zi, env)
+    else:
+        def run(side):
+            return evaluate(spec, merged, side, order=order)
+    # The fast run gives the findings, on --oracle too, where an error of its
+    # own is the oracle's to settle.
+    (s,), findings, error = registry.fast_run(spec, (args.side,), run)
+    if findings:
+        return _refuse(findings)
+    if args.oracle:
+        if args.raw_sum:
             zfold = None if zi is None else (zi.sign, zi.qexp)
             table = expand_expr(core, spec.scale, order, zfold, env)
-            return _emit_table(_table_items(table), spec.scale, order, args.format)
-        s = evaluate_expr(core, spec.scale, order, zi, env)
-        return _emit_table(_series_items(s), spec.scale, order, args.format)
-    if args.oracle:
-        table = brute_force_expand(spec, args.side, merged, order=order)
+        else:
+            table = brute_force_expand(spec, args.side, merged, order=order)
         return _emit_table(_table_items(table), spec.scale, order, args.format)
-    s = evaluate(spec, merged, args.side, order=order)
+    if error is not None:
+        raise error
     return _emit_table(_series_items(s), spec.scale, order, args.format)
 
 

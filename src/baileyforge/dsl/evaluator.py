@@ -14,13 +14,13 @@ and one down from -1, a range sum the same two rays cut to its range, and a
 chain or Hecke sum one ray along its outer index. A ray without an end
 stops where its bound passes the order for good; it is refused, with a
 ``TerminationError`` that carries the sum and the reason, when its bound is
-unproven or does not grow, or when it reaches the order past hard_cap. The
-validator's probe reads its termination findings from that refusal. A run
-substitutes the parameters' values, and a query that repeats the last one
-reuses its answer. Every summed term spends one unit of the term budget. The
-plan is kept on the spec (``IdentitySpec.plans``), so every evaluation of a
-parsed spec, each sweep point and the validator's probe among them, reuses
-it. Lowering reads no binding and raises nothing: a name or a bad value in a
+unproven or does not grow, or when it reaches the order past hard_cap.
+``validator.run_finding`` reads a run's termination findings from that
+refusal. A run substitutes the parameters' values, and a query that repeats
+the last one reuses its answer. Every summed term spends one unit of the
+term budget. The plan is kept on the spec (``IdentitySpec.plans``), so
+every evaluation of a parsed spec, each sweep point among them, reuses it.
+Lowering reads no binding and raises nothing: a name or a bad value in a
 branch that is never reached fails nowhere, and every error is raised where
 the term that causes it is evaluated.
 
@@ -454,7 +454,7 @@ def _divisor_above(f, st: _St) -> QSeries:
 # -- summation loops ---------------------------------------------------------
 
 
-NO_GROWTH = "does not grow"  # a refusal's reason, read by the validator
+NO_GROWTH = "does not grow"  # a refusal's reason, read by ``validator.run_finding``
 
 
 class _Ray:
@@ -593,8 +593,6 @@ def _chain_sum(node: ChainSum, scale: int):
         def emit(v: int):
             env[idxs[0]] = v
             if len(idxs) == 1:
-                # The leaf's unit, as at the last level of a longer chain.
-                st.budget.spend()
                 return body(inner)
             acc = _Sum()
             level(1, v, acc)

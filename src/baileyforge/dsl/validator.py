@@ -1,27 +1,19 @@
-"""Validation of identity specs: static checks of names and ranges, then a probe.
+"""Validation of identity specs: static checks of names and ranges, and the findings of a run.
 
-The probe evaluates both sides with the fast evaluator at order 6, at the
-lowest and the highest parameter bindings, and turns a refused sum, a
+``validate`` checks names, ranges and shapes without evaluating anything.
+A side's run raises the rest: ``run_finding`` turns a refused sum, a
 non-unit denominator, a pole or a malformed product into a located finding.
 A refused sum is located at itself and, when its term bound does not grow,
-reported by its kind (``_NO_GROWTH``). The probe never runs the
-brute-force oracle; the oracle is reached only through ``--oracle`` and
-the tests.
+reported by its kind (``_NO_GROWTH``). A limit of the run (the term budget,
+the z-degree guard) is no defect of the spec and gives no finding.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..errors import (
-    BudgetError,
-    NonUnitLeadingError,
-    PoleError,
-    SpecError,
-    TerminationError,
-    ZDegreeError,
-)
-from .evaluator import NO_GROWTH, bindings_env, evaluate
+from ..errors import BudgetError, NonUnitLeadingError, PoleError, SpecError, TerminationError
+from .evaluator import NO_GROWTH
 from .nodes import (
     Add,
     Appell,
@@ -52,16 +44,13 @@ from .nodes import (
     ZPow,
 )
 
-_PROBE_ORDER = 6
-
-# Probe errors that are defects of the spec, with their finding codes.
-_PROBE_CODES = (
+# Run errors that are defects of the spec, with their finding codes.
+_RUN_CODES = (
     (TerminationError, "sum-not-settling"),
     (NonUnitLeadingError, "non-unit-denominator"),
     (PoleError, "pole"),
     (SpecError, "bad-shape"),
 )
-_PROBE_FINDINGS = tuple(cls for cls, _ in _PROBE_CODES)
 
 # A sum whose term bound does not grow along a ray never clears the window.
 _NO_GROWTH = {
@@ -185,25 +174,24 @@ def _walk(expr, scope, findings):
     findings.append(Finding("bad-shape", f"unsupported expression {type(expr).__name__}", getattr(expr, "span", None)))
 
 
-def _probe_finding(e, side: str, spec: IdentitySpec) -> Finding:
-    """The finding of an error the probe raised, placed at the refused sum or else at the side."""
+def run_finding(e, side: str, spec: IdentitySpec) -> Finding | None:
+    """The finding of an error a side's run raised, at the refused sum or else at the side.
+
+    None when the error is no defect of the spec: a spent term budget, a
+    broken z-degree guard or any other error without a finding code.
+    """
+    if isinstance(e, BudgetError):
+        return None
     node = e.node if isinstance(e, TerminationError) else None
     if node is not None and e.why == NO_GROWTH:
         code, message = _NO_GROWTH[type(node)]
         return Finding(code, message, node.span)
-    code = next(c for cls, c in _PROBE_CODES if isinstance(e, cls))
+    code = next((c for cls, c in _RUN_CODES if isinstance(e, cls)), None)
+    if code is None:
+        return None
     if node is None:
         node = spec.lhs if side == "lhs" else spec.rhs
-    return Finding(code, f"{side} probe: {e}", node.span)
-
-
-def _probe_envs(spec: IdentitySpec):
-    lo_env: dict = {}
-    hi_env: dict = {}
-    for p in spec.params:
-        lo_env[p.name] = p.lo
-        hi_env[p.name] = p.hi if isinstance(p.hi, int) else hi_env[p.hi]
-    return [lo_env] if lo_env == hi_env else [lo_env, hi_env]
+    return Finding(code, f"{side}: {e}", node.span)
 
 
 def validate(spec: IdentitySpec) -> list:
@@ -227,26 +215,4 @@ def validate(spec: IdentitySpec) -> list:
 
     for side in (spec.lhs, spec.rhs):
         _walk(side, scope, findings)
-    if findings:
-        return findings
-
-    for env in _probe_envs(spec):
-        try:
-            bindings_env(spec, env)
-        except SpecError:
-            # A dependent range can be empty at a bound (a in 2..m at m = 1);
-            # such an env is no binding of the spec, so there is nothing to probe.
-            continue
-        for side in ("lhs", "rhs"):
-            try:
-                evaluate(spec, env, side, order=_PROBE_ORDER)
-            except (ZDegreeError, BudgetError):
-                # Inconclusive: the z-degree guard cap grows with the order
-                # and the term budget is a limit of the run, not of the spec.
-                # The real evaluation enforces both at the spec's own order.
-                continue
-            except _PROBE_FINDINGS as e:
-                findings.append(_probe_finding(e, side, spec))
-        if findings:
-            break
     return findings

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 from .dsl.evaluator import bindings_env, evaluate
 from .dsl.parser import parse_file
-from .dsl.validator import describe, validate
+from .dsl.validator import describe, run_finding, validate
 from .engine import iterated_lattice_eval, key_pair, weak_lemma_eval
 from .errors import SeriesError, SpecError
 from .oracle import brute_force_expand
@@ -194,7 +194,6 @@ REGISTRY = _build()
 
 _SPEC_CACHE: dict = {}
 _TITLE_CACHE: dict = {}
-_FINDINGS_CACHE: dict = {}
 
 
 def load_spec(entry: CatalogEntry):
@@ -294,15 +293,26 @@ def _mismatch_dict(scale: int, qe: int, ze: int, ca, cb) -> dict:
 # -- verification ------------------------------------------------------------
 
 
-def _validated(spec, entry) -> list:
-    # Findings depend only on the spec, so catalog specs validate once per
-    # process; user files (no entry) validate every call.
-    if entry is None:
-        return validate(spec)
-    hit = _FINDINGS_CACHE.get(entry.name)
-    if hit is None:
-        hit = _FINDINGS_CACHE[entry.name] = validate(spec)
-    return hit
+def fast_run(spec, sides, run) -> tuple:
+    """Run each side of spec on the fast path; return (values, findings, error).
+
+    values holds each side's run(side), or None where it raised; findings the
+    located defects of the spec its refusals name (``run_finding``), and
+    error the first error that names none. Every side runs, so a defect on
+    each side is reported.
+    """
+    values, findings, error = [], [], None
+    for side in sides:
+        try:
+            values.append(run(side))
+        except SeriesError as e:
+            values.append(None)
+            finding = run_finding(e, side, spec)
+            if finding is not None:
+                findings.append(finding)
+            elif error is None:
+                error = e
+    return values, findings, error
 
 
 def _verify_spec(spec, entry, params, order, use_oracle, max_terms, t0) -> Report:
@@ -311,22 +321,26 @@ def _verify_spec(spec, entry, params, order, use_oracle, max_terms, t0) -> Repor
     path = "oracle" if use_oracle else "dsl"
     eff = order
     try:
-        findings = _validated(spec, entry)
+        findings = validate(spec)
+        if not findings:
+            env = bindings_env(spec, merged)
+            if eff is None and entry is not None and entry.order_rule is not None:
+                eff = entry.order_rule(env)
+            if eff is None:
+                eff = spec.order
+            (lhs, rhs), findings, error = fast_run(spec, ("lhs", "rhs"), lambda side: evaluate(
+                spec, merged, side, order=eff, max_terms=max_terms))
         if findings:
             detail = "; ".join(describe(findings))
-            return Report(spec.name, merged, spec.scale, order if order is not None else spec.order,
+            return Report(spec.name, merged, spec.scale, spec.order if eff is None else eff,
                           "error", None, _ms(t0), path, detail)
-        env = bindings_env(spec, merged)
-        if eff is None and entry is not None and entry.order_rule is not None:
-            eff = entry.order_rule(env)
-        if eff is None:
-            eff = spec.order
         if use_oracle:
+            # The fast run gave the findings; an error of its own is the oracle's to settle.
             diff = _dict_mismatch(brute_force_expand(spec, "lhs", merged, order=eff),
                                   brute_force_expand(spec, "rhs", merged, order=eff))
+        elif error is not None:
+            raise error
         else:
-            lhs = evaluate(spec, merged, "lhs", order=eff, max_terms=max_terms)
-            rhs = evaluate(spec, merged, "rhs", order=eff, max_terms=max_terms)
             diff = first_mismatch(lhs, rhs)
     except SeriesError as e:
         # The order the run was refused at: the order rule's, once it has run.

@@ -2,8 +2,11 @@
 
 import glob
 import hashlib
+import json
 import os
 import pickle
+import re
+import tempfile
 import time
 from fractions import Fraction as F
 from unittest import mock
@@ -70,6 +73,28 @@ def both_sides_match_oracle(spec, bindings=None):
     assert lhs == ora
     assert rhs == brute_force_expand(spec, "rhs", b)
     assert lhs == rhs
+
+
+def verify_source(src, params=None, use_oracle=False):
+    """The one report ``verify_file`` gives for a one-spec source."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "spec.idn")
+        with open(path, "w") as fh:
+            fh.write(src)
+        (report,) = R.verify_file(path, params, use_oracle=use_oracle)
+    return report
+
+
+def codes_of(report) -> set:
+    """The finding codes of an error report's ``code: message; ...`` detail."""
+    if report.status != "error":
+        return set()
+    return set(re.findall(r"(?:^|; )([a-z][a-z0-9-]*): ", report.detail))
+
+
+def run_findings(spec, bindings=None):
+    """The located findings of both sides' runs, as ``verify`` maps them."""
+    return R.fast_run(spec, ("lhs", "rhs"), lambda side: evaluate(spec, bindings, side))[1]
 
 
 ROUND_TRIP_SOURCES = [
@@ -184,7 +209,7 @@ class TestValidator:
         assert validate(spec) == []
 
     def finding_codes(self, src):
-        return {f.code for f in validate(parse(src))}
+        return codes_of(verify_source(src))
 
     def test_unknown_name(self):
         codes = self.finding_codes(
@@ -245,11 +270,12 @@ class TestValidator:
         assert codes == {"bilateral-no-growth"}
 
     def test_probe_catches_non_settling_sum(self):
-        # The divisor leaves the term's floor unproven; the finding is placed
-        # at the refused sum, not at the whole side.
+        # The divisor leaves the term's floor unproven; the run's finding is
+        # placed at the refused sum, not at the whole side.
         src = ("identity x { scale 1 order 6 "
                "lhs 1 + sum(n >= 0, q^(2*n) / (1 - q^(n^2 - 2))) rhs 1 }")
-        (finding,) = validate(parse(src))
+        assert self.finding_codes(src) == {"sum-not-settling"}
+        (finding,) = run_findings(parse(src))
         assert finding.code == "sum-not-settling"
         assert src[finding.span.start:finding.span.end] == "sum(n >= 0, q^(2*n) / (1 - q^(n^2 - 2)))"
         assert finding.message.endswith("is unproven (in the sum over n)")
@@ -271,16 +297,17 @@ class TestValidator:
     @settings(max_examples=80, deadline=None)
     @given(kind=st.sampled_from(sorted(GROWTH_KINDS)), a=st.integers(-2, 2), b=st.integers(-4, 4))
     def test_no_growth_exactly_where_a_ray_does_not_grow(self, kind, a, b):
-        # The probe's refusal gives the finding, at the sum's span; a sum
-        # that grows along every ray settles at order 6 with no finding.
+        # The run's refusal gives the finding, at the sum's span; a sum that
+        # grows along every ray settles at order 6 with no finding.
         form, rays = self.GROWTH_KINDS[kind]
         total = form.format(e=f"{a}*n^2 + {b}*n")
         src = f"identity x {{ scale 1 order 6 lhs 1 + {total} rhs 1 }}"
         grows = all(c2 > 0 or (c2 == 0 and c1 > 0) for c1, c2 in rays(a, b))
-        finds = validate(parse(src))
+        finds = run_findings(parse(src))
         if grows:
-            assert finds == []
+            assert self.finding_codes(src) == set() and finds == []
         else:
+            assert self.finding_codes(src) == {kind}
             assert [f.code for f in finds] == [kind]
             assert src[finds[0].span.start:finds[0].span.end] == total
 
@@ -308,9 +335,9 @@ class TestValidator:
 
 
 class TestValidatorProbe:
-    """The probe runs the fast evaluator at order 6, never the oracle."""
+    """Findings past the static checks come from the verify run itself, never the oracle."""
 
-    # Specimens whose findings come from the probe, not the static checks.
+    # Specimens whose findings come from the run, not the static checks.
     PROBED = [
         "identity x { scale 1 order 6 lhs sum(n >= 0, q^(2*n) / (1 - q^(n^2 - 2))) rhs 1 }",
         "identity x { scale 1 order 6 lhs 1 / (1 + z) rhs 1 }",
@@ -337,12 +364,15 @@ class TestValidatorProbe:
         assert report.status == "pass", report.detail
 
     def test_exhausted_term_budget_is_not_a_finding(self, monkeypatch):
-        # The budget is a limit of the run: the real evaluation enforces it.
+        # The budget is a limit of the run, no defect of the spec: the run
+        # ends with its own message, with no finding code.
         monkeypatch.setenv("BAILEY_FORGE_MAX_TERMS", "3")
         spec = parse(ROUND_TRIP_SOURCES[0])
         assert validate(spec) == []
         with pytest.raises(TerminationError, match="budget"):
             evaluate(spec, {"m": 1, "a": 0}, "lhs")
+        report = verify_source(ROUND_TRIP_SOURCES[0], {"m": 1, "a": 0})
+        assert report.status == "error" and report.detail.startswith("term budget exhausted")
 
     @pytest.mark.parametrize("lhs,rhs", [
         # A divergent sum that is never evaluated: in an empty range, or
@@ -359,9 +389,9 @@ class TestValidatorProbe:
         assert report.status == "pass", report.detail
 
     def test_z_degree_past_the_probe_cap_hides_a_divergent_sum(self, tmp_path):
-        # z^(10) breaks the z guard at the probe's order before the sum is
-        # reached, so the probe is inconclusive and finds nothing; the run at
-        # the spec's own order still ends as an error.
+        # z^(10) breaks the z guard at the spec's order 6 before the sum is
+        # reached: the guard is a limit of the run, no finding, and the lhs
+        # ends there, so the sum's refusal is never raised.
         src = "identity hid { scale 1 order 6 lhs z^(10) + sum(n in Z, q^(n)) rhs 1 }"
         assert validate(parse(src)) == []
         path = tmp_path / "hid.idn"
@@ -372,26 +402,88 @@ class TestValidatorProbe:
         assert cli_main(["verify", str(path)]) == 2
 
     def test_bound_outside_a_dependent_range_is_not_probed(self):
-        # At m = 1 the range of a is empty, so the low bounds bind nothing.
+        # At m = 1 the range of a is empty; only the bindings a run is given
+        # are evaluated.
         src = "identity x { param m in 1..3 param a in 2..m scale 1 order 10 lhs q^(a) rhs q^(a) }"
         assert validate(parse(src)) == []
+        assert verify_source(src, {"m": 3, "a": 2}).status == "pass"
 
     def test_findings_do_not_need_the_oracle(self, monkeypatch):
-        specs = self.specimens()
-        before = [validate(spec) for spec in specs]
-
         def refuse(*args, **kwargs):
-            raise AssertionError("the validator reached the oracle")
+            raise AssertionError("verify reached the oracle")
 
         monkeypatch.setattr(baileyforge.oracle, "brute_force_expand", refuse)
-        assert [validate(spec) for spec in specs] == before
-        codes = [sorted({f.code for f in finds}) for finds in before]
-        assert codes == [
+        monkeypatch.setattr(R, "brute_force_expand", refuse)
+        reports = [verify_source(src) for src in self.PROBED]
+        for sub in ("invalid", "broken"):
+            for path in sorted(glob.glob(os.path.join(R.IDENTITY_DIR, sub, "*.idn"))):
+                reports.extend(R.verify_file(path))
+        assert [sorted(codes_of(r)) for r in reports] == [
             ["sum-not-settling"], ["non-unit-denominator"], ["pole"], ["bad-shape"],
             ["bilateral-no-growth"],  # invalid/divergent_bilateral
             ["chain-no-growth"],      # invalid/divergent_chain
             [],                       # broken/sq_mod3_off_by_term: fails only at q^17
         ]
+
+    def test_validate_runs_no_evaluation(self, monkeypatch):
+        # The static checks find nothing in any specimen, and reach no evaluator.
+        def refuse(*args, **kwargs):
+            raise AssertionError("validate evaluated a side")
+
+        monkeypatch.setattr(baileyforge.dsl.evaluator, "evaluate", refuse)
+        monkeypatch.setattr(baileyforge.dsl.evaluator, "evaluate_expr", refuse)
+        monkeypatch.setattr(baileyforge.dsl.evaluator, "_run", refuse)
+        assert not hasattr(baileyforge.dsl.validator, "evaluate")
+        assert [validate(spec) for spec in self.specimens()] == [[]] * 7
+        shadowed = parse("identity x { scale 1 order 6 lhs sum(n in Z, sum(n in 0..2, q^(n))) rhs 1 }")
+        assert [f.code for f in validate(shadowed)] == ["shadowed-index"]
+
+    def test_verify_evaluates_each_side_once(self, monkeypatch):
+        # The refused lhs of divergent_chain gives the finding, and its rhs
+        # still runs; a passing file runs each side once too.
+        sides = []
+
+        def counted(spec, bindings=None, side="lhs", **kwargs):
+            sides.append(side)
+            return evaluate(spec, bindings, side, **kwargs)
+
+        monkeypatch.setattr(baileyforge.dsl.evaluator, "evaluate", counted)
+        monkeypatch.setattr(R, "evaluate", counted)
+        (report,) = R.verify_file(os.path.join(R.IDENTITY_DIR, "invalid", "divergent_chain.idn"))
+        assert codes_of(report) == {"chain-no-growth"}
+        assert sides == ["lhs", "rhs"]
+        sides.clear()
+        (report,) = R.verify_file(os.path.join(R.IDENTITY_DIR, "jtp_check.idn"))
+        assert report.status == "pass"
+        assert sides == ["lhs", "rhs"]
+
+    def test_a_defect_on_each_side_reports_both(self):
+        src = "identity two { scale 1 order 6 lhs sum(n in Z, q^(n)) rhs sum(n >= 0, poch(q; q, n)) }"
+        report = verify_source(src)
+        assert report.detail.split("; ") == [
+            "bilateral-no-growth: two-sided sum needs its term exponent to grow along both rays",
+            "chain-no-growth: sum over descending indices needs exponent growth along its rays",
+        ]
+
+    @pytest.mark.parametrize("name,code", [
+        ("divergent_bilateral", "bilateral-no-growth"), ("divergent_chain", "chain-no-growth"),
+    ])
+    def test_oracle_route_keeps_the_run_finding(self, capsys, name, code):
+        # The fast run goes first on --oracle and gives the finding; the
+        # oracle's own empty-run rule would end as a bare index-cap error.
+        path = os.path.join(R.IDENTITY_DIR, "invalid", f"{name}.idn")
+        assert cli_main(["verify", path, "--oracle", "--format", "json"]) == 2
+        (row,) = json.loads(capsys.readouterr().out)
+        assert (row["status"], row["path"]) == ("error", "oracle")
+        assert row["detail"].startswith(code + ": ")
+
+    def test_defect_at_an_unused_binding_shows_only_there(self):
+        # q^(m*n*n) grows both ways for m > 0 only: the run at m = 2 passes,
+        # and a run over every m finds the defect at m = 0 alone.
+        src = ("identity mz { param m in 0..3 scale 1 order 6 "
+               "lhs sum(n in Z, q^(m*n*n)) rhs sum(j in -3..3, q^(m*j*j)) }")
+        assert [verify_source(src, {"m": m}).status for m in range(4)] == ["error", "pass", "pass", "pass"]
+        assert codes_of(verify_source(src, {"m": 0})) == {"bilateral-no-growth"}
 
     def test_every_catalog_spec_validates_clean(self):
         for entry in R.REGISTRY.values():
@@ -642,8 +734,8 @@ class TestProductLowering:
     def test_formal_z_divisor_is_not_a_unit(self):
         with pytest.raises(NonUnitLeadingError):
             evaluate_expr(parse_expr("1 / poch(z; q, 2)"), order=6)
-        spec = parse("identity nu { scale 1 order 6 lhs 1 / poch(z; q, 2) rhs 1 }")
-        assert [f.code for f in validate(spec)] == ["non-unit-denominator"]
+        report = verify_source("identity nu { scale 1 order 6 lhs 1 / poch(z; q, 2) rhs 1 }")
+        assert codes_of(report) == {"non-unit-denominator"}
 
 
 # Products of a nested range sum's term: lengths in n - j, 2*j and j, and
@@ -996,7 +1088,7 @@ class TestSummationLimits:
     LATE = "identity late { scale 1 order 6 lhs sum(n >= 0, q^((n - 20)^2)) rhs 1 + 2*q + 2*q^(4) }"
     LATE_BILATERAL = (
         "identity late_z { scale 1 order 6 lhs sum(n in Z, q^((n - 20)^2)) rhs 1 + 2*q + 2*q^(4) }")
-    # The divisor truncates to zero at the probe's order 6; its valuation is 10.
+    # The divisor truncates to zero at order 6; its valuation is 10.
     HI = "identity hi { scale 1 order 20 lhs q^(10) / (q^(10) + q^(11)) rhs 1 / (1 + q) }"
     # True: the terms at n = 18..22 give 1 + 2q + 2q^4, and the divisor
     # 1 - q^(n^2 - 2) is 1 there up to the order. But the divisor's floor is
@@ -1069,8 +1161,8 @@ class TestSummationLimits:
         assert self.verify_source(tmp_path, src).status == "pass"
 
     def test_last_index_past_the_cap_is_not_settling(self):
-        spec = parse("identity far { scale 1 order 6 lhs sum(n >= 0, q^(n - 1000)) rhs 0 }")
-        assert [f.code for f in validate(spec)] == ["sum-not-settling"]
+        report = verify_source("identity far { scale 1 order 6 lhs sum(n >= 0, q^(n - 1000)) rhs 0 }")
+        assert codes_of(report) == {"sum-not-settling"}
 
     @pytest.mark.parametrize("src", [
         # by hand: the terms at n = 38..42 give 1 + 2q + 2q^4, past the cap 28.
@@ -1086,8 +1178,8 @@ class TestSummationLimits:
     def test_exact_bound_past_the_cap_is_not_settling(self, src):
         with pytest.raises(TerminationError, match="no certified last index"):
             evaluate_expr(parse_expr(src), order=6)
-        spec = parse(f"identity late40 {{ scale 1 order 6 lhs {src} rhs 1 + 2*q + 2*q^(4) }}")
-        assert [f.code for f in validate(spec)] == ["sum-not-settling"]
+        report = verify_source(f"identity late40 {{ scale 1 order 6 lhs {src} rhs 1 + 2*q + 2*q^(4) }}")
+        assert codes_of(report) == {"sum-not-settling"}
 
     @pytest.mark.parametrize("src", [
         # The vertex lies a million indices past the cap: found without a scan.
@@ -1168,12 +1260,12 @@ class TestSummationLimits:
         assert as_dict(evaluate_expr(expr, order=3)) == expand_expr(expr, scale=1, order=3)
 
     def test_certified_sum_spends_one_unit_per_term(self):
-        # q^(n*n) <= 6 up to n = 2: three terms. A term spends one unit in
-        # the outer loop and one at its leaf.
+        # q^(n*n) <= 6 up to n = 2: three terms, one unit each, as a range
+        # or two-sided sum spends.
         spec = parse("identity sq { scale 1 order 6 lhs sum(n >= 0, q^(n*n)) rhs 1 }")
-        assert as_dict(evaluate(spec, {}, "lhs", max_terms=6)) == {(0, 0): 1, (1, 0): 1, (4, 0): 1}
+        assert as_dict(evaluate(spec, {}, "lhs", max_terms=3)) == {(0, 0): 1, (1, 0): 1, (4, 0): 1}
         with pytest.raises(BudgetError):
-            evaluate(spec, {}, "lhs", max_terms=5)
+            evaluate(spec, {}, "lhs", max_terms=2)
 
     @pytest.mark.parametrize("src,units", [
         # One unit per range term.
@@ -1196,15 +1288,24 @@ class TestSummationLimits:
     def test_vanishing_divisor_is_not_settling(self):
         # poch(q^(-2); q, n) vanishes from n = 3 on, so the term has no
         # proven floor: the sum is refused before it reaches the pole.
-        spec = parse("identity x { scale 1 order 6 lhs sum(n >= 0, q^(n*n) / poch(q^(-2); q, n)) rhs 1 }")
-        assert [f.code for f in validate(spec)] == ["sum-not-settling"]
+        report = verify_source(
+            "identity x { scale 1 order 6 lhs sum(n >= 0, q^(n*n) / poch(q^(-2); q, n)) rhs 1 }")
+        assert codes_of(report) == {"sum-not-settling"}
 
     def test_uncertified_sum_is_an_error(self, tmp_path, capsys):
         report = self.verify_source(tmp_path, self.UNCERTIFIED)
         assert report.status == "error"
-        assert report.detail.startswith("sum-not-settling: lhs probe: sum has no certified last index")
+        assert report.detail.startswith("sum-not-settling: lhs: sum has no certified last index")
         assert cli_main(["verify", str(tmp_path / "spec.idn")]) == 2
         assert "sum-not-settling" in capsys.readouterr().out
+
+    def test_uncertified_sum_is_an_error_on_the_oracle_route(self, tmp_path, capsys):
+        # The fast run goes first and its finding stands; the oracle's
+        # empty-run rule would miss the late terms and report a FAIL.
+        report = self.verify_source(tmp_path, self.UNCERTIFIED, use_oracle=True)
+        assert (report.status, report.path) == ("error", "oracle")
+        assert report.detail.startswith("sum-not-settling: lhs: sum has no certified last index")
+        assert cli_main(["verify", str(tmp_path / "spec.idn"), "--oracle"]) == 2
 
     @pytest.mark.parametrize("src", [
         "sum(n >= 0, q^((n - 20)^2) / (1 - q^(n^2 - 2)))",
@@ -1263,8 +1364,8 @@ class TestSummationLimits:
         assert as_dict(got) == as_dict(want)
 
     def test_catalog_sums_are_certified(self, monkeypatch):
-        # Every catalog sum visits the indices of a proven floor, at the
-        # validator's probe order and at the shipped one, range sums
+        # Every catalog sum visits the indices of a proven floor, at order 6
+        # and at the shipped one, range sums
         # included, and no side inverts a series: each 1 + q^e divisor is a
         # length-one Pochhammer factor. Every DSL entry has a sum.
         indices = baileyforge.dsl.evaluator._Ray.indices
@@ -1478,7 +1579,7 @@ class TestLoweredBounds:
 
     def test_catalog_floors_match_the_reference(self, monkeypatch):
         # Every floor the evaluator asks for on a catalog side, at the default
-        # bindings and at the validator's probe bindings, with the indices of
+        # bindings and at the lowest and highest ones, with the indices of
         # enclosing sums bound as the sums run.
         lower = baileyforge.dsl.growth.lower_floor
         checked = []
@@ -1501,7 +1602,11 @@ class TestLoweredBounds:
             if entry.route != "dsl":
                 continue
             spec = R.load_spec(entry)
-            for env in [dict(entry.default_params)] + baileyforge.dsl.validator._probe_envs(spec):
+            lo, hi = {}, {}
+            for p in spec.params:
+                lo[p.name] = p.lo
+                hi[p.name] = p.hi if isinstance(p.hi, int) else hi[p.hi]
+            for env in [dict(entry.default_params)] + ([lo] if lo == hi else [lo, hi]):
                 try:
                     bindings_env(spec, env)
                 except SpecError:
@@ -1528,7 +1633,6 @@ class TestLoweredBounds:
                             lambda *args: floors.append(args[0]) or lower_floor_(*args))
         for grid, points in (("m=1..1,a=0..m", 2), ("m=1..7,a=0..m", 35)):
             monkeypatch.setattr(R, "_SPEC_CACHE", {})
-            monkeypatch.setattr(R, "_FINDINGS_CACHE", {})
             counts.append(0)
             floors.clear()
             reports = R.sweep_entry("rr_mod3m_minus", grid)

@@ -109,8 +109,9 @@ def test_family_defaults_and_order_rule():
 
 def test_refused_run_reports_the_rule_order():
     # A run under an order rule that runs out of budget reports the order the
-    # rule gave (12*m = 24), not the spec's shipped order 156.
-    r = R.verify_entry("rr_mod3m_plus", {"m": 2, "a": 1}, max_terms=5)
+    # rule gave (12*m = 24), not the spec's shipped order 156. Its lhs
+    # spends 4 units there.
+    r = R.verify_entry("rr_mod3m_plus", {"m": 2, "a": 1}, max_terms=3)
     assert (r.status, r.order) == ("error", 24)
     assert "term budget exhausted" in r.detail
 
@@ -166,6 +167,17 @@ def test_json_report_keeps_error_detail(capsys):
     assert row["status"] == "error"
     assert "chain-no-growth" in row["detail"]
     assert list(row)[-1] == "detail"
+
+
+@pytest.mark.parametrize("route", [[], ["--oracle"], ["--raw-sum"]], ids=["evaluator", "oracle", "raw-sum"])
+def test_expand_reports_the_run_finding(route, capsys):
+    # The refused lhs is a finding on every route: exit 2, nothing on stdout.
+    path = os.path.join(R.IDENTITY_DIR, "invalid", "divergent_chain.idn")
+    assert main(["expand", path, *route]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: chain-no-growth: sum over descending indices needs"
+                            " exponent growth along its rays\n")
 
 
 def test_repeated_finding_is_reported_once(tmp_path, capsys):
